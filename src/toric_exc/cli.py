@@ -18,11 +18,11 @@ from typing import Optional, Sequence
 from .catalog import FanoRecord, get_record, load_catalog, parse_fan_file
 from .cohomology import cohomology_table, forbidden_sets
 from .errors import NotStabilized, ToricExcError
-from .exceptional import (OrderedCollection, describe_certificate, fullness_certificate,
-                          verify_strongly_exceptional)
+from .exceptional import (KoszulCertified, OrderedCollection, SummandSetMatchesK0Rank,
+                          describe_certificate, fullness_certificate, verify_strongly_exceptional)
 from .fan import Fan, validate_fan
 from .frobenius import stable_summands
-from .picard import PicContext, build_pic_context, class_label, class_to_divisor
+from .picard import PicContext, build_pic_context, class_label, class_to_divisor, to_class
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -188,8 +188,6 @@ def _collection_from_args(args, record: Optional[FanoRecord], ctx: PicContext) -
         return OrderedCollection(tuple(classes))
     if record is None or record.collection is None:
         raise UsageError("no stored collection for this input; pass --collection FILE")
-    from .picard import to_class
-
     return OrderedCollection(tuple(to_class(ctx, d) for d in record.collection))
 
 
@@ -208,7 +206,7 @@ def _verify_one(record: Optional[FanoRecord], fan: Fan, ctx: PicContext,
         },
         "strongly_exceptional": report.strongly_exceptional,
         "certificate": describe_certificate(ctx, certificate),
-        "fullness_certified": type(certificate).__name__ != "NotCertified",
+        "fullness_certified": isinstance(certificate, (SummandSetMatchesK0Rank, KoszulCertified)),
     }
     return full_report
 
@@ -236,8 +234,6 @@ def _cmd_prove_main_theorem(args) -> tuple[int, ReportDocument]:
     for name in ("D1", "D2", "E1", "E2", "E4"):
         record = get_record(name)
         ctx = build_pic_context(record.fan, record.pic_basis)
-        from .picard import to_class
-
         collection = OrderedCollection(tuple(to_class(ctx, d) for d in record.collection))
         results = _verify_one(record, record.fan, ctx, collection)
         expected = sorted(to_class(ctx, d) for d in record.expected_summands)

@@ -16,25 +16,28 @@ representative whose coefficients all lie in {0, 1} is acyclic.
 
 Representative searches run over a bounded box of characters and re-check
 the verdict on an enlarged box; a verdict that changes on enlargement
-raises BoxUnstable instead of being reported.
+raises BoxUnstable instead of being reported.  Each (class, radius) box is
+enumerated once into a cached histogram of sign patterns, and every query
+on the class reads its answer from that histogram.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
-from typing import Optional, Sequence
+from functools import cached_property, lru_cache
+from itertools import combinations, product
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import BoxUnstable, TooManyRays
 from .fan import Fan, is_fano
-from .lattice import IntMatrix, rank as matrix_rank
+from .lattice import _INT64_SAFE, IntMatrix, rank as matrix_rank
 from .picard import ClassVector, PicContext, to_class
 
 _MAX_SWEEP_RAYS = 20
-_INT64_SAFE = 2**60
+_HISTOGRAM_CACHE_SIZE = 128  # one class's radii, and the differences a collection check repeats
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +103,17 @@ def reduced_homology_ranks(complex_: SimplicialSubcomplex) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _rank_memo(fan: Fan) -> dict[int, tuple[int, ...]]:
+    """mask -> pattern ranks.  A query fetches it once, so the fan is hashed once, not per mask."""
+    return {}
+
+
 def _pattern_ranks(fan: Fan, mask: int) -> tuple[int, ...]:
-    vs = [i for i in range(fan.n_rays) if mask >> i & 1]
-    return reduced_homology_ranks(full_subcomplex(fan, vs))
+    memo = _rank_memo(fan)
+    if mask not in memo:
+        vs = [i for i in range(fan.n_rays) if mask >> i & 1]
+        memo[mask] = reduced_homology_ranks(full_subcomplex(fan, vs))
+    return memo[mask]
 
 
 def _mask_of(indices: Sequence[int]) -> int:
@@ -124,7 +135,7 @@ class ForbiddenSetReport:
     forbidden: tuple[tuple[int, ...], ...]
     homology_ranks: tuple[tuple[int, ...], ...]
 
-    @property
+    @cached_property
     def masks(self) -> frozenset[int]:
         return frozenset(_mask_of(s) for s in self.forbidden)
 
@@ -162,8 +173,6 @@ def _stabilized(compute, r0: int, escalate: bool, what: str):
     Returns (value, radius_at_which_it_first_held).  Without escalation a
     single disagreement raises BoxUnstable, as the bounded searches promise.
     """
-    if r0 < 1:
-        raise ValueError("box_radius must be >= 1")
     prev = compute(r0)
     r = r0 + 2
     while True:
@@ -177,25 +186,45 @@ def _stabilized(compute, r0: int, escalate: bool, what: str):
         prev, r = cur, r + 2
 
 
-def _representative_matrix(ctx: PicContext, divisor: Sequence[int], radius: int) -> np.ndarray:
-    """All representatives a + pairing*u for u in the centred box, as rows."""
-    fan = ctx.fan
+@lru_cache(maxsize=8)  # boxes grow as radius^n: keep only the radii in use
+def _character_box(n: int, radius: int) -> np.ndarray:
+    """The characters u in [-radius, radius]^n as read-only int64 rows."""
+    box = np.array(list(product(range(-radius, radius + 1), repeat=n)), dtype=np.int64)
+    box.flags.writeable = False
+    return box
+
+
+class PatternHistogram(NamedTuple):
+    counts: Mapping[int, int]      # sign mask -> number of representatives in the box
+    mustata: bool                  # some representative has every coefficient in {0, 1}
+
+
+@lru_cache(maxsize=_HISTOGRAM_CACHE_SIZE)
+def _pattern_histogram(fan: Fan, divisor: tuple[int, ...], radius: int) -> PatternHistogram:
+    """Sign patterns of the representatives a + pairing*u, u in the centred box.
+
+    Bit i of a mask is set when the representative is nonnegative on ray i.
+    This is the one place where a box of representatives is built.
+    """
     n, m = fan.dim, fan.n_rays
-    bound = (max(abs(x) for ray in fan.rays for x in ray) * radius * n
-             + max(abs(int(a)) for a in divisor))
+    bound = max(abs(x) for ray in fan.rays for x in ray) * radius * n + max(map(abs, divisor))
     dtype = np.int64 if bound < _INT64_SAFE else object
-    axis = np.arange(-radius, radius + 1, dtype=np.int64)
-    grids = np.meshgrid(*([axis] * n), indexing="ij")
-    U = np.stack([g.reshape(-1) for g in grids], axis=1).astype(dtype, copy=False)
-    rays = np.array(fan.rays, dtype=dtype)
-    a = np.array([int(x) for x in divisor], dtype=dtype)
-    return U @ rays.T + a
+    reps = (_character_box(n, radius).astype(dtype, copy=False) @ np.array(fan.rays, dtype=dtype).T
+            + np.array(divisor, dtype=dtype))
+    masks = (reps >= 0) @ np.array([1 << i for i in range(m)], dtype=np.int64 if m < 63 else object)
+    unique, counts = np.unique(masks, return_counts=True)
+    full_rows = reps[masks == (1 << m) - 1]
+    return PatternHistogram(MappingProxyType(dict(zip(unique.tolist(), counts.tolist()))),
+                            bool((full_rows <= 1).all(axis=1).any()))
 
 
-def _pattern_masks(reps: np.ndarray) -> np.ndarray:
-    m = reps.shape[1]
-    powers = np.array([1 << i for i in range(m)], dtype=reps.dtype)
-    return (reps >= 0) @ powers
+def _histograms(ctx: PicContext, divisor: Sequence[int], box_radius: Optional[int]):
+    """radius -> D's pattern histogram at that radius, and the radius to start from."""
+    fan, key = ctx.fan, tuple(int(a) for a in divisor)
+    r0 = default_box_radius(ctx, divisor) if box_radius is None else box_radius
+    if r0 < 1:
+        raise ValueError("box_radius must be >= 1")
+    return (lambda radius: _pattern_histogram(fan, key, radius)), r0
 
 
 def is_forbidden_form(ctx: PicContext, divisor: Sequence[int], forbidden_set: Sequence[int],
@@ -207,33 +236,17 @@ def is_forbidden_form(ctx: PicContext, divisor: Sequence[int], forbidden_set: Se
     (or keeps enlarging when escalate is set).
     """
     target = _mask_of(forbidden_set)
-
-    def found(r: int) -> bool:
-        masks = _pattern_masks(_representative_matrix(ctx, divisor, r))
-        return bool((masks == target).any())
-
-    verdict, _ = _stabilized(found, box_radius, escalate, "is_forbidden_form verdict")
-    return verdict
+    histogram, r0 = _histograms(ctx, divisor, box_radius)
+    return _stabilized(lambda r: target in histogram(r).counts, r0, escalate,
+                       "is_forbidden_form verdict")[0]
 
 
 def has_nonzero_global_sections(ctx: PicContext, divisor: Sequence[int],
                                 box_radius: Optional[int] = None, escalate: bool = False) -> bool:
     """True when D is linearly equivalent to an effective toric divisor."""
-    r0 = default_box_radius(ctx, divisor) if box_radius is None else box_radius
-
-    def found(r: int) -> bool:
-        reps = _representative_matrix(ctx, divisor, r)
-        return bool((reps >= 0).all(axis=1).any())
-
-    verdict, _ = _stabilized(found, r0, escalate, "sections verdict")
-    return verdict
-
-
-def _mustata_filter(ctx: PicContext, divisor: Sequence[int], radius: int) -> bool:
-    # On a Fano fan, any divisor equivalent to a 0/1 combination of rays is
-    # acyclic (ample anticanonical minus distinct toric divisors).
-    reps = _representative_matrix(ctx, divisor, radius)
-    return bool(((reps >= 0) & (reps <= 1)).all(axis=1).any())
+    full = (1 << ctx.fan.n_rays) - 1
+    histogram, r0 = _histograms(ctx, divisor, box_radius)
+    return _stabilized(lambda r: full in histogram(r).counts, r0, escalate, "sections verdict")[0]
 
 
 def is_acyclic(ctx: PicContext, divisor: Sequence[int], report: Optional[ForbiddenSetReport] = None,
@@ -247,19 +260,13 @@ def is_acyclic(ctx: PicContext, divisor: Sequence[int], report: Optional[Forbidd
     fan = ctx.fan
     if report is None:
         report = forbidden_sets(fan)
-    r0 = default_box_radius(ctx, divisor) if box_radius is None else box_radius
-    if r0 < 1:
-        raise ValueError("box_radius must be >= 1")
-    if use_mustata and is_fano(fan) and _mustata_filter(ctx, divisor, r0):
+    histogram, r0 = _histograms(ctx, divisor, box_radius)
+    # On a Fano fan, any divisor equivalent to a 0/1 combination of rays is
+    # acyclic (ample anticanonical minus distinct toric divisors).
+    if use_mustata and is_fano(fan) and histogram(r0).mustata:
         return True
-    bad = report.masks
-
-    def clean(r: int) -> bool:
-        masks = _pattern_masks(_representative_matrix(ctx, divisor, r))
-        return not any(int(msk) in bad for msk in np.unique(masks))
-
-    verdict, _ = _stabilized(clean, r0, escalate, "acyclicity verdict")
-    return verdict
+    return _stabilized(lambda r: report.masks.isdisjoint(histogram(r).counts), r0, escalate,
+                       "acyclicity verdict")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -290,16 +297,15 @@ def cohomology_table(ctx: PicContext, divisor: Sequence[int],
     """
     fan = ctx.fan
     n = fan.dim
-    r0 = default_box_radius(ctx, divisor) if box_radius is None else box_radius
+    histogram, r0 = _histograms(ctx, divisor, box_radius)
+    ranks_of = _rank_memo(fan)
 
     def dims_at(radius: int) -> tuple[int, ...]:
-        masks = _pattern_masks(_representative_matrix(ctx, divisor, radius))
-        unique, counts = np.unique(masks, return_counts=True)
         dims = [0] * (n + 1)
-        for msk, count in zip(unique.tolist(), counts.tolist()):
-            ranks = _pattern_ranks(fan, int(msk))
-            for p in range(n + 1):
-                dims[p] += int(count) * ranks[n - p]
+        for msk, count in histogram(radius).counts.items():
+            ranks = ranks_of[msk] if msk in ranks_of else _pattern_ranks(fan, msk)
+            if any(ranks):  # most patterns select contractible subcomplexes
+                dims = [d + count * h for d, h in zip(dims, reversed(ranks))]
         return tuple(dims)
 
     dims, radius_used = _stabilized(dims_at, r0, escalate, "cohomology dimensions")

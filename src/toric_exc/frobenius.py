@@ -27,12 +27,8 @@ import numpy as np
 
 from .errors import NotStabilized, RayNotCovered
 from .fan import Fan, cone_matrix, cone_inverse
-from .lattice import IntMatrix
+from .lattice import _INT64_SAFE, IntMatrix
 from .picard import ClassVector, DivisorVector, PicContext, to_class
-
-# int64 is plenty for every catalog fan; the guard switches to Python ints
-# for adversarial inputs rather than risking silent overflow.
-_INT64_SAFE = 2**60
 
 
 def worker_count() -> int:

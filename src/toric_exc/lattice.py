@@ -16,6 +16,11 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import NotUnimodular
 
+# Bound below which the numpy kernels elsewhere in the package stay in
+# int64; above it they switch to Python ints rather than risk silent
+# overflow.  int64 is plenty for every catalog fan.
+_INT64_SAFE = 2**60
+
 
 @dataclass(frozen=True)
 class IntMatrix:

@@ -2,13 +2,15 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from toric_exc.cohomology import (cohomology_table, forbidden_sets, full_subcomplex,
-                                  has_nonzero_global_sections, is_acyclic,
+from toric_exc.cohomology import (_pattern_histogram, cohomology_table, forbidden_sets,
+                                  full_subcomplex, has_nonzero_global_sections, is_acyclic,
                                   is_forbidden_form, reduced_homology_ranks)
 from toric_exc.errors import BoxUnstable, TooManyRays
+from toric_exc.lattice import _INT64_SAFE
 from toric_exc.fan import Fan
 from toric_exc.picard import anticanonical_divisor, canonical_divisor, class_to_divisor
 
@@ -172,3 +174,82 @@ class TestOracleAgreement:
                 h = cohomology_table(ctx, D, escalate=True).dims
                 hk = cohomology_table(ctx, KD, escalate=True).dims
                 assert h == tuple(reversed(hk)), (name, D)
+
+
+def plain_histogram(fan, divisor, radius):
+    """Sign-mask counts and the Mustata flag over the character box, in Python ints."""
+    counts, mustata = Counter(), False
+    for u in itertools.product(range(-radius, radius + 1), repeat=fan.dim):
+        rep = [a + sum(x * y for x, y in zip(u, ray)) for a, ray in zip(divisor, fan.rays)]
+        counts[sum(1 << i for i, c in enumerate(rep) if c >= 0)] += 1
+        mustata = mustata or all(c in (0, 1) for c in rep)
+    return dict(counts), mustata
+
+
+class TestPatternHistogram:
+    @pytest.mark.parametrize("divisor", [(2**63 - 1, 1, -1, 0, 2, -1), (2**63 - 1, 0, 0, 1, 0, 0),
+                                         (0, 1, -(2**62), 0, 1, 0)])
+    def test_object_dtype_fallback_matches_python_ints(self, d1, d1_ctx, divisor):
+        # An entry past the int64-safe bound forces the object-dtype path;
+        # int64 arithmetic would wrap 2**63 - 1 + 1 to a negative number.
+        assert max(abs(a) for a in divisor) >= _INT64_SAFE
+        fan = d1.fan
+        counts, mustata = plain_histogram(fan, divisor, 1)
+        assert sum(counts.values()) == 27
+        histogram = _pattern_histogram(fan, divisor, 1)
+        assert dict(histogram.counts) == counts and histogram.mustata == mustata
+
+        wider, _ = plain_histogram(fan, divisor, 3)
+        full = (1 << fan.n_rays) - 1
+        targets = [(full, lambda: has_nonzero_global_sections(d1_ctx, divisor, box_radius=1))]
+        for I in forbidden_sets(fan).forbidden:
+            mask = sum(1 << i for i in I)
+            targets.append((mask, lambda I=I: is_forbidden_form(d1_ctx, divisor, I, box_radius=1)))
+        for mask, query in targets:
+            if (mask in counts) == (mask in wider):
+                assert query() == (mask in counts), mask
+            else:
+                with pytest.raises(BoxUnstable):
+                    query()
+
+    def test_sharing_changes_no_answer(self, records, contexts):
+        rng = random.Random(2024)
+        sample = []
+        for name in ("D1", "E1"):
+            ctx = contexts[name]
+            boxes = list(itertools.product(range(-2, 3), repeat=ctx.rank))
+            sample += [(name, cls) for cls in rng.sample(boxes, 12)]
+
+        def queries(name, cls):
+            ctx = contexts[name]
+            D = class_to_divisor(ctx, cls)
+            report = forbidden_sets(ctx.fan)
+            out = [
+                ("table", lambda: cohomology_table(ctx, D, escalate=True)),
+                ("acyclic", lambda: is_acyclic(ctx, D, report, escalate=True)),
+                ("acyclic-no-mustata", lambda: is_acyclic(ctx, D, report, use_mustata=False, escalate=True)),
+                ("sections", lambda: has_nonzero_global_sections(ctx, D, escalate=True)),
+            ]
+            out += [(("forbidden", I), lambda I=I: is_forbidden_form(ctx, D, I, escalate=True))
+                    for I in report.forbidden]
+            return [((name, cls, key), query) for key, query in out]
+
+        cold = {}
+        for name, cls in sample:
+            for key, query in queries(name, cls):
+                _pattern_histogram.cache_clear()
+                cold[key] = query()
+        warm = {}
+        for name, cls in reversed(sample):
+            for key, query in reversed(queries(name, cls)):
+                warm[key] = query()
+        assert warm == cold
+
+    def test_box_instability_leaves_the_cache_sound(self, d1_ctx):
+        hard = class_to_divisor(d1_ctx, (-2, 2, -2))
+        _pattern_histogram.cache_clear()
+        fresh = cohomology_table(d1_ctx, hard, box_radius=4, escalate=True)
+        _pattern_histogram.cache_clear()
+        with pytest.raises(BoxUnstable):
+            cohomology_table(d1_ctx, hard, box_radius=4)
+        assert cohomology_table(d1_ctx, hard, box_radius=4, escalate=True) == fresh
