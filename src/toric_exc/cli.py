@@ -3,8 +3,7 @@
 Exit codes: 0 when every requested check passes, 1 when a mathematical
 check fails, 2 on usage or data errors.  JSON output is stable-ordered
 (sorted keys, classes in lexicographic order) so repeated runs diff
-cleanly; worker count is capped by TORIC_EXC_THREADS without affecting any
-result.
+cleanly.
 """
 
 from __future__ import annotations
@@ -116,8 +115,10 @@ def _cmd_catalog(args) -> tuple[int, ReportDocument]:
 def _cmd_thomsen(args) -> tuple[int, ReportDocument]:
     record, fan, ctx, inputs = _load_context(args)
     primes = tuple(args.prime) if args.prime else (31, 37)
-    if len(primes) < 2:
-        raise UsageError("need at least two primes (pass --prime twice)")
+    if min(primes) < 2:
+        raise UsageError(f"--prime must be at least 2, got {min(primes)}")
+    if len(set(primes)) < 2:
+        raise UsageError("need at least two distinct primes (pass --prime twice)")
     divisor = (0,) * fan.n_rays
     if args.divisor is not None:
         divisor = _parse_int_vector(args.divisor, fan.n_rays, "--divisor")
@@ -160,6 +161,8 @@ def _cmd_forbidden(args) -> tuple[int, ReportDocument]:
 def _cmd_cohomology(args) -> tuple[int, ReportDocument]:
     _, fan, ctx, inputs = _load_context(args)
     cls = _parse_int_vector(args.cls, ctx.rank, "--class")
+    if args.box is not None and args.box < 1:
+        raise UsageError(f"--box must be at least 1, got {args.box}")
     divisor = class_to_divisor(ctx, cls)
     inputs.update({"class": list(cls)})
     table = cohomology_table(ctx, divisor, box_radius=args.box, escalate=True)

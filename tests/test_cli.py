@@ -43,6 +43,20 @@ class TestThomsen:
         assert code == 1
         assert "did NOT stabilize" in out
 
+    def test_prime_below_two_is_usage_error(self, capsys):
+        for bad in ("1", "0", "-3"):
+            code, out, err = run_cli(capsys, "thomsen", "--variety", "D1",
+                                     "--prime", bad, "--prime", "2")
+            assert code == 2 and out == ""
+            assert "--prime must be at least 2" in err
+
+    def test_repeated_prime_is_usage_error(self, capsys):
+        # one prime given twice certifies nothing about stabilization
+        code, out, err = run_cli(capsys, "thomsen", "--variety", "D1",
+                                 "--prime", "31", "--prime", "31")
+        assert code == 2 and out == ""
+        assert "two distinct primes" in err
+
     def test_unknown_variety_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "thomsen", "--variety", "Q9")
         assert code == 2
@@ -58,6 +72,13 @@ class TestCohomology:
     def test_wrong_length_class_vector(self, capsys):
         code, _, err = run_cli(capsys, "cohomology", "--variety", "D1", "--class", "1 2")
         assert code == 2
+
+    def test_box_below_one_is_usage_error(self, capsys):
+        for box in ("0", "-1"):
+            code, out, err = run_cli(capsys, "cohomology", "--variety", "D1",
+                                     "--class", "0 0 0", "--box", box)
+            assert code == 2 and out == ""
+            assert "--box must be at least 1" in err
 
 
 class TestForbidden:

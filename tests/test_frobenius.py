@@ -183,12 +183,26 @@ class TestDecompose:
             results.append(decompose(d1.fan, d1_ctx, (0,) * 6, 13).summands)
         assert results[0] == results[1]
 
-    def test_exact_fallback_matches_fast_path(self, d1, d1_ctx, monkeypatch):
+    def test_exact_fallback_matches_fast_path(self, d1, d1_ctx, e1, e1_ctx, monkeypatch):
         # forcing the arbitrary-precision path must not change anything
+        import collections
         import toric_exc.frobenius as frob
         fast = decompose(d1.fan, d1_ctx, (0,) * 6, 11).summands
+        # a twisted divisor: per-class multiplicities against a direct count
+        # of summand_divisor over every residue vector
+        p, D = 7, (2, -1, 3, 0, -2, 1, 4)
+        frame = cone_frame(e1.fan)
+        shifts = cartier_shifts(frame, D)
+        assert any(any(u) for u in shifts)
+        direct = collections.Counter(
+            to_class(e1_ctx, summand_divisor(frame, v, p, shifts))
+            for v in itertools.product(range(p), repeat=3)
+        )
+        expected = tuple(sorted(direct.items()))
+        assert decompose(e1.fan, e1_ctx, D, p).summands == expected
         monkeypatch.setattr(frob, "_INT64_SAFE", 1)
         assert decompose(d1.fan, d1_ctx, (0,) * 6, 11).summands == fast
+        assert decompose(e1.fan, e1_ctx, D, p).summands == expected
 
 
 class TestStableSummands:
