@@ -10,13 +10,16 @@ C_li = A_i B_l relative to a base cone sigma_l,
     C_li v + u_li = p * h_i + r_i,   0 <= r_i < p componentwise,
 
 and the coefficient of Z_j in D_v is -<B_k h_k, v_j> for any maximal cone
-sigma_k containing ray j (the choice does not matter).  For p large enough
-the set of distinct summand classes stops depending on p; stable_summands
-demands agreement across at least two primes before reporting a set.
+sigma_k containing ray j (the choice does not matter).  As the rows of A_k
+are the rays of sigma_k, that pairing is the entry of h_k at the position
+of ray j in sigma_k: each ray needs one row of one divide step.  For p
+large enough the set of distinct summand classes stops depending on p;
+stable_summands demands agreement across at least two primes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -127,21 +130,6 @@ class FrobeniusDecomposition:
         return dict(self.summands).get(tuple(cls), 0)
 
 
-def _residue_grid(p: int, n: int, dtype) -> np.ndarray:
-    """The lexicographic enumeration of {0..p-1}^n, one residue vector per row."""
-    idx = np.arange(p ** n, dtype=np.int64)
-    cols = []
-    for _ in range(n):
-        cols.append(idx % p)
-        idx = idx // p
-    grid = np.stack(cols[::-1], axis=1)
-    return grid.astype(dtype, copy=False)
-
-
-def _np_matrix(M: IntMatrix, dtype) -> np.ndarray:
-    return np.array(M.entries, dtype=dtype)
-
-
 def decompose(
     fan: Fan,
     ctx: PicContext,
@@ -151,8 +139,12 @@ def decompose(
 ) -> FrobeniusDecomposition:
     """Full splitting of (pi_p)_* O(D) dual into line bundle classes.
 
-    Enumerates all p^n residue vectors in one pass and counts the summand
-    classes by sorting their rows.
+    Ray j reads one row c_j of C_lk and one shift w_j = q_j p + r_j of its
+    covering cone k.  Its coefficient in D_v is -(q_j + floor((<c_j, v> +
+    r_j) / p)), and that floor lies in a range [lo_j, hi_j] known in advance,
+    so only q_j carries the size of a twist.  The floors of each of the p^n
+    residue vectors are packed into one mixed-radix key, the keys are
+    counted by one sort, and each distinct key is decoded into D_v.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
@@ -160,33 +152,40 @@ def decompose(
     divisor = tuple(int(a) for a in divisor)
     shifts = cartier_shifts(frame, divisor)
 
-    bound = max(
-        (abs(x) for M in frame.C for row in M.entries for x in row), default=1
-    ) * p * fan.dim + max((abs(x) for u in shifts for x in u), default=0)
-    dtype = np.int64 if bound < _INT64_SAFE else object
+    rows = []                         # (c_j, q_j, r_j, lo_j, span_j) per ray
+    for j, k in enumerate(frame.ray_cone):
+        i = frame.cones[k].index(j)
+        c = frame.C[k].entries[i]
+        q, r = divmod(shifts[k][i], p)
+        lo = ((p - 1) * sum(min(x, 0) for x in c) + r) // p
+        hi = ((p - 1) * sum(max(x, 0) for x in c) + r) // p
+        rows.append((c, q, r, lo, hi - lo + 1))
 
-    total = p ** fan.dim
-    V = _residue_grid(p, fan.dim, dtype)
-    betas = np.empty((total, fan.n_rays), dtype=dtype)
-    for k in set(frame.ray_cone):
-        H = (V @ _np_matrix(frame.C[k], dtype).T + np.array(shifts[k], dtype=dtype)) // p
-        js = [j for j, kj in enumerate(frame.ray_cone) if kj == k]
-        rays = np.array([fan.rays[j] for j in js], dtype=dtype)
-        betas[:, js] = -((H @ _np_matrix(frame.B[k], dtype).T) @ rays.T)
-    # Release the p^n-row arrays as soon as they are used: the sort below
-    # would otherwise hold them at the peak (F2, p = 101: 203 MB, not 266 MB).
-    del V
-    classes = betas @ _np_matrix(ctx.class_map, dtype).T
-    del betas
+    n = fan.dim
+    bound = max(abs(x) for c, *_ in rows for x in c) * p * n + p
+    key_space = math.prod(span for *_, span in rows)
+    dtype = np.int64 if max(bound, key_space) < _INT64_SAFE else object
 
-    # Sorting the rows lexicographically groups equal classes into runs, in
-    # the order of the class tuples; the same code counts int64 and object rows.
-    rows = classes[np.lexsort(classes.T[::-1])]
-    starts = np.flatnonzero(np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1))))
-    counts = np.diff(np.append(starts, total))
-    assert int(counts.sum()) == total
-    summands = tuple((tuple(cls), mult) for cls, mult in zip(rows[starts].tolist(), counts.tolist()))
-    return FrobeniusDecomposition(p, to_class(ctx, divisor), summands)
+    axes = [np.arange(p, dtype=dtype).reshape((p,) + (1,) * (n - 1 - a)) for a in range(n)]
+    key = np.zeros((p,) * n, dtype=dtype)
+    for c, _, r, lo, span in reversed(rows):   # ray 0 is the lowest digit
+        t = sum((x * axis for x, axis in zip(c, axes)), r)
+        t //= p
+        t -= lo
+        key *= span
+        key += t
+    keys, counts = np.unique(key.ravel(), return_counts=True)
+    assert int(counts.sum()) == p ** n
+
+    totals: dict[ClassVector, int] = {}
+    for packed, mult in zip(keys.tolist(), counts.tolist()):
+        coeffs = []
+        for _, q, _, lo, span in rows:
+            packed, offset = divmod(packed, span)
+            coeffs.append(-(q + lo + offset))
+        cls = to_class(ctx, coeffs)
+        totals[cls] = totals.get(cls, 0) + mult
+    return FrobeniusDecomposition(p, to_class(ctx, divisor), tuple(sorted(totals.items())))
 
 
 def stable_summands(

@@ -204,6 +204,43 @@ class TestDecompose:
         assert decompose(d1.fan, d1_ctx, (0,) * 6, 11).summands == fast
         assert decompose(e1.fan, e1_ctx, D, p).summands == expected
 
+    def test_direct_count_on_every_fan(self, records, contexts):
+        # every summand class against a count of summand_divisor over all
+        # residues; the huge twist puts the quotient of each shift far above
+        # 2**60 while the residue arrays stay on the int64 path
+        import collections
+        import random
+        rng = random.Random(29)
+        for name, rec in records.items():
+            fan, ctx = rec.fan, contexts[name]
+            huge = tuple(rng.choice((-1, 1)) * rng.randint(10 ** 19, 10 ** 20)
+                         for _ in range(fan.n_rays))
+            for D in ((0,) * fan.n_rays, huge):
+                for base in (0, len(fan.max_cones) - 1):
+                    frame = cone_frame(fan, base)
+                    shifts = cartier_shifts(frame, D)
+                    for p in (2, 3, 5):
+                        direct = collections.Counter(
+                            to_class(ctx, summand_divisor(frame, v, p, shifts))
+                            for v in itertools.product(range(p), repeat=3)
+                        )
+                        got = decompose(fan, ctx, D, p, base).summands
+                        assert got == tuple(sorted(direct.items())), (name, D, base, p)
+
+    def test_peak_memory_is_a_few_keys_per_residue(self, records, contexts):
+        # one int64 key per residue plus the sorted copy of np.unique: the
+        # peak stays below six 8-byte words per residue (F2, p = 53: about 7.1 MB)
+        import tracemalloc
+        fan, ctx, p = records["F2"].fan, contexts["F2"], 53
+        decompose(fan, ctx, (0,) * fan.n_rays, p)
+        tracemalloc.start()
+        try:
+            decompose(fan, ctx, (0,) * fan.n_rays, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 8 * p ** 3, peak
+
 
 class TestStableSummands:
     def test_d1_default_primes(self, d1, d1_ctx):
