@@ -42,7 +42,7 @@ print("=" * 60)
 for cls in [(0, 0, 0), (1, 1, 0), (-1, -1, 0), (0, 0, -1), (1, 2, 2), (-1, -2, -2)]:
     D = class_to_divisor(ctx, cls)
     table = cohomology_table(ctx, D, escalate=True)
-    verdict = is_acyclic(ctx, D, report, escalate=True)
+    verdict = is_acyclic(ctx, D, escalate=True)
     print(f"  {class_label(ctx, cls):18s} h = {table.dims}   acyclic by criterion: {verdict}")
     assert verdict == table.is_acyclic
 
@@ -64,6 +64,6 @@ print("=" * 60)
 mismatches = 0
 for cls in itertools.product(range(-1, 2), repeat=3):
     D = class_to_divisor(ctx, cls)
-    if is_acyclic(ctx, D, report, escalate=True) != cohomology_table(ctx, D, escalate=True).is_acyclic:
+    if is_acyclic(ctx, D, escalate=True) != cohomology_table(ctx, D, escalate=True).is_acyclic:
         mismatches += 1
 print(f"  27 classes checked, {mismatches} disagreements")

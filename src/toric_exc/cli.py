@@ -19,8 +19,8 @@ from .cohomology import cohomology_table, forbidden_sets
 from .errors import NotStabilized, ToricExcError
 from .exceptional import (KoszulCertified, OrderedCollection, SummandSetMatchesK0Rank,
                           describe_certificate, fullness_certificate, verify_strongly_exceptional)
-from .fan import Fan, validate_fan
-from .frobenius import stable_summands
+from .fan import validate_fan
+from .frobenius import DEFAULT_PRIMES, stable_summands
 from .picard import PicContext, build_pic_context, class_label, class_to_divisor, to_class
 
 EXIT_OK = 0
@@ -55,7 +55,7 @@ class UsageError(Exception):
     pass
 
 
-def _load_context(args) -> tuple[Optional[FanoRecord], Fan, PicContext, dict]:
+def _load_context(args) -> tuple[Optional[FanoRecord], PicContext, dict]:
     """Resolve --variety / --fan-file into a validated fan plus Pic context."""
     if getattr(args, "fan_file", None):
         try:
@@ -66,16 +66,24 @@ def _load_context(args) -> tuple[Optional[FanoRecord], Fan, PicContext, dict]:
         validation = validate_fan(fan)
         if not validation.ok:
             raise UsageError("fan file failed validation: " + "; ".join(validation.problems))
-        ctx = build_pic_context(fan)
-        return None, fan, ctx, {"fan_file": args.fan_file}
+        return None, build_pic_context(fan), {"fan_file": args.fan_file}
     if getattr(args, "variety", None):
         try:
             record = get_record(args.variety)
         except KeyError as exc:
             raise UsageError(str(exc)) from exc
-        ctx = build_pic_context(record.fan, record.pic_basis)
-        return record, record.fan, ctx, {"variety": record.name}
+        return record, _record_context(record), {"variety": record.name}
     raise UsageError("one of --variety or --fan-file is required")
+
+
+def _record_context(record: FanoRecord) -> PicContext:
+    return build_pic_context(record.fan, record.pic_basis)
+
+
+def _stored_collection(record: Optional[FanoRecord], ctx: PicContext) -> OrderedCollection:
+    if record is None or record.collection is None:
+        raise UsageError("no stored collection for this input; pass --collection FILE")
+    return OrderedCollection(tuple(to_class(ctx, d) for d in record.collection))
 
 
 def _parse_int_vector(text: str, expected: int, what: str) -> tuple[int, ...]:
@@ -113,8 +121,9 @@ def _cmd_catalog(args) -> tuple[int, ReportDocument]:
 
 
 def _cmd_thomsen(args) -> tuple[int, ReportDocument]:
-    record, fan, ctx, inputs = _load_context(args)
-    primes = tuple(args.prime) if args.prime else (31, 37)
+    record, ctx, inputs = _load_context(args)
+    fan = ctx.fan
+    primes = tuple(args.prime) if args.prime else DEFAULT_PRIMES
     if min(primes) < 2:
         raise UsageError(f"--prime must be at least 2, got {min(primes)}")
     if len(set(primes)) < 2:
@@ -144,8 +153,8 @@ def _cmd_thomsen(args) -> tuple[int, ReportDocument]:
 
 
 def _cmd_forbidden(args) -> tuple[int, ReportDocument]:
-    _, fan, _, inputs = _load_context(args)
-    report = forbidden_sets(fan)
+    _, ctx, inputs = _load_context(args)
+    report = forbidden_sets(ctx.fan)
     doc = ReportDocument("forbidden", inputs, {})
     doc.results["forbidden_sets"] = [
         {"rays": [i + 1 for i in s], "homology_ranks": list(r)}
@@ -159,7 +168,7 @@ def _cmd_forbidden(args) -> tuple[int, ReportDocument]:
 
 
 def _cmd_cohomology(args) -> tuple[int, ReportDocument]:
-    _, fan, ctx, inputs = _load_context(args)
+    _, ctx, inputs = _load_context(args)
     cls = _parse_int_vector(args.cls, ctx.rank, "--class")
     if args.box is not None and args.box < 1:
         raise UsageError(f"--box must be at least 1, got {args.box}")
@@ -189,15 +198,12 @@ def _collection_from_args(args, record: Optional[FanoRecord], ctx: PicContext) -
         if not classes:
             raise UsageError("collection file contains no class vectors")
         return OrderedCollection(tuple(classes))
-    if record is None or record.collection is None:
-        raise UsageError("no stored collection for this input; pass --collection FILE")
-    return OrderedCollection(tuple(to_class(ctx, d) for d in record.collection))
+    return _stored_collection(record, ctx)
 
 
-def _verify_one(record: Optional[FanoRecord], fan: Fan, ctx: PicContext,
-                collection: OrderedCollection) -> dict:
+def _verify_one(ctx: PicContext, collection: OrderedCollection) -> dict:
     report = verify_strongly_exceptional(ctx, collection)
-    summands = stable_summands(fan, ctx, (0,) * fan.n_rays)
+    summands = stable_summands(ctx.fan, ctx, (0,) * ctx.fan.n_rays)
     certificate = fullness_certificate(ctx, collection, summands)
     full_report = {
         "collection": [_class_payload(ctx, c) for c in collection.classes],
@@ -215,12 +221,12 @@ def _verify_one(record: Optional[FanoRecord], fan: Fan, ctx: PicContext,
 
 
 def _cmd_verify(args) -> tuple[int, ReportDocument]:
-    record, fan, ctx, inputs = _load_context(args)
+    record, ctx, inputs = _load_context(args)
     collection = _collection_from_args(args, record, ctx)
     doc = ReportDocument("verify", inputs, {})
     if record is not None:
         doc.warnings.extend(record.notes)
-    results = _verify_one(record, fan, ctx, collection)
+    results = _verify_one(ctx, collection)
     doc.results.update(results)
     ok = results["strongly_exceptional"] and results["fullness_certified"]
     name = inputs.get("variety", inputs.get("fan_file", "fan"))
@@ -234,11 +240,10 @@ def _cmd_verify(args) -> tuple[int, ReportDocument]:
 def _cmd_prove_main_theorem(args) -> tuple[int, ReportDocument]:
     doc = ReportDocument("prove-main-theorem", {}, {"varieties": {}})
     all_ok = True
-    for name in ("D1", "D2", "E1", "E2", "E4"):
-        record = get_record(name)
-        ctx = build_pic_context(record.fan, record.pic_basis)
-        collection = OrderedCollection(tuple(to_class(ctx, d) for d in record.collection))
-        results = _verify_one(record, record.fan, ctx, collection)
+    for record in (r for r in load_catalog() if r.type_class == "IV"):
+        name = record.name
+        ctx = _record_context(record)
+        results = _verify_one(ctx, _stored_collection(record, ctx))
         expected = sorted(to_class(ctx, d) for d in record.expected_summands)
         got = sorted(tuple(c["coords"]) for c in results["summands"])
         results["summands_match_expected"] = [list(c) for c in expected] == [list(c) for c in got]
@@ -279,7 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_th = sub.add_parser("thomsen", help="Frobenius pushforward summands")
     add_fan_args(p_th)
-    p_th.add_argument("--prime", action="append", type=int, help="repeat for each prime (default 31 37)")
+    p_th.add_argument("--prime", action="append", type=int,
+                      help=f"repeat for each prime (default {' '.join(map(str, DEFAULT_PRIMES))})")
     p_th.add_argument("--divisor", help="ray coefficients 'a1 a2 ...' of the input bundle (default 0)")
 
     p_fb = sub.add_parser("forbidden", help="forbidden ray subsets")

@@ -16,9 +16,11 @@ representative whose coefficients all lie in {0, 1} is acyclic.
 
 Representative searches run over a bounded box of characters and re-check
 the verdict on an enlarged box; a verdict that changes on enlargement
-raises BoxUnstable instead of being reported.  Each (class, radius) box is
-enumerated once into a cached histogram of sign patterns, and every query
-on the class reads its answer from that histogram.
+raises BoxUnstable instead of being reported.  Unless a query is given a
+box radius, it starts from max(3, 2 + the largest |class coordinate|).
+Each (class, radius) box is enumerated once into a cached histogram of
+sign patterns, and every query on the class reads its answer from that
+histogram.
 """
 
 from __future__ import annotations
@@ -159,10 +161,6 @@ def forbidden_sets(fan: Fan) -> ForbiddenSetReport:
 # bounded representative searches
 # ---------------------------------------------------------------------------
 
-def default_box_radius(ctx: PicContext, divisor: Sequence[int]) -> int:
-    return _radius_for_class(to_class(ctx, divisor))
-
-
 def _radius_for_class(coords: ClassVector) -> int:
     return max(3, max((abs(c) for c in coords), default=0) + 2)
 
@@ -224,19 +222,20 @@ def _pattern_histogram(fan: Fan, divisor: tuple[int, ...], radius: int) -> Patte
 def _histograms(ctx: PicContext, divisor: Sequence[int], box_radius: Optional[int]):
     """radius -> D's pattern histogram at that radius, and the radius to start from."""
     fan, key = ctx.fan, tuple(int(a) for a in divisor)
-    r0 = default_box_radius(ctx, divisor) if box_radius is None else box_radius
+    r0 = _radius_for_class(to_class(ctx, divisor)) if box_radius is None else box_radius
     if r0 < 1:
         raise ValueError("box_radius must be >= 1")
     return (lambda radius: _pattern_histogram(fan, key, radius)), r0
 
 
 def is_forbidden_form(ctx: PicContext, divisor: Sequence[int], forbidden_set: Sequence[int],
-                      box_radius: int = 3, escalate: bool = False) -> bool:
+                      box_radius: Optional[int] = None, escalate: bool = False) -> bool:
     """Does some representative of D sit exactly on the sign pattern of I?
 
     That is: a' >= 0 on I and a' <= -1 off I for some a' ~ D.  The search
-    box is re-run two steps larger; a flip of verdict raises BoxUnstable
-    (or keeps enlarging when escalate is set).
+    box starts at the class-derived radius unless box_radius is given, and
+    is re-run two steps larger; a flip of verdict raises BoxUnstable (or
+    keeps enlarging when escalate is set).
     """
     target = _mask_of(forbidden_set)
     histogram, r0 = _histograms(ctx, divisor, box_radius)
@@ -252,23 +251,21 @@ def has_nonzero_global_sections(ctx: PicContext, divisor: Sequence[int],
     return _stabilized(lambda r: full in histogram(r).counts, r0, escalate, "sections verdict")[0]
 
 
-def is_acyclic(ctx: PicContext, divisor: Sequence[int], report: Optional[ForbiddenSetReport] = None,
-               box_radius: Optional[int] = None, use_mustata: bool = True,
-               escalate: bool = False) -> bool:
+def is_acyclic(ctx: PicContext, divisor: Sequence[int],
+               box_radius: Optional[int] = None, escalate: bool = False) -> bool:
     """Borisov-Hua acyclicity test: no representative with a forbidden pattern.
 
     The Mustata filter short-circuits the common effective cases on Fano
-    fans; the exhaustive pattern sweep decides the rest.
+    fans; the fan's cached forbidden sets decide the rest.
     """
     fan = ctx.fan
-    if report is None:
-        report = forbidden_sets(fan)
+    forbidden = forbidden_sets(fan).masks
     histogram, r0 = _histograms(ctx, divisor, box_radius)
     # On a Fano fan, any divisor equivalent to a 0/1 combination of rays is
     # acyclic (ample anticanonical minus distinct toric divisors).
-    if use_mustata and is_fano(fan) and histogram(r0).mustata:
+    if is_fano(fan) and histogram(r0).mustata:
         return True
-    return _stabilized(lambda r: report.masks.isdisjoint(histogram(r).counts), r0, escalate,
+    return _stabilized(lambda r: forbidden.isdisjoint(histogram(r).counts), r0, escalate,
                        "acyclicity verdict")[0]
 
 

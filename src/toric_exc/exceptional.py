@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
-from .cohomology import ForbiddenSetReport, forbidden_sets, has_nonzero_global_sections, is_acyclic
+from .cohomology import has_nonzero_global_sections, is_acyclic
 from .errors import NotPrimitive, TermOutsideCollection, ToricExcError
 from .fan import is_face, primitive_collections
 from .picard import ClassVector, PicContext, class_label, class_to_divisor, to_class
@@ -79,18 +79,17 @@ FullnessCertificate = Union[SummandSetMatchesK0Rank, KoszulCertified, NotCertifi
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Pairwise vanishing matrices plus an optional fullness certificate.
+    """Pairwise vanishing matrices of an ordered collection.
 
     acyclic[a][b] records whether L_b - L_a is acyclic; sections_backward
     holds, for a > b, whether L_b - L_a has nonzero global sections (it
-    must not).  Matrices are total so failures localize.
+    must not).  Matrices are total so failures localize.  Fullness is a
+    separate question, answered by fullness_certificate.
     """
 
     collection: OrderedCollection
     acyclic: tuple[tuple[bool, ...], ...]
     sections_backward: tuple[tuple[Optional[bool], ...], ...]
-    certificate: Optional[FullnessCertificate]
-    warnings: tuple[str, ...] = ()
 
     @property
     def strongly_exceptional(self) -> bool:
@@ -102,33 +101,16 @@ class VerificationReport:
         )
         return ext_ok and hom_ok
 
-    @property
-    def fullness_certified(self) -> bool:
-        return isinstance(self.certificate, (SummandSetMatchesK0Rank, KoszulCertified))
-
-    @property
-    def verdict(self) -> str:
-        se = "strongly exceptional" if self.strongly_exceptional else "NOT strongly exceptional"
-        if self.certificate is None:
-            return se
-        full = "full" if self.fullness_certified else "fullness NOT certified"
-        return f"{se}; {full}"
-
 
 def _difference_divisor(ctx: PicContext, lb: ClassVector, la: ClassVector):
     return class_to_divisor(ctx, tuple(b - a for b, a in zip(lb, la)))
 
 
-def verify_strongly_exceptional(
-    ctx: PicContext,
-    collection: OrderedCollection,
-    report: Optional[ForbiddenSetReport] = None,
-    box_radius: Optional[int] = None,
-    escalate: bool = True,
-) -> VerificationReport:
-    """Test conditions (i)' and (ii)' for every ordered pair of the collection."""
-    if report is None:
-        report = forbidden_sets(ctx.fan)
+def verify_strongly_exceptional(ctx: PicContext, collection: OrderedCollection) -> VerificationReport:
+    """Test conditions (i)' and (ii)' for every ordered pair of the collection.
+
+    Every query escalates its box until the verdict is stable.
+    """
     if any(len(cls) != ctx.rank for cls in collection.classes):
         raise ValueError("collection class vectors do not match the Picard rank")
     k = len(collection)
@@ -139,14 +121,14 @@ def verify_strongly_exceptional(
         section_row: list[Optional[bool]] = []
         for b in range(k):
             diff = _difference_divisor(ctx, collection.classes[b], collection.classes[a])
-            acyclic_row.append(is_acyclic(ctx, diff, report, box_radius=box_radius, escalate=escalate))
+            acyclic_row.append(is_acyclic(ctx, diff, escalate=True))
             if a > b:
-                section_row.append(has_nonzero_global_sections(ctx, diff, box_radius=box_radius, escalate=escalate))
+                section_row.append(has_nonzero_global_sections(ctx, diff, escalate=True))
             else:
                 section_row.append(None)
         acyclic_rows.append(tuple(acyclic_row))
         section_rows.append(tuple(section_row))
-    return VerificationReport(collection, tuple(acyclic_rows), tuple(section_rows), None)
+    return VerificationReport(collection, tuple(acyclic_rows), tuple(section_rows))
 
 
 def koszul_reduction_certificate(

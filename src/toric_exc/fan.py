@@ -96,7 +96,10 @@ class FanValidation:
 
 def validate_fan(fan: Fan) -> FanValidation:
     """Structural checks: primitive distinct rays, smooth simplicial cones,
-    and a completeness test (facet pairing plus an exact covering sample).
+    and a completeness test: facet pairing, then 200 seeded random lattice
+    directions and the rays, each tested exactly for membership in some
+    maximal cone.  The directions are a sample, not a proof of covering;
+    ROADMAP item 7 replaces them with an exact test.
 
     Returns a structured report; it never raises on bad input.
     """

@@ -14,7 +14,8 @@ sigma_k containing ray j (the choice does not matter).  As the rows of A_k
 are the rays of sigma_k, that pairing is the entry of h_k at the position
 of ray j in sigma_k: each ray needs one row of one divide step.  For p
 large enough the set of distinct summand classes stops depending on p;
-stable_summands demands agreement across at least two primes.
+stable_summands demands agreement across at least two primes, by default
+DEFAULT_PRIMES.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .errors import NotStabilized, RayNotCovered
 from .fan import Fan, cone_matrix, cone_inverse
 from .lattice import _INT64_SAFE, IntMatrix
 from .picard import ClassVector, DivisorVector, PicContext, to_class
+
+DEFAULT_PRIMES = (31, 37)
 
 
 @dataclass(frozen=True)
@@ -192,8 +195,7 @@ def stable_summands(
     fan: Fan,
     ctx: PicContext,
     divisor: Sequence[int],
-    primes: Iterable[int] = (31, 37),
-    base_cone: int = 0,
+    primes: Iterable[int] = DEFAULT_PRIMES,
 ) -> tuple[ClassVector, ...]:
     """Distinct summand class set, required to agree across all given primes.
 
@@ -205,7 +207,7 @@ def stable_summands(
         raise ValueError("need at least two primes to certify stabilization")
     sets: dict[int, frozenset[ClassVector]] = {}
     for p in primes:
-        sets[p] = decompose(fan, ctx, divisor, p, base_cone).classes
+        sets[p] = decompose(fan, ctx, divisor, p).classes
     distinct = set(sets.values())
     if len(distinct) != 1:
         raise NotStabilized(sets)

@@ -116,11 +116,10 @@ class TestAcceptance:
         checked = 0
         for name, rec in records.items():
             ctx = contexts[name]
-            fb = forbidden_sets(rec.fan)
             for cls in itertools.product(range(-2, 3), repeat=ctx.rank):
                 D = class_to_divisor(ctx, cls)
                 table = cohomology_table(ctx, D, escalate=True)
-                if is_acyclic(ctx, D, fb, escalate=True) != table.is_acyclic:
+                if is_acyclic(ctx, D, escalate=True) != table.is_acyclic:
                     disagreements += 1
                 if has_nonzero_global_sections(ctx, D, escalate=True) != (table.dims[0] > 0):
                     disagreements += 1

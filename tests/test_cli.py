@@ -2,6 +2,7 @@
 
 import json
 
+from toric_exc.catalog import load_catalog
 from toric_exc.cli import main
 
 
@@ -132,14 +133,13 @@ class TestVerify:
 
 
 class TestProveMainTheorem:
-    def test_all_pass_and_deterministic(self, capsys, monkeypatch):
+    def test_all_pass_and_deterministic(self, capsys):
         code1, out1, _ = run_cli(capsys, "--format", "json", "prove-main-theorem")
         assert code1 == 0
         payload = json.loads(out1)
         assert payload["results"]["all_pass"] is True
         assert set(payload["results"]["varieties"]) == {"D1", "D2", "E1", "E2", "E4"}
-        # byte-identical on rerun, independent of the worker cap
-        monkeypatch.setenv("TORIC_EXC_THREADS", "2")
+        # byte-identical on rerun
         code2, out2, _ = run_cli(capsys, "--format", "json", "prove-main-theorem")
         assert code2 == 0 and out2 == out1
 
@@ -148,3 +148,17 @@ class TestProveMainTheorem:
         assert code == 0
         for name in ("D1", "D2", "E1", "E2", "E4"):
             assert f"{name}: PASS" in out
+
+
+class TestOneVerifyPath:
+    def test_theorem_entries_are_the_verify_results(self, capsys):
+        code, out, _ = run_cli(capsys, "--format", "json", "prove-main-theorem")
+        assert code == 0
+        theorem = json.loads(out)["results"]["varieties"]
+        type_iv = {r.name for r in load_catalog() if r.type_class == "IV"}
+        assert set(theorem) == type_iv
+        for name in sorted(type_iv):
+            code, out, _ = run_cli(capsys, "--format", "json", "verify", "--variety", name)
+            assert code == 0
+            entry = {k: v for k, v in theorem[name].items() if k not in ("summands_match_expected", "pass")}
+            assert json.loads(out)["results"] == entry, name

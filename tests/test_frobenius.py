@@ -176,13 +176,6 @@ class TestDecompose:
                 )
                 assert lhs == rhs, (name, D)
 
-    def test_thread_count_does_not_change_results(self, d1, d1_ctx, monkeypatch):
-        results = []
-        for threads in ("1", "3"):
-            monkeypatch.setenv("TORIC_EXC_THREADS", threads)
-            results.append(decompose(d1.fan, d1_ctx, (0,) * 6, 13).summands)
-        assert results[0] == results[1]
-
     def test_exact_fallback_matches_fast_path(self, d1, d1_ctx, e1, e1_ctx, monkeypatch):
         # forcing the arbitrary-precision path must not change anything
         import collections
