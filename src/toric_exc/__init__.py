@@ -14,9 +14,9 @@ from .cohomology import (CohomologyTable, ForbiddenSetReport, SimplicialSubcompl
                          cohomology_table, forbidden_sets, full_subcomplex,
                          has_nonzero_global_sections, is_acyclic, is_forbidden_form,
                          reduced_homology_ranks)
-from .errors import (BoxUnstable, InteriorCoverFailure, NotABasis, NotPrimitive,
-                     NotStabilized, NotUnimodular, RayNotCovered, TermOutsideCollection,
-                     TooManyRays, ToricExcError, TorsionInPicard)
+from .errors import (BoxTooLarge, BoxUnstable, InteriorCoverFailure, NotABasis,
+                     NotPrimitive, NotStabilized, NotUnimodular, RayNotCovered,
+                     TermOutsideCollection, TooManyRays, ToricExcError, TorsionInPicard)
 from .exceptional import (FullnessCertificate, KoszulCertified, KoszulReduction,
                           NotCertified, OrderedCollection, SummandSetMatchesK0Rank,
                           VerificationReport, describe_certificate, fullness_certificate,

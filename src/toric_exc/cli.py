@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .catalog import FanoRecord, get_record, load_catalog, parse_fan_file
 from .cohomology import cohomology_table, forbidden_sets
-from .errors import NotStabilized, ToricExcError
+from .errors import BoxTooLarge, NotStabilized, ToricExcError
 from .exceptional import (KoszulCertified, OrderedCollection, SummandSetMatchesK0Rank,
                           describe_certificate, fullness_certificate, verify_strongly_exceptional)
 from .fan import validate_fan
@@ -174,7 +174,10 @@ def _cmd_cohomology(args) -> tuple[int, ReportDocument]:
         raise UsageError(f"--box must be at least 1, got {args.box}")
     divisor = class_to_divisor(ctx, cls)
     inputs.update({"class": list(cls)})
-    table = cohomology_table(ctx, divisor, box_radius=args.box, escalate=True)
+    try:
+        table = cohomology_table(ctx, divisor, box_radius=args.box, escalate=True)
+    except BoxTooLarge as exc:
+        raise UsageError(f"--class too large to search: {exc}") from exc
     doc = ReportDocument("cohomology", inputs, {})
     doc.results["dims"] = list(table.dims)
     doc.results["box_radius_used"] = table.box_radius_used

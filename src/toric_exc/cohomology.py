@@ -17,7 +17,8 @@ representative whose coefficients all lie in {0, 1} is acyclic.
 Representative searches run over a bounded box of characters and re-check
 the verdict on an enlarged box; a verdict that changes on enlargement
 raises BoxUnstable instead of being reported.  Unless a query is given a
-box radius, it starts from max(3, 2 + the largest |class coordinate|).
+box radius, it starts from max(3, 2 + the largest |class coordinate|); a
+start past _RADIUS_LIMIT raises BoxTooLarge before any box is built.
 Each (class, radius) box is enumerated once into a cached histogram of
 sign patterns, and every query on the class reads its answer from that
 histogram.
@@ -26,14 +27,14 @@ histogram.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, product
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import BoxUnstable, TooManyRays
+from .errors import BoxTooLarge, BoxUnstable, TooManyRays
 from .fan import Fan, is_fano
 from .lattice import _INT64_SAFE, IntMatrix, rank as matrix_rank
 from .picard import ClassVector, PicContext, to_class
@@ -110,11 +111,19 @@ def _rank_memo(fan: Fan) -> dict[int, tuple[int, ...]]:
     return {}
 
 
+@lru_cache(maxsize=None)
+def _forbidden_memo(fan: Fan) -> set[int]:
+    """The forbidden masks among those in _rank_memo(fan)."""
+    return set()
+
+
 def _pattern_ranks(fan: Fan, mask: int) -> tuple[int, ...]:
     memo = _rank_memo(fan)
     if mask not in memo:
         vs = [i for i in range(fan.n_rays) if mask >> i & 1]
-        memo[mask] = reduced_homology_ranks(full_subcomplex(fan, vs))
+        ranks = memo[mask] = reduced_homology_ranks(full_subcomplex(fan, vs))
+        if any(ranks) and mask != (1 << fan.n_rays) - 1:
+            _forbidden_memo(fan).add(mask)
     return memo[mask]
 
 
@@ -136,10 +145,6 @@ class ForbiddenSetReport:
     fan: Fan
     forbidden: tuple[tuple[int, ...], ...]
     homology_ranks: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def masks(self) -> frozenset[int]:
-        return frozenset(_mask_of(s) for s in self.forbidden)
 
 
 @lru_cache(maxsize=None)
@@ -225,6 +230,8 @@ def _histograms(ctx: PicContext, divisor: Sequence[int], box_radius: Optional[in
     r0 = _radius_for_class(to_class(ctx, divisor)) if box_radius is None else box_radius
     if r0 < 1:
         raise ValueError("box_radius must be >= 1")
+    if r0 > _RADIUS_LIMIT:
+        raise BoxTooLarge(f"the search box would start at radius {r0}, past the limit {_RADIUS_LIMIT}")
     return (lambda radius: _pattern_histogram(fan, key, radius)), r0
 
 
@@ -256,17 +263,25 @@ def is_acyclic(ctx: PicContext, divisor: Sequence[int],
     """Borisov-Hua acyclicity test: no representative with a forbidden pattern.
 
     The Mustata filter short-circuits the common effective cases on Fano
-    fans; the fan's cached forbidden sets decide the rest.
+    fans.  Otherwise only the patterns that occur are ranked, each once per
+    fan, so no sweep over all ray subsets is needed.
     """
     fan = ctx.fan
-    forbidden = forbidden_sets(fan).masks
     histogram, r0 = _histograms(ctx, divisor, box_radius)
     # On a Fano fan, any divisor equivalent to a 0/1 combination of rays is
     # acyclic (ample anticanonical minus distinct toric divisors).
     if is_fano(fan) and histogram(r0).mustata:
         return True
-    return _stabilized(lambda r: forbidden.isdisjoint(histogram(r).counts), r0, escalate,
-                       "acyclicity verdict")[0]
+    memo, forbidden = _rank_memo(fan), _forbidden_memo(fan)
+
+    def acyclic_at(radius: int) -> bool:
+        counts = histogram(radius).counts
+        if not memo.keys() >= counts.keys():   # cheap test: most patterns are ranked already
+            for mask in counts.keys() - memo.keys():
+                _pattern_ranks(fan, mask)
+        return forbidden.isdisjoint(counts)
+
+    return _stabilized(acyclic_at, r0, escalate, "acyclicity verdict")[0]
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,10 @@ class BoxUnstable(ToricExcError):
     """A bounded lattice search changed its verdict when the box was enlarged."""
 
 
+class BoxTooLarge(ToricExcError):
+    """A bounded lattice search would start from a box past the radius limit."""
+
+
 class TermOutsideCollection(ToricExcError):
     """A Koszul resolution term is not among the collection's classes."""
 

@@ -176,7 +176,10 @@ def primitive_collections(fan: Fan) -> tuple[tuple[int, ...], ...]:
     """Minimal non-faces, ordered by cardinality then lexicographically."""
     found: list[tuple[int, ...]] = []
     m = fan.n_rays
-    for size in range(2, m + 1):
+    # every proper subset of a minimal non-face is a face, and no face has
+    # more rays than the largest maximal cone
+    largest = max((len(c) for c in fan.max_cones), default=0)
+    for size in range(2, min(m, largest + 1) + 1):
         for s in combinations(range(m), size):
             if any(set(pc).issubset(s) for pc in found):
                 continue

@@ -12,10 +12,13 @@ C_li = A_i B_l relative to a base cone sigma_l,
 and the coefficient of Z_j in D_v is -<B_k h_k, v_j> for any maximal cone
 sigma_k containing ray j (the choice does not matter).  As the rows of A_k
 are the rays of sigma_k, that pairing is the entry of h_k at the position
-of ray j in sigma_k: each ray needs one row of one divide step.  For p
-large enough the set of distinct summand classes stops depending on p;
-stable_summands demands agreement across at least two primes, by default
-DEFAULT_PRIMES.
+of ray j in sigma_k, and the row of C_lk it divides is v_j B_l whatever k
+is: each ray needs one row of one divide step, read from the base cone
+alone.  decompose counts the summands that way; cone_frame, cartier_shifts,
+divide_step and summand_divisor keep the per-cone algorithm as an
+independent per-residue reference.  For p large enough the set of distinct
+summand classes stops depending on p; stable_summands demands agreement
+across at least two primes, by default DEFAULT_PRIMES.
 """
 
 from __future__ import annotations
@@ -50,6 +53,10 @@ class ConeFrame:
 
 @lru_cache(maxsize=None)
 def cone_frame(fan: Fan, base_cone: int = 0) -> ConeFrame:
+    """Every maximal cone's matrices, for the per-residue reference summand_divisor.
+
+    decompose does not read it: it needs only the base cone's inverse.
+    """
     cones = fan.max_cones
     if not 0 <= base_cone < len(cones):
         raise ValueError(f"base cone index {base_cone} out of range")
@@ -142,42 +149,72 @@ def decompose(
 ) -> FrobeniusDecomposition:
     """Full splitting of (pi_p)_* O(D) dual into line bundle classes.
 
-    Ray j reads one row c_j of C_lk and one shift w_j = q_j p + r_j of its
-    covering cone k.  Its coefficient in D_v is -(q_j + floor((<c_j, v> +
+    Ray j reads its row c_j = v_j B_l of the divide step and its shift
+    w_j = a_j - <c_j, a restricted to sigma_l> = q_j p + r_j, both from the
+    base cone alone.  Its coefficient in D_v is -(q_j + floor((<c_j, v> +
     r_j) / p)), and that floor lies in a range [lo_j, hi_j] known in advance,
-    so only q_j carries the size of a twist.  The floors of each of the p^n
-    residue vectors are packed into one mixed-radix key, the keys are
-    counted by one sort, and each distinct key is decoded into D_v.
+    so only q_j carries the size of a twist.  Each floor is computed on the
+    axes where c_j is nonzero and packed into one mixed-radix key per
+    residue vector; the keys are counted (by bincount when the key space is
+    no larger than the p^n residues) and each distinct key is decoded into
+    D_v.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
-    frame = cone_frame(fan, base_cone)
+    cones = fan.max_cones
+    if not 0 <= base_cone < len(cones):
+        raise ValueError(f"base cone index {base_cone} out of range")
+    uncovered = set(range(fan.n_rays)).difference(*cones)
+    if uncovered:
+        raise RayNotCovered(f"ray {min(uncovered)} lies in no maximal cone")
+    Bt = cone_inverse(fan, cones[base_cone]).transpose()
     divisor = tuple(int(a) for a in divisor)
-    shifts = cartier_shifts(frame, divisor)
+    base = [divisor[i] for i in cones[base_cone]]
 
+    n = fan.dim
     rows = []                         # (c_j, q_j, r_j, lo_j, span_j) per ray
-    for j, k in enumerate(frame.ray_cone):
-        i = frame.cones[k].index(j)
-        c = frame.C[k].entries[i]
-        q, r = divmod(shifts[k][i], p)
+    for ray, a in zip(fan.rays, divisor):
+        c = Bt.mul_vec(ray)           # v_j B_l: v_j on the base cone's ray basis
+        q, r = divmod(a - sum(x * u for x, u in zip(c, base)), p)
         lo = ((p - 1) * sum(min(x, 0) for x in c) + r) // p
         hi = ((p - 1) * sum(max(x, 0) for x in c) + r) // p
         rows.append((c, q, r, lo, hi - lo + 1))
 
-    n = fan.dim
     bound = max(abs(x) for c, *_ in rows for x in c) * p * n + p
     key_space = math.prod(span for *_, span in rows)
     dtype = np.int64 if max(bound, key_space) < _INT64_SAFE else object
 
+    # ray 0 is the lowest digit; the rays with the same support share one
+    # array, shaped p on those axes and 1 on the others
     axes = [np.arange(p, dtype=dtype).reshape((p,) + (1,) * (n - 1 - a)) for a in range(n)]
-    key = np.zeros((p,) * n, dtype=dtype)
-    for c, _, r, lo, span in reversed(rows):   # ray 0 is the lowest digit
-        t = sum((x * axis for x, axis in zip(c, axes)), r)
+    shares: dict[tuple[int, ...], np.ndarray] = {}
+    weight = 1
+    for c, _, r, lo, span in rows:
+        support = tuple(a for a, x in enumerate(c) if x)
+        t = sum((c[a] * axes[a] for a in support), r)
         t //= p
         t -= lo
-        key *= span
-        key += t
-    keys, counts = np.unique(key.ravel(), return_counts=True)
+        t *= weight
+        if support in shares:
+            shares[support] += t
+        else:
+            shares[support] = t
+        weight *= span
+    parts = sorted(shares.values(), key=np.size, reverse=True)
+    key = parts[0]
+    for part in parts[1:]:
+        if key.size == p ** n:
+            key += part
+        else:
+            key = key + part
+    key = key.ravel()                 # the base cone's rays cover every axis
+
+    if dtype is object or key_space > p ** n:
+        keys, counts = np.unique(key, return_counts=True)
+    else:
+        counts = np.bincount(key)
+        keys = np.flatnonzero(counts)
+        counts = counts[keys]
     assert int(counts.sum()) == p ** n
 
     totals: dict[ClassVector, int] = {}

@@ -1,9 +1,15 @@
 """Command line behavior: subcommands, exit codes, stable JSON."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from toric_exc.catalog import load_catalog
 from toric_exc.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -81,6 +87,14 @@ class TestCohomology:
             assert code == 2 and out == ""
             assert "--box must be at least 1" in err
 
+    def test_class_past_the_radius_limit_is_usage_error(self, capsys):
+        # rejected before any (2r+1)^3 box is built: 10^20 used to overflow,
+        # entries in the thousands used to allocate without bound
+        for cls in ("100000000000000000000 0 0", "0 -3000 0"):
+            code, out, err = run_cli(capsys, "cohomology", "--variety", "D1", "--class", cls)
+            assert code == 2 and out == ""
+            assert len(err.splitlines()) == 1 and "too large to search" in err
+
 
 class TestForbidden:
     def test_d1_eleven_sets(self, capsys):
@@ -142,6 +156,21 @@ class TestProveMainTheorem:
         # byte-identical on rerun
         code2, out2, _ = run_cli(capsys, "--format", "json", "prove-main-theorem")
         assert code2 == 0 and out2 == out1
+
+    def test_json_does_not_depend_on_the_hash_seed(self):
+        # sets and dicts keyed by masks, supports or classes must not leak
+        # their iteration order into the report
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+            proc = subprocess.run([sys.executable, "-m", "toric_exc.cli", "--format", "json",
+                                   "prove-main-theorem"], cwd=ROOT, env=env,
+                                  capture_output=True, timeout=600)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert json.loads(outputs[0])["results"]["all_pass"] is True
+        assert outputs[0] == outputs[1]
 
     def test_text_mode_prints_pass_lines(self, capsys):
         code, out, _ = run_cli(capsys, "prove-main-theorem")

@@ -9,10 +9,11 @@ import pytest
 from toric_exc.cohomology import (_pattern_histogram, _radius_for_class, cohomology_table,
                                   forbidden_sets, full_subcomplex, has_nonzero_global_sections,
                                   is_acyclic, is_forbidden_form, reduced_homology_ranks)
-from toric_exc.errors import BoxUnstable, TooManyRays
+from toric_exc.errors import BoxTooLarge, BoxUnstable, TooManyRays, ToricExcError
 from toric_exc.lattice import _INT64_SAFE
-from toric_exc.fan import Fan
-from toric_exc.picard import anticanonical_divisor, canonical_divisor, class_to_divisor
+from toric_exc.fan import Fan, validate_fan
+from toric_exc.picard import (anticanonical_divisor, build_pic_context, canonical_divisor,
+                                class_to_divisor)
 
 D_FORBIDDEN = {(), (3, 6), (4, 6), (3, 5), (1, 2, 5), (1, 2, 4), (1, 2, 4, 5),
                (1, 2, 3, 5), (1, 2, 4, 6), (3, 5, 6), (3, 4, 6)}
@@ -25,6 +26,18 @@ E_FORBIDDEN = {(), (2, 4), (3, 5), (1, 3), (2, 5), (1, 4), (6, 7),
 
 def one_based(sets):
     return {tuple(i + 1 for i in s) for s in sets}
+
+
+def star_subdivided_p3(m):
+    """P3 blown up at torus-fixed points, oldest maximal cone first, until it has m rays."""
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    cones = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    while len(rays) < m:
+        i, j, k = cones.pop(0)
+        rays.append(tuple(a + b + c for a, b, c in zip(rays[i], rays[j], rays[k])))
+        new = len(rays) - 1
+        cones += [(i, j, new), (i, k, new), (j, k, new)]
+    return Fan.make(3, rays, cones)
 
 
 class TestReducedHomology:
@@ -140,6 +153,23 @@ class TestAcyclicity:
                 fired += 1
                 assert table.is_acyclic, cls
         assert 0 < fired < 64
+
+    def test_start_past_the_radius_limit_raises_before_any_box(self, d1_ctx):
+        huge = class_to_divisor(d1_ctx, (10 ** 20, 0, 0))
+        for query in (cohomology_table, is_acyclic, has_nonzero_global_sections):
+            with pytest.raises(BoxTooLarge):
+                query(d1_ctx, huge)
+        assert issubclass(BoxTooLarge, ToricExcError)
+
+    def test_acyclicity_needs_no_sweep_past_the_cap(self):
+        # only the patterns a query meets are ranked, so the 2^m sweep's cap
+        # bounds the forbidden listing and nothing else
+        fan = star_subdivided_p3(21)
+        assert validate_fan(fan).ok
+        ctx = build_pic_context(fan)
+        assert is_acyclic(ctx, (0,) * fan.n_rays)
+        with pytest.raises(TooManyRays):
+            forbidden_sets(fan)
 
 
 class TestSections:

@@ -220,9 +220,26 @@ class TestDecompose:
                         got = decompose(fan, ctx, D, p, base).summands
                         assert got == tuple(sorted(direct.items())), (name, D, base, p)
 
+    def test_direct_count_through_bincount(self, records, contexts):
+        # at p = 11 the key spaces of D1 and E4 fit in the p^3 residues, so
+        # the keys are counted by bincount; p = 2 and 3 above take np.unique
+        import collections
+        p = 11
+        for name in ("D1", "E4"):
+            fan, ctx = records[name].fan, contexts[name]
+            for D in ((0,) * fan.n_rays, anticanonical_divisor(fan)):
+                frame = cone_frame(fan)
+                shifts = cartier_shifts(frame, D)
+                direct = collections.Counter(
+                    to_class(ctx, summand_divisor(frame, v, p, shifts))
+                    for v in itertools.product(range(p), repeat=3)
+                )
+                assert decompose(fan, ctx, D, p).summands == tuple(sorted(direct.items())), (name, D)
+
     def test_peak_memory_is_a_few_keys_per_residue(self, records, contexts):
-        # one int64 key per residue plus the sorted copy of np.unique: the
-        # peak stays below six 8-byte words per residue (F2, p = 53: about 7.1 MB)
+        # one int64 key per residue, and the counts of a key space no larger
+        # than the residues: the peak stays below two 8-byte words per
+        # residue (F2, p = 53: about 1.3 MB)
         import tracemalloc
         fan, ctx, p = records["F2"].fan, contexts["F2"], 53
         decompose(fan, ctx, (0,) * fan.n_rays, p)
@@ -232,7 +249,7 @@ class TestDecompose:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 8 * p ** 3, peak
+        assert peak < 2 * 8 * p ** 3, peak
 
 
 class TestStableSummands:
