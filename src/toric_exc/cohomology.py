@@ -14,33 +14,59 @@ representative of D has a forbidden sign pattern.  On a Fano fan the
 Mustata vanishing theorem gives a fast positive filter: any divisor with a
 representative whose coefficients all lie in {0, 1} is acyclic.
 
-Representative searches run over a bounded box of characters and re-check
-the verdict on an enlarged box; a verdict that changes on enlargement
-raises BoxUnstable instead of being reported.  Unless a query is given a
-box radius, it starts from max(3, 2 + the largest |class coordinate|); a
-start past _RADIUS_LIMIT raises BoxTooLarge before any box is built.
-Each (class, radius) box is enumerated once into a cached histogram of
-sign patterns, and every query on the class reads its answer from that
-histogram.
+Writing a' = a + (<u, v_rho>)_rho for a character u, only the patterns I
+that are empty, forbidden or full can change a dimension or a verdict, and
+they do so through the characters of the region
+
+    P_I(a) = {u : <u, v_rho> >= -a_rho on I, <= -a_rho - 1 off I}.
+
+These characters are found once per divisor, in a box proven to hold them
+all (Borisov-Hua, Adv. Math. 2009):
+
+- The rays span, so every nonempty region has a vertex, which solves n of
+  its inequalities with equality: |det A_S| u = -adj(A_S)(a_S + eps) for
+  a nonsingular ray n-subset S and eps in {0,1}^n.  The candidates that
+  leave no ray in the open gap (-a_rho - 1, -a_rho) carry the masks of
+  all nonempty regions.
+- An exact check proves the regions of the contributing masks among them
+  bounded, else UnboundedRegion is raised.  A nonzero recession cone would
+  contain some +-(v_i x v_j), which lies in the cone of I exactly when the
+  rays pairing positively with it are in I and those pairing negatively
+  are not.  The answer depends on I alone, so it is kept per fan.
+- The contributing candidates then fix the box by their floors and
+  ceilings.
+- The box, cut to the cube of the radius being read, is enumerated into a
+  cached list of contributing patterns with the sup norms ||u|| of their
+  characters.
+
+Every query reads that list at ||u|| <= r, so it sees exactly what the
+centred cube of radius r holds, and re-checks its verdict at r + 2; a
+verdict that changes raises BoxUnstable (or the radius keeps growing when
+escalate is set).  Unless a query is given a box radius, it starts from
+max(3, 2 + the largest |class coordinate|); a start past _RADIUS_LIMIT
+raises BoxTooLarge before any box is built.  Once the cube holds the
+certified box, the r and r + 2 readings agree and are exact.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from math import gcd
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import BoxTooLarge, BoxUnstable, TooManyRays
+from .errors import BoxTooLarge, BoxUnstable, TooManyRays, UnboundedRegion
 from .fan import Fan, is_fano
-from .lattice import _INT64_SAFE, IntMatrix, rank as matrix_rank
+from .lattice import _INT64_SAFE, IntMatrix, determinant, rank as matrix_rank
 from .picard import ClassVector, PicContext, to_class
 
 _MAX_SWEEP_RAYS = 20
-_HISTOGRAM_CACHE_SIZE = 128  # one class's radii, and the differences a collection check repeats
+_POINT_CACHE_SIZE = 128  # the differences a collection check repeats, and one class's radii
 
 
 # ---------------------------------------------------------------------------
@@ -111,19 +137,11 @@ def _rank_memo(fan: Fan) -> dict[int, tuple[int, ...]]:
     return {}
 
 
-@lru_cache(maxsize=None)
-def _forbidden_memo(fan: Fan) -> set[int]:
-    """The forbidden masks among those in _rank_memo(fan)."""
-    return set()
-
-
 def _pattern_ranks(fan: Fan, mask: int) -> tuple[int, ...]:
     memo = _rank_memo(fan)
     if mask not in memo:
         vs = [i for i in range(fan.n_rays) if mask >> i & 1]
-        ranks = memo[mask] = reduced_homology_ranks(full_subcomplex(fan, vs))
-        if any(ranks) and mask != (1 << fan.n_rays) - 1:
-            _forbidden_memo(fan).add(mask)
+        memo[mask] = reduced_homology_ranks(full_subcomplex(fan, vs))
     return memo[mask]
 
 
@@ -163,7 +181,191 @@ def forbidden_sets(fan: Fan) -> ForbiddenSetReport:
 
 
 # ---------------------------------------------------------------------------
-# bounded representative searches
+# the certified box of contributing characters
+# ---------------------------------------------------------------------------
+
+def _contributing(fan: Fan, masks: set[int]) -> set[int]:
+    """The masks whose pattern can add to a cohomology dimension or a verdict."""
+    full, ranks = (1 << fan.n_rays) - 1, _rank_memo(fan)
+    for mask in masks - ranks.keys():
+        _pattern_ranks(fan, mask)
+    return {mask for mask in masks if mask == full or any(ranks[mask])}
+
+
+def _cross(rows: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
+    """x with <x, w> = det(w, rows) for every w: orthogonal to the n-1 rows."""
+    return tuple((-1) ** k * determinant(IntMatrix.from_rows([r[:k] + r[k + 1:] for r in rows]))
+                 for k in range(n))
+
+
+class _VertexFrames(NamedTuple):
+    subsets: np.ndarray       # K x n ray indices of the nonsingular ray n-subsets S
+    cofactors: np.ndarray     # K x n x n: sign(det A_S) adj(A_S)^T, so A_S @ cofactors^T = |det A_S| I
+    dets: np.ndarray          # K x 1 x 1: |det A_S|
+    largest: int              # the largest |entry| of cofactors and dets
+    rays_t: np.ndarray        # n x m: the rays as columns
+    ray_max: int              # the largest |ray entry|
+    weights: np.ndarray       # m: bit i of a sign mask is ray i
+    directions: tuple[tuple[int, int, tuple[int, ...]], ...]  # (positive mask, negative mask, d) per +-cross
+    bounded: set[int]         # contributing masks whose regions are proven bounded
+
+
+@lru_cache(maxsize=None)
+def _vertex_frames(fan: Fan) -> _VertexFrames:
+    """Exact inverses (cofactors over |det|) of every nonsingular ray n-subset, and the recession directions.
+
+    Raises UnboundedRegion when the rays span no full-dimensional cone.
+    """
+    n, m, rays = fan.dim, fan.n_rays, fan.rays
+    cross = {R: _cross([rays[i] for i in R], n) for R in combinations(range(m), n - 1)}
+    subsets, cofactors, dets = [], [], []
+    for S in combinations(range(m), n):
+        # row i of the cofactor matrix is (-1)^i times the cross product of the other rows
+        rows = [cross[S[:i] + S[i + 1:]] for i in range(n)]
+        det = sum(a * c for a, c in zip(rays[S[0]], rows[0]))
+        if det:
+            subsets.append(S)
+            cofactors.append([[c if (i % 2 == 0) == (det > 0) else -c for c in row]
+                              for i, row in enumerate(rows)])
+            dets.append(abs(det))
+    if not subsets:
+        raise UnboundedRegion("the rays span no full-dimensional cone, so every region is unbounded")
+    directions = {}
+    for x in cross.values():
+        g = gcd(*x)
+        for d in ((tuple(c // g for c in x), tuple(-c // g for c in x)) if g else ()):  # g = 0: dependent rays
+            pairings = [sum(a * b for a, b in zip(d, ray)) for ray in rays]
+            directions[d] = (_mask_of(i for i in range(m) if pairings[i] > 0),
+                             _mask_of(i for i in range(m) if pairings[i] < 0), d)
+    largest = max(max(abs(x) for cof in cofactors for row in cof for x in row), max(dets))
+    ray_max = max(abs(x) for ray in rays for x in ray)
+    dtype = np.int64 if max(largest, ray_max) < _INT64_SAFE else object
+    return _VertexFrames(np.array(subsets, dtype=np.int64), np.array(cofactors, dtype=dtype),
+                         np.array(dets, dtype=dtype)[:, None, None], largest,
+                         np.array(rays, dtype=dtype).T, ray_max,
+                         np.array([1 << i for i in range(m)], dtype=np.int64 if m < 63 else object),
+                         tuple(directions.values()), set())
+
+
+def _check_bounded(fan: Fan, masks: set[int]) -> None:
+    """Raise UnboundedRegion unless the regions of these contributing masks are bounded.
+
+    The recession cone of P_I(a) is {d : <d, v> >= 0 on I, <= 0 off I},
+    whatever a is.  The rays span, so a nonzero one has an extreme ray,
+    which lies on n-1 independent planes <d, v> = 0: it is some
+    +-(cross product of n-1 rays), and such a d lies in the cone of I
+    exactly when the rays pairing positively with it are in I and those
+    pairing negatively are not.
+    """
+    frames = _vertex_frames(fan)
+    for mask in masks - frames.bounded:
+        for positive, negative, d in frames.directions:
+            if not positive & ~mask and not negative & mask:
+                pattern = tuple(i + 1 for i in range(fan.n_rays) if mask >> i & 1)
+                raise UnboundedRegion(f"the characters of ray pattern {pattern} (1-based) form an "
+                                      f"unbounded region along the direction {d}")
+        frames.bounded.add(mask)
+
+
+@lru_cache(maxsize=None)
+def _corner_offsets(n: int) -> np.ndarray:
+    """Every eps in {0,1}^n: which of a vertex's n tight inequalities sit at -a - 1."""
+    return np.array(list(product((0, 1), repeat=n)), dtype=np.int64)
+
+
+class _Box(NamedTuple):
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+    extent: int               # the largest |coordinate| in the box
+
+
+@lru_cache(maxsize=_POINT_CACHE_SIZE)
+def _contributing_box(fan: Fan, divisor: tuple[int, ...]) -> Optional[_Box]:
+    """A box holding every character whose pattern contributes, or None when none does.
+
+    Each vertex of a region P_I(a) solves n of its inequalities with
+    equality, |det A_S| u = -adj(A_S)(a_S + eps), and leaves no ray strictly
+    between -a_rho - 1 and -a_rho; its sign mask is I.  The rays span, so
+    every nonempty region has a vertex, and proving the regions of the
+    candidates' contributing masks bounded proves them all bounded.  Then
+    the floors and ceilings of the contributing candidates span a box
+    around them all.
+    """
+    frames = _vertex_frames(fan)
+    n = fan.dim
+    big = max(map(abs, divisor)) + 1
+    bound = (n * frames.ray_max * n + 1) * frames.largest * big   # bounds |numerator| and every entry of `gaps`
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    a = np.array(divisor, dtype=dtype)
+    dets = frames.dets.astype(dtype, copy=False)
+    rhs = a[frames.subsets][:, None, :] + _corner_offsets(n).astype(dtype, copy=False)
+    numerators = -(rhs @ frames.cofactors.astype(dtype, copy=False))  # |det| u, one row per (S, eps)
+    gaps = numerators @ frames.rays_t.astype(dtype, copy=False) + dets * a  # |det| (<u, v_rho> + a_rho)
+    masks = (gaps >= 0) @ frames.weights
+    vertex = (gaps + dets > 0) @ frames.weights == masks   # no ray strictly inside a gap
+    contributing = _contributing(fan, set(masks[vertex].tolist()))
+    _check_bounded(fan, contributing)
+    chosen = np.zeros_like(vertex)
+    for mask in contributing:
+        chosen |= masks == mask
+    subset, corner = np.nonzero(chosen & vertex)
+    if not len(subset):
+        return None
+    num, den = numerators[subset, corner], dets[subset, 0]
+    lo = tuple(int(x) for x in (num // den).min(axis=0))
+    hi = tuple(int(x) for x in (-(-num // den)).max(axis=0))
+    return _Box(lo, hi, max(map(abs, lo + hi)))
+
+
+class PointList(NamedTuple):
+    """D's contributing characters up to some sup norm, grouped by pattern."""
+
+    norms: Mapping[int, tuple[int, ...]]    # contributing mask -> ascending ||u|| of its characters
+    mustata_norm: float                     # least ||u|| whose representative is 0/1 everywhere
+
+    def reaches(self, mask: int, radius: int) -> bool:
+        """Does the pattern have a character in the cube of that radius?"""
+        norms = self.norms.get(mask)
+        return norms is not None and norms[0] <= radius
+
+
+_NO_POINTS = PointList(MappingProxyType({}), float("inf"))
+
+
+@lru_cache(maxsize=_POINT_CACHE_SIZE)
+def _point_list(fan: Fan, divisor: tuple[int, ...], clip: int) -> PointList:
+    """The contributing characters in the certified box cut to [-clip, clip]^n.
+
+    Bit i of a mask is set when the representative a + pairing*u is
+    nonnegative on ray i.  This is the one place where characters are built.
+    """
+    frames, box = _vertex_frames(fan), _contributing_box(fan, divisor)
+    n, m = fan.dim, fan.n_rays
+    chars = list(product(*(range(max(l, -clip), min(h, clip) + 1) for l, h in zip(box.lo, box.hi))))
+    if not chars:
+        return _NO_POINTS
+    bound = frames.ray_max * clip * n + max(map(abs, divisor))
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    chars = np.array(chars, dtype=np.int64)
+    reps = (chars.astype(dtype, copy=False) @ frames.rays_t.astype(dtype, copy=False)
+            + np.array(divisor, dtype=dtype))
+    masks = ((reps >= 0) @ frames.weights).tolist()
+    keep = _contributing(fan, set(masks))
+    norms = np.abs(chars).max(axis=1).tolist()
+    by_mask = {}
+    for mask, norm in zip(masks, norms):
+        if mask in keep:
+            by_mask.setdefault(mask, []).append(norm)
+    full = (1 << m) - 1
+    mustata = float("inf")
+    if full in keep:
+        low = (reps <= 1).all(axis=1).tolist()
+        mustata = min((norm for norm, mask, ok in zip(norms, masks, low) if ok and mask == full), default=mustata)
+    return PointList(MappingProxyType({mask: tuple(sorted(v)) for mask, v in by_mask.items()}), mustata)
+
+
+# ---------------------------------------------------------------------------
+# bounded searches, read from the contributing list
 # ---------------------------------------------------------------------------
 
 def _radius_for_class(coords: ClassVector) -> int:
@@ -192,70 +394,47 @@ def _stabilized(compute, r0: int, escalate: bool, what: str):
         prev, r = cur, r + 2
 
 
-@lru_cache(maxsize=8)  # boxes grow as radius^n: keep only the radii in use
-def _character_box(n: int, radius: int) -> np.ndarray:
-    """The characters u in [-radius, radius]^n as read-only int64 rows."""
-    box = np.array(list(product(range(-radius, radius + 1), repeat=n)), dtype=np.int64)
-    box.flags.writeable = False
-    return box
-
-
-class PatternHistogram(NamedTuple):
-    counts: Mapping[int, int]      # sign mask -> number of representatives in the box
-    mustata: bool                  # some representative has every coefficient in {0, 1}
-
-
-@lru_cache(maxsize=_HISTOGRAM_CACHE_SIZE)
-def _pattern_histogram(fan: Fan, divisor: tuple[int, ...], radius: int) -> PatternHistogram:
-    """Sign patterns of the representatives a + pairing*u, u in the centred box.
-
-    Bit i of a mask is set when the representative is nonnegative on ray i.
-    This is the one place where a box of representatives is built.
-    """
-    n, m = fan.dim, fan.n_rays
-    bound = max(abs(x) for ray in fan.rays for x in ray) * radius * n + max(map(abs, divisor))
-    dtype = np.int64 if bound < _INT64_SAFE else object
-    reps = (_character_box(n, radius).astype(dtype, copy=False) @ np.array(fan.rays, dtype=dtype).T
-            + np.array(divisor, dtype=dtype))
-    masks = (reps >= 0) @ np.array([1 << i for i in range(m)], dtype=np.int64 if m < 63 else object)
-    unique, counts = np.unique(masks, return_counts=True)
-    full_rows = reps[masks == (1 << m) - 1]
-    return PatternHistogram(MappingProxyType(dict(zip(unique.tolist(), counts.tolist()))),
-                            bool((full_rows <= 1).all(axis=1).any()))
-
-
-def _histograms(ctx: PicContext, divisor: Sequence[int], box_radius: Optional[int]):
-    """radius -> D's pattern histogram at that radius, and the radius to start from."""
-    fan, key = ctx.fan, tuple(int(a) for a in divisor)
+def _reader(ctx: PicContext, divisor: Sequence[int], box_radius: Optional[int]):
+    """radius -> D's contributing list complete up to that radius, and the radius to start from."""
+    fan, key = ctx.fan, tuple(map(int, divisor))
     r0 = _radius_for_class(to_class(ctx, divisor)) if box_radius is None else box_radius
     if r0 < 1:
         raise ValueError("box_radius must be >= 1")
     if r0 > _RADIUS_LIMIT:
         raise BoxTooLarge(f"the search box would start at radius {r0}, past the limit {_RADIUS_LIMIT}")
-    return (lambda radius: _pattern_histogram(fan, key, radius)), r0
+    box = _contributing_box(fan, key)
+    if box is None:
+        return (lambda radius: _NO_POINTS), r0
+    # r0 and r0 + 2 are always read, so one enumeration serves both
+    return (lambda radius: _point_list(fan, key, min(max(radius, r0 + 2), box.extent))), r0
 
 
 def is_forbidden_form(ctx: PicContext, divisor: Sequence[int], forbidden_set: Sequence[int],
                       box_radius: Optional[int] = None, escalate: bool = False) -> bool:
     """Does some representative of D sit exactly on the sign pattern of I?
 
-    That is: a' >= 0 on I and a' <= -1 off I for some a' ~ D.  The search
-    box starts at the class-derived radius unless box_radius is given, and
-    is re-run two steps larger; a flip of verdict raises BoxUnstable (or
-    keeps enlarging when escalate is set).
+    That is: a' >= 0 on I and a' <= -1 off I for some a' ~ D, with the
+    character in the cube of the search radius.  The search starts at the
+    class-derived radius unless box_radius is given, and is re-run two steps
+    larger; a flip of verdict raises BoxUnstable (or keeps enlarging when
+    escalate is set).  I must be empty, full or forbidden: only those
+    patterns' characters are enumerated, so any other I raises ValueError
+    instead of being searched for in the cube.
     """
+    fan = ctx.fan
+    points, r0 = _reader(ctx, divisor, box_radius)
     target = _mask_of(forbidden_set)
-    histogram, r0 = _histograms(ctx, divisor, box_radius)
-    return _stabilized(lambda r: target in histogram(r).counts, r0, escalate,
-                       "is_forbidden_form verdict")[0]
+    if not _contributing(fan, {target}):
+        raise ValueError(f"ray set {tuple(forbidden_set)} is not empty, full or forbidden")
+    return _stabilized(lambda r: points(r).reaches(target, r), r0, escalate, "is_forbidden_form verdict")[0]
 
 
 def has_nonzero_global_sections(ctx: PicContext, divisor: Sequence[int],
                                 box_radius: Optional[int] = None, escalate: bool = False) -> bool:
     """True when D is linearly equivalent to an effective toric divisor."""
     full = (1 << ctx.fan.n_rays) - 1
-    histogram, r0 = _histograms(ctx, divisor, box_radius)
-    return _stabilized(lambda r: full in histogram(r).counts, r0, escalate, "sections verdict")[0]
+    points, r0 = _reader(ctx, divisor, box_radius)
+    return _stabilized(lambda r: points(r).reaches(full, r), r0, escalate, "sections verdict")[0]
 
 
 def is_acyclic(ctx: PicContext, divisor: Sequence[int],
@@ -263,23 +442,19 @@ def is_acyclic(ctx: PicContext, divisor: Sequence[int],
     """Borisov-Hua acyclicity test: no representative with a forbidden pattern.
 
     The Mustata filter short-circuits the common effective cases on Fano
-    fans.  Otherwise only the patterns that occur are ranked, each once per
-    fan, so no sweep over all ray subsets is needed.
+    fans.  Otherwise every pattern in the contributing list other than the
+    full one is forbidden, so no sweep over all ray subsets is needed.
     """
     fan = ctx.fan
-    histogram, r0 = _histograms(ctx, divisor, box_radius)
+    points, r0 = _reader(ctx, divisor, box_radius)
     # On a Fano fan, any divisor equivalent to a 0/1 combination of rays is
     # acyclic (ample anticanonical minus distinct toric divisors).
-    if is_fano(fan) and histogram(r0).mustata:
+    if is_fano(fan) and points(r0).mustata_norm <= r0:
         return True
-    memo, forbidden = _rank_memo(fan), _forbidden_memo(fan)
+    full = (1 << fan.n_rays) - 1
 
     def acyclic_at(radius: int) -> bool:
-        counts = histogram(radius).counts
-        if not memo.keys() >= counts.keys():   # cheap test: most patterns are ranked already
-            for mask in counts.keys() - memo.keys():
-                _pattern_ranks(fan, mask)
-        return forbidden.isdisjoint(counts)
+        return all(norms[0] > radius for mask, norms in points(radius).norms.items() if mask != full)
 
     return _stabilized(acyclic_at, r0, escalate, "acyclicity verdict")[0]
 
@@ -303,24 +478,24 @@ def cohomology_table(ctx: PicContext, divisor: Sequence[int],
                      box_radius: Optional[int] = None, escalate: bool = False) -> CohomologyTable:
     """All cohomology dimensions of O(D) by direct summation over the box.
 
-    Every representative in the box contributes its pattern subcomplex's
-    reduced homology; the dimensions must agree with the run on the box two
-    steps larger, else BoxUnstable is raised (or the box keeps growing when
-    escalate is set).  Only finitely many representatives contribute: far
-    away ones select half-space-like patterns with contractible
-    subcomplexes, which is why the truncation stabilizes.
+    Every contributing character in the cube of radius r adds its pattern
+    subcomplex's reduced homology; the dimensions must agree with those of
+    the cube two steps larger, else BoxUnstable is raised (or the cube keeps
+    growing when escalate is set).  Once the cube holds the certified box,
+    the dimensions are exact.
     """
     fan = ctx.fan
     n = fan.dim
     cls = to_class(ctx, divisor)
-    histogram, r0 = _histograms(ctx, divisor, _radius_for_class(cls) if box_radius is None else box_radius)
+    points, r0 = _reader(ctx, divisor, _radius_for_class(cls) if box_radius is None else box_radius)
     ranks_of = _rank_memo(fan)
 
     def dims_at(radius: int) -> tuple[int, ...]:
         dims = [0] * (n + 1)
-        for msk, count in histogram(radius).counts.items():
-            ranks = ranks_of[msk] if msk in ranks_of else _pattern_ranks(fan, msk)
-            if any(ranks):  # most patterns select contractible subcomplexes
+        for msk, norms in points(radius).norms.items():
+            count = bisect_right(norms, radius)
+            if count:
+                ranks = ranks_of[msk] if msk in ranks_of else _pattern_ranks(fan, msk)
                 dims = [d + count * h for d, h in zip(dims, reversed(ranks))]
         return tuple(dims)
 

@@ -51,6 +51,10 @@ class BoxTooLarge(ToricExcError):
     """A bounded lattice search would start from a box past the radius limit."""
 
 
+class UnboundedRegion(ToricExcError):
+    """A contributing sign pattern's region of characters is unbounded, so no box holds it."""
+
+
 class TermOutsideCollection(ToricExcError):
     """A Koszul resolution term is not among the collection's classes."""
 

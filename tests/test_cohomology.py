@@ -1,15 +1,22 @@
 """Subcomplex homology, forbidden sets, and the two acyclicity routes."""
 
+import functools
 import itertools
+import math
+import operator
 import random
+import time
+from bisect import bisect_right
 from collections import Counter
 
 import pytest
 
-from toric_exc.cohomology import (_pattern_histogram, _radius_for_class, cohomology_table,
-                                  forbidden_sets, full_subcomplex, has_nonzero_global_sections,
-                                  is_acyclic, is_forbidden_form, reduced_homology_ranks)
-from toric_exc.errors import BoxTooLarge, BoxUnstable, TooManyRays, ToricExcError
+from toric_exc.cohomology import (_check_bounded, _contributing_box, _point_list,
+                                  _radius_for_class, _rank_memo, _reader, _vertex_frames,
+                                  cohomology_table, forbidden_sets, full_subcomplex,
+                                  has_nonzero_global_sections, is_acyclic, is_forbidden_form,
+                                  reduced_homology_ranks)
+from toric_exc.errors import BoxTooLarge, BoxUnstable, TooManyRays, ToricExcError, UnboundedRegion
 from toric_exc.lattice import _INT64_SAFE
 from toric_exc.fan import Fan, validate_fan
 from toric_exc.picard import (anticanonical_divisor, build_pic_context, canonical_divisor,
@@ -149,7 +156,7 @@ class TestAcyclicity:
             table = cohomology_table(d1_ctx, D, escalate=True)
             assert is_acyclic(d1_ctx, D, escalate=True) == table.is_acyclic, cls
             start = _radius_for_class(cls)
-            if _pattern_histogram(d1.fan, tuple(D), start).mustata:
+            if _reader(d1_ctx, D, start)[0](start).mustata_norm <= start:
                 fired += 1
                 assert table.is_acyclic, cls
         assert 0 < fired < 64
@@ -167,7 +174,11 @@ class TestAcyclicity:
         fan = star_subdivided_p3(21)
         assert validate_fan(fan).ok
         ctx = build_pic_context(fan)
-        assert is_acyclic(ctx, (0,) * fan.n_rays)
+        for memo in (_vertex_frames, _rank_memo, _contributing_box, _point_list):
+            memo.cache_clear()
+        started = time.perf_counter()
+        assert is_acyclic(ctx, (0,) * fan.n_rays)   # the box's certificate included
+        assert time.perf_counter() - started < 10
         with pytest.raises(TooManyRays):
             forbidden_sets(fan)
 
@@ -213,14 +224,41 @@ class TestOracleAgreement:
 def plain_histogram(fan, divisor, radius):
     """Sign-mask counts and the Mustata flag over the character box, in Python ints."""
     counts, mustata = Counter(), False
-    for u in itertools.product(range(-radius, radius + 1), repeat=fan.dim):
-        rep = [a + sum(x * y for x, y in zip(u, ray)) for a, ray in zip(divisor, fan.rays)]
-        counts[sum(1 << i for i, c in enumerate(rep) if c >= 0)] += 1
+    for u, mask, rep in plain_representatives(fan, divisor, radius):
+        counts[mask] += 1
         mustata = mustata or all(c in (0, 1) for c in rep)
     return dict(counts), mustata
 
 
+def plain_representatives(fan, divisor, radius):
+    """(u, sign mask, a + pairing*u) for every character u of the centred cube."""
+    for u in itertools.product(range(-radius, radius + 1), repeat=fan.dim):
+        rep = [a + sum(map(operator.mul, u, ray)) for a, ray in zip(divisor, fan.rays)]
+        yield u, sum(1 << i for i, c in enumerate(rep) if c >= 0), rep
+
+
+@functools.lru_cache(maxsize=None)
+def contributes(fan, mask):
+    """Full, or a pattern whose subcomplex carries reduced homology (the empty set included)."""
+    vs = [i for i in range(fan.n_rays) if mask >> i & 1]
+    return mask == (1 << fan.n_rays) - 1 or any(reduced_homology_ranks(full_subcomplex(fan, vs)))
+
+
+def listed_counts(ctx, divisor, radius):
+    """Per-mask counts of the contributing list's characters with sup norm <= radius."""
+    points = _reader(ctx, divisor, radius)[0](radius)
+    return {mask: bisect_right(norms, radius) for mask, norms in points.norms.items()
+            if bisect_right(norms, radius)}
+
+
+def clear_point_caches():
+    _contributing_box.cache_clear()
+    _point_list.cache_clear()
+
+
 class TestPatternHistogram:
+    """The contributing list, which answers every query the pattern histograms answered."""
+
     @pytest.mark.parametrize("divisor", [(2**63 - 1, 1, -1, 0, 2, -1), (2**63 - 1, 0, 0, 1, 0, 0),
                                          (0, 1, -(2**62), 0, 1, 0)])
     def test_object_dtype_fallback_matches_python_ints(self, d1, d1_ctx, divisor):
@@ -230,8 +268,9 @@ class TestPatternHistogram:
         fan = d1.fan
         counts, mustata = plain_histogram(fan, divisor, 1)
         assert sum(counts.values()) == 27
-        histogram = _pattern_histogram(fan, divisor, 1)
-        assert dict(histogram.counts) == counts and histogram.mustata == mustata
+        points = _reader(d1_ctx, divisor, 1)[0](1)
+        assert listed_counts(d1_ctx, divisor, 1) == {k: c for k, c in counts.items() if contributes(fan, k)}
+        assert (points.mustata_norm <= 1) == mustata
 
         wider, _ = plain_histogram(fan, divisor, 3)
         full = (1 << fan.n_rays) - 1
@@ -270,7 +309,7 @@ class TestPatternHistogram:
         cold = {}
         for name, cls in sample:
             for key, query in queries(name, cls):
-                _pattern_histogram.cache_clear()
+                clear_point_caches()
                 cold[key] = query()
         warm = {}
         for name, cls in reversed(sample):
@@ -280,9 +319,126 @@ class TestPatternHistogram:
 
     def test_box_instability_leaves_the_cache_sound(self, d1_ctx):
         hard = class_to_divisor(d1_ctx, (-2, 2, -2))
-        _pattern_histogram.cache_clear()
+        clear_point_caches()
         fresh = cohomology_table(d1_ctx, hard, box_radius=4, escalate=True)
-        _pattern_histogram.cache_clear()
+        clear_point_caches()
         with pytest.raises(BoxUnstable):
             cohomology_table(d1_ctx, hard, box_radius=4)
         assert cohomology_table(d1_ctx, hard, box_radius=4, escalate=True) == fresh
+
+
+def p3_without_a_cone():
+    """P3 with the maximal cone {v1, v2, v3} removed: not complete."""
+    return Fan.make(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], [(0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
+
+def hirzebruch_f1():
+    return Fan.make(2, [(1, 0), (0, 1), (-1, 1), (0, -1)], [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+def p1_times_surface(k):
+    """P1 x (P2 blown up until it has k rays): the k surface rays all pair to zero with (1, 0, 0)."""
+    surface = [(1, 0), (0, 1), (-1, -1)]
+    while len(surface) < k:   # blow up the cone between the last ray and the first
+        surface.append(tuple(x + y for x, y in zip(surface[-1], surface[0])))
+    surface.sort(key=lambda r: math.atan2(r[1], r[0]))
+    rays = [(0,) + r for r in surface] + [(1, 0, 0), (-1, 0, 0)]
+    return Fan.make(3, rays, [(i, (i + 1) % k, k + e) for i in range(k) for e in (0, 1)])
+
+
+class TestCertifiedBox:
+    def test_an_unbounded_region_is_refused(self):
+        fan = p3_without_a_cone()
+        ctx = build_pic_context(fan)
+        # {v1, v2, v3} now bounds a hole: a circle, so the pattern contributes,
+        # and (0, 0, 1) pairs >= 0 with v1, v2, v3 and < 0 with v4, so the
+        # pattern's region recedes along it.  That region is nonempty for
+        # every divisor, so every query meets it.
+        assert reduced_homology_ranks(full_subcomplex(fan, (0, 1, 2))) == (0, 0, 1, 0)
+        assert [sum(x * y for x, y in zip((0, 0, 1), ray)) for ray in fan.rays] == [0, 0, 1, -1]
+        for query in (cohomology_table, has_nonzero_global_sections):
+            for divisor in ((0,) * 4, (3, -1, 2, -5)):
+                with pytest.raises(UnboundedRegion):
+                    query(ctx, divisor)
+        assert issubclass(UnboundedRegion, ToricExcError)
+
+    def test_every_contributing_region_is_bounded_on_the_fans_in_use(self, records):
+        # every contributing mask of the fan, whatever the divisor
+        for fan in [rec.fan for rec in records.values()] + [hirzebruch_f1(), p1_times_surface(8)]:
+            masks = {0, (1 << fan.n_rays) - 1} | {sum(1 << i for i in s) for s in forbidden_sets(fan).forbidden}
+            _check_bounded(fan, masks)
+            assert len(_vertex_frames(fan).subsets) > 0 and (_vertex_frames(fan).dets > 0).all()
+        # past the sweep's cap: the masks the boxes of seeded divisors meet
+        fan = star_subdivided_p3(21)
+        rng = random.Random(21)
+        for _ in range(4):
+            _contributing_box(fan, tuple(rng.randint(-2, 2) for _ in range(fan.n_rays)))
+
+    def test_many_rays_on_one_plane_are_checked_quickly(self):
+        # (1, 0, 0) pairs to zero with 14 rays: the check must not visit their 2^14 subsets
+        fan = p1_times_surface(14)
+        assert validate_fan(fan).ok
+        ctx = build_pic_context(fan)
+        for memo in (_vertex_frames, _rank_memo, _contributing_box, _point_list):
+            memo.cache_clear()
+        started = time.perf_counter()
+        table = cohomology_table(ctx, (0,) * fan.n_rays)
+        assert is_acyclic(ctx, (0,) * fan.n_rays) and has_nonzero_global_sections(ctx, (0,) * fan.n_rays)
+        assert table.dims == (1, 0, 0, 0)
+        assert time.perf_counter() - started < 2
+        assert len(_rank_memo(fan)) < 500   # 87 patterns ranked, not the 2^14 masks P <= I <= P | Z
+
+    def test_other_targets_are_refused(self, d1_ctx):
+        assert is_forbidden_form(d1_ctx, (0,) * 6, tuple(range(6)), box_radius=4)   # the full set
+        for target in ((0,), (0, 1), (0, 1, 2)):   # each spans a cone: contractible
+            with pytest.raises(ValueError):
+                is_forbidden_form(d1_ctx, (0,) * 6, target)
+
+
+def cross_check_cases(records, contexts):
+    """(ctx, divisor): a seeded class of each catalog fan, of star subdivisions, of a 2-D fan, and a huge one."""
+    rng = random.Random(808)
+    cases = []
+    for name in sorted(records):
+        ctx = contexts[name]
+        cases.append((ctx, class_to_divisor(ctx, [rng.randint(-2, 2) for _ in range(ctx.rank)])))
+    for fan in (star_subdivided_p3(7), star_subdivided_p3(10), hirzebruch_f1()):
+        ctx = build_pic_context(fan)
+        cases.append((ctx, tuple(rng.randint(-2, 2) for _ in range(fan.n_rays))))
+    cases.append((contexts["D1"], (2**63 - 1, 1, -1, 0, 2, -1)))
+    return cases
+
+
+class TestPlainCrossCheck:
+    def test_counts_and_box_against_python_ints(self, records, contexts):
+        for ctx, divisor in cross_check_cases(records, contexts):
+            fan = ctx.fan
+            for radius in range(1, 9):
+                counts, mustata = plain_histogram(fan, divisor, radius)
+                want = {k: c for k, c in counts.items() if contributes(fan, k)}
+                assert listed_counts(ctx, divisor, radius) == want, (fan.rays, divisor, radius)
+                assert (_reader(ctx, divisor, radius)[0](radius).mustata_norm <= radius) == mustata
+            box = _contributing_box(fan, tuple(divisor))
+            for u, mask, _ in plain_representatives(fan, divisor, 12):
+                if contributes(fan, mask):
+                    assert box is not None and all(l <= x <= h for l, x, h in zip(box.lo, u, box.hi)), u
+
+    def test_the_whole_list_sums_to_the_stabilized_dimensions(self, records, contexts):
+        # the huge divisor is left out: its class starts the search past the radius limit
+        for ctx, divisor in cross_check_cases(records, contexts)[:-1]:
+            box = _contributing_box(ctx.fan, tuple(divisor))
+            dims = [0] * (ctx.fan.dim + 1)
+            if box is not None:
+                for mask, norms in _point_list(ctx.fan, tuple(divisor), box.extent).norms.items():
+                    vs = [i for i in range(ctx.fan.n_rays) if mask >> i & 1]
+                    ranks = reduced_homology_ranks(full_subcomplex(ctx.fan, vs))
+                    dims = [d + len(norms) * h for d, h in zip(dims, reversed(ranks))]
+            assert tuple(dims) == cohomology_table(ctx, divisor, escalate=True).dims
+
+    def test_a_huge_divisor_enumerates_no_more_than_the_cube(self, d1_ctx):
+        divisor = (2**63 - 1, 1, -1, 0, 2, -1)
+        box = _contributing_box(d1_ctx.fan, divisor)
+        rows = 1
+        for l, h in zip(box.lo, box.hi):
+            rows *= max(0, min(h, 3) - max(l, -3) + 1)
+        assert rows <= 7 ** 3 and box.extent > 2**50
