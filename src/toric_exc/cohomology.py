@@ -10,9 +10,19 @@ zero) in a degree determined by the cohomological index:
 
 A proper ray subset I is *forbidden* when C_I has nontrivial reduced
 homology; the Borisov-Hua criterion says O(D) is acyclic exactly when no
-representative of D has a forbidden sign pattern.  On a Fano fan the
-Mustata vanishing theorem gives a fast positive filter: any divisor with a
-representative whose coefficients all lie in {0, 1} is acyclic.
+representative of D has a forbidden sign pattern.  Most patterns a query
+meets are certified contractible by a bit test against the maximal cones,
+without a boundary matrix:
+
+- a nonempty I inside a maximal cone spans a full simplex, on any fan;
+- on a fan with fan.is_complete, whose boundary complex is therefore an
+  (n-1)-sphere S, a proper I whose complement J lies inside a maximal cone
+  has C_I a deformation retract of S minus the closed simplex of J, which
+  has the reduced homology of a point by Alexander duality.
+
+On a Fano fan the Mustata vanishing theorem gives a fast positive filter:
+any divisor with a representative whose coefficients all lie in {0, 1} is
+acyclic.
 
 Writing a' = a + (<u, v_rho>)_rho for a character u, only the patterns I
 that are empty, forbidden or full can change a dimension or a verdict, and
@@ -34,7 +44,9 @@ all (Borisov-Hua, Adv. Math. 2009):
   rays pairing positively with it are in I and those pairing negatively
   are not.  The answer depends on I alone, so it is kept per fan.
 - The contributing candidates then fix the box by their floors and
-  ceilings.
+  ceilings.  A collection check computes the boxes of all its distinct
+  difference classes in one vectorised pass; a single query is the same
+  pass with one divisor.
 - The box, cut to the cube of the radius being read, is enumerated into a
   cached list of contributing patterns with the sup norms ||u|| of their
   characters.
@@ -61,12 +73,13 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import BoxTooLarge, BoxUnstable, TooManyRays, UnboundedRegion
-from .fan import Fan, is_fano
-from .lattice import _INT64_SAFE, IntMatrix, determinant, rank as matrix_rank
+from .fan import Fan, is_complete, is_fano
+from .lattice import _INT64_SAFE, IntMatrix, _cross, rank as matrix_rank
 from .picard import ClassVector, PicContext, to_class
 
 _MAX_SWEEP_RAYS = 20
 _POINT_CACHE_SIZE = 128  # the differences a collection check repeats, and one class's radii
+_PASS_ELEMENTS = 1 << 20  # gap entries (divisors x vertex candidates x rays) per vectorised box pass
 
 
 # ---------------------------------------------------------------------------
@@ -131,18 +144,54 @@ def reduced_homology_ranks(complex_: SimplicialSubcomplex) -> tuple[int, ...]:
     return tuple(out)
 
 
+class _Patterns(NamedTuple):
+    """Per-fan pattern state.  A query fetches it once, so the fan is hashed once, not per mask."""
+
+    ranks: dict[int, tuple[int, ...]]   # mask -> pattern ranks, one shared tuple for every zero
+    met: set[int]                       # the masks _contributing has classified
+    live: set[int]                      # the contributing ones among them
+    cones: tuple[int, ...]              # the maximal cones as ray masks
+    complete: bool                      # the fan carries fan.is_complete
+
+
 @lru_cache(maxsize=None)
-def _rank_memo(fan: Fan) -> dict[int, tuple[int, ...]]:
-    """mask -> pattern ranks.  A query fetches it once, so the fan is hashed once, not per mask."""
-    return {}
+def _patterns(fan: Fan) -> _Patterns:
+    return _Patterns({}, set(), set(), tuple(_mask_of(cone) for cone in fan.max_cones), is_complete(fan))
 
 
 def _pattern_ranks(fan: Fan, mask: int) -> tuple[int, ...]:
-    memo = _rank_memo(fan)
-    if mask not in memo:
-        vs = [i for i in range(fan.n_rays) if mask >> i & 1]
-        memo[mask] = reduced_homology_ranks(full_subcomplex(fan, vs))
-    return memo[mask]
+    """Reduced homology ranks of C_I, degrees -1 .. n-1, for the ray set I of the mask.
+
+    Two certificates give zero ranks without a boundary matrix:
+    - I is nonempty and lies in a maximal cone: every subset of I is a
+      face, so C_I is a full simplex, on any fan.
+    - I is proper, its complement J lies in a maximal cone, and the fan is
+      certified complete (fan.is_complete), so its boundary complex is an
+      (n-1)-sphere S.  J is then a face, and the full subcomplex on the
+      other vertices is a deformation retract of S minus the closed simplex
+      of J; by Alexander duality that has the reduced homology of the
+      simplex, which is zero.  On a fan without the certificate this rule
+      is wrong (P3 without a maximal cone: the missing cone's rays bound a
+      circle, though their complement is a ray), so it is not applied.
+    Every other mask is ranked by reduced_homology_ranks.
+    """
+    memo = _patterns(fan)
+    if mask not in memo.ranks:
+        cones, rest = memo.cones, ((1 << fan.n_rays) - 1) & ~mask
+        ranks = _zero_ranks(fan.dim)   # shared, so a 2^m sweep stores one zero tuple, not thousands
+        if not (mask and any(not mask & ~cone for cone in cones)
+                or memo.complete and rest and any(not rest & ~cone for cone in cones)):
+            vs = [i for i in range(fan.n_rays) if mask >> i & 1]
+            found = reduced_homology_ranks(full_subcomplex(fan, vs))
+            if any(found):
+                ranks = found
+        memo.ranks[mask] = ranks
+    return memo.ranks[mask]
+
+
+@lru_cache(maxsize=None)
+def _zero_ranks(n: int) -> tuple[int, ...]:
+    return (0,) * (n + 1)
 
 
 def _mask_of(indices: Sequence[int]) -> int:
@@ -186,35 +235,34 @@ def forbidden_sets(fan: Fan) -> ForbiddenSetReport:
 
 def _contributing(fan: Fan, masks: set[int]) -> set[int]:
     """The masks whose pattern can add to a cohomology dimension or a verdict."""
-    full, ranks = (1 << fan.n_rays) - 1, _rank_memo(fan)
-    for mask in masks - ranks.keys():
-        _pattern_ranks(fan, mask)
-    return {mask for mask in masks if mask == full or any(ranks[mask])}
-
-
-def _cross(rows: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
-    """x with <x, w> = det(w, rows) for every w: orthogonal to the n-1 rows."""
-    return tuple((-1) ** k * determinant(IntMatrix.from_rows([r[:k] + r[k + 1:] for r in rows]))
-                 for k in range(n))
+    memo = _patterns(fan)
+    if not masks <= memo.met:
+        full, new = (1 << fan.n_rays) - 1, masks - memo.met
+        memo.live.update(mask for mask in new if mask == full or any(_pattern_ranks(fan, mask)))
+        memo.met.update(new)
+    return masks & memo.live
 
 
 class _VertexFrames(NamedTuple):
     subsets: np.ndarray       # K x n ray indices of the nonsingular ray n-subsets S
     cofactors: np.ndarray     # K x n x n: sign(det A_S) adj(A_S)^T, so A_S @ cofactors^T = |det A_S| I
     dets: np.ndarray          # K x 1 x 1: |det A_S|
+    corner_numerators: np.ndarray  # K x 2^n x n: -eps @ cofactors, the divisor-free part of |det| u
     largest: int              # the largest |entry| of cofactors and dets
     rays_t: np.ndarray        # n x m: the rays as columns
     ray_max: int              # the largest |ray entry|
     weights: np.ndarray       # m: bit i of a sign mask is ray i
     directions: tuple[tuple[int, int, tuple[int, ...]], ...]  # (positive mask, negative mask, d) per +-cross
     bounded: set[int]         # contributing masks whose regions are proven bounded
+    boxes: dict[tuple[int, ...], Optional[_Box]]  # divisor -> its certified box (see _contributing_boxes)
 
 
 @lru_cache(maxsize=None)
 def _vertex_frames(fan: Fan) -> _VertexFrames:
     """Exact inverses (cofactors over |det|) of every nonsingular ray n-subset, and the recession directions.
 
-    Raises UnboundedRegion when the rays span no full-dimensional cone.
+    Also the fan's memos of bounded masks and certified boxes.  Raises
+    UnboundedRegion when the rays span no full-dimensional cone.
     """
     n, m, rays = fan.dim, fan.n_rays, fan.rays
     cross = {R: _cross([rays[i] for i in R], n) for R in combinations(range(m), n - 1)}
@@ -240,11 +288,14 @@ def _vertex_frames(fan: Fan) -> _VertexFrames:
     largest = max(max(abs(x) for cof in cofactors for row in cof for x in row), max(dets))
     ray_max = max(abs(x) for ray in rays for x in ray)
     dtype = np.int64 if max(largest, ray_max) < _INT64_SAFE else object
-    return _VertexFrames(np.array(subsets, dtype=np.int64), np.array(cofactors, dtype=dtype),
-                         np.array(dets, dtype=dtype)[:, None, None], largest,
+    cofactors = np.array(cofactors, dtype=dtype)
+    corner_dtype = np.int64 if n * largest < _INT64_SAFE else object   # bounds every corner term
+    return _VertexFrames(np.array(subsets, dtype=np.int64), cofactors,
+                         np.array(dets, dtype=dtype)[:, None, None],
+                         -(_corner_offsets(n).astype(corner_dtype) @ cofactors.astype(corner_dtype)), largest,
                          np.array(rays, dtype=dtype).T, ray_max,
                          np.array([1 << i for i in range(m)], dtype=np.int64 if m < 63 else object),
-                         tuple(directions.values()), set())
+                         tuple(directions.values()), set(), {})
 
 
 def _check_bounded(fan: Fan, masks: set[int]) -> None:
@@ -279,42 +330,69 @@ class _Box(NamedTuple):
     extent: int               # the largest |coordinate| in the box
 
 
-@lru_cache(maxsize=_POINT_CACHE_SIZE)
 def _contributing_box(fan: Fan, divisor: tuple[int, ...]) -> Optional[_Box]:
-    """A box holding every character whose pattern contributes, or None when none does.
+    """A box holding every character whose pattern contributes, or None when none does."""
+    boxes = _vertex_frames(fan).boxes
+    if divisor not in boxes:
+        _contributing_boxes(fan, (divisor,))
+    return boxes[divisor]
+
+
+def _contributing_boxes(fan: Fan, divisors: Sequence[tuple[int, ...]]) -> None:
+    """Certify the boxes of the divisors not yet kept for the fan, in one vectorised pass.
 
     Each vertex of a region P_I(a) solves n of its inequalities with
     equality, |det A_S| u = -adj(A_S)(a_S + eps), and leaves no ray strictly
     between -a_rho - 1 and -a_rho; its sign mask is I.  The rays span, so
     every nonempty region has a vertex, and proving the regions of the
     candidates' contributing masks bounded proves them all bounded.  Then
-    the floors and ceilings of the contributing candidates span a box
-    around them all.
+    the floors and ceilings of a divisor's contributing candidates span a
+    box around them all.  The candidates of all divisors form one
+    D x K x 2^n array (cut into chunks of at most _PASS_ELEMENTS gap
+    entries); only the chosen rows are floored, and each divisor's rows are
+    reduced as one segment.
+
+    The fan keeps at most _POINT_CACHE_SIZE boxes, or one pass's boxes
+    when that is more: a pass that would overflow it first drops every box
+    it was not asked for.
     """
     frames = _vertex_frames(fan)
+    boxes, wanted = frames.boxes, dict.fromkeys(divisors)
+    todo = [d for d in wanted if d not in boxes]
+    if not todo:
+        return
+    if len(boxes) + len(todo) > _POINT_CACHE_SIZE:
+        for old in [d for d in boxes if d not in wanted]:
+            del boxes[old]
     n = fan.dim
-    big = max(map(abs, divisor)) + 1
-    bound = (n * frames.ray_max * n + 1) * frames.largest * big   # bounds |numerator| and every entry of `gaps`
-    dtype = np.int64 if bound < _INT64_SAFE else object
-    a = np.array(divisor, dtype=dtype)
-    dets = frames.dets.astype(dtype, copy=False)
-    rhs = a[frames.subsets][:, None, :] + _corner_offsets(n).astype(dtype, copy=False)
-    numerators = -(rhs @ frames.cofactors.astype(dtype, copy=False))  # |det| u, one row per (S, eps)
-    gaps = numerators @ frames.rays_t.astype(dtype, copy=False) + dets * a  # |det| (<u, v_rho> + a_rho)
-    masks = (gaps >= 0) @ frames.weights
-    vertex = (gaps + dets > 0) @ frames.weights == masks   # no ray strictly inside a gap
-    contributing = _contributing(fan, set(masks[vertex].tolist()))
-    _check_bounded(fan, contributing)
-    chosen = np.zeros_like(vertex)
-    for mask in contributing:
-        chosen |= masks == mask
-    subset, corner = np.nonzero(chosen & vertex)
-    if not len(subset):
-        return None
-    num, den = numerators[subset, corner], dets[subset, 0]
-    lo = tuple(int(x) for x in (num // den).min(axis=0))
-    hi = tuple(int(x) for x in (-(-num // den)).max(axis=0))
-    return _Box(lo, hi, max(map(abs, lo + hi)))
+    chunk = max(1, _PASS_ELEMENTS // (len(frames.subsets) * 2 ** n * fan.n_rays))
+    for start in range(0, len(todo), chunk):
+        batch = todo[start:start + chunk]
+        big = max(max(map(abs, divisor)) for divisor in batch) + 1
+        bound = (n * frames.ray_max * n + 1) * frames.largest * big   # bounds |numerator| and every entry of `gaps`
+        dtype = np.int64 if bound < _INT64_SAFE else object
+        a = np.array(batch, dtype=dtype)
+        dets = frames.dets.astype(dtype, copy=False)
+        base = -(a[:, frames.subsets][:, :, None, :] @ frames.cofactors.astype(dtype, copy=False))  # eps = 0
+        numerators = base + frames.corner_numerators.astype(dtype, copy=False)  # |det| u, one row per (D, S, eps)
+        gaps = numerators @ frames.rays_t.astype(dtype, copy=False) + dets * a[:, None, None, :]  # |det| (<u, v_rho> + a_rho)
+        masks = (gaps >= 0) @ frames.weights
+        vertex = (gaps + dets > 0) @ frames.weights == masks               # no ray strictly inside a gap
+        contributing = _contributing(fan, set(masks[vertex].tolist()))
+        _check_bounded(fan, contributing)
+        chosen = np.zeros_like(vertex)
+        for mask in contributing:
+            chosen |= masks == mask
+        which, subset, corner = np.nonzero(chosen & vertex)
+        boxes.update(dict.fromkeys(batch))
+        if not len(which):
+            continue
+        num, den = numerators[which, subset, corner], dets[subset, 0]
+        starts = np.flatnonzero(np.concatenate(([True], which[1:] != which[:-1])))   # each divisor's first row
+        lows = np.minimum.reduceat(num // den, starts).tolist()
+        highs = np.maximum.reduceat(-(-num // den), starts).tolist()
+        for d, lo, hi in zip(which[starts].tolist(), lows, highs):
+            boxes[batch[d]] = _Box(tuple(lo), tuple(hi), max(map(abs, lo + hi)))
 
 
 class PointList(NamedTuple):
@@ -488,7 +566,7 @@ def cohomology_table(ctx: PicContext, divisor: Sequence[int],
     n = fan.dim
     cls = to_class(ctx, divisor)
     points, r0 = _reader(ctx, divisor, _radius_for_class(cls) if box_radius is None else box_radius)
-    ranks_of = _rank_memo(fan)
+    ranks_of = _patterns(fan).ranks
 
     def dims_at(radius: int) -> tuple[int, ...]:
         dims = [0] * (n + 1)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
-from .cohomology import has_nonzero_global_sections, is_acyclic
+from .cohomology import _contributing_boxes, has_nonzero_global_sections, is_acyclic
 from .errors import NotPrimitive, TermOutsideCollection, ToricExcError
 from .fan import is_face, primitive_collections
 from .picard import ClassVector, PicContext, class_label, class_to_divisor, to_class
@@ -102,33 +102,28 @@ class VerificationReport:
         return ext_ok and hom_ok
 
 
-def _difference_divisor(ctx: PicContext, lb: ClassVector, la: ClassVector):
-    return class_to_divisor(ctx, tuple(b - a for b, a in zip(lb, la)))
-
-
 def verify_strongly_exceptional(ctx: PicContext, collection: OrderedCollection) -> VerificationReport:
     """Test conditions (i)' and (ii)' for every ordered pair of the collection.
 
+    Each distinct difference class is formed once, with its divisor, and
+    asked once; the certified boxes of all of them come from one pass.
     Every query escalates its box until the verdict is stable.
     """
     if any(len(cls) != ctx.rank for cls in collection.classes):
         raise ValueError("collection class vectors do not match the Picard rank")
-    k = len(collection)
-    acyclic_rows = []
-    section_rows = []
-    for a in range(k):
-        acyclic_row = []
-        section_row: list[Optional[bool]] = []
-        for b in range(k):
-            diff = _difference_divisor(ctx, collection.classes[b], collection.classes[a])
-            acyclic_row.append(is_acyclic(ctx, diff, escalate=True))
-            if a > b:
-                section_row.append(has_nonzero_global_sections(ctx, diff, escalate=True))
-            else:
-                section_row.append(None)
-        acyclic_rows.append(tuple(acyclic_row))
-        section_rows.append(tuple(section_row))
-    return VerificationReport(collection, tuple(acyclic_rows), tuple(section_rows))
+    classes = collection.classes
+    k = len(classes)
+    diffs = [[tuple(b - a for b, a in zip(lb, la)) for lb in classes] for la in classes]
+    divisors = {cls: class_to_divisor(ctx, cls) for cls in dict.fromkeys(c for row in diffs for c in row)}
+    _contributing_boxes(ctx.fan, list(divisors.values()))
+    acyclic = {cls: is_acyclic(ctx, divisor, escalate=True) for cls, divisor in divisors.items()}
+    backward = dict.fromkeys(cls for a in range(k) for cls in diffs[a][:a])
+    sections = {cls: has_nonzero_global_sections(ctx, divisors[cls], escalate=True) for cls in backward}
+    return VerificationReport(
+        collection,
+        tuple(tuple(acyclic[cls] for cls in row) for row in diffs),
+        tuple(tuple(sections[cls] if b < a else None for b, cls in enumerate(row)) for a, row in enumerate(diffs)),
+    )
 
 
 def koszul_reduction_certificate(

@@ -7,22 +7,26 @@ cone exactly when it is contained in some maximal cone.  The minimal
 non-faces are the primitive collections; writing the sum of each collection
 in the cone containing it gives the primitive relations, whose degrees
 decide the Fano condition.
+
+Completeness is certified exactly (is_complete): every facet of a maximal
+cone lies in exactly two maximal cones, on opposite sides of its
+hyperplane, so every generic point lies in the same number of maximal
+cones; and an interior point of the first cone lies in no other, so that
+number is one.  The cones then tile R^n, and the boundary complex (the
+cones' ray sets) is a triangulated (n-1)-sphere, which the cohomology
+module's pattern certificates rely on.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import InteriorCoverFailure
-from .lattice import IntMatrix, determinant, unimodular_inverse
-
-_COVER_SAMPLE_SEED = 271828
-_COVER_SAMPLE_COUNT = 200
+from .errors import InteriorCoverFailure, NotUnimodular
+from .lattice import IntMatrix, _cross, determinant
 
 
 @dataclass(frozen=True)
@@ -55,8 +59,20 @@ def cone_matrix(fan: Fan, cone: Sequence[int]) -> IntMatrix:
 
 @lru_cache(maxsize=None)
 def cone_inverse(fan: Fan, cone: tuple[int, ...]) -> IntMatrix:
-    """Cached inverse of the cone's ray-row matrix (cone rays are a basis)."""
-    return unimodular_inverse(cone_matrix(fan, cone))
+    """Cached inverse of the cone's ray-row matrix (cone rays are a basis).
+
+    It is det times the transposed cofactor matrix, exact because the
+    determinant is +-1; any other determinant raises NotUnimodular.
+    """
+    A = cone_matrix(fan, cone)
+    if A.rows != A.cols:
+        raise NotUnimodular(f"matrix is {A.rows}x{A.cols}, not square")
+    rows, n = A.entries, A.rows
+    cofactors = [tuple((-1) ** i * c for c in _cross(rows[:i] + rows[i + 1:], n)) for i in range(n)]
+    det = sum(a * c for a, c in zip(rows[0], cofactors[0]))
+    if abs(det) != 1:
+        raise NotUnimodular(f"determinant is {det}, not +-1")
+    return IntMatrix(tuple(tuple(det * c for c in column) for column in zip(*cofactors)))
 
 
 def cone_coordinates(fan: Fan, cone: tuple[int, ...], point: Sequence[int]) -> tuple[int, ...]:
@@ -64,10 +80,6 @@ def cone_coordinates(fan: Fan, cone: tuple[int, ...], point: Sequence[int]) -> t
     # point = sum(lambda_j * v_j) <=> lambda = B^T point with B the inverse
     # of the ray-row matrix.
     return cone_inverse(fan, cone).transpose().mul_vec(point)
-
-
-def cone_contains(fan: Fan, cone: tuple[int, ...], point: Sequence[int]) -> bool:
-    return all(c >= 0 for c in cone_coordinates(fan, cone, point))
 
 
 @dataclass(frozen=True)
@@ -95,11 +107,9 @@ class FanValidation:
 
 
 def validate_fan(fan: Fan) -> FanValidation:
-    """Structural checks: primitive distinct rays, smooth simplicial cones,
-    and a completeness test: facet pairing, then 200 seeded random lattice
-    directions and the rays, each tested exactly for membership in some
-    maximal cone.  The directions are a sample, not a proof of covering;
-    ROADMAP item 7 replaces them with an exact test.
+    """Structural checks: primitive distinct rays, smooth simplicial cones
+    covering every ray, and the exact completeness certificate of
+    is_complete, whose failure names the facet or the cone at fault.
 
     Returns a structured report; it never raises on bad input.
     """
@@ -137,33 +147,61 @@ def validate_fan(fan: Fan) -> FanValidation:
 
     if problems:
         return FanValidation(smooth, complete, simplicial, tuple(problems))
+    cover = _completeness_problems(fan)
+    return FanValidation(smooth, not cover, simplicial, cover)
 
-    # Every facet of a maximal cone must be shared by exactly two maximal
-    # cones; on a complete simplicial fan the maximal cones glue along all
-    # their facets.
-    facet_count: dict[tuple[int, ...], int] = {}
-    for cone in fan.max_cones:
-        for facet in combinations(cone, n - 1):
-            facet_count[facet] = facet_count.get(facet, 0) + 1
-    bad_facets = {f: c for f, c in facet_count.items() if c != 2}
-    if bad_facets:
-        complete = False
-        for f, c in sorted(bad_facets.items()):
-            problems.append(f"facet {f} lies in {c} maximal cones, expected 2")
 
-    # Exact covering check on a deterministic sample of lattice directions.
-    rng = random.Random(_COVER_SAMPLE_SEED)
-    samples = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(_COVER_SAMPLE_COUNT)]
-    samples += [ray for ray in fan.rays]
-    for x in samples:
-        if all(v == 0 for v in x):
-            continue
-        if not any(cone_contains(fan, cone, x) for cone in fan.max_cones):
-            complete = False
-            problems.append(f"direction {x} lies in no maximal cone")
-            break
+@lru_cache(maxsize=None)
+def _completeness_problems(fan: Fan) -> tuple[str, ...]:
+    """Why the maximal cones do not cover R^n exactly once, or () when they do.
 
-    return FanValidation(smooth, complete, simplicial, tuple(problems))
+    - Pairing: every facet of a maximal cone lies in exactly two maximal
+      cones, and their apexes lie strictly on opposite sides of its
+      hyperplane.  Then a path that crosses a facet leaves one cone and
+      enters one, so every point off the cones of dimension n - 2 lies in
+      the same number of maximal cones (the degree); that set is connected.
+    - Degree one: the ray sum of the first maximal cone, an interior point
+      of it, lies in no other maximal cone.
+
+    Both checks are exact integer sign tests.
+    """
+    n, m, rays, cones = fan.dim, fan.n_rays, fan.rays, fan.max_cones
+    if (not cones or any(len(ray) != n for ray in rays)
+            or any(len(set(cone)) != n or not all(0 <= i < m for i in cone) for cone in cones)):
+        return (f"the maximal cones are not sets of {n} valid ray indices",)
+    sides: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    walls: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}   # cone -> (facet normal, apex side)
+    for cone in cones:
+        for apex in cone:
+            facet = tuple(sorted(set(cone) - {apex}))
+            normal = _cross([rays[i] for i in facet], n)
+            side = sum(a * b for a, b in zip(normal, rays[apex]))
+            sides.setdefault(facet, []).append((cone, side))
+            walls.setdefault(cone, []).append((normal, side))
+    problems = []
+    for facet, pair in sorted(sides.items()):
+        if len(pair) != 2:
+            problems.append(f"facet {facet} lies in {len(pair)} maximal cones, expected 2")
+        elif pair[0][1] * pair[1][1] >= 0:
+            problems.append(f"facet {facet}: maximal cones {pair[0][0]} and {pair[1][0]} "
+                            f"do not lie on opposite sides of it")
+    if problems:
+        return tuple(problems)
+    first = cones[0]
+    point = tuple(map(sum, zip(*(rays[i] for i in first))))
+    for cone in cones[1:]:
+        if all(side * sum(a * b for a, b in zip(normal, point)) >= 0 for normal, side in walls[cone]):
+            return (f"the ray sum {point} of maximal cone {first} also lies in maximal cone {cone}",)
+    return ()
+
+
+def is_complete(fan: Fan) -> bool:
+    """Exact certificate that the maximal cones cover R^n, overlapping only on their boundaries.
+
+    Then the fan is complete, and its boundary complex (the cones' ray
+    sets) triangulates the (n-1)-sphere.
+    """
+    return not _completeness_problems(fan)
 
 
 def is_face(fan: Fan, s: Iterable[int]) -> bool:

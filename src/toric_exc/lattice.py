@@ -6,7 +6,8 @@ small (ray pairing matrices, boundary matrices of simplicial subcomplexes),
 so the implementation favours determinism and auditability over asymptotic
 speed: Smith normal form pivots on the smallest-magnitude entry with ties
 broken by position, and ranks/determinants use fraction-free (Bareiss)
-elimination.
+elimination.  The n x n cofactors that fan geometry needs (cross products
+of n - 1 rays, cone inverses, facet sides) are expanded directly.
 """
 
 from __future__ import annotations
@@ -132,6 +133,23 @@ def determinant(A: IntMatrix) -> int:
             M[i][k] = 0
         prev = M[k][k]
     return sign * M[n - 1][n - 1]
+
+
+def _cross(rows: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
+    """x with <x, w> = det(w, rows) for every w: orthogonal to the n - 1 rows.
+
+    Entry k is (-1)^k times the minor of the rows without column k, each
+    expanded by cofactors in plain integers.  Row i of a square matrix's
+    cofactor matrix is (-1)^i times the cross product of the other rows,
+    so A @ cofactors^T = det(A) I.
+    """
+    if n == 1:
+        return (1,)
+    if n == 2:
+        return (rows[0][1], -rows[0][0])
+    minors = ([r[:k] + r[k + 1:] for r in rows] for k in range(n))
+    # det(M) = <M[0], cross(M[1:])>, expanded along the first row
+    return tuple((-1) ** k * sum(a * c for a, c in zip(M[0], _cross(M[1:], n - 1))) for k, M in enumerate(minors))
 
 
 def rank(A: IntMatrix) -> int:

@@ -11,16 +11,20 @@ from collections import Counter
 
 import pytest
 
-from toric_exc.cohomology import (_check_bounded, _contributing_box, _point_list,
-                                  _radius_for_class, _rank_memo, _reader, _vertex_frames,
+from toric_exc import cohomology
+from toric_exc.cli import main as cli_main
+from toric_exc.cohomology import (_POINT_CACHE_SIZE, _check_bounded, _contributing, _contributing_box,
+                                  _contributing_boxes, _pattern_ranks, _patterns, _point_list,
+                                  _radius_for_class, _reader, _vertex_frames,
                                   cohomology_table, forbidden_sets, full_subcomplex,
                                   has_nonzero_global_sections, is_acyclic, is_forbidden_form,
                                   reduced_homology_ranks)
 from toric_exc.errors import BoxTooLarge, BoxUnstable, TooManyRays, ToricExcError, UnboundedRegion
 from toric_exc.lattice import _INT64_SAFE
-from toric_exc.fan import Fan, validate_fan
+from toric_exc.fan import Fan, is_complete, validate_fan
 from toric_exc.picard import (anticanonical_divisor, build_pic_context, canonical_divisor,
-                                class_to_divisor)
+                                class_to_divisor, to_class)
+from test_fan import seeded_blowups
 
 D_FORBIDDEN = {(), (3, 6), (4, 6), (3, 5), (1, 2, 5), (1, 2, 4), (1, 2, 4, 5),
                (1, 2, 3, 5), (1, 2, 4, 6), (3, 5, 6), (3, 4, 6)}
@@ -174,7 +178,7 @@ class TestAcyclicity:
         fan = star_subdivided_p3(21)
         assert validate_fan(fan).ok
         ctx = build_pic_context(fan)
-        for memo in (_vertex_frames, _rank_memo, _contributing_box, _point_list):
+        for memo in (_vertex_frames, _patterns, _point_list):
             memo.cache_clear()
         started = time.perf_counter()
         assert is_acyclic(ctx, (0,) * fan.n_rays)   # the box's certificate included
@@ -252,7 +256,7 @@ def listed_counts(ctx, divisor, radius):
 
 
 def clear_point_caches():
-    _contributing_box.cache_clear()
+    _vertex_frames.cache_clear()
     _point_list.cache_clear()
 
 
@@ -379,14 +383,14 @@ class TestCertifiedBox:
         fan = p1_times_surface(14)
         assert validate_fan(fan).ok
         ctx = build_pic_context(fan)
-        for memo in (_vertex_frames, _rank_memo, _contributing_box, _point_list):
+        for memo in (_vertex_frames, _patterns, _point_list):
             memo.cache_clear()
         started = time.perf_counter()
         table = cohomology_table(ctx, (0,) * fan.n_rays)
         assert is_acyclic(ctx, (0,) * fan.n_rays) and has_nonzero_global_sections(ctx, (0,) * fan.n_rays)
         assert table.dims == (1, 0, 0, 0)
         assert time.perf_counter() - started < 2
-        assert len(_rank_memo(fan)) < 500   # 87 patterns ranked, not the 2^14 masks P <= I <= P | Z
+        assert len(_patterns(fan).ranks) < 500   # 87 patterns ranked, not the 2^14 masks P <= I <= P | Z
 
     def test_other_targets_are_refused(self, d1_ctx):
         assert is_forbidden_form(d1_ctx, (0,) * 6, tuple(range(6)), box_radius=4)   # the full set
@@ -442,3 +446,92 @@ class TestPlainCrossCheck:
         for l, h in zip(box.lo, box.hi):
             rows *= max(0, min(h, 3) - max(l, -3) + 1)
         assert rows <= 7 ** 3 and box.extent > 2**50
+
+
+def boundary_ranks(fan, mask):
+    return reduced_homology_ranks(full_subcomplex(fan, [i for i in range(fan.n_rays) if mask >> i & 1]))
+
+
+class TestPatternRankCertificates:
+    def test_every_mask_matches_the_boundary_ranks(self, records):
+        fans = [rec.fan for rec in records.values()] + seeded_blowups(records, (9, 10, 11), seed=5)
+        for fan in fans + [hirzebruch_f1(), p1_times_surface(8)]:
+            assert is_complete(fan)
+            _patterns.cache_clear()
+            for mask in range(1 << fan.n_rays):
+                assert _pattern_ranks(fan, mask) == boundary_ranks(fan, mask), (fan.rays, mask)
+
+    def test_only_the_subset_rule_fires_on_an_incomplete_fan(self):
+        fan = p3_without_a_cone()
+        assert not is_complete(fan) and not _patterns(fan).complete
+        _patterns.cache_clear()
+        for mask in range(1 << fan.n_rays):
+            assert _pattern_ranks(fan, mask) == boundary_ranks(fan, mask), mask
+        # the complement {v4} of {v1, v2, v3} lies in a maximal cone, yet the pattern bounds the hole
+        assert _pattern_ranks(fan, 0b0111) == (0, 0, 1, 0)
+        # the full pattern is a disk here, with zero ranks, but it still counts for the sections
+        assert _pattern_ranks(fan, 0b1111) == (0, 0, 0, 0)
+        assert _contributing(fan, {0b1111, 0b0111, 0b0001}) == {0b1111, 0b0111}
+
+    def test_the_theorem_ranks_few_boundary_matrices(self, monkeypatch, capsys):
+        ranked = []
+        real = cohomology.reduced_homology_ranks
+        monkeypatch.setattr(cohomology, "reduced_homology_ranks", lambda c: ranked.append(c) or real(c))
+        for memo in (_patterns, forbidden_sets, _vertex_frames, _point_list):
+            memo.cache_clear()
+        assert cli_main(["--format", "json", "prove-main-theorem"]) == 0
+        capsys.readouterr()
+        assert 0 < len(ranked) <= 30   # 23; 210 without the two certificates
+
+
+def boxes_one_at_a_time(fan, divisors):
+    boxes = []
+    for divisor in divisors:
+        for memo in (_vertex_frames, _patterns):
+            memo.cache_clear()
+        boxes.append(_contributing_box(fan, divisor))
+    return boxes
+
+
+def boxes_in_one_pass(fan, divisors):
+    for memo in (_vertex_frames, _patterns):
+        memo.cache_clear()
+    _contributing_boxes(fan, divisors)
+    return [_vertex_frames(fan).boxes[divisor] for divisor in divisors]
+
+
+class TestBatchedBoxes:
+    @pytest.mark.parametrize("name", ["D1", "D2", "E1", "E2", "E4"])
+    def test_a_collection_pass_equals_single_boxes(self, records, contexts, name):
+        ctx = contexts[name]
+        classes = [to_class(ctx, d) for d in records[name].collection]
+        diffs = dict.fromkeys(tuple(b - a for b, a in zip(lb, la)) for la in classes for lb in classes)
+        divisors = [class_to_divisor(ctx, cls) for cls in diffs]
+        assert len(divisors) > 1
+        batched = boxes_in_one_pass(ctx.fan, divisors)
+        assert batched == boxes_one_at_a_time(ctx.fan, divisors)
+        assert any(box is None for box in batched) and any(box is not None for box in batched)
+
+    def test_small_and_huge_divisors_in_one_pass(self, records):
+        fan = records["D1"].fan
+        rng = random.Random(40)
+        small = [tuple(rng.randint(-3, 3) for _ in range(6)) for _ in range(12)]
+        near_2_40 = [tuple(rng.randint(-3, 3) + rng.choice((0, 2**40, -(2**40))) for _ in range(6))
+                     for _ in range(6)]
+        huge = [(2**63 - 1, 1, -1, 0, 2, -1), (0, 1, -(2**62), 0, 1, 0)]
+        for divisors in (small + near_2_40, small + near_2_40 + huge):   # int64, then the object dtype
+            assert boxes_in_one_pass(fan, divisors) == boxes_one_at_a_time(fan, divisors)
+        assert max(abs(x) for d in huge for x in d) >= _INT64_SAFE
+
+    def test_the_memo_stays_bounded(self, records):
+        fan = records["D1"].fan
+        _vertex_frames.cache_clear()
+        boxes = _vertex_frames(fan).boxes
+        divisors = [(a, b, c, 0, 0, 0) for a in range(-4, 5) for b in range(-4, 5) for c in range(-2, 2)]
+        for divisor in divisors[:200]:
+            _contributing_box(fan, divisor)
+            assert 0 < len(boxes) <= _POINT_CACHE_SIZE and divisor in boxes
+        _contributing_boxes(fan, divisors[150:])   # a pass larger than the memo keeps every box it was asked for
+        assert set(boxes) == set(divisors[150:])
+        _contributing_box(fan, divisors[0])
+        assert list(boxes) == [divisors[0]]

@@ -1,10 +1,14 @@
 """Fan combinatorics: validation, primitive collections/relations, Fano test."""
 
+import random
+
 import pytest
 
-from toric_exc.errors import InteriorCoverFailure
-from toric_exc.fan import (Fan, is_face, is_fano, primitive_collections,
-                           primitive_relations, validate_fan)
+from toric_exc.errors import InteriorCoverFailure, NotUnimodular
+from toric_exc.fan import (Fan, _completeness_problems, cone_inverse, cone_matrix, is_complete,
+                           is_face, is_fano, primitive_collections, primitive_relations,
+                           validate_fan)
+from toric_exc.lattice import IntMatrix, unimodular_inverse
 
 P3 = Fan.make(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
               [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
@@ -14,6 +18,35 @@ HIRZEBRUCH_F2 = Fan.make(2, [(1, 0), (0, 1), (-1, 2), (0, -1)],
 
 def one_based(sets):
     return {tuple(i + 1 for i in s) for s in sets}
+
+
+def seeded_blowup(fan, m, seed):
+    """Star-subdivide seeded maximal cones and 2-faces of a 3-fan until it has m rays."""
+    rng = random.Random(seed)
+    rays, cones = [list(r) for r in fan.rays], [tuple(c) for c in fan.max_cones]
+    while len(rays) < m:
+        cone = rng.choice(cones)
+        face = cone if rng.random() < 0.5 else tuple(rng.sample(cone, 2))
+        rays.append([sum(rays[i][k] for i in face) for k in range(3)])
+        for c in [c for c in cones if set(face) <= set(c)]:
+            cones.remove(c)
+            cones += [tuple(set(c) - {i} | {len(rays) - 1}) for i in face]
+    return Fan.make(3, rays, cones)
+
+
+def seeded_blowups(records, sizes, seed):
+    rng = random.Random(seed)
+    return [seeded_blowup(records[rng.choice(sorted(records))].fan, m, rng.randrange(10 ** 6)) for m in sizes]
+
+
+def folded_suspension():
+    """Cones over three triangles around the z-axis, one of which folds back over another.
+
+    Every facet lies in exactly two maximal cones and every cone is smooth,
+    but the cones over the facet {v1, v4} lie on the same side of it.
+    """
+    rays = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (0, 0, -1)]
+    return Fan.make(3, rays, [(i, j, t) for i, j in ((0, 1), (1, 2), (0, 2)) for t in (3, 4)])
 
 
 class TestValidateFan:
@@ -49,10 +82,69 @@ class TestValidateFan:
         report = validate_fan(halfopen)
         assert not report.complete
 
+    def test_p3_without_a_cone_names_the_open_facets(self):
+        p3_without = Fan.make(3, P3.rays, [(0, 1, 3), (0, 2, 3), (1, 2, 3)])
+        report = validate_fan(p3_without)
+        assert not report.ok and not report.complete and report.smooth
+        assert report.problems == tuple(f"facet {f} lies in 1 maximal cones, expected 2"
+                                        for f in ((0, 1), (0, 2), (1, 2)))
+        assert not is_complete(p3_without)
+
+    def test_duplicated_cone_is_rejected(self):
+        doubled = Fan.make(3, P3.rays, P3.max_cones + ((0, 1, 2),))
+        report = validate_fan(doubled)
+        assert not report.ok and not report.complete
+        assert "facet (0, 1) lies in 3 maximal cones, expected 2" in report.problems
+
+    def test_cones_on_one_side_of_a_facet_are_rejected(self):
+        fan = folded_suspension()
+        report = validate_fan(fan)
+        assert report.smooth and report.simplicial and not report.complete
+        assert "facet (0, 3): maximal cones (0, 1, 3) and (0, 2, 3) do not lie on opposite sides of it" \
+            in report.problems
+
+    def test_a_double_cover_fails_the_degree_check(self):
+        # eight 2-D cones that wind twice around the origin: every ray is the
+        # wall between two cones on opposite sides, but (1, 1) lies in two cones
+        rays = [(1, 0), (0, 1), (-1, 0), (0, -1), (2, -1), (1, 2), (-2, 1), (-1, -2)]
+        twice = Fan.make(2, rays, [(i, (i + 1) % 8) for i in range(8)])
+        assert _completeness_problems(twice) == (
+            "the ray sum (1, 1) of maximal cone (0, 1) also lies in maximal cone (4, 5)",)
+        assert not is_complete(twice)
+
+    def test_malformed_cones_are_not_complete(self):
+        assert not is_complete(Fan(3, P3.rays, ((0, 1), (0, 2, 3))))
+        assert not is_complete(Fan(3, P3.rays, ((0, 1, 7),)))
+        assert not is_complete(Fan(3, P3.rays, ()))
+
+    def test_seeded_blowups_are_accepted(self, records):
+        for fan in seeded_blowups(records, (9, 9, 10, 10, 11, 11, 12, 12, 13, 13), seed=7):
+            report = validate_fan(fan)
+            assert report.ok and report.complete and is_complete(fan), fan
+            assert len(fan.max_cones) == 2 * fan.n_rays - 4
+
     def test_catalog_euler_identity(self, records):
         for rec in records.values():
             assert validate_fan(rec.fan).ok, rec.name
+            assert is_complete(rec.fan), rec.name
             assert len(rec.fan.max_cones) == 2 * rec.fan.n_rays - 4
+
+
+class TestConeInverse:
+    def test_cofactors_match_the_smith_form_inverse(self, records):
+        for fan in [rec.fan for rec in records.values()] + seeded_blowups(records, (9, 13), seed=3):
+            for cone in fan.max_cones:
+                inverse = cone_inverse(fan, cone)
+                assert inverse == unimodular_inverse(cone_matrix(fan, cone))
+                assert (cone_matrix(fan, cone) @ inverse).is_identity()
+
+    def test_a_singular_or_non_square_cone_is_refused(self):
+        fan = Fan.make(2, [(1, 0), (1, 2), (0, 1)], [(0, 1), (1, 2)])
+        with pytest.raises(NotUnimodular, match="determinant is 2"):
+            cone_inverse(fan, (0, 1))
+        assert cone_inverse(fan, (1, 2)) == IntMatrix.from_rows([[1, -2], [0, 1]])   # rows (1, 2), (0, 1)
+        with pytest.raises(NotUnimodular, match="not square"):
+            cone_inverse(P3, (0, 1))
 
 
 class TestPrimitiveCollections:

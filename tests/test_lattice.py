@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toric_exc.errors import NotUnimodular
-from toric_exc.lattice import (IntMatrix, determinant, rank, smith_normal_form,
+from toric_exc.lattice import (IntMatrix, _cross, determinant, rank, smith_normal_form,
                                solve_integer, unimodular_inverse)
 
 A3_D1 = IntMatrix.from_rows([[1, 0, 0], [-1, -1, 2], [-1, -1, 1]])
@@ -146,3 +146,22 @@ class TestRank:
     def test_rank_matches_snf(self, A):
         s = smith_normal_form(A)
         assert rank(A) == sum(1 for d in s.D.diagonal_entries() if d != 0)
+
+
+square_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+class TestCross:
+    def test_three_dimensional_cross_product(self):
+        assert _cross([(1, 0, 0), (0, 1, 0)], 3) == (0, 0, 1)
+        assert _cross([(1, 2, 3), (-1, 0, 2)], 3) == (4, -5, 2)
+
+    @given(square_matrices)
+    @settings(max_examples=150, deadline=None)
+    def test_pairing_is_the_bareiss_determinant(self, rows):
+        # <cross(rows[1:]), rows[0]> = det(rows), and cross(rows[1:]) is orthogonal to each of them
+        n = len(rows)
+        x = _cross(rows[1:], n)
+        assert sum(a * b for a, b in zip(x, rows[0])) == determinant(IntMatrix.from_rows(rows))
+        assert all(sum(a * b for a, b in zip(x, row)) == 0 for row in rows[1:])
