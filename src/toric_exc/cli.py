@@ -297,7 +297,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_co = sub.add_parser("cohomology", help="cohomology dimensions of a class")
     add_fan_args(p_co)
     p_co.add_argument("--class", dest="cls", required=True, help="class coordinates 'z1 z2 ...'")
-    p_co.add_argument("--box", type=int, default=None, help="initial box radius")
+    p_co.add_argument("--box", type=int, default=None,
+                      help="start radius R: the radius used is the first of R, R+2, ... that holds every "
+                           "contributing character")
 
     p_ve = sub.add_parser("verify", help="verify a full strongly exceptional collection")
     add_fan_args(p_ve)

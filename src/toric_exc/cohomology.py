@@ -20,10 +20,6 @@ without a boundary matrix:
   has C_I a deformation retract of S minus the closed simplex of J, which
   has the reduced homology of a point by Alexander duality.
 
-On a Fano fan the Mustata vanishing theorem gives a fast positive filter:
-any divisor with a representative whose coefficients all lie in {0, 1} is
-acyclic.
-
 Writing a' = a + (<u, v_rho>)_rho for a character u, only the patterns I
 that are empty, forbidden or full can change a dimension or a verdict, and
 they do so through the characters of the region
@@ -47,22 +43,24 @@ all (Borisov-Hua, Adv. Math. 2009):
   ceilings.  A collection check computes the boxes of all its distinct
   difference classes in one vectorised pass; a single query is the same
   pass with one divisor.
-- The box, cut to the cube of the radius being read, is enumerated into a
-  cached list of contributing patterns with the sup norms ||u|| of their
-  characters.
+- The whole box is enumerated once per divisor into a cached list of
+  contributing patterns with the sup norms ||u|| of their characters; a
+  box reaching past _RADIUS_LIMIT raises BoxTooLarge before anything is
+  enumerated.
 
-Every query reads that list at ||u|| <= r, so it sees exactly what the
-centred cube of radius r holds, and re-checks its verdict at r + 2; a
-verdict that changes raises BoxUnstable (or the radius keeps growing when
-escalate is set).  Unless a query is given a box radius, it starts from
-max(3, 2 + the largest |class coordinate|); a start past _RADIUS_LIMIT
-raises BoxTooLarge before any box is built.  Once the cube holds the
-certified box, the r and r + 2 readings agree and are exact.
+Every query reads its answer from that whole list, so every answer is
+exact.  A query checks its start radius r0 first: box_radius if given,
+else max(3, 2 + the largest |class coordinate|).  An r0 below 1 raises
+ValueError and one past _RADIUS_LIMIT raises BoxTooLarge, before any box
+is built.  cohomology_table reports as box_radius_used the first of r0,
+r0 + 2, ... that holds every listed character.  Without escalate, an
+answer that rests on a character past r0 raises BoxUnstable instead.  A
+verdict query that escalates from no given radius needs no r0, so it does
+not compute the class.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -73,12 +71,13 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import BoxTooLarge, BoxUnstable, TooManyRays, UnboundedRegion
-from .fan import Fan, is_complete, is_fano
+from .fan import Fan, is_complete
 from .lattice import _INT64_SAFE, IntMatrix, _cross, rank as matrix_rank
 from .picard import ClassVector, PicContext, to_class
 
 _MAX_SWEEP_RAYS = 20
-_POINT_CACHE_SIZE = 128  # the differences a collection check repeats, and one class's radii
+_RADIUS_LIMIT = 40  # the largest start radius, and the farthest a certified box may reach
+_POINT_CACHE_SIZE = 128  # the differences a collection check repeats
 _PASS_ELEMENTS = 1 << 20  # gap entries (divisors x vertex candidates x rays) per vectorised box pass
 
 
@@ -395,146 +394,111 @@ def _contributing_boxes(fan: Fan, divisors: Sequence[tuple[int, ...]]) -> None:
             boxes[batch[d]] = _Box(tuple(lo), tuple(hi), max(map(abs, lo + hi)))
 
 
-class PointList(NamedTuple):
-    """D's contributing characters up to some sup norm, grouped by pattern."""
-
-    norms: Mapping[int, tuple[int, ...]]    # contributing mask -> ascending ||u|| of its characters
-    mustata_norm: float                     # least ||u|| whose representative is 0/1 everywhere
-
-    def reaches(self, mask: int, radius: int) -> bool:
-        """Does the pattern have a character in the cube of that radius?"""
-        norms = self.norms.get(mask)
-        return norms is not None and norms[0] <= radius
-
-
-_NO_POINTS = PointList(MappingProxyType({}), float("inf"))
+_NO_POINTS: Mapping[int, tuple[int, ...]] = MappingProxyType({})
 
 
 @lru_cache(maxsize=_POINT_CACHE_SIZE)
-def _point_list(fan: Fan, divisor: tuple[int, ...], clip: int) -> PointList:
-    """The contributing characters in the certified box cut to [-clip, clip]^n.
+def _point_list(fan: Fan, divisor: tuple[int, ...]) -> Mapping[int, tuple[int, ...]]:
+    """Every contributing character of D: contributing mask -> ascending ||u|| of its characters.
 
-    Bit i of a mask is set when the representative a + pairing*u is
-    nonnegative on ray i.  This is the one place where characters are built.
+    The whole certified box is enumerated once; a box reaching past
+    _RADIUS_LIMIT raises BoxTooLarge before anything is enumerated.  Bit i
+    of a mask is set when the representative a + pairing*u is nonnegative on
+    ray i.  This is the one place where characters are built.
     """
-    frames, box = _vertex_frames(fan), _contributing_box(fan, divisor)
-    n, m = fan.dim, fan.n_rays
-    chars = list(product(*(range(max(l, -clip), min(h, clip) + 1) for l, h in zip(box.lo, box.hi))))
-    if not chars:
+    box = _contributing_box(fan, divisor)
+    if box is None:
         return _NO_POINTS
-    bound = frames.ray_max * clip * n + max(map(abs, divisor))
+    if box.extent > _RADIUS_LIMIT:
+        raise BoxTooLarge(f"the certified box of contributing characters reaches radius {box.extent}, "
+                          f"past the limit {_RADIUS_LIMIT}")
+    frames = _vertex_frames(fan)
+    bound = frames.ray_max * box.extent * fan.dim + max(map(abs, divisor))
     dtype = np.int64 if bound < _INT64_SAFE else object
-    chars = np.array(chars, dtype=np.int64)
+    chars = np.array(list(product(*(range(l, h + 1) for l, h in zip(box.lo, box.hi)))), dtype=np.int64)
     reps = (chars.astype(dtype, copy=False) @ frames.rays_t.astype(dtype, copy=False)
             + np.array(divisor, dtype=dtype))
     masks = ((reps >= 0) @ frames.weights).tolist()
     keep = _contributing(fan, set(masks))
-    norms = np.abs(chars).max(axis=1).tolist()
     by_mask = {}
-    for mask, norm in zip(masks, norms):
+    for mask, norm in zip(masks, np.abs(chars).max(axis=1).tolist()):
         if mask in keep:
             by_mask.setdefault(mask, []).append(norm)
-    full = (1 << m) - 1
-    mustata = float("inf")
-    if full in keep:
-        low = (reps <= 1).all(axis=1).tolist()
-        mustata = min((norm for norm, mask, ok in zip(norms, masks, low) if ok and mask == full), default=mustata)
-    return PointList(MappingProxyType({mask: tuple(sorted(v)) for mask, v in by_mask.items()}), mustata)
+    return MappingProxyType({mask: tuple(sorted(v)) for mask, v in by_mask.items()})
 
 
 # ---------------------------------------------------------------------------
-# bounded searches, read from the contributing list
+# queries, read from the whole contributing list
 # ---------------------------------------------------------------------------
 
 def _radius_for_class(coords: ClassVector) -> int:
     return max(3, max((abs(c) for c in coords), default=0) + 2)
 
 
-_RADIUS_LIMIT = 40
-
-
-def _stabilized(compute, r0: int, escalate: bool, what: str):
-    """Run `compute` at r and r+2 until both agree; optionally keep enlarging.
-
-    Returns (value, radius_at_which_it_first_held).  Without escalation a
-    single disagreement raises BoxUnstable, as the bounded searches promise.
-    """
-    prev = compute(r0)
-    r = r0 + 2
-    while True:
-        cur = compute(r)
-        if cur == prev:
-            return cur, r - 2
-        if not escalate or r + 2 > _RADIUS_LIMIT:
-            raise BoxUnstable(
-                f"{what} changed from {prev} to {cur} when the box grew to radius {r}; raise the radius"
-            )
-        prev, r = cur, r + 2
-
-
-def _reader(ctx: PicContext, divisor: Sequence[int], box_radius: Optional[int]):
-    """radius -> D's contributing list complete up to that radius, and the radius to start from."""
-    fan, key = ctx.fan, tuple(map(int, divisor))
-    r0 = _radius_for_class(to_class(ctx, divisor)) if box_radius is None else box_radius
+def _checked_radius(r0: int) -> int:
+    """The start radius, refused before any box is built when it is below 1 or past the limit."""
     if r0 < 1:
         raise ValueError("box_radius must be >= 1")
     if r0 > _RADIUS_LIMIT:
         raise BoxTooLarge(f"the search box would start at radius {r0}, past the limit {_RADIUS_LIMIT}")
-    box = _contributing_box(fan, key)
-    if box is None:
-        return (lambda radius: _NO_POINTS), r0
-    # r0 and r0 + 2 are always read, so one enumeration serves both
-    return (lambda radius: _point_list(fan, key, min(max(radius, r0 + 2), box.extent))), r0
+    return r0
+
+
+def _has_character(ctx: PicContext, divisor: Sequence[int], box_radius: Optional[int], escalate: bool,
+                   wanted, what: str) -> bool:
+    """Does D have a contributing character whose mask passes `wanted`?
+
+    Read from the whole list.  The start radius r0 is box_radius, else the
+    class-derived one; an escalating query from no given radius needs none.
+    Without escalate, a yes whose nearest such character lies past r0
+    raises BoxUnstable.
+    """
+    r0 = None
+    if box_radius is not None or not escalate:
+        r0 = _checked_radius(_radius_for_class(to_class(ctx, divisor)) if box_radius is None else box_radius)
+    points = _point_list(ctx.fan, tuple(map(int, divisor)))
+    nearest = min((norms[0] for mask, norms in points.items() if wanted(mask)), default=None)
+    if nearest is not None and not escalate and nearest > r0:
+        raise BoxUnstable(f"the {what} rests on a character of sup norm {nearest}, past the radius {r0}; "
+                          f"raise the radius")
+    return nearest is not None
 
 
 def is_forbidden_form(ctx: PicContext, divisor: Sequence[int], forbidden_set: Sequence[int],
                       box_radius: Optional[int] = None, escalate: bool = False) -> bool:
     """Does some representative of D sit exactly on the sign pattern of I?
 
-    That is: a' >= 0 on I and a' <= -1 off I for some a' ~ D, with the
-    character in the cube of the search radius.  The search starts at the
-    class-derived radius unless box_radius is given, and is re-run two steps
-    larger; a flip of verdict raises BoxUnstable (or keeps enlarging when
-    escalate is set).  I must be empty, full or forbidden: only those
-    patterns' characters are enumerated, so any other I raises ValueError
-    instead of being searched for in the cube.
+    That is: a' >= 0 on I and a' <= -1 off I for some a' ~ D.  I must be
+    empty, full or forbidden: only those patterns' characters are
+    enumerated, so any other I raises ValueError.  Without escalate, a yes
+    whose character lies past the start radius raises BoxUnstable.
     """
-    fan = ctx.fan
-    points, r0 = _reader(ctx, divisor, box_radius)
     target = _mask_of(forbidden_set)
-    if not _contributing(fan, {target}):
+    if not _contributing(ctx.fan, {target}):
         raise ValueError(f"ray set {tuple(forbidden_set)} is not empty, full or forbidden")
-    return _stabilized(lambda r: points(r).reaches(target, r), r0, escalate, "is_forbidden_form verdict")[0]
+    return _has_character(ctx, divisor, box_radius, escalate, lambda mask: mask == target,
+                          "is_forbidden_form verdict")
 
 
 def has_nonzero_global_sections(ctx: PicContext, divisor: Sequence[int],
                                 box_radius: Optional[int] = None, escalate: bool = False) -> bool:
-    """True when D is linearly equivalent to an effective toric divisor."""
+    """True when D is linearly equivalent to an effective toric divisor: the full pattern is listed."""
     full = (1 << ctx.fan.n_rays) - 1
-    points, r0 = _reader(ctx, divisor, box_radius)
-    return _stabilized(lambda r: points(r).reaches(full, r), r0, escalate, "sections verdict")[0]
+    return _has_character(ctx, divisor, box_radius, escalate, lambda mask: mask == full, "sections verdict")
 
 
 def is_acyclic(ctx: PicContext, divisor: Sequence[int],
                box_radius: Optional[int] = None, escalate: bool = False) -> bool:
     """Borisov-Hua acyclicity test: no representative with a forbidden pattern.
 
-    The Mustata filter short-circuits the common effective cases on Fano
-    fans.  Otherwise every pattern in the contributing list other than the
-    full one is forbidden, so no sweep over all ray subsets is needed.
+    Every pattern in the contributing list other than the full one is
+    forbidden, so D is acyclic exactly when the full pattern is the only one
+    listed; no sweep over all ray subsets is needed.  Without escalate, a
+    forbidden character past the start radius raises BoxUnstable.
     """
-    fan = ctx.fan
-    points, r0 = _reader(ctx, divisor, box_radius)
-    # On a Fano fan, any divisor equivalent to a 0/1 combination of rays is
-    # acyclic (ample anticanonical minus distinct toric divisors).
-    if is_fano(fan) and points(r0).mustata_norm <= r0:
-        return True
-    full = (1 << fan.n_rays) - 1
-
-    def acyclic_at(radius: int) -> bool:
-        return all(norms[0] > radius for mask, norms in points(radius).norms.items() if mask != full)
-
-    return _stabilized(acyclic_at, r0, escalate, "acyclicity verdict")[0]
+    full = (1 << ctx.fan.n_rays) - 1
+    return not _has_character(ctx, divisor, box_radius, escalate, lambda mask: mask != full,
+                              "acyclicity verdict")
 
 
 # ---------------------------------------------------------------------------
@@ -554,28 +518,23 @@ class CohomologyTable:
 
 def cohomology_table(ctx: PicContext, divisor: Sequence[int],
                      box_radius: Optional[int] = None, escalate: bool = False) -> CohomologyTable:
-    """All cohomology dimensions of O(D) by direct summation over the box.
+    """All cohomology dimensions of O(D) by direct summation over the certified box.
 
-    Every contributing character in the cube of radius r adds its pattern
-    subcomplex's reduced homology; the dimensions must agree with those of
-    the cube two steps larger, else BoxUnstable is raised (or the cube keeps
-    growing when escalate is set).  Once the cube holds the certified box,
-    the dimensions are exact.
+    Every contributing character adds its pattern subcomplex's reduced
+    homology, so the dimensions are exact.  box_radius_used is the first of
+    r0, r0 + 2, ... that holds every listed character, where r0 is
+    box_radius, else the class-derived start radius; without escalate, a
+    list reaching past r0 raises BoxUnstable.
     """
     fan = ctx.fan
-    n = fan.dim
     cls = to_class(ctx, divisor)
-    points, r0 = _reader(ctx, divisor, _radius_for_class(cls) if box_radius is None else box_radius)
-    ranks_of = _patterns(fan).ranks
-
-    def dims_at(radius: int) -> tuple[int, ...]:
-        dims = [0] * (n + 1)
-        for msk, norms in points(radius).norms.items():
-            count = bisect_right(norms, radius)
-            if count:
-                ranks = ranks_of[msk] if msk in ranks_of else _pattern_ranks(fan, msk)
-                dims = [d + count * h for d, h in zip(dims, reversed(ranks))]
-        return tuple(dims)
-
-    dims, radius_used = _stabilized(dims_at, r0, escalate, "cohomology dimensions")
-    return CohomologyTable(cls, dims, radius_used)
+    r0 = _checked_radius(_radius_for_class(cls) if box_radius is None else box_radius)
+    points = _point_list(fan, tuple(map(int, divisor)))
+    dims = [0] * (fan.dim + 1)
+    for mask, norms in points.items():
+        dims = [d + len(norms) * h for d, h in zip(dims, reversed(_pattern_ranks(fan, mask)))]
+    reach = max((norms[-1] for norms in points.values()), default=0)
+    if reach > r0 and not escalate:
+        raise BoxUnstable(f"the cohomology dimensions rest on characters up to sup norm {reach}, "
+                          f"past the radius {r0}; raise the radius")
+    return CohomologyTable(cls, tuple(dims), r0 + max(0, reach - r0 + 1) // 2 * 2)

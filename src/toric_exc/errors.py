@@ -44,11 +44,11 @@ class TooManyRays(ToricExcError):
 
 
 class BoxUnstable(ToricExcError):
-    """A bounded lattice search changed its verdict when the box was enlarged."""
+    """A query held to its start radius (no escalation) has an answer resting on a character past it."""
 
 
 class BoxTooLarge(ToricExcError):
-    """A bounded lattice search would start from a box past the radius limit."""
+    """A query's start radius, or the certified box of its contributing characters, is past the radius limit."""
 
 
 class UnboundedRegion(ToricExcError):

@@ -107,7 +107,8 @@ def verify_strongly_exceptional(ctx: PicContext, collection: OrderedCollection) 
 
     Each distinct difference class is formed once, with its divisor, and
     asked once; the certified boxes of all of them come from one pass.
-    Every query escalates its box until the verdict is stable.
+    Every query escalates, so it reads its verdict from the whole certified
+    box; a box past the radius limit raises BoxTooLarge.
     """
     if any(len(cls) != ctx.rank for cls in collection.classes):
         raise ValueError("collection class vectors do not match the Picard rank")

@@ -6,8 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-from toric_exc.catalog import load_catalog
+import pytest
+
+from toric_exc.catalog import get_record, load_catalog
 from toric_exc.cli import main
+from toric_exc.errors import BoxTooLarge
+from toric_exc.exceptional import OrderedCollection, verify_strongly_exceptional
+from toric_exc.picard import build_pic_context
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -96,6 +101,23 @@ class TestCohomology:
             assert len(err.splitlines()) == 1 and "too large to search" in err
 
 
+    def test_a_box_radius_changes_no_dimension(self, capsys):
+        # radius 1 and radius 3 both see no character, yet h^1 = 49 further out
+        dims = []
+        for box in ([], ["--box", "1"]):
+            code, out, _ = run_cli(capsys, "--format", "json", "cohomology", "--variety", "B2",
+                                   "--class", "-7 4", *box)
+            results = json.loads(out)["results"]
+            assert code == 0 and results["acyclic"] is False
+            dims.append(results["dims"])
+        assert dims == [[0, 49, 0, 0]] * 2
+
+    def test_a_box_past_the_radius_limit_is_usage_error(self, capsys):
+        # the class starts at radius 32, but its certified box reaches 59
+        code, out, err = run_cli(capsys, "cohomology", "--variety", "D1", "--class", "0 30 0")
+        assert code == 2 and out == ""
+        assert "too large to search" in err and "radius 59" in err
+
 class TestForbidden:
     def test_d1_eleven_sets(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "json", "forbidden", "--variety", "D1")
@@ -145,6 +167,16 @@ class TestVerify:
         assert payload["results"]["strongly_exceptional"] is True
         assert json.loads(json.dumps(payload)) == payload
 
+
+    def test_a_difference_past_the_radius_limit_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "coll.txt"
+        path.write_text("0 0 0\n0 30 0\n")
+        code, out, err = run_cli(capsys, "verify", "--variety", "D1", "--collection", str(path))
+        assert code == 1 and out == ""
+        assert "certified box" in err and "radius 59" in err
+        ctx = build_pic_context(get_record("D1").fan, get_record("D1").pic_basis)
+        with pytest.raises(BoxTooLarge):
+            verify_strongly_exceptional(ctx, OrderedCollection(((0, 0, 0), (0, 30, 0))))
 
 class TestProveMainTheorem:
     def test_all_pass_and_deterministic(self, capsys):

@@ -6,16 +6,15 @@ import math
 import operator
 import random
 import time
-from bisect import bisect_right
 from collections import Counter
 
 import pytest
 
 from toric_exc import cohomology
 from toric_exc.cli import main as cli_main
-from toric_exc.cohomology import (_POINT_CACHE_SIZE, _check_bounded, _contributing, _contributing_box,
-                                  _contributing_boxes, _pattern_ranks, _patterns, _point_list,
-                                  _radius_for_class, _reader, _vertex_frames,
+from toric_exc.cohomology import (_POINT_CACHE_SIZE, _RADIUS_LIMIT, _check_bounded, _contributing,
+                                  _contributing_box, _contributing_boxes, _pattern_ranks, _patterns,
+                                  _point_list, _radius_for_class, _vertex_frames,
                                   cohomology_table, forbidden_sets, full_subcomplex,
                                   has_nonzero_global_sections, is_acyclic, is_forbidden_form,
                                   reduced_homology_ranks)
@@ -152,19 +151,6 @@ class TestAcyclicity:
         table = cohomology_table(d1_ctx, hard, box_radius=4, escalate=True)
         assert table.dims == (0, 33, 0, 0)
 
-    def test_mustata_filter_is_sound(self, d1, d1_ctx):
-        # the shortcut must agree with the oracle, and it must be exercised
-        fired = 0
-        for cls in itertools.product(range(-1, 3), repeat=3):
-            D = class_to_divisor(d1_ctx, cls)
-            table = cohomology_table(d1_ctx, D, escalate=True)
-            assert is_acyclic(d1_ctx, D, escalate=True) == table.is_acyclic, cls
-            start = _radius_for_class(cls)
-            if _reader(d1_ctx, D, start)[0](start).mustata_norm <= start:
-                fired += 1
-                assert table.is_acyclic, cls
-        assert 0 < fired < 64
-
     def test_start_past_the_radius_limit_raises_before_any_box(self, d1_ctx):
         huge = class_to_divisor(d1_ctx, (10 ** 20, 0, 0))
         for query in (cohomology_table, is_acyclic, has_nonzero_global_sections):
@@ -226,12 +212,8 @@ class TestOracleAgreement:
 
 
 def plain_histogram(fan, divisor, radius):
-    """Sign-mask counts and the Mustata flag over the character box, in Python ints."""
-    counts, mustata = Counter(), False
-    for u, mask, rep in plain_representatives(fan, divisor, radius):
-        counts[mask] += 1
-        mustata = mustata or all(c in (0, 1) for c in rep)
-    return dict(counts), mustata
+    """Sign-mask counts over the character box, in Python ints."""
+    return dict(Counter(mask for _, mask, _ in plain_representatives(fan, divisor, radius)))
 
 
 def plain_representatives(fan, divisor, radius):
@@ -250,9 +232,9 @@ def contributes(fan, mask):
 
 def listed_counts(ctx, divisor, radius):
     """Per-mask counts of the contributing list's characters with sup norm <= radius."""
-    points = _reader(ctx, divisor, radius)[0](radius)
-    return {mask: bisect_right(norms, radius) for mask, norms in points.norms.items()
-            if bisect_right(norms, radius)}
+    counts = {mask: sum(norm <= radius for norm in norms)
+              for mask, norms in _point_list(ctx.fan, tuple(divisor)).items()}
+    return {mask: count for mask, count in counts.items() if count}
 
 
 def clear_point_caches():
@@ -266,28 +248,22 @@ class TestPatternHistogram:
     @pytest.mark.parametrize("divisor", [(2**63 - 1, 1, -1, 0, 2, -1), (2**63 - 1, 0, 0, 1, 0, 0),
                                          (0, 1, -(2**62), 0, 1, 0)])
     def test_object_dtype_fallback_matches_python_ints(self, d1, d1_ctx, divisor):
-        # An entry past the int64-safe bound forces the object-dtype path;
-        # int64 arithmetic would wrap 2**63 - 1 + 1 to a negative number.
+        # An entry past the int64-safe bound forces the object-dtype path of
+        # the box pass; int64 arithmetic would wrap 2**63 - 1 + 1 to a
+        # negative number.  The certified box then reaches far past the
+        # radius limit, so every query refuses it before enumerating.
         assert max(abs(a) for a in divisor) >= _INT64_SAFE
         fan = d1.fan
-        counts, mustata = plain_histogram(fan, divisor, 1)
-        assert sum(counts.values()) == 27
-        points = _reader(d1_ctx, divisor, 1)[0](1)
-        assert listed_counts(d1_ctx, divisor, 1) == {k: c for k, c in counts.items() if contributes(fan, k)}
-        assert (points.mustata_norm <= 1) == mustata
-
-        wider, _ = plain_histogram(fan, divisor, 3)
-        full = (1 << fan.n_rays) - 1
-        targets = [(full, lambda: has_nonzero_global_sections(d1_ctx, divisor, box_radius=1))]
-        for I in forbidden_sets(fan).forbidden:
-            mask = sum(1 << i for i in I)
-            targets.append((mask, lambda I=I: is_forbidden_form(d1_ctx, divisor, I, box_radius=1)))
-        for mask, query in targets:
-            if (mask in counts) == (mask in wider):
-                assert query() == (mask in counts), mask
-            else:
-                with pytest.raises(BoxUnstable):
-                    query()
+        assert sum(plain_histogram(fan, divisor, 1).values()) == 27
+        assert _contributing_box(fan, divisor).extent > 2**50
+        queries = [lambda: cohomology_table(d1_ctx, divisor, box_radius=1),
+                   lambda: has_nonzero_global_sections(d1_ctx, divisor, box_radius=1),
+                   lambda: is_acyclic(d1_ctx, divisor, box_radius=1)]
+        queries += [lambda I=I: is_forbidden_form(d1_ctx, divisor, I, box_radius=1)
+                    for I in forbidden_sets(fan).forbidden]
+        for query in queries:
+            with pytest.raises(BoxTooLarge):
+                query()
 
     def test_sharing_changes_no_answer(self, records, contexts):
         rng = random.Random(2024)
@@ -417,12 +393,14 @@ class TestPlainCrossCheck:
     def test_counts_and_box_against_python_ints(self, records, contexts):
         for ctx, divisor in cross_check_cases(records, contexts):
             fan = ctx.fan
-            for radius in range(1, 9):
-                counts, mustata = plain_histogram(fan, divisor, radius)
-                want = {k: c for k, c in counts.items() if contributes(fan, k)}
-                assert listed_counts(ctx, divisor, radius) == want, (fan.rays, divisor, radius)
-                assert (_reader(ctx, divisor, radius)[0](radius).mustata_norm <= radius) == mustata
             box = _contributing_box(fan, tuple(divisor))
+            if box is not None and box.extent > _RADIUS_LIMIT:   # the huge divisor: refused before enumerating
+                with pytest.raises(BoxTooLarge):
+                    listed_counts(ctx, divisor, 1)
+            else:
+                for radius in range(1, 9):
+                    want = {k: c for k, c in plain_histogram(fan, divisor, radius).items() if contributes(fan, k)}
+                    assert listed_counts(ctx, divisor, radius) == want, (fan.rays, divisor, radius)
             for u, mask, _ in plain_representatives(fan, divisor, 12):
                 if contributes(fan, mask):
                     assert box is not None and all(l <= x <= h for l, x, h in zip(box.lo, u, box.hi)), u
@@ -433,19 +411,91 @@ class TestPlainCrossCheck:
             box = _contributing_box(ctx.fan, tuple(divisor))
             dims = [0] * (ctx.fan.dim + 1)
             if box is not None:
-                for mask, norms in _point_list(ctx.fan, tuple(divisor), box.extent).norms.items():
+                for mask, norms in _point_list(ctx.fan, tuple(divisor)).items():
                     vs = [i for i in range(ctx.fan.n_rays) if mask >> i & 1]
                     ranks = reduced_homology_ranks(full_subcomplex(ctx.fan, vs))
                     dims = [d + len(norms) * h for d, h in zip(dims, reversed(ranks))]
             assert tuple(dims) == cohomology_table(ctx, divisor, escalate=True).dims
 
-    def test_a_huge_divisor_enumerates_no_more_than_the_cube(self, d1_ctx):
+    def test_a_huge_divisor_enumerates_no_more_than_the_cube(self, d1_ctx, monkeypatch):
+        # the box reaches past the radius limit, so not one character is built
         divisor = (2**63 - 1, 1, -1, 0, 2, -1)
         box = _contributing_box(d1_ctx.fan, divisor)
-        rows = 1
-        for l, h in zip(box.lo, box.hi):
-            rows *= max(0, min(h, 3) - max(l, -3) + 1)
-        assert rows <= 7 ** 3 and box.extent > 2**50
+        assert box.extent > 2**50
+        built = []
+        monkeypatch.setattr(cohomology, "product", lambda *ranges: built.append(ranges) or iter(()))
+        _point_list.cache_clear()
+        with pytest.raises(BoxTooLarge, match=str(box.extent)):
+            _point_list(d1_ctx.fan, divisor)
+        assert built == []
+
+
+def plain_norms(fan, divisor, radius):
+    """Contributing mask -> ascending sup norms of its characters in the centred cube, in Python ints."""
+    found = {}
+    for u, mask, _ in plain_representatives(fan, divisor, radius):
+        if contributes(fan, mask):
+            found.setdefault(mask, []).append(max(map(abs, u)))
+    return {mask: sorted(norms) for mask, norms in found.items()}
+
+
+def exactness_cases(records):
+    """(ctx, divisor): seeded classes in [-8, 8]^rho on the 18 catalog fans and on seeded star subdivisions."""
+    rng = random.Random(1010)
+    contexts = [build_pic_context(rec.fan, rec.pic_basis) for _, rec in sorted(records.items())]
+    contexts += [build_pic_context(fan) for fan in seeded_blowups(records, (9, 10, 11), seed=5)]
+    return [(ctx, class_to_divisor(ctx, [rng.randint(-8, 8) for _ in range(ctx.rank)]))
+            for ctx in contexts for _ in range(3)]
+
+
+class TestExactness:
+    """Every answer is read from the whole certified box, whatever the start radius."""
+
+    def test_every_query_equals_a_plain_count(self, records):
+        for ctx, divisor in exactness_cases(records):
+            fan, full = ctx.fan, (1 << ctx.fan.n_rays) - 1
+            targets = [0] + [sum(1 << i for i in I) for I in forbidden_sets(fan).forbidden if I] + [full]
+            queries = {"table": lambda **kw: cohomology_table(ctx, divisor, **kw).dims,
+                       "acyclic": lambda **kw: is_acyclic(ctx, divisor, **kw),
+                       "sections": lambda **kw: has_nonzero_global_sections(ctx, divisor, **kw)}
+            for t in targets:
+                rays = [i for i in range(fan.n_rays) if t >> i & 1]
+                queries[t] = lambda rays=rays, **kw: is_forbidden_form(ctx, divisor, rays, **kw)
+            box = _contributing_box(fan, divisor)
+            # a cube two steps past the box: a character the box missed would show
+            found = plain_norms(fan, divisor, 2 + (box.extent if box else 0))
+            dims = [0] * (fan.dim + 1)
+            for mask, norms in found.items():
+                dims = [d + len(norms) * h for d, h in zip(dims, reversed(boundary_ranks(fan, mask)))]
+            reach = max((norms[-1] for norms in found.values()), default=0)
+            nearest_forbidden = min((norms[0] for mask, norms in found.items() if mask != full), default=0)
+            want = {"table": (tuple(dims), reach),
+                    "acyclic": (all(mask == full for mask in found), nearest_forbidden),
+                    "sections": (full in found, found[full][0] if full in found else 0)}
+            want.update((t, (t in found, found[t][0] if t in found else 0)) for t in targets)
+            for radius in (None, 1, 4):
+                r0 = _radius_for_class(to_class(ctx, divisor)) if radius is None else radius
+                table = cohomology_table(ctx, divisor, box_radius=radius, escalate=True)
+                assert table.box_radius_used == next(r for r in itertools.count(r0, 2) if r >= reach)
+                for key, query in queries.items():
+                    answer, needs = want[key]
+                    assert query(box_radius=radius, escalate=True) == answer, (fan.rays, divisor, key)
+                    if needs > r0:   # the answer rests on a character past the start radius
+                        with pytest.raises(BoxUnstable):
+                            query(box_radius=radius)
+                    else:
+                        assert query(box_radius=radius) == answer, (fan.rays, divisor, key, radius)
+
+    def test_a_sweep_class_computes_its_class_once(self, contexts, monkeypatch):
+        calls = []
+        real = cohomology.to_class
+        monkeypatch.setattr(cohomology, "to_class", lambda ctx, d: calls.append(d) or real(ctx, d))
+        ctx = contexts["E1"]
+        divisor = class_to_divisor(ctx, (1, -2, 0, 2))
+        cohomology_table(ctx, divisor, escalate=True)
+        is_acyclic(ctx, divisor, escalate=True)
+        has_nonzero_global_sections(ctx, divisor, escalate=True)
+        assert len(calls) == 1
 
 
 def boundary_ranks(fan, mask):
