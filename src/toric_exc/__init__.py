@@ -12,8 +12,7 @@ from .catalog import (FanoRecord, catalog_names, format_fan_file, get_record,
                       load_catalog, parse_fan_file, validate_catalog)
 from .cohomology import (CohomologyTable, ForbiddenSetReport, SimplicialSubcomplex,
                          cohomology_table, forbidden_sets, full_subcomplex,
-                         has_nonzero_global_sections, is_acyclic, is_forbidden_form,
-                         reduced_homology_ranks)
+                         has_nonzero_global_sections, is_acyclic, reduced_homology_ranks)
 from .errors import (BoxTooLarge, BoxUnstable, InteriorCoverFailure, NotABasis,
                      NotPrimitive, NotStabilized, NotUnimodular, RayNotCovered,
                      TermOutsideCollection, TooManyRays, ToricExcError, TorsionInPicard)
@@ -23,12 +22,9 @@ from .exceptional import (FullnessCertificate, KoszulCertified, KoszulReduction,
                           koszul_reduction_certificate, verify_strongly_exceptional)
 from .fan import (Fan, FanValidation, PrimitiveRelation, is_fano,
                   primitive_collections, primitive_relations, validate_fan)
-from .frobenius import (ConeFrame, FrobeniusDecomposition, cone_frame, decompose,
-                        divide_step, first_chern_sum, stable_summands, summand_divisor)
-from .lattice import (IntMatrix, SNFResult, determinant, rank, smith_normal_form,
-                      solve_integer, unimodular_inverse)
-from .picard import (PicContext, anticanonical_divisor, are_linearly_equivalent,
-                     build_pic_context, canonical_divisor, class_label,
-                     class_to_divisor, divisor_label, pairing_matrix, to_class)
+from .frobenius import FrobeniusDecomposition, decompose, first_chern_sum, stable_summands
+from .lattice import IntMatrix, SNFResult, determinant, rank, smith_normal_form, unimodular_inverse
+from .picard import (PicContext, anticanonical_divisor, build_pic_context, canonical_divisor,
+                     class_label, class_to_divisor, divisor_label, pairing_matrix, to_class)
 
 __version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """Command line front end emitting human-readable or JSON reports.
 
 Exit codes: 0 when every requested check passes, 1 when a mathematical
-check fails, 2 on usage or data errors.  JSON output is stable-ordered
+check fails, 2 on usage or data errors (a class whose search box is past
+the radius limit among them).  JSON output is stable-ordered
 (sorted keys, classes in lexicographic order) so repeated runs diff
 cleanly.
 """
@@ -174,10 +175,7 @@ def _cmd_cohomology(args) -> tuple[int, ReportDocument]:
         raise UsageError(f"--box must be at least 1, got {args.box}")
     divisor = class_to_divisor(ctx, cls)
     inputs.update({"class": list(cls)})
-    try:
-        table = cohomology_table(ctx, divisor, box_radius=args.box, escalate=True)
-    except BoxTooLarge as exc:
-        raise UsageError(f"--class too large to search: {exc}") from exc
+    table = cohomology_table(ctx, divisor, box_radius=args.box, escalate=True)
     doc = ReportDocument("cohomology", inputs, {})
     doc.results["dims"] = list(table.dims)
     doc.results["box_radius_used"] = table.box_radius_used
@@ -330,6 +328,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code, doc = _HANDLERS[args.subcommand](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BoxTooLarge as exc:
+        print(f"error: too large to search: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ToricExcError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -464,22 +464,6 @@ def _has_character(ctx: PicContext, divisor: Sequence[int], box_radius: Optional
     return nearest is not None
 
 
-def is_forbidden_form(ctx: PicContext, divisor: Sequence[int], forbidden_set: Sequence[int],
-                      box_radius: Optional[int] = None, escalate: bool = False) -> bool:
-    """Does some representative of D sit exactly on the sign pattern of I?
-
-    That is: a' >= 0 on I and a' <= -1 off I for some a' ~ D.  I must be
-    empty, full or forbidden: only those patterns' characters are
-    enumerated, so any other I raises ValueError.  Without escalate, a yes
-    whose character lies past the start radius raises BoxUnstable.
-    """
-    target = _mask_of(forbidden_set)
-    if not _contributing(ctx.fan, {target}):
-        raise ValueError(f"ray set {tuple(forbidden_set)} is not empty, full or forbidden")
-    return _has_character(ctx, divisor, box_radius, escalate, lambda mask: mask == target,
-                          "is_forbidden_form verdict")
-
-
 def has_nonzero_global_sections(ctx: PicContext, divisor: Sequence[int],
                                 box_radius: Optional[int] = None, escalate: bool = False) -> bool:
     """True when D is linearly equivalent to an effective toric divisor: the full pattern is listed."""

@@ -50,10 +50,6 @@ class IntMatrix:
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(tuple((0,) * cols for _ in range(rows)))
-
-    @classmethod
     def diagonal(cls, diag: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntMatrix":
         r = rows if rows is not None else len(diag)
         c = cols if cols is not None else len(diag)
@@ -66,9 +62,6 @@ class IntMatrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
 
     def col(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.entries)
@@ -87,17 +80,11 @@ class IntMatrix:
             raise ValueError("vector length does not match column count")
         return tuple(sum(a * b for a, b in zip(r, v)) for r in self.entries)
 
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(-x for x in r) for r in self.entries))
-
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == IntMatrix.identity(self.rows)
 
     def diagonal_entries(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
-
-    def __str__(self) -> str:
-        return "\n".join(" ".join(f"{x:4d}" for x in r) for r in self.entries)
 
 
 @dataclass(frozen=True)
@@ -306,31 +293,3 @@ def unimodular_inverse(A: IntMatrix) -> IntMatrix:
     inv = snf.V @ snf.U
     assert (A @ inv).is_identity()
     return inv
-
-
-def solve_integer(A: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Solve A x == b over the integers; None when no solution exists.
-
-    Membership of b in the integer column span of A, with a deterministic
-    witness via Smith normal form back-substitution: write U A V = D, solve
-    D y = U b, and return x = V y (free coordinates set to zero).
-    """
-    if len(b) != A.rows:
-        raise ValueError("right-hand side length does not match row count")
-    snf = smith_normal_form(A)
-    c = snf.U.mul_vec(b)
-    n = A.cols
-    y = [0] * n
-    diag = snf.D.diagonal_entries()
-    for i in range(A.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    x = snf.V.mul_vec(y)
-    assert A.mul_vec(x) == tuple(int(v) for v in b)
-    return x

@@ -103,10 +103,6 @@ def class_to_divisor(ctx: PicContext, cls: Sequence[int]) -> DivisorVector:
     return ctx.rep_map.mul_vec(cls)
 
 
-def are_linearly_equivalent(ctx: PicContext, d1: Sequence[int], d2: Sequence[int]) -> bool:
-    return to_class(ctx, d1) == to_class(ctx, d2)
-
-
 def anticanonical_divisor(fan: Fan) -> DivisorVector:
     """-K = Z_1 + ... + Z_m."""
     return (1,) * fan.n_rays

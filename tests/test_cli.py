@@ -172,7 +172,8 @@ class TestVerify:
         path = tmp_path / "coll.txt"
         path.write_text("0 0 0\n0 30 0\n")
         code, out, err = run_cli(capsys, "verify", "--variety", "D1", "--collection", str(path))
-        assert code == 1 and out == ""
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: too large to search")
         assert "certified box" in err and "radius 59" in err
         ctx = build_pic_context(get_record("D1").fan, get_record("D1").pic_basis)
         with pytest.raises(BoxTooLarge):

@@ -16,8 +16,7 @@ from toric_exc.cohomology import (_POINT_CACHE_SIZE, _RADIUS_LIMIT, _check_bound
                                   _contributing_box, _contributing_boxes, _pattern_ranks, _patterns,
                                   _point_list, _radius_for_class, _vertex_frames,
                                   cohomology_table, forbidden_sets, full_subcomplex,
-                                  has_nonzero_global_sections, is_acyclic, is_forbidden_form,
-                                  reduced_homology_ranks)
+                                  has_nonzero_global_sections, is_acyclic, reduced_homology_ranks)
 from toric_exc.errors import BoxTooLarge, BoxUnstable, TooManyRays, ToricExcError, UnboundedRegion
 from toric_exc.lattice import _INT64_SAFE
 from toric_exc.fan import Fan, is_complete, validate_fan
@@ -110,17 +109,20 @@ class TestForbiddenSets:
 
 
 class TestForbiddenForm:
+    """Which sign patterns a divisor's contributing list holds."""
+
     def test_minus_z6_is_not_forbidden_for_46(self, d1_ctx):
         minus_z6 = class_to_divisor(d1_ctx, (0, 0, -1))
-        assert not is_forbidden_form(d1_ctx, minus_z6, (3, 5), box_radius=4)
+        assert (1 << 3 | 1 << 5) not in _point_list(d1_ctx.fan, minus_z6)
 
-    def test_structure_sheaf_never_forbidden(self, d1, d1_ctx):
-        O = (0,) * 6
-        for I in forbidden_sets(d1.fan).forbidden:
-            assert not is_forbidden_form(d1_ctx, O, I, box_radius=4)
+    def test_structure_sheaf_never_forbidden(self, d1):
+        masks = {sum(1 << i for i in I) for I in forbidden_sets(d1.fan).forbidden}
+        assert masks.isdisjoint(_point_list(d1.fan, (0,) * 6))
 
     def test_canonical_class_fits_the_empty_pattern(self, d1, d1_ctx):
-        assert is_forbidden_form(d1_ctx, canonical_divisor(d1.fan), (), box_radius=4)
+        K = canonical_divisor(d1.fan)
+        assert 0 in _point_list(d1.fan, K)
+        assert cohomology_table(d1_ctx, K).dims == (0, 0, 0, 1)
 
 
 class TestAcyclicity:
@@ -259,8 +261,6 @@ class TestPatternHistogram:
         queries = [lambda: cohomology_table(d1_ctx, divisor, box_radius=1),
                    lambda: has_nonzero_global_sections(d1_ctx, divisor, box_radius=1),
                    lambda: is_acyclic(d1_ctx, divisor, box_radius=1)]
-        queries += [lambda I=I: is_forbidden_form(d1_ctx, divisor, I, box_radius=1)
-                    for I in forbidden_sets(fan).forbidden]
         for query in queries:
             with pytest.raises(BoxTooLarge):
                 query()
@@ -276,14 +276,11 @@ class TestPatternHistogram:
         def queries(name, cls):
             ctx = contexts[name]
             D = class_to_divisor(ctx, cls)
-            report = forbidden_sets(ctx.fan)
             out = [
                 ("table", lambda: cohomology_table(ctx, D, escalate=True)),
                 ("acyclic", lambda: is_acyclic(ctx, D, escalate=True)),
                 ("sections", lambda: has_nonzero_global_sections(ctx, D, escalate=True)),
             ]
-            out += [(("forbidden", I), lambda I=I: is_forbidden_form(ctx, D, I, escalate=True))
-                    for I in report.forbidden]
             return [((name, cls, key), query) for key, query in out]
 
         cold = {}
@@ -368,12 +365,6 @@ class TestCertifiedBox:
         assert time.perf_counter() - started < 2
         assert len(_patterns(fan).ranks) < 500   # 87 patterns ranked, not the 2^14 masks P <= I <= P | Z
 
-    def test_other_targets_are_refused(self, d1_ctx):
-        assert is_forbidden_form(d1_ctx, (0,) * 6, tuple(range(6)), box_radius=4)   # the full set
-        for target in ((0,), (0, 1), (0, 1, 2)):   # each spans a cone: contractible
-            with pytest.raises(ValueError):
-                is_forbidden_form(d1_ctx, (0,) * 6, target)
-
 
 def cross_check_cases(records, contexts):
     """(ctx, divisor): a seeded class of each catalog fan, of star subdivisions, of a 2-D fan, and a huge one."""
@@ -454,16 +445,13 @@ class TestExactness:
     def test_every_query_equals_a_plain_count(self, records):
         for ctx, divisor in exactness_cases(records):
             fan, full = ctx.fan, (1 << ctx.fan.n_rays) - 1
-            targets = [0] + [sum(1 << i for i in I) for I in forbidden_sets(fan).forbidden if I] + [full]
             queries = {"table": lambda **kw: cohomology_table(ctx, divisor, **kw).dims,
                        "acyclic": lambda **kw: is_acyclic(ctx, divisor, **kw),
                        "sections": lambda **kw: has_nonzero_global_sections(ctx, divisor, **kw)}
-            for t in targets:
-                rays = [i for i in range(fan.n_rays) if t >> i & 1]
-                queries[t] = lambda rays=rays, **kw: is_forbidden_form(ctx, divisor, rays, **kw)
             box = _contributing_box(fan, divisor)
             # a cube two steps past the box: a character the box missed would show
             found = plain_norms(fan, divisor, 2 + (box.extent if box else 0))
+            assert {mask: list(norms) for mask, norms in _point_list(fan, divisor).items()} == found
             dims = [0] * (fan.dim + 1)
             for mask, norms in found.items():
                 dims = [d + len(norms) * h for d, h in zip(dims, reversed(boundary_ranks(fan, mask)))]
@@ -472,7 +460,6 @@ class TestExactness:
             want = {"table": (tuple(dims), reach),
                     "acyclic": (all(mask == full for mask in found), nearest_forbidden),
                     "sections": (full in found, found[full][0] if full in found else 0)}
-            want.update((t, (t in found, found[t][0] if t in found else 0)) for t in targets)
             for radius in (None, 1, 4):
                 r0 = _radius_for_class(to_class(ctx, divisor)) if radius is None else radius
                 table = cohomology_table(ctx, divisor, box_radius=radius, escalate=True)

@@ -7,10 +7,10 @@ import pytest
 from conftest import zvec
 from toric_exc.errors import NotStabilized
 from toric_exc.fan import Fan
-from toric_exc.frobenius import (cone_frame, decompose, divide_step, first_chern_sum,
-                                 stable_summands, summand_divisor, cartier_shifts)
+from toric_exc.frobenius import decompose, first_chern_sum, stable_summands
 from toric_exc.lattice import IntMatrix
 from toric_exc.picard import anticanonical_divisor, build_pic_context, to_class
+from thomsen_reference import cartier_shifts, cone_frame, divide_step, summand_divisor
 
 P3 = Fan.make(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
               [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])

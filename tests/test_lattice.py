@@ -1,12 +1,11 @@
-"""Exact linear algebra: Smith normal form, unimodular inverses, solving."""
+"""Exact linear algebra: Smith normal form, unimodular inverses, ranks."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toric_exc.errors import NotUnimodular
-from toric_exc.lattice import (IntMatrix, _cross, determinant, rank, smith_normal_form,
-                               solve_integer, unimodular_inverse)
+from toric_exc.lattice import IntMatrix, _cross, determinant, rank, smith_normal_form, unimodular_inverse
 
 A3_D1 = IntMatrix.from_rows([[1, 0, 0], [-1, -1, 2], [-1, -1, 1]])
 B3_D1 = IntMatrix.from_rows([[1, 0, 0], [-1, 1, -2], [0, 1, -1]])
@@ -102,38 +101,6 @@ class TestUnimodularInverse:
         inv = unimodular_inverse(A)
         assert unimodular_inverse(inv) == A
         assert (A @ inv).is_identity()
-
-
-class TestSolveInteger:
-    def test_identity_system(self):
-        assert solve_integer(IntMatrix.identity(3), (4, -1, 0)) == (4, -1, 0)
-
-    def test_parity_obstruction(self):
-        assert solve_integer(IntMatrix.from_rows([[2]]), (3,)) is None
-
-    def test_d1_linear_equivalence(self, d1):
-        # Z3 - (-2Z4 - Z5 + Z6) lies in the character image: the pairing
-        # columns span it.  Coefficient vector of the difference:
-        pairing = IntMatrix.from_rows(d1.fan.rays)
-        b = (0, 0, 1, 2, 1, -1)
-        x = solve_integer(pairing, b)
-        assert x is not None
-        assert pairing.mul_vec(x) == b
-
-    @given(small_matrices, st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_solutions_verify_and_absences_hold(self, A, data):
-        b = tuple(data.draw(st.integers(-6, 6)) for _ in range(A.rows))
-        x = solve_integer(A, b)
-        if x is not None:
-            assert A.mul_vec(x) == b
-        elif A.cols <= 2:
-            # independent refutation by brute force on a small window
-            bound = 40
-            for u in range(-bound, bound + 1):
-                for v in range(-bound, bound + 1) if A.cols == 2 else [0]:
-                    vec = (u, v)[: A.cols]
-                    assert A.mul_vec(vec) != b
 
 
 class TestRank:

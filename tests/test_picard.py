@@ -7,9 +7,8 @@ import pytest
 from conftest import zvec
 from toric_exc.errors import NotABasis
 from toric_exc.fan import Fan
-from toric_exc.picard import (anticanonical_divisor, are_linearly_equivalent,
-                              build_pic_context, class_label, class_to_divisor,
-                              divisor_label, pairing_matrix, to_class)
+from toric_exc.picard import (anticanonical_divisor, build_pic_context, class_label,
+                              class_to_divisor, divisor_label, pairing_matrix, to_class)
 
 P3 = Fan.make(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
               [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
@@ -64,14 +63,18 @@ class TestPrintedEquivalences:
 
 class TestLinearEquivalence:
     def test_d1_z1_equals_z2(self, d1_ctx):
-        assert are_linearly_equivalent(d1_ctx, zvec(6, z1=1), zvec(6, z2=1))
+        assert to_class(d1_ctx, zvec(6, z1=1)) == to_class(d1_ctx, zvec(6, z2=1))
 
     def test_reflexive(self, d1_ctx):
         d = zvec(6, z2=3, z5=-1)
-        assert are_linearly_equivalent(d1_ctx, d, d)
+        assert to_class(d1_ctx, d) == to_class(d1_ctx, d)
 
     def test_basis_rays_inequivalent(self, d1_ctx):
-        assert not are_linearly_equivalent(d1_ctx, zvec(6, z4=1), zvec(6, z5=1))
+        assert to_class(d1_ctx, zvec(6, z4=1)) != to_class(d1_ctx, zvec(6, z5=1))
+
+    def test_d1_z3_is_a_combination_of_basis_rays(self, d1_ctx):
+        # Z3 ~ -2Z4 - Z5 + Z6: the difference is principal
+        assert to_class(d1_ctx, (0, 0, 1, 2, 1, -1)) == (0, 0, 0)
 
 
 class TestHomomorphismProperties:
