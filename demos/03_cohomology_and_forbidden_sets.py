@@ -14,8 +14,8 @@ import itertools
 
 from toric_exc import (build_pic_context, canonical_divisor, class_label,
                        class_to_divisor, cohomology_table, forbidden_sets,
-                       full_subcomplex, get_record, has_nonzero_global_sections,
-                       is_acyclic, reduced_homology_ranks)
+                       get_record, has_nonzero_global_sections, is_acyclic,
+                       reduced_homology_ranks)
 
 d1 = get_record("D1")
 ctx = build_pic_context(d1.fan, d1.pic_basis)
@@ -24,7 +24,7 @@ print("Subcomplex homology on D1 (ranks in degrees -1..2)")
 print("=" * 60)
 for vertices in [(), (0, 1, 2), (0, 1, 3), (2, 5)]:
     label = "{" + ",".join(str(i + 1) for i in vertices) + "}"
-    ranks = reduced_homology_ranks(full_subcomplex(d1.fan, vertices))
+    ranks = reduced_homology_ranks(d1.fan, vertices)
     print(f"  C_{label:12s} -> {ranks}")
 print("  {1,2,4} is a hollow triangle (a circle), {3,6} two far-apart points")
 

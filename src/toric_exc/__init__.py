@@ -10,8 +10,7 @@ smooth toric Fano 3-folds.
 
 from .catalog import (FanoRecord, catalog_names, format_fan_file, get_record,
                       load_catalog, parse_fan_file, validate_catalog)
-from .cohomology import (CohomologyTable, ForbiddenSetReport, SimplicialSubcomplex,
-                         cohomology_table, forbidden_sets, full_subcomplex,
+from .cohomology import (CohomologyTable, ForbiddenSetReport, cohomology_table, forbidden_sets,
                          has_nonzero_global_sections, is_acyclic, reduced_homology_ranks)
 from .errors import (BoxTooLarge, BoxUnstable, InteriorCoverFailure, NotABasis,
                      NotPrimitive, NotStabilized, NotUnimodular, RayNotCovered,

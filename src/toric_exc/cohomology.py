@@ -10,15 +10,16 @@ zero) in a degree determined by the cohomological index:
 
 A proper ray subset I is *forbidden* when C_I has nontrivial reduced
 homology; the Borisov-Hua criterion says O(D) is acyclic exactly when no
-representative of D has a forbidden sign pattern.  Most patterns a query
-meets are certified contractible by a bit test against the maximal cones,
-without a boundary matrix:
+representative of D has a forbidden sign pattern.  The faces of C_I are
+read from the fan's one face set (fan.face_masks, ray bitmasks), and most
+patterns a query meets are certified contractible by a membership test in
+it, without a boundary matrix:
 
-- a nonempty I inside a maximal cone spans a full simplex, on any fan;
+- a nonempty I that is a face spans a full simplex, on any fan;
 - on a fan with fan.is_complete, whose boundary complex is therefore an
-  (n-1)-sphere S, a proper I whose complement J lies inside a maximal cone
-  has C_I a deformation retract of S minus the closed simplex of J, which
-  has the reduced homology of a point by Alexander duality.
+  (n-1)-sphere S, a proper I whose complement J is a face has C_I a
+  deformation retract of S minus the closed simplex of J, which has the
+  reduced homology of a point by Alexander duality.
 
 Writing a' = a + (<u, v_rho>)_rho for a character u, only the patterns I
 that are empty, forbidden or full can change a dimension or a verdict, and
@@ -66,12 +67,12 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import BoxTooLarge, BoxUnstable, TooManyRays, UnboundedRegion
-from .fan import Fan, is_complete
+from .fan import Fan, _mask_of, face_masks, is_complete
 from .lattice import _INT64_SAFE, IntMatrix, _cross, rank as matrix_rank
 from .picard import ClassVector, PicContext, to_class
 
@@ -85,62 +86,36 @@ _PASS_ELEMENTS = 1 << 20  # gap entries (divisors x vertex candidates x rays) pe
 # simplicial subcomplexes and their reduced homology
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SimplicialSubcomplex:
-    """Full subcomplex of the fan's boundary complex on a ray subset.
+def reduced_homology_ranks(fan: Fan, rays: Iterable[int]) -> tuple[int, ...]:
+    """Ranks of reduced homology of C_I, the full subcomplex on the ray set I, in degrees -1 .. n-1.
 
-    Faces are the cone ray-sets contained in the vertex set, listed as
-    sorted tuples; the empty face is always present.
+    Entry k+1 holds degree k.  The faces of C_I are the fan's faces
+    (fan.face_masks) inside I, the empty face included, so the empty
+    subcomplex has rank one in degree -1.  The ranks are over a field of
+    characteristic zero, from exact integer ranks of the boundary matrices:
+    a face maps to the faces that omit one of its rays, with sign (-1) to
+    the position of the omitted bit.
     """
-
-    dim: int                                  # ambient fan dimension n
-    vertices: tuple[int, ...]
-    faces: tuple[tuple[int, ...], ...]
-
-
-def full_subcomplex(fan: Fan, vertex_set: Sequence[int]) -> SimplicialSubcomplex:
-    vs = sorted(set(int(i) for i in vertex_set))
-    faces = {()}
-    for cone in fan.max_cones:
-        inside = tuple(sorted(set(cone) & set(vs)))
-        for size in range(1, len(inside) + 1):
-            faces.update(combinations(inside, size))
-    return SimplicialSubcomplex(fan.dim, tuple(vs), tuple(sorted(faces, key=lambda f: (len(f), f))))
-
-
-def _boundary_rank(lower: list[tuple[int, ...]], upper: list[tuple[int, ...]]) -> int:
-    """Rank of the simplicial boundary map from `upper` faces to `lower` faces."""
-    if not lower or not upper:
-        return 0
-    index = {f: i for i, f in enumerate(lower)}
-    rows = [[0] * len(upper) for _ in lower]
-    for j, face in enumerate(upper):
-        for omit in range(len(face)):
-            sub = face[:omit] + face[omit + 1:]
-            rows[index[sub]][j] = (-1) ** omit
-    return matrix_rank(IntMatrix.from_rows(rows))
-
-
-def reduced_homology_ranks(complex_: SimplicialSubcomplex) -> tuple[int, ...]:
-    """Ranks of reduced homology in degrees -1 .. n-1 (entry k+1 holds degree k).
-
-    Computed over a field of characteristic zero via exact integer ranks of
-    the boundary matrices; the reduced chain complex includes the empty face,
-    so the empty subcomplex has rank one in degree -1.
-    """
-    n = complex_.dim
-    by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]  # by_dim[k] = k-1 dimensional faces
-    for f in complex_.faces:
-        if len(f) <= n:
-            by_dim[len(f)].append(f)
-    ranks_of_boundary = [0] * (n + 2)  # boundary from (k)-vertex faces down to (k-1)-vertex faces
+    n, inside = fan.dim, _mask_of(rays)
+    by_size: list[list[int]] = [[] for _ in range(n + 1)]  # by_size[k]: the faces with k rays
+    for face in face_masks(fan):
+        if not face & ~inside:
+            by_size[face.bit_count()].append(face)
+    boundary = [0] * (n + 2)  # boundary[k]: rank of the map from k-ray faces to (k-1)-ray faces
     for k in range(1, n + 1):
-        ranks_of_boundary[k] = _boundary_rank(by_dim[k - 1], by_dim[k])
-    out = []
-    for k in range(-1, n):
-        faces_here = len(by_dim[k + 1])
-        out.append(faces_here - ranks_of_boundary[k + 1] - ranks_of_boundary[k + 2])
-    return tuple(out)
+        lower, upper = by_size[k - 1], by_size[k]
+        if not lower or not upper:
+            continue
+        index = {face: i for i, face in enumerate(lower)}
+        rows = [[0] * len(upper) for _ in lower]
+        for j, face in enumerate(upper):
+            rest = face
+            for position in range(k):
+                bit = rest & -rest
+                rows[index[face ^ bit]][j] = (-1) ** position
+                rest ^= bit
+        boundary[k] = matrix_rank(IntMatrix.from_rows(rows))
+    return tuple(len(by_size[k + 1]) - boundary[k + 1] - boundary[k + 2] for k in range(-1, n))
 
 
 class _Patterns(NamedTuple):
@@ -149,39 +124,38 @@ class _Patterns(NamedTuple):
     ranks: dict[int, tuple[int, ...]]   # mask -> pattern ranks, one shared tuple for every zero
     met: set[int]                       # the masks _contributing has classified
     live: set[int]                      # the contributing ones among them
-    cones: tuple[int, ...]              # the maximal cones as ray masks
+    faces: frozenset[int]               # fan.face_masks
     complete: bool                      # the fan carries fan.is_complete
 
 
 @lru_cache(maxsize=None)
 def _patterns(fan: Fan) -> _Patterns:
-    return _Patterns({}, set(), set(), tuple(_mask_of(cone) for cone in fan.max_cones), is_complete(fan))
+    return _Patterns({}, set(), set(), face_masks(fan), is_complete(fan))
 
 
 def _pattern_ranks(fan: Fan, mask: int) -> tuple[int, ...]:
     """Reduced homology ranks of C_I, degrees -1 .. n-1, for the ray set I of the mask.
 
-    Two certificates give zero ranks without a boundary matrix:
-    - I is nonempty and lies in a maximal cone: every subset of I is a
-      face, so C_I is a full simplex, on any fan.
-    - I is proper, its complement J lies in a maximal cone, and the fan is
-      certified complete (fan.is_complete), so its boundary complex is an
-      (n-1)-sphere S.  J is then a face, and the full subcomplex on the
-      other vertices is a deformation retract of S minus the closed simplex
-      of J; by Alexander duality that has the reduced homology of the
-      simplex, which is zero.  On a fan without the certificate this rule
-      is wrong (P3 without a maximal cone: the missing cone's rays bound a
-      circle, though their complement is a ray), so it is not applied.
+    Two certificates, each a lookup in the face set, give zero ranks
+    without a boundary matrix:
+    - I is nonempty and is a face: every subset of I is a face, so C_I is
+      a full simplex, on any fan.
+    - I is proper, its complement J is nonempty and is a face, and the fan
+      is certified complete (fan.is_complete), so its boundary complex is
+      an (n-1)-sphere S.  The full subcomplex on the other vertices is a
+      deformation retract of S minus the closed simplex of J; by Alexander
+      duality that has the reduced homology of the simplex, which is zero.
+      On a fan without the certificate this rule is wrong (P3 without a
+      maximal cone: the missing cone's rays bound a circle, though their
+      complement is a ray), so it is not applied.
     Every other mask is ranked by reduced_homology_ranks.
     """
     memo = _patterns(fan)
     if mask not in memo.ranks:
-        cones, rest = memo.cones, ((1 << fan.n_rays) - 1) & ~mask
+        faces, rest = memo.faces, ((1 << fan.n_rays) - 1) & ~mask
         ranks = _zero_ranks(fan.dim)   # shared, so a 2^m sweep stores one zero tuple, not thousands
-        if not (mask and any(not mask & ~cone for cone in cones)
-                or memo.complete and rest and any(not rest & ~cone for cone in cones)):
-            vs = [i for i in range(fan.n_rays) if mask >> i & 1]
-            found = reduced_homology_ranks(full_subcomplex(fan, vs))
+        if not (mask and mask in faces or memo.complete and rest and rest in faces):
+            found = reduced_homology_ranks(fan, [i for i in range(fan.n_rays) if mask >> i & 1])
             if any(found):
                 ranks = found
         memo.ranks[mask] = ranks
@@ -191,13 +165,6 @@ def _pattern_ranks(fan: Fan, mask: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _zero_ranks(n: int) -> tuple[int, ...]:
     return (0,) * (n + 1)
-
-
-def _mask_of(indices: Sequence[int]) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 A fan is stored as its ray generators (primitive integer vectors) together
 with the ray-index sets of its maximal cones.  All fans handled here are
 simplicial, so the face structure is subset structure: a set of rays spans a
-cone exactly when it is contained in some maximal cone.  The minimal
-non-faces are the primitive collections; writing the sum of each collection
-in the cone containing it gives the primitive relations, whose degrees
-decide the Fano condition.
+cone exactly when it is contained in some maximal cone.  face_masks lists
+those faces once, as ray bitmasks, and every face predicate reads it.
+The minimal non-faces are the primitive collections; writing the sum of
+each collection in the cone containing it gives the primitive relations,
+whose degrees decide the Fano condition.
 
 Completeness is certified exactly (is_complete): every facet of a maximal
 cone lies in exactly two maximal cones, on opposite sides of its
@@ -204,28 +205,46 @@ def is_complete(fan: Fan) -> bool:
     return not _completeness_problems(fan)
 
 
+def _mask_of(indices: Iterable[int]) -> int:
+    """The ray bitmask of a set of ray indices: bit i is ray i."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
+@lru_cache(maxsize=None)
+def face_masks(fan: Fan) -> frozenset[int]:
+    """Every face of the fan as a ray bitmask: all subsets of the maximal cones, 0 included."""
+    faces = {0}
+    for cone in fan.max_cones:
+        full = sub = _mask_of(cone)
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & full
+    return frozenset(faces)
+
+
 def is_face(fan: Fan, s: Iterable[int]) -> bool:
-    ss = set(s)
-    return any(ss.issubset(cone) for cone in fan.max_cones)
+    return _mask_of(s) in face_masks(fan)
 
 
 @lru_cache(maxsize=None)
 def primitive_collections(fan: Fan) -> tuple[tuple[int, ...], ...]:
-    """Minimal non-faces, ordered by cardinality then lexicographically."""
-    found: list[tuple[int, ...]] = []
-    m = fan.n_rays
-    # every proper subset of a minimal non-face is a face, and no face has
-    # more rays than the largest maximal cone
+    """Minimal non-faces, ordered by cardinality then lexicographically.
+
+    A non-face is minimal exactly when dropping any one ray leaves a face.
+    """
+    faces, m = face_masks(fan), fan.n_rays
+    # no face has more rays than the largest maximal cone
     largest = max((len(c) for c in fan.max_cones), default=0)
+    found = []
     for size in range(2, min(m, largest + 1) + 1):
         for s in combinations(range(m), size):
-            if any(set(pc).issubset(s) for pc in found):
-                continue
-            if is_face(fan, s):
-                continue
-            if all(is_face(fan, set(s) - {i}) for i in s):
+            mask = _mask_of(s)
+            if mask not in faces and all(mask & ~(1 << i) in faces for i in s):
                 found.append(s)
-    return tuple(sorted(found, key=lambda s: (len(s), s)))
+    return tuple(found)
 
 
 @lru_cache(maxsize=None)

@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from toric_exc.catalog import get_record, load_catalog
+from toric_exc.catalog import format_fan_file, get_record, load_catalog
 from toric_exc.cli import main
 from toric_exc.errors import BoxTooLarge
 from toric_exc.exceptional import OrderedCollection, verify_strongly_exceptional
 from toric_exc.picard import build_pic_context
+from test_cohomology import star_subdivided_p3
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -140,6 +141,14 @@ class TestForbidden:
         code, _, err = run_cli(capsys, "forbidden", "--fan-file", str(path))
         assert code == 2
 
+    def test_too_many_rays_to_sweep_is_refused(self, capsys, tmp_path):
+        # a refusal to search, not a failed check: exit 2, as for BoxTooLarge
+        path = tmp_path / "p3_21.fan"
+        path.write_text(format_fan_file(star_subdivided_p3(21)))
+        code, out, err = run_cli(capsys, "forbidden", "--fan-file", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: too large to search: 21 rays")
+
 
 class TestVerify:
     def test_d1_passes(self, capsys):
@@ -159,6 +168,14 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--variety", "D1", "--collection", str(path))
         assert code == 1
         assert "strongly exceptional: NO" in out
+
+    def test_a_repeated_class_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "coll.txt"
+        path.write_text("0 0 0\n0 0 0\n")
+        code, out, err = run_cli(capsys, "verify", "--variety", "D1", "--collection", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "distinct" in err
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "json", "verify", "--variety", "E4")

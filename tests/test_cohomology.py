@@ -14,9 +14,9 @@ from toric_exc import cohomology
 from toric_exc.cli import main as cli_main
 from toric_exc.cohomology import (_POINT_CACHE_SIZE, _RADIUS_LIMIT, _check_bounded, _contributing,
                                   _contributing_box, _contributing_boxes, _pattern_ranks, _patterns,
-                                  _point_list, _radius_for_class, _vertex_frames,
-                                  cohomology_table, forbidden_sets, full_subcomplex,
-                                  has_nonzero_global_sections, is_acyclic, reduced_homology_ranks)
+                                  _point_list, _radius_for_class, _vertex_frames, cohomology_table,
+                                  forbidden_sets, has_nonzero_global_sections, is_acyclic,
+                                  reduced_homology_ranks)
 from toric_exc.errors import BoxTooLarge, BoxUnstable, TooManyRays, ToricExcError, UnboundedRegion
 from toric_exc.lattice import _INT64_SAFE
 from toric_exc.fan import Fan, is_complete, validate_fan
@@ -52,23 +52,23 @@ def star_subdivided_p3(m):
 class TestReducedHomology:
     def test_two_primitive_pairs_leave_a_gap(self, e1):
         # vertices {2,4,5}: one edge plus an isolated vertex
-        ranks = reduced_homology_ranks(full_subcomplex(e1.fan, [1, 3, 4]))
+        ranks = reduced_homology_ranks(e1.fan, [1, 3, 4])
         assert ranks == (0, 1, 0, 0)
 
     def test_maximal_cone_is_contractible(self, d1):
         for cone in d1.fan.max_cones:
-            assert reduced_homology_ranks(full_subcomplex(d1.fan, cone)) == (0, 0, 0, 0)
+            assert reduced_homology_ranks(d1.fan, cone) == (0, 0, 0, 0)
 
     def test_empty_set_has_degree_minus_one_homology(self, d1):
-        assert reduced_homology_ranks(full_subcomplex(d1.fan, [])) == (1, 0, 0, 0)
+        assert reduced_homology_ranks(d1.fan, []) == (1, 0, 0, 0)
 
     def test_triangle_boundary_is_a_circle(self, d1):
         # {1,2,4} spans no cone but every pair does
-        assert reduced_homology_ranks(full_subcomplex(d1.fan, [0, 1, 3])) == (0, 0, 1, 0)
+        assert reduced_homology_ranks(d1.fan, [0, 1, 3]) == (0, 0, 1, 0)
 
     def test_whole_fan_is_a_two_sphere(self, records):
         for rec in records.values():
-            ranks = reduced_homology_ranks(full_subcomplex(rec.fan, range(rec.fan.n_rays)))
+            ranks = reduced_homology_ranks(rec.fan, range(rec.fan.n_rays))
             assert ranks == (0, 0, 0, 1), rec.name
 
 
@@ -229,7 +229,7 @@ def plain_representatives(fan, divisor, radius):
 def contributes(fan, mask):
     """Full, or a pattern whose subcomplex carries reduced homology (the empty set included)."""
     vs = [i for i in range(fan.n_rays) if mask >> i & 1]
-    return mask == (1 << fan.n_rays) - 1 or any(reduced_homology_ranks(full_subcomplex(fan, vs)))
+    return mask == (1 << fan.n_rays) - 1 or any(reduced_homology_ranks(fan, vs))
 
 
 def listed_counts(ctx, divisor, radius):
@@ -331,7 +331,7 @@ class TestCertifiedBox:
         # and (0, 0, 1) pairs >= 0 with v1, v2, v3 and < 0 with v4, so the
         # pattern's region recedes along it.  That region is nonempty for
         # every divisor, so every query meets it.
-        assert reduced_homology_ranks(full_subcomplex(fan, (0, 1, 2))) == (0, 0, 1, 0)
+        assert reduced_homology_ranks(fan, (0, 1, 2)) == (0, 0, 1, 0)
         assert [sum(x * y for x, y in zip((0, 0, 1), ray)) for ray in fan.rays] == [0, 0, 1, -1]
         for query in (cohomology_table, has_nonzero_global_sections):
             for divisor in ((0,) * 4, (3, -1, 2, -5)):
@@ -404,7 +404,7 @@ class TestPlainCrossCheck:
             if box is not None:
                 for mask, norms in _point_list(ctx.fan, tuple(divisor)).items():
                     vs = [i for i in range(ctx.fan.n_rays) if mask >> i & 1]
-                    ranks = reduced_homology_ranks(full_subcomplex(ctx.fan, vs))
+                    ranks = reduced_homology_ranks(ctx.fan, vs)
                     dims = [d + len(norms) * h for d, h in zip(dims, reversed(ranks))]
             assert tuple(dims) == cohomology_table(ctx, divisor, escalate=True).dims
 
@@ -486,11 +486,47 @@ class TestExactness:
 
 
 def boundary_ranks(fan, mask):
-    return reduced_homology_ranks(full_subcomplex(fan, [i for i in range(fan.n_rays) if mask >> i & 1]))
+    return reduced_homology_ranks(fan, [i for i in range(fan.n_rays) if mask >> i & 1])
+
+
+def components(fan, mask):
+    """Connected components of the edge graph of fan.max_cones on the rays of the mask (union-find)."""
+    parent = {i: i for i in range(fan.n_rays) if mask >> i & 1}
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for cone in fan.max_cones:
+        for i, j in itertools.combinations(cone, 2):
+            if i in parent and j in parent:
+                parent[root(i)] = root(j)
+    return len({root(i) for i in parent})
+
+
+def alexander_ranks(fan, mask):
+    """Reduced homology of C_I on a complete simplicial 3-fan, whose boundary complex is a 2-sphere.
+
+    By Alexander duality a proper nonempty I has ranks (0, c(I) - 1, c(I^c) - 1, 0).
+    """
+    full = (1 << fan.n_rays) - 1
+    if mask == 0:
+        return (1, 0, 0, 0)
+    if mask == full:
+        return (0, 0, 0, 1)
+    return (0, components(fan, mask) - 1, components(fan, full & ~mask) - 1, 0)
 
 
 class TestPatternRankCertificates:
-    def test_every_mask_matches_the_boundary_ranks(self, records):
+    def test_every_mask_matches_alexander_duality(self, records):
+        for fan in [rec.fan for rec in records.values()] + seeded_blowups(records, (9, 10, 11), seed=5):
+            assert fan.dim == 3 and is_complete(fan)
+            _patterns.cache_clear()
+            for mask in range(1 << fan.n_rays):
+                assert _pattern_ranks(fan, mask) == alexander_ranks(fan, mask), (fan.rays, mask)
+
+    def test_every_mask_matches_reduced_homology_ranks(self, records):
         fans = [rec.fan for rec in records.values()] + seeded_blowups(records, (9, 10, 11), seed=5)
         for fan in fans + [hirzebruch_f1(), p1_times_surface(8)]:
             assert is_complete(fan)
@@ -513,7 +549,8 @@ class TestPatternRankCertificates:
     def test_the_theorem_ranks_few_boundary_matrices(self, monkeypatch, capsys):
         ranked = []
         real = cohomology.reduced_homology_ranks
-        monkeypatch.setattr(cohomology, "reduced_homology_ranks", lambda c: ranked.append(c) or real(c))
+        monkeypatch.setattr(cohomology, "reduced_homology_ranks",
+                            lambda fan, rays: ranked.append(rays) or real(fan, rays))
         for memo in (_patterns, forbidden_sets, _vertex_frames, _point_list):
             memo.cache_clear()
         assert cli_main(["--format", "json", "prove-main-theorem"]) == 0

@@ -1,12 +1,13 @@
 """Fan combinatorics: validation, primitive collections/relations, Fano test."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from toric_exc.errors import InteriorCoverFailure, NotUnimodular
-from toric_exc.fan import (Fan, _completeness_problems, cone_inverse, cone_matrix, is_complete,
-                           is_face, is_fano, primitive_collections, primitive_relations,
+from toric_exc.fan import (Fan, _completeness_problems, cone_inverse, cone_matrix, face_masks,
+                           is_complete, is_face, is_fano, primitive_collections, primitive_relations,
                            validate_fan)
 from toric_exc.lattice import IntMatrix, unimodular_inverse
 
@@ -18,6 +19,11 @@ HIRZEBRUCH_F2 = Fan.make(2, [(1, 0), (0, 1), (-1, 2), (0, -1)],
 
 def one_based(sets):
     return {tuple(i + 1 for i in s) for s in sets}
+
+
+def spans_a_cone(fan, s):
+    """A face test by plain set inclusion in the maximal cones."""
+    return any(set(s) <= set(cone) for cone in fan.max_cones)
 
 
 def seeded_blowup(fan, m, seed):
@@ -147,6 +153,18 @@ class TestConeInverse:
             cone_inverse(P3, (0, 1))
 
 
+class TestFaceMasks:
+    def test_the_faces_are_the_subsets_of_the_maximal_cones(self, records):
+        for fan in [P3] + [rec.fan for rec in records.values()] + seeded_blowups(records, (9, 13), seed=3):
+            want = {sum(1 << i for i in s) for cone in fan.max_cones
+                    for size in range(len(cone) + 1) for s in combinations(cone, size)}
+            assert face_masks(fan) == want
+            # a complete simplicial 3-fan: the empty face, m rays, 3m - 6 edges, 2m - 4 triangles
+            assert len(face_masks(fan)) == 6 * fan.n_rays - 9
+            assert is_face(fan, ()) and is_face(fan, fan.max_cones[0])
+            assert not is_face(fan, range(fan.n_rays))
+
+
 class TestPrimitiveCollections:
     def test_d1(self, d1):
         got = one_based(primitive_collections(d1.fan))
@@ -160,12 +178,17 @@ class TestPrimitiveCollections:
         assert one_based(primitive_collections(P3)) == {(1, 2, 3, 4)}
 
     def test_minimality_by_enumeration(self, records):
-        for rec in records.values():
-            fan = rec.fan
-            for pc in primitive_collections(fan):
-                assert not is_face(fan, pc)
-                for i in pc:
-                    assert is_face(fan, set(pc) - {i})
+        # listed sets are minimal non-faces, and every non-face contains one,
+        # checked against the maximal cones directly rather than the face set
+        for fan in [rec.fan for rec in records.values()] + seeded_blowups(records, (9, 10, 11), seed=5):
+            collections = primitive_collections(fan)
+            assert list(collections) == sorted(collections, key=lambda s: (len(s), s))
+            for pc in collections:
+                assert not spans_a_cone(fan, pc)
+                assert all(spans_a_cone(fan, set(pc) - {i}) for i in pc)
+            for size in range(fan.n_rays + 1):
+                for s in combinations(range(fan.n_rays), size):
+                    assert spans_a_cone(fan, s) or any(set(pc) <= set(s) for pc in collections), (fan.rays, s)
 
 
 class TestPrimitiveRelations:
