@@ -1,18 +1,27 @@
 """Byte-identity of the CLI's reports: SHA-256 of the stdout of each command.
 
-The digests were recorded before the per-cone Thomsen reference left the
-package.  A change that alters any byte of these reports (a verdict, a
-class, a key order, a label) fails here; a change that keeps them passes
-without touching this file.
+The CLI digests were recorded before the per-cone Thomsen reference left
+the package; the multiplicity and demo digests were recorded before
+decompose counted its keys in slabs.  A change that alters any byte of
+these reports (a verdict, a class, a multiplicity, a key order, a label)
+fails here; a change that keeps them passes without touching this file.
 """
 
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from toric_exc.cli import main as cli_main
+from toric_exc.frobenius import decompose
+from toric_exc.picard import anticanonical_divisor
+
+ROOT = Path(__file__).resolve().parent.parent
 
 GOLDEN = [
     (("--format", "json", "prove-main-theorem"),
@@ -47,3 +56,107 @@ def test_stdout_is_byte_identical(argv, digest):
         code = cli_main(list(argv))
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+# SHA-256 of repr(decompose(fan, ctx, D, p).summands): every class with its
+# multiplicity, for D = O and D = -K
+SUMMANDS = {
+    ("P3", "-K", 31): "d903d6598576c21dfaea5448d0c9194d85bb2a8e74d092f5384262e706565fae",
+    ("P3", "O", 31): "c52a54d4bf2e5b0553bb811b877754df9a9b5495d371d15e3cd47f1cc7b8e1d3",
+    ("P3", "-K", 53): "be94ad8d102f1e9ee431c76b760ff3917272d57d1af97a4538fb4a8d3badd79c",
+    ("P3", "O", 53): "41651d512ba89dda6376386ea7ef02c4bd0811d5deec3487c83728b00f25c355",
+    ("B1", "-K", 31): "d53b350d70e249482acfb1a9fa468426389fef7ade2f0b085258128799f1fa02",
+    ("B1", "O", 31): "146538bf34ef1e8cc11b4bc4d47b6d132ec61ee8e74a88152e979b06c60f77d0",
+    ("B1", "-K", 53): "4a45d07ccc2a7feef03623ce52d4a7562950bb2fb48c09b5a0d19ed89adfcf79",
+    ("B1", "O", 53): "b680e5dc7d459b3ae22a378cf8829b74b7d63694a28f023dd6e96347ac6b6332",
+    ("B2", "-K", 31): "4d61f77f58e858714d03176582dccb7d0cf2c88843555d09703d7ee89d6d4296",
+    ("B2", "O", 31): "fa6e5965a56be5a031a785edf034246e34981b3fb69f88b173346a22136a686f",
+    ("B2", "-K", 53): "c8732368846f233cc6170e9e67e42572bf56074c9642c6161da78976d6c0bb6c",
+    ("B2", "O", 53): "b017c4d1e0c01fd84324e1ea8cdcc980537e84b5d1659a754d92764f4ca7dbf8",
+    ("B3", "-K", 31): "0967cfd6bb443905cf97b1e5b0820bb3275e73e611972222cedef513aa9d51f7",
+    ("B3", "O", 31): "b704f2146d79a284aacaef8627ef1e117535a1e5a9526f1ce7e13be8023cf9d6",
+    ("B3", "-K", 53): "abfb391f9c5bd5841191bcee88e80ef56fcbc35058660362c0adcb36578b52c5",
+    ("B3", "O", 53): "efae1ead89f1536a60f0b7aec8cf595a31258d651158afd2c54b1b15cec34f74",
+    ("B4", "-K", 31): "1e7a8f7833f2b2b829476fc22d54a047b384f1b1783780c523689419b92cd601",
+    ("B4", "O", 31): "2c68ee0c303856e7dfc895c10fdb8a51672d8652c94786d7cb42dd3feb65eedf",
+    ("B4", "-K", 53): "f55fde16b0e768416c6833cd55c81847c1e13f62bd1a2c8c874ec31f662bb06c",
+    ("B4", "O", 53): "8fae86600b326756c8e01191d80e848392aa941ce6c9468f62ea53a1c632fd05",
+    ("C1", "-K", 31): "1fafc0ede6129e668f17c785320f837acc19d38c7a9323eba96af8d52cc15c08",
+    ("C1", "O", 31): "b7205c2ba65ffc3638d5e81b9eda8844457f1c7d2022859f8e40d0759d9c0a00",
+    ("C1", "-K", 53): "9d47eb6ef380a4b8c7e1629a86bac33b1287dc51e9d3b1106b2a1de13e426f58",
+    ("C1", "O", 53): "308de8ab39036392fba3caf0fcc8c15686a8ac931f042f7f6e0f6d0f0a4368de",
+    ("C2", "-K", 31): "e986a7f62703da256ea6d4c6b77f5a89605c90cda74911b4a2b05470bcf66b9e",
+    ("C2", "O", 31): "1fb479efe18f5ab2ccdf08d42e3096a58bcd5935687589d1eed12d6b46341255",
+    ("C2", "-K", 53): "38c49f3e9816598075e105081917cf0b3a6786959fe9572e4da7fc5f684cebfb",
+    ("C2", "O", 53): "fe878a2cd413cf2d9d47cd8a54f2865a163ed6429b92ae6bf3f4949a32d9e48a",
+    ("C3", "-K", 31): "252b1c571dbda7425a8ca5b426cef6e700f40a3da47f8d428da19a08381db9a5",
+    ("C3", "O", 31): "5170d1e2e2c09ebc3a09a54c047145b95f265b758b71440c8a3d7b501f21687d",
+    ("C3", "-K", 53): "5c8b94b7cdb38aabed22acf0df729d2217c1205100c99adb24d66b32f44f0d3b",
+    ("C3", "O", 53): "3a98d440ff5f1be5485629a7b5289df6b573440a75810ce20fd4ce54ce5ef3ef",
+    ("C4", "-K", 31): "32b4da37072b7786224d9c4c6f5bb52eed63dbadfb1eea6786a645529c747135",
+    ("C4", "O", 31): "3f6a796c80a8c39782e9a42ba7f0c5a00294464d05d92947ed477b41d1b6c621",
+    ("C4", "-K", 53): "bfc8ebec5a6ab350a46e112508140ba94fe5871f57d271533b117de7cdaaf034",
+    ("C4", "O", 53): "845e882f053ac7f0788b27a0eeed9b3816d7ee1344ba19c035cf39d1f85ae978",
+    ("C5", "-K", 31): "4302b6c3836513a36957f873e78d66f483be1259676808a0d82349b1bd857d51",
+    ("C5", "O", 31): "e81400db3df7102b37f8defeea2ea0fb10e118495bfe7b5312d9e82a29b78ee2",
+    ("C5", "-K", 53): "9b786cbbb8377acabb5045fb3b5a651b320d6be949f0cb21f7e5bb82fa00ccda",
+    ("C5", "O", 53): "9e496deee7c3fbca81299ced3fcc037a57bdf6abb579ddf9d82c17a70978cf56",
+    ("E3", "-K", 31): "b0608d08b0cf2869e475ad114e2197c13a7096cb8046c04b866446be60f1ae89",
+    ("E3", "O", 31): "8f8c8d7509080d23b5f66f732d1a03538f6687cce00d31144c5b6e75801d3562",
+    ("E3", "-K", 53): "c42ade2ffd9831f5d2483ca6f0081f26f6f555904974a764680c90722271e0c6",
+    ("E3", "O", 53): "5a09b9659c08aae4e1212723127cac3cb4f92b859934c15afc7136cf7c8ea4a2",
+    ("F1", "-K", 31): "b991adcc7a370692f6893ec0462672a0e18fc53c07481c23308404254d15df08",
+    ("F1", "O", 31): "25b9139dcb78d3b42d7503600c86851f57e45e91c834e0935afb33a18fe105d1",
+    ("F1", "-K", 53): "10007f7568087953c6a4212c1b9b93ab3c3000c766e0b06903863d629d90e90c",
+    ("F1", "O", 53): "2781fe93565955082d1c87512f863f7c8d4f3e65c4e82c617bf565854446173e",
+    ("D1", "-K", 31): "54668e0270de8708f4530664bc938f96cb6927a4784adbca1574a96e18c8fd28",
+    ("D1", "O", 31): "e373e1418022896fa62ead35291a004d494f9249fcb826e17b2823f807a61e01",
+    ("D1", "-K", 53): "1aec473c4117382269d4a83e129d83d60dd50b82c481d304c8ccccba81deec83",
+    ("D1", "O", 53): "509b0abec8982361180a31ff98c40b1d3a3b38177e58c85d2cb5aff587c2f19a",
+    ("D2", "-K", 31): "b643da817494694fbcb5f57dc783a4ea0af671b0aa10558ab3b92422ded4309a",
+    ("D2", "O", 31): "bc5adb49047956a98b57010328faa5ec274477a36f858a12fe818ac0415849b5",
+    ("D2", "-K", 53): "c1c04f4f2acdf7d67bb1292cb891934e8e4099ef5e54a0704b66f3a7e24fcc44",
+    ("D2", "O", 53): "8da425005fbde6215d2801fb231772ed5a153d05825e4967197079ab7cee7107",
+    ("E1", "-K", 31): "e570df03b692cd288c6f2943f65dfa78ba24c409d1a6e2a962a6b1f65018aeec",
+    ("E1", "O", 31): "094dc19975b4fbcbddd94c0049d3135822ccbe51463cabcffb5d793156f67de8",
+    ("E1", "-K", 53): "91d5d2e05f2829cddc5e0d417fed4f9dd422dd1abd4419120d1bbe9d95298e80",
+    ("E1", "O", 53): "d8b90d7d5b8014cb1e0948ba6f780e73e99c41d7d6e7fd47909fd626d1ce341a",
+    ("E2", "-K", 31): "d84c2083514808921b5c88fbb524435479937ab0b4ec3a1bff25a34f35b7cbbb",
+    ("E2", "O", 31): "b6053c58ef049a782fa0ad26a038e2571232d19c30bf4e9aba9962d917ce53ca",
+    ("E2", "-K", 53): "fa9791a88032f1dfddba6191946f4934467779798b13944985ced62f8def33c5",
+    ("E2", "O", 53): "2fb8a77ed2e0f7a6e12f48767477c9d0d0cf57ed261fb6c5ca7f8b0953067bcc",
+    ("E4", "-K", 31): "09336e1e99597df065057ecc23ee347b2a7d1525743867fe8d753c490414a939",
+    ("E4", "O", 31): "5e6d9628e16729b8979befddf60950f08d2e27920e657e3a717767243cec7681",
+    ("E4", "-K", 53): "febe6fd8925b1a3fc6e8229209b19b1b1525a1bb52b38c341fbc2e94a8b12668",
+    ("E4", "O", 53): "3e5a8991ecbf05376194f6a88f8ce921c6ced903c64442d7578516f0999f7b3e",
+    ("F2", "-K", 31): "b7d93acebf359c6ccffe2c3c0a5917281da71f445b962051c9a4c9e061b62089",
+    ("F2", "O", 31): "a1dc5b68a5e112b24efbe0334c108a180b4fedeeb572696291e91b266142910e",
+    ("F2", "-K", 53): "f679bd1cf95d1fa7b64f1b2b5518842ad10b0c36f710b4e95fa5a7aca069373c",
+    ("F2", "O", 53): "f8930e5d949394d42fc89e7f0d83faf8f90584b72e7b70d8df606053d838c214",
+    ("F2", "O", 101): "babd76f584ae6ae43d596818193046f8a8b4cdbf2acb34aaabff2ca9d7ce574b",
+}
+
+
+@pytest.mark.parametrize("name, divisor, p", sorted(SUMMANDS), ids=lambda x: str(x))
+def test_multiplicities_are_identical(records, contexts, name, divisor, p):
+    fan = records[name].fan
+    D = (0,) * fan.n_rays if divisor == "O" else anticanonical_divisor(fan)
+    summands = decompose(fan, contexts[name], D, p).summands
+    assert hashlib.sha256(repr(summands).encode()).hexdigest() == SUMMANDS[name, divisor, p]
+
+
+DEMOS = {
+    "01_fans_and_classification.py": "653bf9ff10d59e37d744dbf694af503b7a156a1b59436266f8daca0600c8f465",
+    "02_frobenius_splitting.py": "3d4a195be643403cd61c57adc259f37a47ba732ad073059bed4936269ebd5491",
+    "03_cohomology_and_forbidden_sets.py": "ee3b2bb1dac0c20886246533d011f5c680ab0b6127cfed593bff07a92c3db652",
+    "04_exceptional_collections.py": "fae2f8cfe45eaf022d025444eb7859bbfa79f892511f207af100dd6a15da507f",
+}
+
+
+@pytest.mark.parametrize("script", sorted(DEMOS))
+def test_demo_stdout_is_byte_identical(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / script)], cwd=ROOT, env=env,
+                          capture_output=True, check=True, timeout=600)
+    assert hashlib.sha256(proc.stdout).hexdigest() == DEMOS[script]
