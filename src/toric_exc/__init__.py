@@ -14,7 +14,8 @@ from .cohomology import (CohomologyTable, ForbiddenSetReport, cohomology_table, 
                          has_nonzero_global_sections, is_acyclic, reduced_homology_ranks)
 from .errors import (BoxTooLarge, BoxUnstable, InteriorCoverFailure, NotABasis,
                      NotPrimitive, NotStabilized, NotUnimodular, RayNotCovered,
-                     TermOutsideCollection, TooManyRays, ToricExcError, TorsionInPicard)
+                     TermOutsideCollection, TooManyRays, TooManyResidues, ToricExcError,
+                     TorsionInPicard)
 from .exceptional import (FullnessCertificate, KoszulCertified, KoszulReduction,
                           NotCertified, OrderedCollection, SummandSetMatchesK0Rank,
                           VerificationReport, describe_certificate, fullness_certificate,

@@ -2,9 +2,10 @@
 
 Exit codes: 0 when every requested check passes, 1 when a mathematical
 check fails, 2 on usage or data errors (a class whose search box is past
-the radius limit, or a fan with too many rays to sweep, among them).  JSON
-output is stable-ordered (sorted keys, classes in lexicographic order) so
-repeated runs diff cleanly.
+the radius limit, a fan with too many rays to sweep, or a prime with too
+many residue vectors to enumerate, among them).  JSON output is
+stable-ordered (sorted keys, classes in lexicographic order) so repeated
+runs diff cleanly.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 
 from .catalog import FanoRecord, get_record, load_catalog, parse_fan_file
 from .cohomology import cohomology_table, forbidden_sets
-from .errors import BoxTooLarge, NotStabilized, TooManyRays, ToricExcError
+from .errors import BoxTooLarge, NotStabilized, TooManyRays, TooManyResidues, ToricExcError
 from .exceptional import (KoszulCertified, OrderedCollection, SummandSetMatchesK0Rank,
                           describe_certificate, fullness_certificate, verify_strongly_exceptional)
 from .fan import validate_fan
@@ -332,7 +333,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (BoxTooLarge, TooManyRays) as exc:
+    except (BoxTooLarge, TooManyRays, TooManyResidues) as exc:
         print(f"error: too large to search: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ToricExcError as exc:

@@ -43,6 +43,10 @@ class TooManyRays(ToricExcError):
     """Exhaustive subset sweep refused: too many rays."""
 
 
+class TooManyResidues(ToricExcError):
+    """A Frobenius splitting refused: p^n residues are too many to enumerate."""
+
+
 class BoxUnstable(ToricExcError):
     """A query held to its start radius (no escalation) has an answer resting on a character past it."""
 

@@ -14,25 +14,31 @@ sigma_k containing ray j (the choice does not matter).  As the rows of A_k
 are the rays of sigma_k, that pairing is the entry of h_k at the position
 of ray j in sigma_k, and the row of C_lk it divides is v_j B_l whatever k
 is: each ray needs one row of one divide step, read from the base cone
-alone.  decompose counts the summands that way.  For p large enough the
-set of distinct summand classes stops depending on p; stable_summands
-demands agreement across at least two primes, by default DEFAULT_PRIMES.
+alone.  decompose counts the summands that way, walking the residue box
+in slabs of about _SLAB residues along axis 0, so that its memory does not
+grow with p^n, and it refuses more than _RESIDUE_LIMIT residues with
+TooManyResidues before enumerating any.  For p large enough the set of
+distinct summand classes stops depending on p; stable_summands demands
+agreement across at least two primes, by default DEFAULT_PRIMES.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NotStabilized, RayNotCovered
+from .errors import NotStabilized, RayNotCovered, TooManyResidues
 from .fan import Fan, cone_inverse
 from .lattice import _INT64_SAFE
 from .picard import ClassVector, PicContext, to_class
 
 DEFAULT_PRIMES = (31, 37)
+_SLAB = 1 << 17  # residues per slab of the counting loop: its keys stay in cache
+_RESIDUE_LIMIT = 1 << 32  # the most residues decompose enumerates
 
 
 @dataclass(frozen=True)
@@ -67,12 +73,22 @@ def decompose(
     r_j) / p)), and that floor lies in a range [lo_j, hi_j] known in advance,
     so only q_j carries the size of a twist.  Each floor is computed on the
     axes where c_j is nonzero and packed into one mixed-radix key per
-    residue vector; the keys are counted (by bincount when the key space is
-    no larger than the p^n residues) and each distinct key is decoded into
-    D_v.
+    residue vector.  The residues are walked in slabs of at least one value
+    of axis 0 and about _SLAB residues each: the floors on axes 1..n-1 alone
+    are summed once, the others once per slab.  The arithmetic is int32 when
+    every floor argument and key is below 2^31, int64 up to _INT64_SAFE and
+    Python integers past it, so the peak memory is O(max(_SLAB, p^(n-1)))
+    plus the counts of the key space.  Each run of equal keys along the last
+    axis is counted once, weighted by its length (by bincount when the key
+    space is no larger than the p^n residues, else np.unique), and each
+    distinct key is decoded into D_v.  More than _RESIDUE_LIMIT residues
+    raise TooManyResidues before anything is enumerated.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
+    n = fan.dim
+    if p ** n > _RESIDUE_LIMIT:
+        raise TooManyResidues(f"{p}^{n} residues; decompose enumerates at most 2^32")
     cones = fan.max_cones
     if not 0 <= base_cone < len(cones):
         raise ValueError(f"base cone index {base_cone} out of range")
@@ -83,7 +99,6 @@ def decompose(
     divisor = tuple(int(a) for a in divisor)
     base = [divisor[i] for i in cones[base_cone]]
 
-    n = fan.dim
     rows = []                         # (c_j, q_j, r_j, lo_j, span_j) per ray
     for ray, a in zip(fan.rays, divisor):
         c = Bt.mul_vec(ray)           # v_j B_l: v_j on the base cone's ray basis
@@ -94,43 +109,69 @@ def decompose(
 
     bound = max(abs(x) for c, *_ in rows for x in c) * p * n + p
     key_space = math.prod(span for *_, span in rows)
-    dtype = np.int64 if max(bound, key_space) < _INT64_SAFE else object
+    widest = max(bound, key_space)
+    dtype = object if widest >= _INT64_SAFE else np.int32 if widest < 2 ** 31 else np.int64
 
     # ray 0 is the lowest digit; the rays with the same support share one
-    # array, shaped p on those axes and 1 on the others
-    axes = [np.arange(p, dtype=dtype).reshape((p,) + (1,) * (n - 1 - a)) for a in range(n)]
-    shares: dict[tuple[int, ...], np.ndarray] = {}
-    weight = 1
-    for c, _, r, lo, span in rows:
-        support = tuple(a for a, x in enumerate(c) if x)
-        t = sum((c[a] * axes[a] for a in support), r)
-        t //= p
-        t -= lo
-        t *= weight
-        if support in shares:
-            shares[support] += t
-        else:
-            shares[support] = t
-        weight *= span
-    parts = sorted(shares.values(), key=np.size, reverse=True)
-    key = parts[0]
-    for part in parts[1:]:
-        if key.size == p ** n:
-            key += part
-        else:
-            key = key + part
-    key = key.ravel()                 # the base cone's rays cover every axis
+    # array, shaped p on those axes and 1 on the others.  The shares off
+    # axis 0 are summed once, the others once per slab of axis 0.
+    weights = [1]
+    for *_, span in rows[:-1]:
+        weights.append(weights[-1] * span)
+    supports = [tuple(a for a, x in enumerate(c) if x) for c, *_ in rows]
 
-    if dtype is object or key_space > p ** n:
-        keys, counts = np.unique(key, return_counts=True)
-    else:
-        counts = np.bincount(key)
-        keys = np.flatnonzero(counts)
-        counts = counts[keys]
-    assert int(counts.sum()) == p ** n
+    def floor_sum(axes, on_axis_0, extra=0):
+        # the shares of the rays whose support meets axis 0 (or misses it),
+        # summed from the largest down, and then extra
+        shares: dict[tuple[int, ...], np.ndarray] = {}
+        for (c, _, r, lo, _), support, weight in zip(rows, supports, weights):
+            if (0 in support) != on_axis_0:
+                continue
+            t = sum((c[a] * axes[a] for a in support), r)
+            t //= p
+            t -= lo
+            t *= weight
+            if support in shares:
+                shares[support] += t
+            else:
+                shares[support] = t
+        total, *rest = sorted(shares.values(), key=np.size, reverse=True) + [extra]
+        for part in rest:
+            if np.broadcast_shapes(total.shape, np.shape(part)) == total.shape:
+                total += part
+            else:
+                total = total + part
+        return total
+
+    dense = dtype is not object and key_space <= p ** n   # count by bincount, else np.unique
+
+    def run_counts(key):
+        # along a row of the last axis the key changes at most sum_j |c_j|
+        # times, so each run of equal keys is counted once, by its length
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        runs = np.diff(starts, append=key.size)
+        if dense:
+            counts = np.bincount(key[starts], runs, key_space)
+            keys = np.flatnonzero(counts)
+            counts = counts[keys]
+        else:
+            keys, index = np.unique(key[starts], return_inverse=True)
+            counts = np.bincount(index, runs)
+        return dict(zip(keys.tolist(), counts.astype(np.int64).tolist()))
+
+    axes = [None] + [np.arange(p, dtype=dtype).reshape((p,) + (1,) * (n - 1 - a))
+                     for a in range(1, n)]
+    fixed = floor_sum(axes, False)
+    step = -(-_SLAB // p ** (n - 1))   # rows of axis 0 per slab, at least one
+    tally: Counter[int] = Counter()
+    for start in range(0, p, step):
+        axes[0] = np.arange(start, min(start + step, p), dtype=dtype).reshape((-1,) + (1,) * (n - 1))
+        # the base cone's rays cover every axis, so the key fills the slab
+        tally.update(run_counts(floor_sum(axes, True, fixed).ravel()))
+    assert sum(tally.values()) == p ** n
 
     totals: dict[ClassVector, int] = {}
-    for packed, mult in zip(keys.tolist(), counts.tolist()):
+    for packed, mult in tally.items():
         coeffs = []
         for _, q, _, lo, span in rows:
             packed, offset = divmod(packed, span)

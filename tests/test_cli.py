@@ -76,6 +76,15 @@ class TestThomsen:
         assert "unknown variety" in err
 
 
+    def test_too_many_residues_to_enumerate_is_refused(self, capsys):
+        # 10^18 residue vectors: refused before anything is allocated, with
+        # exit 2 as for BoxTooLarge, not a numpy memory error
+        code, out, err = run_cli(capsys, "thomsen", "--variety", "D1",
+                                 "--prime", "1000003", "--prime", "1000033")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: too large to search: 1000003^3 residues")
+
 class TestCohomology:
     def test_structure_sheaf(self, capsys):
         code, out, _ = run_cli(capsys, "cohomology", "--variety", "D1", "--class", "0 0 0")

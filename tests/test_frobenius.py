@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from conftest import zvec
-from toric_exc.errors import NotStabilized
+from toric_exc.errors import NotStabilized, TooManyResidues
 from toric_exc.fan import Fan
 from toric_exc.frobenius import decompose, first_chern_sum, stable_summands
 from toric_exc.lattice import IntMatrix
@@ -251,6 +251,55 @@ class TestDecompose:
             tracemalloc.stop()
         assert peak < 2 * 8 * p ** 3, peak
 
+
+    @pytest.mark.parametrize("int64_safe", [None, 1], ids=["fast", "exact"])
+    def test_slab_boundaries_change_nothing(self, records, contexts, monkeypatch, int64_safe):
+        # one row of axis 0 per slab; p^(n-1) + 1 residues, so two rows per
+        # slab and a partial last slab at odd p; and the default (at p = 53,
+        # 47 rows and then 6).  The exact run forces the object path.
+        import random
+        import toric_exc.frobenius as frob
+        if int64_safe is not None:
+            monkeypatch.setattr(frob, "_INT64_SAFE", int64_safe)
+        default = frob._SLAB
+        rng = random.Random(13)
+        for name, rec in records.items():
+            fan, ctx = rec.fan, contexts[name]
+            twist = tuple(rng.randint(-5, 5) for _ in range(fan.n_rays))
+            for D in ((0,) * fan.n_rays, anticanonical_divisor(fan), twist):
+                for p in (2, 3, 31, 53):
+                    got = set()
+                    for slab in (1, p ** (fan.dim - 1) + 1, default):
+                        monkeypatch.setattr(frob, "_SLAB", slab)
+                        got.add(decompose(fan, ctx, D, p).summands)
+                    assert len(got) == 1, (name, D, p)
+
+    def test_too_many_residues_are_refused(self, d1, d1_ctx, monkeypatch):
+        # 1625^3 < 2^32 < 1626^3; the refusal comes before any enumeration
+        import toric_exc.frobenius as frob
+        with pytest.raises(TooManyResidues, match="1626\\^3 residues"):
+            decompose(d1.fan, d1_ctx, (0,) * 6, 1626)
+        monkeypatch.setattr(frob, "_RESIDUE_LIMIT", 31 ** 3)
+        assert decompose(d1.fan, d1_ctx, (0,) * 6, 31).total_multiplicity == 31 ** 3
+        with pytest.raises(TooManyResidues):
+            decompose(d1.fan, d1_ctx, (0,) * 6, 32)
+
+    def test_peak_memory_does_not_grow_with_the_residues(self, records, contexts):
+        # the keys are counted slab by slab, so at p = 101 (eight slabs) the
+        # peak stays below two bytes per residue; a p^3 array of int64 keys
+        # alone would be eight
+        import tracemalloc
+        p = 101
+        for name in ("D1", "F2"):
+            fan, ctx = records[name].fan, contexts[name]
+            decompose(fan, ctx, (0,) * fan.n_rays, p)
+            tracemalloc.start()
+            try:
+                decompose(fan, ctx, (0,) * fan.n_rays, p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * p ** 3, (name, peak)
 
 class TestStableSummands:
     def test_d1_default_primes(self, d1, d1_ctx):
