@@ -235,10 +235,10 @@ def get_record(name: str) -> FanoRecord:
     raise KeyError(f"unknown variety {name!r}; known: {', '.join(catalog_names())}")
 
 
-def validate_catalog(records=None) -> dict[str, list[str]]:
+def validate_catalog() -> dict[str, list[str]]:
     """Per-record structural failures; an all-empty dict means the data is good."""
     problems: dict[str, list[str]] = {}
-    for rec in records if records is not None else load_catalog():
+    for rec in load_catalog():
         issues = []
         fv = validate_fan(rec.fan)
         if not fv.ok:

@@ -46,18 +46,18 @@ all (Borisov-Hua, Adv. Math. 2009):
   pass with one divisor.
 - The whole box is enumerated once per divisor into a cached list of
   contributing patterns with the sup norms ||u|| of their characters; a
-  box reaching past _RADIUS_LIMIT raises BoxTooLarge before anything is
-  enumerated.
+  box reaching past _RADIUS_LIMIT, or holding more than _CHARACTER_LIMIT
+  characters, raises BoxTooLarge before anything is enumerated.
 
 Every query reads its answer from that whole list, so every answer is
-exact.  A query checks its start radius r0 first: box_radius if given,
-else max(3, 2 + the largest |class coordinate|).  An r0 below 1 raises
+exact.  A query checks its start radius r0 first: for cohomology_table,
+box_radius if given, else max(3, 2 + the largest |class coordinate|),
+which is the only r0 of the verdict queries.  An r0 below 1 raises
 ValueError and one past _RADIUS_LIMIT raises BoxTooLarge, before any box
 is built.  cohomology_table reports as box_radius_used the first of r0,
 r0 + 2, ... that holds every listed character.  Without escalate, an
-answer that rests on a character past r0 raises BoxUnstable instead.  A
-verdict query that escalates from no given radius needs no r0, so it does
-not compute the class.
+answer that rests on a character past r0 raises BoxUnstable instead.  An
+escalating verdict query needs no r0, so it does not compute the class.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -78,6 +78,7 @@ from .picard import ClassVector, PicContext, to_class
 
 _MAX_SWEEP_RAYS = 20
 _RADIUS_LIMIT = 40  # the largest start radius, and the farthest a certified box may reach
+_CHARACTER_LIMIT = 1 << 22  # the most characters a certified box may hold (81^3 = 531,441 in dimension 3)
 _POINT_CACHE_SIZE = 128  # the differences a collection check repeats
 _PASS_ELEMENTS = 1 << 20  # gap entries (divisors x vertex candidates x rays) per vectorised box pass
 
@@ -175,7 +176,6 @@ def _zero_ranks(n: int) -> tuple[int, ...]:
 class ForbiddenSetReport:
     """All proper ray subsets whose full subcomplex carries reduced homology."""
 
-    fan: Fan
     forbidden: tuple[tuple[int, ...], ...]
     homology_ranks: tuple[tuple[int, ...], ...]
 
@@ -192,7 +192,7 @@ def forbidden_sets(fan: Fan) -> ForbiddenSetReport:
         if any(ranks):
             hits.append((tuple(i for i in range(m) if mask >> i & 1), ranks))
     hits.sort(key=lambda item: (len(item[0]), item[0]))
-    return ForbiddenSetReport(fan, tuple(s for s, _ in hits), tuple(r for _, r in hits))
+    return ForbiddenSetReport(tuple(s for s, _ in hits), tuple(r for _, r in hits))
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +368,12 @@ _NO_POINTS: Mapping[int, tuple[int, ...]] = MappingProxyType({})
 def _point_list(fan: Fan, divisor: tuple[int, ...]) -> Mapping[int, tuple[int, ...]]:
     """Every contributing character of D: contributing mask -> ascending ||u|| of its characters.
 
-    The whole certified box is enumerated once; a box reaching past
-    _RADIUS_LIMIT raises BoxTooLarge before anything is enumerated.  Bit i
-    of a mask is set when the representative a + pairing*u is nonnegative on
-    ray i.  This is the one place where characters are built.
+    The whole certified box is enumerated once.  A box reaching past
+    _RADIUS_LIMIT, or holding more than _CHARACTER_LIMIT characters (about
+    130 bytes each while enumerated), raises BoxTooLarge before anything is
+    enumerated: the radius alone bounds the count only in dimension 3.  Bit
+    i of a mask is set when the representative a + pairing*u is nonnegative
+    on ray i.  This is the one place where characters are built.
     """
     box = _contributing_box(fan, divisor)
     if box is None:
@@ -379,6 +381,10 @@ def _point_list(fan: Fan, divisor: tuple[int, ...]) -> Mapping[int, tuple[int, .
     if box.extent > _RADIUS_LIMIT:
         raise BoxTooLarge(f"the certified box of contributing characters reaches radius {box.extent}, "
                           f"past the limit {_RADIUS_LIMIT}")
+    count = prod(h - l + 1 for l, h in zip(box.lo, box.hi))
+    if count > _CHARACTER_LIMIT:
+        raise BoxTooLarge(f"the certified box of contributing characters holds {count} characters, "
+                          f"past the limit {_CHARACTER_LIMIT}")
     frames = _vertex_frames(fan)
     bound = frames.ray_max * box.extent * fan.dim + max(map(abs, divisor))
     dtype = np.int64 if bound < _INT64_SAFE else object
@@ -411,18 +417,14 @@ def _checked_radius(r0: int) -> int:
     return r0
 
 
-def _has_character(ctx: PicContext, divisor: Sequence[int], box_radius: Optional[int], escalate: bool,
-                   wanted, what: str) -> bool:
+def _has_character(ctx: PicContext, divisor: Sequence[int], escalate: bool, wanted, what: str) -> bool:
     """Does D have a contributing character whose mask passes `wanted`?
 
-    Read from the whole list.  The start radius r0 is box_radius, else the
-    class-derived one; an escalating query from no given radius needs none.
-    Without escalate, a yes whose nearest such character lies past r0
-    raises BoxUnstable.
+    Read from the whole list.  An escalating query needs no start radius;
+    without escalate, a yes whose nearest such character lies past the
+    class-derived start radius r0 raises BoxUnstable.
     """
-    r0 = None
-    if box_radius is not None or not escalate:
-        r0 = _checked_radius(_radius_for_class(to_class(ctx, divisor)) if box_radius is None else box_radius)
+    r0 = None if escalate else _checked_radius(_radius_for_class(to_class(ctx, divisor)))
     points = _point_list(ctx.fan, tuple(map(int, divisor)))
     nearest = min((norms[0] for mask, norms in points.items() if wanted(mask)), default=None)
     if nearest is not None and not escalate and nearest > r0:
@@ -431,15 +433,13 @@ def _has_character(ctx: PicContext, divisor: Sequence[int], box_radius: Optional
     return nearest is not None
 
 
-def has_nonzero_global_sections(ctx: PicContext, divisor: Sequence[int],
-                                box_radius: Optional[int] = None, escalate: bool = False) -> bool:
+def has_nonzero_global_sections(ctx: PicContext, divisor: Sequence[int], escalate: bool = False) -> bool:
     """True when D is linearly equivalent to an effective toric divisor: the full pattern is listed."""
     full = (1 << ctx.fan.n_rays) - 1
-    return _has_character(ctx, divisor, box_radius, escalate, lambda mask: mask == full, "sections verdict")
+    return _has_character(ctx, divisor, escalate, lambda mask: mask == full, "sections verdict")
 
 
-def is_acyclic(ctx: PicContext, divisor: Sequence[int],
-               box_radius: Optional[int] = None, escalate: bool = False) -> bool:
+def is_acyclic(ctx: PicContext, divisor: Sequence[int], escalate: bool = False) -> bool:
     """Borisov-Hua acyclicity test: no representative with a forbidden pattern.
 
     Every pattern in the contributing list other than the full one is
@@ -448,8 +448,7 @@ def is_acyclic(ctx: PicContext, divisor: Sequence[int],
     forbidden character past the start radius raises BoxUnstable.
     """
     full = (1 << ctx.fan.n_rays) - 1
-    return not _has_character(ctx, divisor, box_radius, escalate, lambda mask: mask != full,
-                              "acyclicity verdict")
+    return not _has_character(ctx, divisor, escalate, lambda mask: mask != full, "acyclicity verdict")
 
 
 # ---------------------------------------------------------------------------

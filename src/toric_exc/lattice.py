@@ -3,11 +3,12 @@
 Everything in this module runs over arbitrary-precision Python integers;
 no floating point appears anywhere.  The matrices involved downstream are
 small (ray pairing matrices, boundary matrices of simplicial subcomplexes),
-so the implementation favours determinism and auditability over asymptotic
-speed: Smith normal form pivots on the smallest-magnitude entry with ties
-broken by position, and ranks/determinants use fraction-free (Bareiss)
-elimination.  The n x n cofactors that fan geometry needs (cross products
-of n - 1 rays, cone inverses, facet sides) are expanded directly.
+so the implementation favours determinism and auditability: Smith normal
+form pivots on the smallest-magnitude entry with ties broken by position.
+One fraction-free (Bareiss) elimination, _eliminate, gives every rank,
+determinant and cofactor in polynomial time; the cofactors that fan
+geometry needs (cross products of n - 1 rays, cone inverses, facet
+sides) are the n-minors it leaves in the last row of [rows^T | +-I].
 """
 
 from __future__ import annotations
@@ -97,68 +98,64 @@ class SNFResult:
     V: IntMatrix
 
 
+def _eliminate(M: list[list[int]], width: int) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination of the rows M in place, pivoting in the first `width` columns.
+
+    A swap also negates the row it moves down, so no step changes a
+    determinant.  Returns the rank r of those columns and the last pivot
+    (1 when r = 0).  With pivots in columns c_0 < ... < c_(r-1), the last
+    pivot is the minor of the (swapped) rows 0..r-1 on those columns, and
+    entry j of a row i >= r is the minor on rows 0..r-1, i and columns
+    c_0, ..., c_(r-1), j.  Each division is exact (Bareiss 1968).
+    """
+    r, prev = 0, 1
+    m, n = len(M), len(M[0]) if M else 0
+    for j in range(width):
+        if r == m:
+            break
+        pivot = next((i for i in range(r, m) if M[i][j]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            M[r], M[pivot] = M[pivot], [-x for x in M[r]]
+        top, p = M[r], M[r][j]
+        for i in range(r + 1, m):
+            row, a = M[i], M[i][j]
+            if a or p != prev:   # a = 0 and p = prev would leave the row unchanged
+                for k in range(j + 1, n):
+                    row[k] = (p * row[k] - a * top[k]) // prev
+                row[j] = 0
+        prev, r = p, r + 1
+    return r, prev
+
+
 def determinant(A: IntMatrix) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination."""
-    n = A.rows
-    if n != A.cols:
+    """Determinant of a square integer matrix: the last pivot of a full-rank elimination."""
+    if A.rows != A.cols:
         raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    M = [list(r) for r in A.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            M[k], M[pivot] = M[pivot], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[k][k] * M[i][j] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+    r, last = _eliminate([list(row) for row in A.entries], A.cols)
+    return last if r == A.cols else 0
+
+
+def rank(A: IntMatrix) -> int:
+    """Rank over the rationals, computed exactly."""
+    return _eliminate([list(row) for row in A.entries], A.cols)[0]
 
 
 def _cross(rows: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
     """x with <x, w> = det(w, rows) for every w: orthogonal to the n - 1 rows.
 
-    Entry k is (-1)^k times the minor of the rows without column k, each
-    expanded by cofactors in plain integers.  Row i of a square matrix's
-    cofactor matrix is (-1)^i times the cross product of the other rows,
-    so A @ cofactors^T = det(A) I.
+    x_k = det(e_k, rows) = det(rows^T | (-1)^(n-1) e_k).  Eliminating
+    [rows^T | (-1)^(n-1) I] on its first n - 1 columns leaves these n-minors
+    in its last row; they all vanish when the rows are dependent.  Row i of
+    a square matrix's cofactor matrix is (-1)^i times the cross product of
+    the other rows, so A @ cofactors^T = det(A) I.
     """
-    if n == 1:
-        return (1,)
-    if n == 2:
-        return (rows[0][1], -rows[0][0])
-    minors = ([r[:k] + r[k + 1:] for r in rows] for k in range(n))
-    # det(M) = <M[0], cross(M[1:])>, expanded along the first row
-    return tuple((-1) ** k * sum(a * c for a, c in zip(M[0], _cross(M[1:], n - 1))) for k, M in enumerate(minors))
-
-
-def rank(A: IntMatrix) -> int:
-    """Rank over the rationals, computed exactly (Bareiss elimination)."""
-    m, n = A.rows, A.cols
-    M = [list(r) for r in A.entries]
-    r = 0
-    prev = 1
-    for j in range(n):
-        if r == m:
-            break
-        pivot = next((i for i in range(r, m) if M[i][j] != 0), None)
-        if pivot is None:
-            continue
-        M[r], M[pivot] = M[pivot], M[r]
-        for i in range(r + 1, m):
-            for jj in range(j + 1, n):
-                M[i][jj] = (M[r][j] * M[i][jj] - M[i][j] * M[r][jj]) // prev
-            M[i][j] = 0
-        prev = M[r][j]
-        r += 1
-    return r
+    sign = (-1) ** (n - 1)
+    M = [[row[k] for row in rows] + [sign * (k == j) for j in range(n)] for k in range(n)]
+    if _eliminate(M, n - 1)[0] < n - 1:
+        return (0,) * n
+    return tuple(M[n - 1][n - 1:])
 
 
 def _pivot_position(M: list[list[int]], t: int) -> Optional[tuple[int, int]]:

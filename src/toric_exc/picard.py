@@ -37,7 +37,6 @@ class PicContext:
     """
 
     fan: Fan
-    basis: Optional[tuple[int, ...]]
     class_map: IntMatrix
     rep_map: IntMatrix
 
@@ -74,7 +73,7 @@ def build_pic_context(fan: Fan, basis_divisors: Optional[Sequence[int]] = None) 
         class_map = IntMatrix.from_rows(inv.entries[n:])
         rep_map = IntMatrix.from_rows([[1 if i == b else 0 for b in basis] for i in range(m)])
         assert (class_map @ rep_map).is_identity()
-        return PicContext(fan, basis, class_map, rep_map)
+        return PicContext(fan, class_map, rep_map)
 
     snf = smith_normal_form(pairing)
     diag = snf.D.diagonal_entries()
@@ -86,7 +85,7 @@ def build_pic_context(fan: Fan, basis_divisors: Optional[Sequence[int]] = None) 
     u_inv = unimodular_inverse(snf.U)
     rep_map = IntMatrix.from_rows([row[n:] for row in u_inv.entries])
     assert (class_map @ rep_map).is_identity()
-    return PicContext(fan, None, class_map, rep_map)
+    return PicContext(fan, class_map, rep_map)
 
 
 def to_class(ctx: PicContext, divisor: Sequence[int]) -> ClassVector:

@@ -14,6 +14,7 @@ from toric_exc.errors import BoxTooLarge
 from toric_exc.exceptional import OrderedCollection, verify_strongly_exceptional
 from toric_exc.picard import build_pic_context
 from test_cohomology import star_subdivided_p3
+from test_fan import projective_space
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -128,6 +129,22 @@ class TestCohomology:
         assert code == 2 and out == ""
         assert "too large to search" in err and "radius 59" in err
 
+    def test_a_box_of_too_many_characters_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        # O(38) on P^5 and P^6: radius 38, but 39^5 and 39^6 characters, refused before any is built
+        from toric_exc import cohomology
+        for n in (5, 6):   # the vertex frames use product too; build them first
+            cohomology._vertex_frames(projective_space(n))
+        built = []
+        monkeypatch.setattr(cohomology, "product", lambda *ranges: built.append(ranges) or iter(()))
+        for n in (5, 6):
+            path = tmp_path / f"p{n}.fan"
+            path.write_text(format_fan_file(projective_space(n)))
+            code, out, err = run_cli(capsys, "cohomology", "--fan-file", str(path), "--class", "38")
+            assert code == 2 and out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error: too large to search")
+            assert f"holds {39 ** n} characters" in err
+        assert built == []
+
 class TestForbidden:
     def test_d1_eleven_sets(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "json", "forbidden", "--variety", "D1")
@@ -157,6 +174,14 @@ class TestForbidden:
         code, out, err = run_cli(capsys, "forbidden", "--fan-file", str(path))
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: too large to search: 21 rays")
+
+    def test_projective_nine_space(self, capsys, tmp_path):
+        # its fan file used to take minutes to validate, one cofactor expansion per facet
+        path = tmp_path / "p9.fan"
+        path.write_text(format_fan_file(projective_space(9)))
+        code, out, _ = run_cli(capsys, "--format", "json", "forbidden", "--fan-file", str(path))
+        assert code == 0
+        assert json.loads(out)["results"]["forbidden_sets"] == [{"rays": [], "homology_ranks": [1] + [0] * 9}]
 
 
 class TestVerify:

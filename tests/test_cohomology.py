@@ -22,7 +22,7 @@ from toric_exc.lattice import _INT64_SAFE
 from toric_exc.fan import Fan, is_complete, validate_fan
 from toric_exc.picard import (anticanonical_divisor, build_pic_context, canonical_divisor,
                                 class_to_divisor, to_class)
-from test_fan import seeded_blowups
+from test_fan import projective_space, seeded_blowups
 
 D_FORBIDDEN = {(), (3, 6), (4, 6), (3, 5), (1, 2, 5), (1, 2, 4), (1, 2, 4, 5),
                (1, 2, 3, 5), (1, 2, 4, 6), (3, 5, 6), (3, 4, 6)}
@@ -259,8 +259,8 @@ class TestPatternHistogram:
         assert sum(plain_histogram(fan, divisor, 1).values()) == 27
         assert _contributing_box(fan, divisor).extent > 2**50
         queries = [lambda: cohomology_table(d1_ctx, divisor, box_radius=1),
-                   lambda: has_nonzero_global_sections(d1_ctx, divisor, box_radius=1),
-                   lambda: is_acyclic(d1_ctx, divisor, box_radius=1)]
+                   lambda: has_nonzero_global_sections(d1_ctx, divisor, escalate=True),
+                   lambda: is_acyclic(d1_ctx, divisor, escalate=True)]
         for query in queries:
             with pytest.raises(BoxTooLarge):
                 query()
@@ -420,6 +420,33 @@ class TestPlainCrossCheck:
             _point_list(d1_ctx.fan, divisor)
         assert built == []
 
+    def test_a_box_of_too_many_characters_builds_none(self, monkeypatch):
+        # O(38) on P^5 and P^6 stays within the radius limit, but its box holds 39^n characters
+        cases = [(ctx.fan, class_to_divisor(ctx, (38,)))
+                 for ctx in (build_pic_context(projective_space(n)) for n in (5, 6))]
+        assert [_contributing_box(fan, divisor).extent for fan, divisor in cases] == [38, 38]
+        built = []
+        monkeypatch.setattr(cohomology, "product", lambda *ranges: built.append(ranges) or iter(()))
+        for fan, divisor in cases:
+            with pytest.raises(BoxTooLarge, match=f"holds {39 ** fan.dim} characters"):
+                _point_list(fan, divisor)
+        assert built == []
+
+    def test_a_four_dimensional_box_under_the_character_limit_is_enumerated(self, monkeypatch):
+        ctx = build_pic_context(projective_space(4))
+        assert cohomology_table(ctx, class_to_divisor(ctx, (10,)), escalate=True).dims == (1001, 0, 0, 0, 0)
+        divisor = class_to_divisor(ctx, (38,))
+        assert _contributing_box(ctx.fan, divisor).extent == 38
+        # O(38) holds 39^4 = 2,313,441 characters, under the limit: its whole box reaches the
+        # enumeration, here stubbed to yield one character so that nothing large is built
+        built = []
+        monkeypatch.setattr(cohomology, "product",
+                            lambda *ranges: built.append(ranges) or iter([tuple(r.start for r in ranges)]))
+        _point_list.cache_clear()
+        _point_list(ctx.fan, divisor)
+        _point_list.cache_clear()
+        assert [[len(r) for r in ranges] for ranges in built] == [[39] * 4]
+
 
 def plain_norms(fan, divisor, radius):
     """Contributing mask -> ascending sup norms of its characters in the centred cube, in Python ints."""
@@ -445,9 +472,6 @@ class TestExactness:
     def test_every_query_equals_a_plain_count(self, records):
         for ctx, divisor in exactness_cases(records):
             fan, full = ctx.fan, (1 << ctx.fan.n_rays) - 1
-            queries = {"table": lambda **kw: cohomology_table(ctx, divisor, **kw).dims,
-                       "acyclic": lambda **kw: is_acyclic(ctx, divisor, **kw),
-                       "sections": lambda **kw: has_nonzero_global_sections(ctx, divisor, **kw)}
             box = _contributing_box(fan, divisor)
             # a cube two steps past the box: a character the box missed would show
             found = plain_norms(fan, divisor, 2 + (box.extent if box else 0))
@@ -457,21 +481,27 @@ class TestExactness:
                 dims = [d + len(norms) * h for d, h in zip(dims, reversed(boundary_ranks(fan, mask)))]
             reach = max((norms[-1] for norms in found.values()), default=0)
             nearest_forbidden = min((norms[0] for mask, norms in found.items() if mask != full), default=0)
-            want = {"table": (tuple(dims), reach),
-                    "acyclic": (all(mask == full for mask in found), nearest_forbidden),
-                    "sections": (full in found, found[full][0] if full in found else 0)}
+            r_class = _radius_for_class(to_class(ctx, divisor))
             for radius in (None, 1, 4):
-                r0 = _radius_for_class(to_class(ctx, divisor)) if radius is None else radius
+                r0 = r_class if radius is None else radius
                 table = cohomology_table(ctx, divisor, box_radius=radius, escalate=True)
+                assert table.dims == tuple(dims)
                 assert table.box_radius_used == next(r for r in itertools.count(r0, 2) if r >= reach)
-                for key, query in queries.items():
-                    answer, needs = want[key]
-                    assert query(box_radius=radius, escalate=True) == answer, (fan.rays, divisor, key)
-                    if needs > r0:   # the answer rests on a character past the start radius
-                        with pytest.raises(BoxUnstable):
-                            query(box_radius=radius)
-                    else:
-                        assert query(box_radius=radius) == answer, (fan.rays, divisor, key, radius)
+                if reach > r0:   # the dimensions rest on a character past the start radius
+                    with pytest.raises(BoxUnstable):
+                        cohomology_table(ctx, divisor, box_radius=radius)
+                else:
+                    assert cohomology_table(ctx, divisor, box_radius=radius).dims == tuple(dims)
+            verdicts = {   # each answer and the norm of the character it rests on
+                is_acyclic: (all(mask == full for mask in found), nearest_forbidden),
+                has_nonzero_global_sections: (full in found, found[full][0] if full in found else 0)}
+            for query, (answer, needs) in verdicts.items():   # from the class-derived start radius
+                assert query(ctx, divisor, escalate=True) == answer, (fan.rays, divisor, query)
+                if needs > r_class:
+                    with pytest.raises(BoxUnstable):
+                        query(ctx, divisor)
+                else:
+                    assert query(ctx, divisor) == answer, (fan.rays, divisor, query)
 
     def test_a_sweep_class_computes_its_class_once(self, contexts, monkeypatch):
         calls = []

@@ -1,6 +1,7 @@
 """Fan combinatorics: validation, primitive collections/relations, Fano test."""
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -10,11 +11,18 @@ from toric_exc.fan import (Fan, _completeness_problems, cone_inverse, cone_matri
                            is_complete, is_face, is_fano, primitive_collections, primitive_relations,
                            validate_fan)
 from toric_exc.lattice import IntMatrix, unimodular_inverse
+from toric_exc.picard import build_pic_context
 
 P3 = Fan.make(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
               [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 HIRZEBRUCH_F2 = Fan.make(2, [(1, 0), (0, 1), (-1, 2), (0, -1)],
                          [(0, 1), (1, 2), (2, 3), (3, 0)])
+
+
+def projective_space(n):
+    """P^n: the n unit vectors and minus their sum, any n of them spanning a maximal cone."""
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+    return Fan.make(n, rays, combinations(range(n + 1), n))
 
 
 def one_based(sets):
@@ -235,3 +243,16 @@ class TestIsFano:
 
     def test_catalog_all_fano(self, records):
         assert all(is_fano(rec.fan) for rec in records.values())
+
+
+class TestDimension:
+    def test_projective_spaces_up_to_eleven_validate_in_seconds(self):
+        # every cofactor is one Bareiss elimination; a cofactor expansion took 84 s on P^9 alone
+        _completeness_problems.cache_clear()
+        cone_inverse.cache_clear()
+        start = time.perf_counter()
+        for n in range(1, 12):
+            fan = projective_space(n)
+            assert validate_fan(fan).ok
+            assert build_pic_context(fan).rank == 1
+        assert time.perf_counter() - start < 2

@@ -2,7 +2,9 @@
 
 The CLI digests were recorded before the per-cone Thomsen reference left
 the package; the multiplicity and demo digests were recorded before
-decompose counted its keys in slabs.  A change that alters any byte of
+decompose counted its keys in slabs; the fan-file digests were recorded
+before one Bareiss elimination replaced the cofactor expansion of
+lattice._cross.  A change that alters any byte of
 these reports (a verdict, a class, a multiplicity, a key order, a label)
 fails here; a change that keeps them passes without touching this file.
 """
@@ -10,6 +12,7 @@ fails here; a change that keeps them passes without touching this file.
 import contextlib
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -17,9 +20,11 @@ from pathlib import Path
 
 import pytest
 
+from toric_exc.catalog import format_fan_file
 from toric_exc.cli import main as cli_main
 from toric_exc.frobenius import decompose
 from toric_exc.picard import anticanonical_divisor
+from test_fan import projective_space, seeded_blowups
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,6 +61,44 @@ def test_stdout_is_byte_identical(argv, digest):
         code = cli_main(list(argv))
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+# SHA-256 of json.dumps(results, sort_keys=True) for a fan file: the Smith-form
+# Pic basis, and lattice._cross in dimensions 1, 2 and 4.  Only `results` is
+# digested, since `inputs.fan_file` names a temporary path.
+FAN_FILE_GOLDEN = [
+    ("P1", ("thomsen",), "36616771578a1db27caed767b7a6192c75aaecf6973ed4475a9eb5f6376b480a"),
+    ("P1", ("forbidden",), "af79956ac9f49acc4b5bb17c3ed553b533e8b0bb07e4a861ffa6abcaad7cb597"),
+    ("P1", ("cohomology", "--class", "-3"), "b474691501c27c382dc7a7a2a69aa93261a23ac4d371170de631d1cd3a461016"),
+    ("P2", ("thomsen",), "7b6207e964c9533ba2717f30cc200360bcc3786f2a36fbd55d9a3ab5477a5816"),
+    ("P2", ("forbidden",), "cf9b4b1b59ccc29af812d153772b29f94e2362d8971d196539069c492c10687f"),
+    ("P2", ("cohomology", "--class", "-4"), "bbdfa5a066f705344ad4b162bdcdf2a5b192f7151ced1fa4d2ee8b53ae59f2a2"),
+    ("P4", ("thomsen",), "0985d08d61baaea84c1f771f50c9e6a22f085e96794c971c5b35eb07d52e5aa1"),
+    ("P4", ("forbidden",), "374b8ec9e77e06f448efd6ff410f556a6bb8961960d3a819ee0a6c8a5210d2ab"),
+    ("P4", ("cohomology", "--class", "-6"), "70c94b3c4a8d36b141ae866937bd6deb591b8fd23c9ee3e5344c9c4989632eb3"),
+    ("P4", ("cohomology", "--class", "3"), "42d7a55b31caea6855639fe2e95dc4a305acda72ac15a6fffdff44ea332783e8"),
+    ("blowup", ("thomsen",), "5fe5ee92e92fe4b6ad27e9f8bab5367eed366cfe3855ffc3a4621202b0b6c72b"),
+    ("blowup", ("forbidden",), "34b987ca260d08fdeacc87203674f30eac3b07c08f56c05c1c1c3b06153a2ea8"),
+    ("blowup", ("cohomology", "--class", "-1 1 0 0 0 0 -1"),
+     "857dcbb08b0f1c78485f890eb81f2556ff5b1dc9d1d4e85fa7c12b2e52215a2f"),
+    ("blowup", ("cohomology", "--class", "1 -1 1 0 -1 0 0"),
+     "6ff7d5b23a50779bc0c54fda73c6ad524a55f1ad086ceed495707dc3a3c23f4a"),
+]
+
+
+@pytest.mark.parametrize("name, argv, digest", FAN_FILE_GOLDEN,
+                         ids=[f"{name} {' '.join(argv)}" for name, argv, _ in FAN_FILE_GOLDEN])
+def test_fan_file_results_are_identical(records, tmp_path, name, argv, digest):
+    fans = {"P1": lambda: projective_space(1), "P2": lambda: projective_space(2),
+            "P4": lambda: projective_space(4), "blowup": lambda: seeded_blowups(records, (10,), seed=7)[0]}
+    path = tmp_path / f"{name}.fan"
+    path.write_text(format_fan_file(fans[name]()))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(["--format", "json", argv[0], "--fan-file", str(path), *argv[1:]])
+    assert code == 0
+    results = json.loads(out.getvalue())["results"]
+    assert hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest() == digest
 
 
 # SHA-256 of repr(decompose(fan, ctx, D, p).summands): every class with its

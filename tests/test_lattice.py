@@ -1,5 +1,7 @@
 """Exact linear algebra: Smith normal form, unimodular inverses, ranks."""
 
+from functools import cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,8 +117,27 @@ class TestRank:
         assert rank(A) == sum(1 for d in s.D.diagonal_entries() if d != 0)
 
 
-square_matrices = st.integers(1, 5).flatmap(
+square_matrices = st.integers(1, 8).flatmap(
     lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def leibniz_determinant(rows):
+    """The sum over permutations s of sign(s) * prod rows[i][s(i)], in plain integers.
+
+    Each permutation is built row by row: giving row i the k-th smallest
+    free column adds k inversions.  Permutations whose first i rows use the
+    same set of columns share the signed sum over their completions, which
+    is kept per set, so n = 8 costs 2^8 sums instead of 8! products.
+    """
+    n = len(rows)
+
+    @cache
+    def completions(used):
+        i = used.bit_count()
+        free = [j for j in range(n) if not used >> j & 1]
+        return 1 if i == n else sum((-1) ** k * rows[i][j] * completions(used | 1 << j)
+                                    for k, j in enumerate(free) if rows[i][j])
+    return completions(0)
 
 
 class TestCross:
@@ -127,8 +148,17 @@ class TestCross:
     @given(square_matrices)
     @settings(max_examples=150, deadline=None)
     def test_pairing_is_the_bareiss_determinant(self, rows):
-        # <cross(rows[1:]), rows[0]> = det(rows), and cross(rows[1:]) is orthogonal to each of them
+        # <cross(rows[1:]), rows[0]> = det(rows), and cross(rows[1:]) is orthogonal to each of them;
+        # both eliminations are checked against the permutation sum
         n = len(rows)
         x = _cross(rows[1:], n)
-        assert sum(a * b for a, b in zip(x, rows[0])) == determinant(IntMatrix.from_rows(rows))
+        det = determinant(IntMatrix.from_rows(rows))
+        assert det == leibniz_determinant(rows)
+        assert sum(a * b for a, b in zip(x, rows[0])) == det
         assert all(sum(a * b for a, b in zip(x, row)) == 0 for row in rows[1:])
+
+    def test_dependent_rows_have_a_zero_cross_product(self):
+        assert _cross([], 1) == (1,)
+        assert _cross([(0, 0)], 2) == (0, 0)
+        assert _cross([(1, 2, 3), (2, 4, 6)], 3) == (0, 0, 0)
+        assert _cross([(0, 1, 0, 0), (0, 0, 1, 0), (0, 1, 1, 0)], 4) == (0, 0, 0, 0)
