@@ -152,7 +152,7 @@ def _cross(rows: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
     the other rows, so A @ cofactors^T = det(A) I.
     """
     sign = (-1) ** (n - 1)
-    M = [[row[k] for row in rows] + [sign * (k == j) for j in range(n)] for k in range(n)]
+    M = [[row[k] for row in rows] + [0] * k + [sign] + [0] * (n - 1 - k) for k in range(n)]
     if _eliminate(M, n - 1)[0] < n - 1:
         return (0,) * n
     return tuple(M[n - 1][n - 1:])
