@@ -247,7 +247,7 @@ class TestIsFano:
 
 class TestDimension:
     def test_projective_spaces_up_to_eleven_validate_in_seconds(self):
-        # every cofactor is one Bareiss elimination; a cofactor expansion took 84 s on P^9 alone
+        # every cofactor is one Bareiss elimination; a cofactor expansion took over a minute on P^9 alone
         _completeness_problems.cache_clear()
         cone_inverse.cache_clear()
         start = time.perf_counter()

@@ -89,10 +89,10 @@ FAN_FILE_GOLDEN = [
 @pytest.mark.parametrize("name, argv, digest", FAN_FILE_GOLDEN,
                          ids=[f"{name} {' '.join(argv)}" for name, argv, _ in FAN_FILE_GOLDEN])
 def test_fan_file_results_are_identical(records, tmp_path, name, argv, digest):
-    fans = {"P1": lambda: projective_space(1), "P2": lambda: projective_space(2),
-            "P4": lambda: projective_space(4), "blowup": lambda: seeded_blowups(records, (10,), seed=7)[0]}
+    fans = {"P1": projective_space(1), "P2": projective_space(2), "P4": projective_space(4),
+            "blowup": seeded_blowups(records, (10,), seed=7)[0]}
     path = tmp_path / f"{name}.fan"
-    path.write_text(format_fan_file(fans[name]()))
+    path.write_text(format_fan_file(fans[name]))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli_main(["--format", "json", argv[0], "--fan-file", str(path), *argv[1:]])
