@@ -22,8 +22,9 @@ import pytest
 
 from toric_exc.catalog import format_fan_file
 from toric_exc.cli import main as cli_main
+from toric_exc.fan import cone_inverse
 from toric_exc.frobenius import decompose
-from toric_exc.picard import anticanonical_divisor
+from toric_exc.picard import anticanonical_divisor, build_pic_context
 from test_fan import projective_space, seeded_blowups
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -203,3 +204,23 @@ def test_demo_stdout_is_byte_identical(script):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / script)], cwd=ROOT, env=env,
                           capture_output=True, check=True, timeout=600)
     assert hashlib.sha256(proc.stdout).hexdigest() == DEMOS[script]
+
+
+# SHA-256 of repr() of every Pic context's (class_map, rep_map) entries and
+# every maximal cone's inverse, recorded while cone inverses were det times
+# adjugate and Pic inverses went through a second Smith normal form: the 18
+# catalog fans on their stored basis and on the Smith basis, 24 seeded
+# blow-ups with 9 to 16 rays, and P^1 to P^9.
+PIC_CONTEXTS = "be89e48d4dbf86a8161ddeb760979bfa4fdcc836c8b4ddee1605f6465b18c060"
+
+
+def test_pic_contexts_and_cone_inverses_are_identical(records):
+    cases = [(rec.fan, basis) for rec in records.values() for basis in (rec.pic_basis, None)]
+    cases += [(fan, None) for fan in seeded_blowups(records, tuple(range(9, 17)) * 3, seed=11)]
+    cases += [(projective_space(n), None) for n in range(1, 10)]
+    pinned = []
+    for fan, basis in cases:
+        ctx = build_pic_context(fan, basis)
+        pinned.append((ctx.class_map.entries, ctx.rep_map.entries,
+                       tuple(cone_inverse(fan, cone).entries for cone in fan.max_cones)))
+    assert hashlib.sha256(repr(pinned).encode()).hexdigest() == PIC_CONTEXTS
