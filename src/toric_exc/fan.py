@@ -26,8 +26,8 @@ from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import InteriorCoverFailure, NotUnimodular
-from .lattice import IntMatrix, _cross, determinant
+from .errors import InteriorCoverFailure
+from .lattice import IntMatrix, _cross, determinant, unimodular_inverse
 
 
 @dataclass(frozen=True)
@@ -62,18 +62,10 @@ def cone_matrix(fan: Fan, cone: Sequence[int]) -> IntMatrix:
 def cone_inverse(fan: Fan, cone: tuple[int, ...]) -> IntMatrix:
     """Cached inverse of the cone's ray-row matrix (cone rays are a basis).
 
-    It is det times the transposed cofactor matrix, exact because the
-    determinant is +-1; any other determinant raises NotUnimodular.
+    It is unimodular_inverse, det times the transposed cofactor matrix; a
+    cone that is not smooth raises NotUnimodular.
     """
-    A = cone_matrix(fan, cone)
-    if A.rows != A.cols:
-        raise NotUnimodular(f"matrix is {A.rows}x{A.cols}, not square")
-    rows, n = A.entries, A.rows
-    cofactors = [tuple((-1) ** i * c for c in _cross(rows[:i] + rows[i + 1:], n)) for i in range(n)]
-    det = sum(a * c for a, c in zip(rows[0], cofactors[0]))
-    if abs(det) != 1:
-        raise NotUnimodular(f"determinant is {det}, not +-1")
-    return IntMatrix(tuple(tuple(det * c for c in column) for column in zip(*cofactors)))
+    return unimodular_inverse(cone_matrix(fan, cone))
 
 
 def cone_coordinates(fan: Fan, cone: tuple[int, ...], point: Sequence[int]) -> tuple[int, ...]:

@@ -14,12 +14,14 @@ sigma_k containing ray j (the choice does not matter).  As the rows of A_k
 are the rays of sigma_k, that pairing is the entry of h_k at the position
 of ray j in sigma_k, and the row of C_lk it divides is v_j B_l whatever k
 is: each ray needs one row of one divide step, read from the base cone
-alone.  decompose counts the summands that way, walking the residue box
-in slabs of about _SLAB residues along axis 0, so that its memory does not
-grow with p^n, and it refuses more than _RESIDUE_LIMIT residues with
-TooManyResidues before enumerating any.  For p large enough the set of
-distinct summand classes stops depending on p; stable_summands demands
-agreement across at least two primes, by default DEFAULT_PRIMES.
+alone.  The summand multiset does not depend on the base cone, so
+decompose takes the first maximal cone.  It counts the summands that
+way, walking the residue box in slabs of about _SLAB residues along
+axis 0, so that its memory does not grow with p^n, and it refuses more
+than _RESIDUE_LIMIT residues with TooManyResidues before enumerating any.
+For p large enough the set of distinct summand classes stops depending on
+p; stable_summands demands agreement across at least two primes, by
+default DEFAULT_PRIMES.
 """
 
 from __future__ import annotations
@@ -63,17 +65,16 @@ def decompose(
     ctx: PicContext,
     divisor: Sequence[int],
     p: int,
-    base_cone: int = 0,
 ) -> FrobeniusDecomposition:
     """Full splitting of (pi_p)_* O(D) dual into line bundle classes.
 
-    Ray j reads its row c_j = v_j B_l of the divide step and its shift
-    w_j = a_j - <c_j, a restricted to sigma_l> = q_j p + r_j, both from the
-    base cone alone.  Its coefficient in D_v is -(q_j + floor((<c_j, v> +
-    r_j) / p)), and that floor lies in a range [lo_j, hi_j] known in advance,
-    so only q_j carries the size of a twist.  Each floor is computed on the
-    axes where c_j is nonzero and packed into one mixed-radix key per
-    residue vector.  The residues are walked in slabs of at least one value
+    The base cone sigma_l is the first maximal cone.  Ray j reads its row
+    c_j = v_j B_l of the divide step and its shift w_j = a_j - <c_j, a
+    restricted to sigma_l> = q_j p + r_j, both from the base cone alone.
+    Its coefficient in D_v is -(q_j + floor((<c_j, v> + r_j) / p)), and
+    that floor lies in a range [lo_j, hi_j] known in advance, so only q_j
+    carries the size of a twist.  Each floor is computed on the axes where
+    c_j is nonzero and packed into one mixed-radix key per residue vector.  The residues are walked in slabs of at least one value
     of axis 0 and about _SLAB residues each: the floors on axes 1..n-1 alone
     are summed once, the others once per slab.  The arithmetic is int32 when
     every floor argument and key is below 2^31, int64 up to _INT64_SAFE and
@@ -90,14 +91,12 @@ def decompose(
     if p ** n > _RESIDUE_LIMIT:
         raise TooManyResidues(f"{p}^{n} residues; decompose enumerates at most 2^32")
     cones = fan.max_cones
-    if not 0 <= base_cone < len(cones):
-        raise ValueError(f"base cone index {base_cone} out of range")
     uncovered = set(range(fan.n_rays)).difference(*cones)
     if uncovered:
         raise RayNotCovered(f"ray {min(uncovered)} lies in no maximal cone")
-    Bt = cone_inverse(fan, cones[base_cone]).transpose()
+    Bt = cone_inverse(fan, cones[0]).transpose()
     divisor = tuple(int(a) for a in divisor)
-    base = [divisor[i] for i in cones[base_cone]]
+    base = [divisor[i] for i in cones[0]]
 
     rows = []                         # (c_j, q_j, r_j, lo_j, span_j) per ray
     for ray, a in zip(fan.rays, divisor):

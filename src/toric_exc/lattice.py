@@ -3,12 +3,14 @@
 Everything in this module runs over arbitrary-precision Python integers;
 no floating point appears anywhere.  The matrices involved downstream are
 small (ray pairing matrices, boundary matrices of simplicial subcomplexes),
-so the implementation favours determinism and auditability: Smith normal
-form pivots on the smallest-magnitude entry with ties broken by position.
+so the implementation favours determinism and auditability.
 One fraction-free (Bareiss) elimination, _eliminate, gives every rank,
-determinant and cofactor in polynomial time; the cofactors that fan
-geometry needs (cross products of n - 1 rays, cone inverses, facet
-sides) are the n-minors it leaves in the last row of [rows^T | +-I].
+determinant and cofactor in polynomial time; the cofactors (cross products
+of n - 1 rows, facet sides) are the n-minors it leaves in the last row of
+[rows^T | +-I].  Every inverse, of a cone or of a Pic frame, is
+unimodular_inverse: det times the transposed cofactor matrix.  The Smith
+normal form, which pivots on the smallest-magnitude entry with ties broken
+by position, only chooses the quotient basis of Pic.
 """
 
 from __future__ import annotations
@@ -63,9 +65,6 @@ class IntMatrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-    def col(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.entries))) if self.entries else self
@@ -275,18 +274,19 @@ def smith_normal_form(A: IntMatrix) -> SNFResult:
 
 
 def unimodular_inverse(A: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1.
+    """Exact inverse of a matrix with determinant +-1: det times the transposed cofactor matrix.
 
-    Raises NotUnimodular otherwise.
+    Row i of the cofactor matrix is (-1)^i times _cross of the other rows,
+    and A @ cofactors^T = det(A) I.  Raises NotUnimodular for any other
+    determinant or a non-square matrix.
     """
     if A.rows != A.cols:
         raise NotUnimodular(f"matrix is {A.rows}x{A.cols}, not square")
-    d = determinant(A)
-    if abs(d) != 1:
-        raise NotUnimodular(f"determinant is {d}, not +-1")
-    snf = smith_normal_form(A)
-    # U A V = I, hence A^{-1} = V U.
-    assert snf.D.is_identity()
-    inv = snf.V @ snf.U
+    rows, n = A.entries, A.rows
+    cofactors = [tuple((-1) ** i * c for c in _cross(rows[:i] + rows[i + 1:], n)) for i in range(n)]
+    det = sum(a * c for a, c in zip(rows[0], cofactors[0]))
+    if abs(det) != 1:
+        raise NotUnimodular(f"determinant is {det}, not +-1")
+    inv = IntMatrix(tuple(tuple(det * c for c in column) for column in zip(*cofactors)))
     assert (A @ inv).is_identity()
     return inv

@@ -6,6 +6,7 @@ u -> (<u, v_rho>)_rho, and the Picard group is the (free, rank m-n)
 cokernel.  A PicContext fixes a basis of that quotient, either a preferred
 list of ray divisors whose classes form a basis, or the Smith-normal-form
 quotient basis, and exposes class computation as an exact linear map.
+Both read it from one unimodular frame and its inverse.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import NotABasis, TorsionInPicard
+from .errors import NotABasis, NotUnimodular, TorsionInPicard
 from .fan import Fan
 from .lattice import IntMatrix, smith_normal_form, unimodular_inverse
 
@@ -48,42 +49,39 @@ class PicContext:
 def build_pic_context(fan: Fan, basis_divisors: Optional[Sequence[int]] = None) -> PicContext:
     """Build the class encoder, optionally on a user-chosen divisor basis.
 
-    Raises NotABasis when the supplied divisors' classes do not freely
-    generate Pic, and TorsionInPicard if the quotient is not free (which
-    cannot happen for a smooth complete fan and signals corrupt input).
+    Either way it builds an m x m unimodular frame W whose first n columns
+    span the image of the character pairing P: with a basis, the columns
+    of P (row i is ray i) followed by the basis unit vectors; without one,
+    U^-1 for the Smith normal form U P V = D, which only chooses the
+    quotient basis.  class_map is the last m - n rows of W^-1 and rep_map
+    the last m - n columns of W.  Raises NotABasis when the supplied divisors'
+    classes do not freely generate Pic (W is not unimodular), and
+    TorsionInPicard if the quotient is not free (which cannot happen for a
+    smooth complete fan and signals corrupt input).
     """
     m, n = fan.n_rays, fan.dim
     rho = m - n
-    pairing = pairing_matrix(fan)
 
     if basis_divisors is not None:
         basis = tuple(int(i) for i in basis_divisors)
         if len(basis) != rho or len(set(basis)) != rho or any(i < 0 or i >= m for i in basis):
             raise NotABasis(f"need {rho} distinct ray indices, got {basis}")
-        # Columns: the n pairing columns, then the basis unit vectors.  The
-        # classes form a basis exactly when this m x m matrix is unimodular.
-        cols = [pairing.col(j) for j in range(n)]
-        for b in basis:
-            cols.append(tuple(1 if i == b else 0 for i in range(m)))
-        full = IntMatrix.from_rows(cols).transpose()
+        frame = IntMatrix.from_rows(ray + tuple(int(i == b) for b in basis) for i, ray in enumerate(fan.rays))
         try:
-            inv = unimodular_inverse(full)
-        except Exception as exc:
+            frame_inverse = unimodular_inverse(frame)
+        except NotUnimodular as exc:
             raise NotABasis(f"classes of rays {basis} do not freely generate Pic: {exc}") from exc
-        class_map = IntMatrix.from_rows(inv.entries[n:])
-        rep_map = IntMatrix.from_rows([[1 if i == b else 0 for b in basis] for i in range(m)])
-        assert (class_map @ rep_map).is_identity()
-        return PicContext(fan, class_map, rep_map)
+    else:
+        snf = smith_normal_form(pairing_matrix(fan))
+        diag = snf.D.diagonal_entries()
+        if any(d not in (0, 1) for d in diag):
+            raise TorsionInPicard(f"divisor class group has torsion: invariant factors {diag}")
+        if sum(1 for d in diag if d == 1) != n:
+            raise TorsionInPicard("character pairing is not injective; fan does not span the lattice")
+        frame, frame_inverse = unimodular_inverse(snf.U), snf.U
 
-    snf = smith_normal_form(pairing)
-    diag = snf.D.diagonal_entries()
-    if any(d not in (0, 1) for d in diag):
-        raise TorsionInPicard(f"divisor class group has torsion: invariant factors {diag}")
-    if sum(1 for d in diag if d == 1) != n:
-        raise TorsionInPicard("character pairing is not injective; fan does not span the lattice")
-    class_map = IntMatrix.from_rows(snf.U.entries[n:])
-    u_inv = unimodular_inverse(snf.U)
-    rep_map = IntMatrix.from_rows([row[n:] for row in u_inv.entries])
+    class_map = IntMatrix(frame_inverse.entries[n:])
+    rep_map = IntMatrix(tuple(row[n:] for row in frame.entries))
     assert (class_map @ rep_map).is_identity()
     return PicContext(fan, class_map, rep_map)
 

@@ -10,7 +10,7 @@ from toric_exc.errors import InteriorCoverFailure, NotUnimodular
 from toric_exc.fan import (Fan, _completeness_problems, cone_inverse, cone_matrix, face_masks,
                            is_complete, is_face, is_fano, primitive_collections, primitive_relations,
                            validate_fan)
-from toric_exc.lattice import IntMatrix, unimodular_inverse
+from toric_exc.lattice import IntMatrix, smith_normal_form
 from toric_exc.picard import build_pic_context
 
 P3 = Fan.make(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
@@ -149,7 +149,8 @@ class TestConeInverse:
         for fan in [rec.fan for rec in records.values()] + seeded_blowups(records, (9, 13), seed=3):
             for cone in fan.max_cones:
                 inverse = cone_inverse(fan, cone)
-                assert inverse == unimodular_inverse(cone_matrix(fan, cone))
+                snf = smith_normal_form(cone_matrix(fan, cone))   # U A V = I, so A^-1 = V U
+                assert snf.D.is_identity() and inverse == snf.V @ snf.U
                 assert (cone_matrix(fan, cone) @ inverse).is_identity()
 
     def test_a_singular_or_non_square_cone_is_refused(self):

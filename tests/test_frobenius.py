@@ -1,6 +1,7 @@
 """Thomsen decompositions: printed summand sets, conservation laws, golden cases."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -139,9 +140,14 @@ class TestDecompose:
                 assert first_chern_sum(dec) == tuple(factor * k for k in minus_k), (name, p)
 
     def test_base_cone_independence(self, d1, d1_ctx):
-        reference = decompose(d1.fan, d1_ctx, (0,) * 6, 11, base_cone=0).summands
-        for b in range(1, len(d1.fan.max_cones)):
-            assert decompose(d1.fan, d1_ctx, (0,) * 6, 11, base_cone=b).summands == reference
+        # decompose divides on cone 0; the per-cone reference on every base cone agrees with it
+        p = 11
+        got = decompose(d1.fan, d1_ctx, (0,) * 6, p).summands
+        for b in range(len(d1.fan.max_cones)):
+            frame = cone_frame(d1.fan, b)
+            reference = Counter(to_class(d1_ctx, summand_divisor(frame, v, p))
+                                for v in itertools.product(range(p), repeat=3))
+            assert got == tuple(sorted(reference.items())), b
 
     def test_twist_by_p_times_divisor(self, d1, d1_ctx):
         # projection formula: summands of O(pE) are the summands of O shifted by -class(E)
@@ -217,7 +223,7 @@ class TestDecompose:
                             to_class(ctx, summand_divisor(frame, v, p, shifts))
                             for v in itertools.product(range(p), repeat=3)
                         )
-                        got = decompose(fan, ctx, D, p, base).summands
+                        got = decompose(fan, ctx, D, p).summands
                         assert got == tuple(sorted(direct.items())), (name, D, base, p)
 
     def test_direct_count_through_bincount(self, records, contexts):

@@ -102,7 +102,9 @@ class TestUnimodularInverse:
     def test_involution(self, A):
         inv = unimodular_inverse(A)
         assert unimodular_inverse(inv) == A
-        assert (A @ inv).is_identity()
+        assert (A @ inv).is_identity() and (inv @ A).is_identity()
+        snf = smith_normal_form(A)   # U A V = I, so A^-1 = V U
+        assert inv == snf.V @ snf.U
 
 
 class TestRank:

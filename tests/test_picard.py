@@ -1,12 +1,14 @@
 """Divisor classes, linear equivalence, and basis handling."""
 
 import random
+import sys
 
 import pytest
 
 from conftest import zvec
+from toric_exc import lattice
 from toric_exc.errors import NotABasis
-from toric_exc.fan import Fan
+from toric_exc.fan import Fan, cone_inverse
 from toric_exc.picard import (anticanonical_divisor, build_pic_context, class_label,
                               class_to_divisor, divisor_label, pairing_matrix, to_class)
 
@@ -127,6 +129,32 @@ class TestBasisValidation:
             ctx = build_pic_context(rec.fan)  # SNF quotient basis
             for cls in [(1,) + (0,) * (ctx.rank - 1), (0,) * ctx.rank]:
                 assert to_class(ctx, class_to_divisor(ctx, cls)) == cls
+
+
+class TestOneSmithForm:
+    def test_the_smith_form_only_chooses_the_quotient_basis(self, records, monkeypatch):
+        # one Smith normal form per Smith-basis context; none for a stored basis or a cone inverse
+        calls = []
+        real = lattice.smith_normal_form
+
+        def counted(A):
+            calls.append(A)
+            return real(A)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("toric_exc") and getattr(module, "smith_normal_form", None) is real:
+                monkeypatch.setattr(module, "smith_normal_form", counted)
+        cone_inverse.cache_clear()
+        for rec in records.values():
+            calls.clear()
+            build_pic_context(rec.fan)
+            assert len(calls) == 1, rec.name
+            calls.clear()
+            if rec.pic_basis is not None:
+                build_pic_context(rec.fan, rec.pic_basis)
+            for cone in rec.fan.max_cones:
+                cone_inverse(rec.fan, cone)
+            assert not calls, rec.name
 
 
 class TestLabels:
