@@ -4,9 +4,11 @@ The CLI digests were recorded before the per-cone Thomsen reference left
 the package; the multiplicity and demo digests were recorded before
 decompose counted its keys in slabs; the fan-file digests were recorded
 before one Bareiss elimination replaced the cofactor expansion of
-lattice._cross.  A change that alters any byte of
-these reports (a verdict, a class, a multiplicity, a key order, a label)
-fails here; a change that keeps them passes without touching this file.
+lattice._cross; the Pic-context digest was recorded while Pic inverses
+still went through a second Smith normal form.  A change that alters any
+byte of these reports (a verdict, a class, a multiplicity, a key order, a
+label, a class map) fails here; a change that keeps them passes without
+touching this file.
 """
 
 import contextlib
@@ -207,10 +209,8 @@ def test_demo_stdout_is_byte_identical(script):
 
 
 # SHA-256 of repr() of every Pic context's (class_map, rep_map) entries and
-# every maximal cone's inverse, recorded while cone inverses were det times
-# adjugate and Pic inverses went through a second Smith normal form: the 18
-# catalog fans on their stored basis and on the Smith basis, 24 seeded
-# blow-ups with 9 to 16 rays, and P^1 to P^9.
+# every maximal cone's inverse: the 18 catalog fans on their stored basis and
+# on the Smith basis, 24 seeded blow-ups with 9 to 16 rays, and P^1 to P^9.
 PIC_CONTEXTS = "be89e48d4dbf86a8161ddeb760979bfa4fdcc836c8b4ddee1605f6465b18c060"
 
 
