@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
+from .errors import NotABasis
 from .fan import Fan, is_fano, primitive_relations, validate_fan
 from .picard import DivisorVector, build_pic_context
 
@@ -264,7 +265,7 @@ def validate_catalog() -> dict[str, list[str]]:
         if fv.ok and rec.pic_basis is not None:
             try:
                 build_pic_context(rec.fan, rec.pic_basis)
-            except Exception as exc:  # pragma: no cover - data bug guard
+            except NotABasis as exc:
                 issues.append(f"pic basis invalid: {exc}")
         problems[rec.name] = issues
     return problems

@@ -30,16 +30,21 @@ they do so through the characters of the region
 These characters are found once per divisor, in a box proven to hold them
 all (Borisov-Hua, Adv. Math. 2009):
 
+- The domain is a fan with fan.is_complete, on which every contributing
+  region is bounded; any other fan raises UnboundedRegion.  Proof: the
+  recession cone of P_I(a) does not depend on a.  If it held an integral
+  d != 0, take any character u and choose a so that u is in P_I(a); then
+  every u + kd has pattern I, and h^p(O(D)) would be infinite for a p in
+  which C_I has homology (h^0 when I is full).  A complete toric variety
+  is proper, so that cannot happen (Borisov-Hua; Cox-Little-Schenck,
+  Toric Varieties, ch. 3 and 9).  For I empty or full the cone is 0
+  outright, because the rays positively span.
 - The rays span, so every nonempty region has a vertex, which solves n of
   its inequalities with equality: |det A_S| u = -adj(A_S)(a_S + eps) for
   a nonsingular ray n-subset S and eps in {0,1}^n.  The candidates that
   leave no ray in the open gap (-a_rho - 1, -a_rho) carry the masks of
-  all nonempty regions.
-- An exact check proves the regions of the contributing masks among them
-  bounded, else UnboundedRegion is raised.  A nonzero recession cone would
-  contain some +-(v_i x v_j), which lies in the cone of I exactly when the
-  rays pairing positively with it are in I and those pairing negatively
-  are not.  The answer depends on I alone, so it is kept per fan.
+  all nonempty regions.  A fan whose pass for one divisor would hold more
+  than _VERTEX_PASS_LIMIT gap entries raises BoxTooLarge before it starts.
 - The contributing candidates then fix the box by their floors and
   ceilings.  A collection check computes the boxes of all its distinct
   difference classes in one vectorised pass; a single query is the same
@@ -65,14 +70,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd, prod
+from math import comb, prod
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import BoxTooLarge, BoxUnstable, TooManyRays, UnboundedRegion
-from .fan import Fan, _mask_of, face_masks, is_complete
+from .fan import Fan, _completeness_problems, _mask_of, face_masks, is_complete
 from .lattice import _INT64_SAFE, IntMatrix, _cross, rank as matrix_rank
 from .picard import ClassVector, PicContext, to_class
 
@@ -81,6 +86,7 @@ _RADIUS_LIMIT = 40  # the largest start radius, and the farthest a certified box
 _CHARACTER_LIMIT = 1 << 22  # the most characters a certified box may hold (81^3 = 531,441 in dimension 3)
 _POINT_CACHE_SIZE = 128  # the differences a collection check repeats
 _PASS_ELEMENTS = 1 << 20  # gap entries (divisors x vertex candidates x rays) per vectorised box pass
+_VERTEX_PASS_LIMIT = 1 << 23  # the most gap entries of one divisor's vertex pass: 64 MB per int64 array
 
 
 # ---------------------------------------------------------------------------
@@ -218,19 +224,29 @@ class _VertexFrames(NamedTuple):
     rays_t: np.ndarray        # n x m: the rays as columns
     ray_max: int              # the largest |ray entry|
     weights: np.ndarray       # m: bit i of a sign mask is ray i
-    directions: tuple[tuple[int, int, tuple[int, ...]], ...]  # (positive mask, negative mask, d) per +-cross
-    bounded: set[int]         # contributing masks whose regions are proven bounded
     boxes: dict[tuple[int, ...], Optional[_Box]]  # divisor -> its certified box (see _contributing_boxes)
 
 
 @lru_cache(maxsize=None)
 def _vertex_frames(fan: Fan) -> _VertexFrames:
-    """Exact inverses (cofactors over |det|) of every nonsingular ray n-subset, and the recession directions.
+    """Exact inverses (cofactors over |det|) of every nonsingular ray n-subset, and the fan's memo of boxes.
 
-    Also the fan's memos of bounded masks and certified boxes.  Raises
-    UnboundedRegion when the rays span no full-dimensional cone.
+    This is the one domain check.  It raises UnboundedRegion for a fan
+    without fan.is_complete, naming the first problem found, since only
+    completeness proves every contributing region bounded (see the module
+    docstring); a complete fan has a nonsingular maximal cone.  It raises
+    BoxTooLarge when one divisor's vertex pass, C(m, n) 2^n candidates
+    against m rays, would hold more than _VERTEX_PASS_LIMIT gap entries.
     """
+    problems = _completeness_problems(fan)
+    if problems:
+        raise UnboundedRegion(f"the fan is not complete, so its regions of characters need not be bounded: "
+                              f"{problems[0]}")
     n, m, rays = fan.dim, fan.n_rays, fan.rays
+    entries = comb(m, n) * 2 ** n * m
+    if entries > _VERTEX_PASS_LIMIT:
+        raise BoxTooLarge(f"the vertex pass of one divisor would hold {entries} gap entries "
+                          f"({m} rays in dimension {n}), past the limit {_VERTEX_PASS_LIMIT}")
     cross = {R: _cross([rays[i] for i in R], n) for R in combinations(range(m), n - 1)}
     subsets, cofactors, dets = [], [], []
     for S in combinations(range(m), n):
@@ -242,15 +258,6 @@ def _vertex_frames(fan: Fan) -> _VertexFrames:
             cofactors.append([[c if (i % 2 == 0) == (det > 0) else -c for c in row]
                               for i, row in enumerate(rows)])
             dets.append(abs(det))
-    if not subsets:
-        raise UnboundedRegion("the rays span no full-dimensional cone, so every region is unbounded")
-    directions = {}
-    for x in cross.values():
-        g = gcd(*x)
-        for d in ((tuple(c // g for c in x), tuple(-c // g for c in x)) if g else ()):  # g = 0: dependent rays
-            pairings = [sum(a * b for a, b in zip(d, ray)) for ray in rays]
-            directions[d] = (_mask_of(i for i in range(m) if pairings[i] > 0),
-                             _mask_of(i for i in range(m) if pairings[i] < 0), d)
     largest = max(max(abs(x) for cof in cofactors for row in cof for x in row), max(dets))
     ray_max = max(abs(x) for ray in rays for x in ray)
     dtype = np.int64 if max(largest, ray_max) < _INT64_SAFE else object
@@ -260,28 +267,7 @@ def _vertex_frames(fan: Fan) -> _VertexFrames:
                          np.array(dets, dtype=dtype)[:, None, None],
                          -(_corner_offsets(n).astype(corner_dtype) @ cofactors.astype(corner_dtype)), largest,
                          np.array(rays, dtype=dtype).T, ray_max,
-                         np.array([1 << i for i in range(m)], dtype=np.int64 if m < 63 else object),
-                         tuple(directions.values()), set(), {})
-
-
-def _check_bounded(fan: Fan, masks: set[int]) -> None:
-    """Raise UnboundedRegion unless the regions of these contributing masks are bounded.
-
-    The recession cone of P_I(a) is {d : <d, v> >= 0 on I, <= 0 off I},
-    whatever a is.  The rays span, so a nonzero one has an extreme ray,
-    which lies on n-1 independent planes <d, v> = 0: it is some
-    +-(cross product of n-1 rays), and such a d lies in the cone of I
-    exactly when the rays pairing positively with it are in I and those
-    pairing negatively are not.
-    """
-    frames = _vertex_frames(fan)
-    for mask in masks - frames.bounded:
-        for positive, negative, d in frames.directions:
-            if not positive & ~mask and not negative & mask:
-                pattern = tuple(i + 1 for i in range(fan.n_rays) if mask >> i & 1)
-                raise UnboundedRegion(f"the characters of ray pattern {pattern} (1-based) form an "
-                                      f"unbounded region along the direction {d}")
-        frames.bounded.add(mask)
+                         np.array([1 << i for i in range(m)], dtype=np.int64 if m < 63 else object), {})
 
 
 @lru_cache(maxsize=None)
@@ -310,13 +296,12 @@ def _contributing_boxes(fan: Fan, divisors: Sequence[tuple[int, ...]]) -> None:
     Each vertex of a region P_I(a) solves n of its inequalities with
     equality, |det A_S| u = -adj(A_S)(a_S + eps), and leaves no ray strictly
     between -a_rho - 1 and -a_rho; its sign mask is I.  The rays span, so
-    every nonempty region has a vertex, and proving the regions of the
-    candidates' contributing masks bounded proves them all bounded.  Then
-    the floors and ceilings of a divisor's contributing candidates span a
-    box around them all.  The candidates of all divisors form one
-    D x K x 2^n array (cut into chunks of at most _PASS_ELEMENTS gap
-    entries); only the chosen rows are floored, and each divisor's rows are
-    reduced as one segment.
+    every nonempty region has a vertex, and the fan is complete, so every
+    contributing region is bounded: the floors and ceilings of a divisor's
+    contributing candidates span a box around them all.  The candidates of
+    all divisors form one D x K x 2^n array (cut into chunks of at most
+    _PASS_ELEMENTS gap entries); only the chosen rows are floored, and each
+    divisor's rows are reduced as one segment.
 
     The fan keeps at most _POINT_CACHE_SIZE boxes, or one pass's boxes
     when that is more: a pass that would overflow it first drops every box
@@ -345,7 +330,6 @@ def _contributing_boxes(fan: Fan, divisors: Sequence[tuple[int, ...]]) -> None:
         masks = (gaps >= 0) @ frames.weights
         vertex = (gaps + dets > 0) @ frames.weights == masks               # no ray strictly inside a gap
         contributing = _contributing(fan, set(masks[vertex].tolist()))
-        _check_bounded(fan, contributing)
         chosen = np.zeros_like(vertex)
         for mask in contributing:
             chosen |= masks == mask
@@ -386,7 +370,7 @@ def _point_list(fan: Fan, divisor: tuple[int, ...]) -> Mapping[int, tuple[int, .
         raise BoxTooLarge(f"the certified box of contributing characters holds {count} characters, "
                           f"past the limit {_CHARACTER_LIMIT}")
     frames = _vertex_frames(fan)
-    bound = frames.ray_max * box.extent * fan.dim + max(map(abs, divisor))
+    bound = frames.ray_max * (box.extent * fan.dim + 1) + max(map(abs, divisor))   # also bounds every ray entry
     dtype = np.int64 if bound < _INT64_SAFE else object
     chars = np.array(list(product(*(range(l, h + 1) for l, h in zip(box.lo, box.hi)))), dtype=np.int64)
     reps = (chars.astype(dtype, copy=False) @ frames.rays_t.astype(dtype, copy=False)

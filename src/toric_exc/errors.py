@@ -52,11 +52,11 @@ class BoxUnstable(ToricExcError):
 
 
 class BoxTooLarge(ToricExcError):
-    """A query's start radius, or the certified box of its contributing characters, is past the radius limit."""
+    """A query's start radius, its certified box, or the fan's vertex pass that fixes the box is past its limit."""
 
 
 class UnboundedRegion(ToricExcError):
-    """A contributing sign pattern's region of characters is unbounded, so no box holds it."""
+    """A box query on a fan without the completeness certificate, whose regions of characters may be unbounded."""
 
 
 class TermOutsideCollection(ToricExcError):

@@ -287,6 +287,17 @@ def unimodular_inverse(A: IntMatrix) -> IntMatrix:
     det = sum(a * c for a, c in zip(rows[0], cofactors[0]))
     if abs(det) != 1:
         raise NotUnimodular(f"determinant is {det}, not +-1")
-    inv = IntMatrix(tuple(tuple(det * c for c in column) for column in zip(*cofactors)))
-    assert (A @ inv).is_identity()
-    return inv
+    columns = [tuple(det * c for c in cofactor) for cofactor in cofactors]
+    assert _is_identity_product(rows, columns)
+    return IntMatrix(tuple(zip(*columns)))
+
+
+def _is_identity_product(rows: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]) -> bool:
+    """Whether the matrix with these rows times the matrix with these columns is the identity.
+
+    Each row-column product is compared with 1 or 0 directly, so neither
+    the product nor an identity matrix is built.
+    """
+    return len(rows) == len(columns) and all(
+        sum(a * b for a, b in zip(row, column)) == (i == j)
+        for i, row in enumerate(rows) for j, column in enumerate(columns))

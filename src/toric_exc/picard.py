@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import NotABasis, NotUnimodular, TorsionInPicard
 from .fan import Fan
-from .lattice import IntMatrix, smith_normal_form, unimodular_inverse
+from .lattice import IntMatrix, _is_identity_product, smith_normal_form, unimodular_inverse
 
 DivisorVector = tuple[int, ...]  # coefficients on Z_1 ... Z_m
 ClassVector = tuple[int, ...]    # coordinates in the chosen Pic basis
@@ -82,7 +82,7 @@ def build_pic_context(fan: Fan, basis_divisors: Optional[Sequence[int]] = None) 
 
     class_map = IntMatrix(frame_inverse.entries[n:])
     rep_map = IntMatrix(tuple(row[n:] for row in frame.entries))
-    assert (class_map @ rep_map).is_identity()
+    assert _is_identity_product(class_map.entries, tuple(zip(*rep_map.entries)))
     return PicContext(fan, class_map, rep_map)
 
 

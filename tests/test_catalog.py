@@ -1,13 +1,20 @@
 """Catalog data integrity and the fan interchange format."""
 
+import ast
+import dataclasses
+from itertools import combinations
+from pathlib import Path
+
 import pytest
 
+import toric_exc
 from conftest import zvec
+from toric_exc import catalog
 from toric_exc.catalog import (catalog_names, format_fan_file, get_record, load_catalog,
                                parse_fan_file, validate_catalog)
 from toric_exc.fan import Fan, cone_matrix, is_fano, validate_fan
 from toric_exc.frobenius import stable_summands
-from toric_exc.lattice import IntMatrix
+from toric_exc.lattice import IntMatrix, determinant
 from toric_exc.picard import to_class
 
 
@@ -19,6 +26,26 @@ class TestRecords:
     def test_validate_catalog_all_clean(self):
         problems = validate_catalog()
         assert all(not issues for issues in problems.values()), problems
+
+    def test_a_bad_pic_basis_is_reported_as_bad_data(self, monkeypatch, d1):
+        # the first ray triple that is not a lattice basis: its complement's classes do not generate Pic
+        rays = d1.fan.rays
+        triple = next(t for t in combinations(range(6), 3)
+                      if abs(determinant(IntMatrix.from_rows(rays[i] for i in t))) != 1)
+        basis = tuple(i for i in range(6) if i not in triple)
+        monkeypatch.setattr(catalog, "load_catalog", lambda: (dataclasses.replace(d1, pic_basis=basis),))
+        issues = validate_catalog()["D1"]
+        assert len(issues) == 1 and issues[0].startswith("pic basis invalid: classes of rays")
+
+    def test_no_module_catches_every_exception(self):
+        # a handler for Exception, BaseException or everything would report a bug in the program as bad data
+        for path in sorted(Path(toric_exc.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ExceptHandler):
+                    caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                    names = {getattr(t, "id", None) for t in caught}
+                    assert node.type is not None and not names & {"Exception", "BaseException"}, \
+                        f"{path.name}:{node.lineno}"
 
     def test_structural_identities(self, records):
         for rec in records.values():

@@ -12,6 +12,7 @@ from toric_exc.catalog import format_fan_file, get_record, load_catalog
 from toric_exc.cli import main
 from toric_exc.errors import BoxTooLarge
 from toric_exc.exceptional import OrderedCollection, verify_strongly_exceptional
+from toric_exc.fan import Fan
 from toric_exc.picard import build_pic_context
 from test_cohomology import star_subdivided_p3
 from test_fan import projective_space
@@ -144,6 +145,30 @@ class TestCohomology:
             assert len(err.splitlines()) == 1 and err.startswith("error: too large to search")
             assert f"holds {39 ** n} characters" in err
         assert built == []
+
+    def test_a_fan_with_rays_past_int64_ends_without_a_traceback(self, capsys, tmp_path):
+        # P^3 sheared by x -> x + 10^20 y: its box for O is the single character 0, and the rays
+        # past int64 used to overflow when the box was enumerated
+        shear = 10 ** 20
+        rays = [(1, 0, 0), (shear, 1, 0), (0, 0, 1), (-1 - shear, -1, -1)]
+        fan_path, collection_path = tmp_path / "sheared.fan", tmp_path / "collection.txt"
+        fan_path.write_text(format_fan_file(Fan.make(3, rays, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])))
+        collection_path.write_text("0\n1\n")
+        code, out, err = run_cli(capsys, "--format", "json", "cohomology", "--fan-file", str(fan_path), "--class", "0")
+        assert code == 0 and err == "" and json.loads(out)["results"]["dims"] == [1, 0, 0, 0]
+        code, out, err = run_cli(capsys, "verify", "--fan-file", str(fan_path), "--collection", str(collection_path))
+        assert code in (0, 2) and "Traceback" not in err
+        assert code == 0 or out == "" and err.startswith("error: too large to search")
+
+    def test_a_vertex_pass_too_large_for_memory_is_usage_error(self, capsys, tmp_path):
+        # 60 rays: C(60, 3) * 8 * 60 = 16,425,600 gap entries for one divisor, refused before any is built
+        path = tmp_path / "p3_60.fan"
+        path.write_text(format_fan_file(star_subdivided_p3(60)))
+        code, out, err = run_cli(capsys, "cohomology", "--fan-file", str(path), "--class", " ".join(["0"] * 57))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: too large to search")
+        assert "16425600 gap entries" in err
+
 
 class TestForbidden:
     def test_d1_eleven_sets(self, capsys):

@@ -12,7 +12,7 @@ import pytest
 
 from toric_exc import cohomology
 from toric_exc.cli import main as cli_main
-from toric_exc.cohomology import (_POINT_CACHE_SIZE, _RADIUS_LIMIT, _check_bounded, _contributing,
+from toric_exc.cohomology import (_POINT_CACHE_SIZE, _RADIUS_LIMIT, _contributing,
                                   _contributing_box, _contributing_boxes, _pattern_ranks, _patterns,
                                   _point_list, _radius_for_class, _vertex_frames, cohomology_table,
                                   forbidden_sets, has_nonzero_global_sections, is_acyclic,
@@ -23,6 +23,7 @@ from toric_exc.fan import Fan, is_complete, validate_fan
 from toric_exc.picard import (anticanonical_divisor, build_pic_context, canonical_divisor,
                                 class_to_divisor, to_class)
 from test_fan import projective_space, seeded_blowups
+from test_lattice import leibniz_determinant
 
 D_FORBIDDEN = {(), (3, 6), (4, 6), (3, 5), (1, 2, 5), (1, 2, 4), (1, 2, 4, 5),
                (1, 2, 3, 5), (1, 2, 4, 6), (3, 5, 6), (3, 4, 6)}
@@ -309,6 +310,33 @@ def p3_without_a_cone():
     return Fan.make(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], [(0, 1, 3), (0, 2, 3), (1, 2, 3)])
 
 
+@functools.cache
+def ray_plane_directions(fan):
+    """(d, rays pairing positively with d, rays pairing negatively) for each primitive +-(cross product of n - 1 rays)."""
+    n, rays, found = fan.dim, fan.rays, {}
+    for plane in itertools.combinations(rays, n - 1):
+        x = tuple(leibniz_determinant([tuple(int(j == k) for j in range(n)), *plane]) for k in range(n))
+        g = math.gcd(*x)
+        for d in ((tuple(c // g for c in x), tuple(-c // g for c in x)) if g else ()):   # g = 0: dependent rays
+            pairings = [sum(a * b for a, b in zip(d, ray)) for ray in rays]
+            found[d] = (d, sum(1 << i for i, p in enumerate(pairings) if p > 0),
+                        sum(1 << i for i, p in enumerate(pairings) if p < 0))
+    return tuple(found.values())
+
+
+def recession_directions(fan, mask):
+    """Every primitive d != 0 along which the region of the pattern recedes, whatever the divisor; plain integers.
+
+    The recession cone of P_I(a) is {d : <d, v> >= 0 on I, <= 0 off I}.
+    When the rays span, a nonzero one has an extreme ray, which lies on
+    n - 1 independent planes <d, v> = 0: it is some +-(cross product of
+    n - 1 rays), and it lies in the cone exactly when the rays pairing
+    positively with it are in I and those pairing negatively are not.  So
+    the list is empty exactly when the cone is 0.
+    """
+    return [d for d, positive, negative in ray_plane_directions(fan) if not positive & ~mask and not negative & mask]
+
+
 def hirzebruch_f1():
     return Fan.make(2, [(1, 0), (0, 1), (-1, 1), (0, -1)], [(0, 1), (1, 2), (2, 3), (0, 3)])
 
@@ -333,17 +361,23 @@ class TestCertifiedBox:
         # every divisor, so every query meets it.
         assert reduced_homology_ranks(fan, (0, 1, 2)) == (0, 0, 1, 0)
         assert [sum(x * y for x, y in zip((0, 0, 1), ray)) for ray in fan.rays] == [0, 0, 1, -1]
+        assert (0, 0, 1) in recession_directions(fan, 0b0111)
+        # the domain check refuses the fan itself, naming an open facet
         for query in (cohomology_table, has_nonzero_global_sections):
             for divisor in ((0,) * 4, (3, -1, 2, -5)):
-                with pytest.raises(UnboundedRegion):
+                with pytest.raises(UnboundedRegion, match=r"not complete.*facet \(0, 1\) lies in 1 maximal cones"):
                     query(ctx, divisor)
         assert issubclass(UnboundedRegion, ToricExcError)
 
     def test_every_contributing_region_is_bounded_on_the_fans_in_use(self, records):
-        # every contributing mask of the fan, whatever the divisor
-        for fan in [rec.fan for rec in records.values()] + [hirzebruch_f1(), p1_times_surface(8)]:
-            masks = {0, (1 << fan.n_rays) - 1} | {sum(1 << i for i in s) for s in forbidden_sets(fan).forbidden}
-            _check_bounded(fan, masks)
+        # the module docstring's theorem: on a complete fan no contributing mask (the forbidden sets,
+        # the empty set among them, and the full set) has a recession direction, whatever the divisor
+        fans = ([rec.fan for rec in records.values()] + seeded_blowups(records, (9, 10, 11, 12, 13), seed=16)
+                + [projective_space(2), projective_space(4), hirzebruch_f1(), p1_times_surface(8)])
+        for fan in fans:
+            assert is_complete(fan)
+            masks = {(1 << fan.n_rays) - 1} | {sum(1 << i for i in s) for s in forbidden_sets(fan).forbidden}
+            assert 0 in masks and not any(recession_directions(fan, mask) for mask in masks), fan.rays
             assert len(_vertex_frames(fan).subsets) > 0 and (_vertex_frames(fan).dets > 0).all()
         # past the sweep's cap: the masks the boxes of seeded divisors meet
         fan = star_subdivided_p3(21)
