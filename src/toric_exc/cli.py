@@ -22,7 +22,7 @@ from .errors import BoxTooLarge, NotStabilized, TooManyRays, TooManyResidues, To
 from .exceptional import (KoszulCertified, OrderedCollection, SummandSetMatchesK0Rank,
                           describe_certificate, fullness_certificate, verify_strongly_exceptional)
 from .fan import validate_fan
-from .frobenius import DEFAULT_PRIMES, stable_summands
+from .frobenius import DEFAULT_PRIMES, bondal_summands, stable_summands
 from .picard import PicContext, build_pic_context, class_label, class_to_divisor, to_class
 
 EXIT_OK = 0
@@ -206,9 +206,19 @@ def _collection_from_args(args, record: Optional[FanoRecord], ctx: PicContext) -
     return _stored_collection(record, ctx)
 
 
-def _verify_one(ctx: PicContext, collection: OrderedCollection) -> dict:
+def _verify_one(ctx: PicContext, collection: OrderedCollection, warnings: list[str]) -> dict:
+    """The pairwise verdicts and the fullness certificate, on the exact Bondal summand set.
+
+    A fan whose exact grid is too large falls back to the classes on which
+    the default primes agree, and a warning says that set is not certified
+    complete.
+    """
     report = verify_strongly_exceptional(ctx, collection)
-    summands = stable_summands(ctx.fan, ctx, (0,) * ctx.fan.n_rays)
+    summands = bondal_summands(ctx)
+    if summands is None:
+        summands = stable_summands(ctx.fan, ctx, (0,) * ctx.fan.n_rays)
+        warnings.append(f"the summand set is where primes {' and '.join(map(str, DEFAULT_PRIMES))} agree, "
+                        f"not certified complete: the exact Bondal grid of this fan is too large")
     certificate = fullness_certificate(ctx, collection, summands)
     full_report = {
         "collection": [_class_payload(ctx, c) for c in collection.classes],
@@ -231,7 +241,7 @@ def _cmd_verify(args) -> tuple[int, ReportDocument]:
     doc = ReportDocument("verify", inputs, {})
     if record is not None:
         doc.warnings.extend(record.notes)
-    results = _verify_one(ctx, collection)
+    results = _verify_one(ctx, collection, doc.warnings)
     doc.results.update(results)
     ok = results["strongly_exceptional"] and results["fullness_certified"]
     name = inputs.get("variety", inputs.get("fan_file", "fan"))
@@ -248,7 +258,7 @@ def _cmd_prove_main_theorem(args) -> tuple[int, ReportDocument]:
     for record in (r for r in load_catalog() if r.type_class == "IV"):
         name = record.name
         ctx = _record_context(record)
-        results = _verify_one(ctx, _stored_collection(record, ctx))
+        results = _verify_one(ctx, _stored_collection(record, ctx), doc.warnings)
         expected = sorted(to_class(ctx, d) for d in record.expected_summands)
         got = sorted(tuple(c["coords"]) for c in results["summands"])
         results["summands_match_expected"] = [list(c) for c in expected] == [list(c) for c in got]

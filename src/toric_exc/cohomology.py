@@ -77,8 +77,8 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import BoxTooLarge, BoxUnstable, TooManyRays, UnboundedRegion
-from .fan import Fan, _completeness_problems, _mask_of, face_masks, is_complete
-from .lattice import _INT64_SAFE, IntMatrix, _cross, rank as matrix_rank
+from .fan import Fan, _completeness_problems, _mask_of, face_masks, is_complete, ridge_normals
+from .lattice import _INT64_SAFE, IntMatrix, rank as matrix_rank
 from .picard import ClassVector, PicContext, to_class
 
 _MAX_SWEEP_RAYS = 20
@@ -247,7 +247,7 @@ def _vertex_frames(fan: Fan) -> _VertexFrames:
     if entries > _VERTEX_PASS_LIMIT:
         raise BoxTooLarge(f"the vertex pass of one divisor would hold {entries} gap entries "
                           f"({m} rays in dimension {n}), past the limit {_VERTEX_PASS_LIMIT}")
-    cross = {R: _cross([rays[i] for i in R], n) for R in combinations(range(m), n - 1)}
+    cross = ridge_normals(fan)
     subsets, cofactors, dets = [], [], []
     for S in combinations(range(m), n):
         # row i of the cofactor matrix is (-1)^i times the cross product of the other rows

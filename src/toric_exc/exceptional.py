@@ -8,8 +8,13 @@ single line bundle is automatically exceptional on a complete toric
 variety, since the difference 0 is acyclic with one-dimensional sections.
 
 Fullness rests on the generation theorem for Frobenius pushforward
-summands: the distinct summand classes of (pi_p)_* O generate the bounded
-derived category.  A collection is therefore certified full either because
+summands: the distinct summand classes of (pi_p)_* O, the Bondal-Thomsen
+classes [-floor(<theta, v_rho>)], generate the bounded derived category
+(claimed by Bondal, Derived categories of toric varieties, Oberwolfach
+report, 2006; proved by Hanlon-Hicks-Lazarev, Resolutions of toric
+subvarieties by line bundles and applications, 2023).  The certificate is
+sound only when it receives all of them, which frobenius.bondal_summands
+computes exactly.  A collection is therefore certified full either because
 its class set *is* the summand set (and has the K_0 rank, the number of
 maximal cones), or because every summand outside the collection is
 resolved by an exact dualized Koszul complex, built from a primitive
@@ -44,7 +49,7 @@ class OrderedCollection:
 
 @dataclass(frozen=True)
 class SummandSetMatchesK0Rank:
-    """The collection is exactly the stabilized summand set, of full K_0 rank."""
+    """The collection is exactly the summand set, of full K_0 rank."""
 
     size: int
 
@@ -178,8 +183,8 @@ def fullness_certificate(
 ) -> FullnessCertificate:
     """Certify generation of the derived category by the collection.
 
-    `summands` must be the stabilized distinct summand classes of the
-    Frobenius pushforward of the structure sheaf.
+    `summands` must be every distinct summand class of the Frobenius
+    pushforward of the structure sheaf (frobenius.bondal_summands).
     """
     fan = ctx.fan
     coll_set = set(collection.classes)

@@ -15,7 +15,8 @@ hyperplane, so every generic point lies in the same number of maximal
 cones; and an interior point of the first cone lies in no other, so that
 number is one.  The cones then tile R^n, and the boundary complex (the
 cones' ray sets) is a triangulated (n-1)-sphere, which the cohomology
-module's pattern certificates rely on.
+module's pattern certificates rely on.  The facet normals come from
+ridge_normals, the fan's one table of (n-1)-subset cross products.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InteriorCoverFailure
 from .lattice import IntMatrix, _cross, determinant, unimodular_inverse
@@ -144,6 +145,30 @@ def validate_fan(fan: Fan) -> FanValidation:
     return FanValidation(smooth, not cover, simplicial, cover)
 
 
+class _RidgeNormals(dict):
+    """Ascending (n-1)-tuple of ray indices R -> _cross of the rays of R, each computed on first lookup."""
+
+    def __init__(self, fan: Fan):
+        super().__init__()
+        self.fan = fan
+
+    def __missing__(self, ridge: tuple[int, ...]) -> tuple[int, ...]:
+        normal = self[ridge] = _cross([self.fan.rays[i] for i in ridge], self.fan.dim)
+        return normal
+
+
+@lru_cache(maxsize=None)
+def ridge_normals(fan: Fan) -> Mapping[tuple[int, ...], tuple[int, ...]]:
+    """The fan's one table of (n-1)-subset cross products, filled on demand.
+
+    The normal of R pairs with a ray w to det(w, rays of R), so it gives
+    the sides of a facet (_completeness_problems), the cofactors of every
+    ray n-subset (the cohomology module's vertex frames) and every n x n
+    ray minor (frobenius._minor_lcm).  Keys are ascending index tuples.
+    """
+    return _RidgeNormals(fan)
+
+
 @lru_cache(maxsize=None)
 def _completeness_problems(fan: Fan) -> tuple[str, ...]:
     """Why the maximal cones do not cover R^n exactly once, or () when they do.
@@ -162,12 +187,13 @@ def _completeness_problems(fan: Fan) -> tuple[str, ...]:
     if (not cones or any(len(ray) != n for ray in rays)
             or any(len(set(cone)) != n or not all(0 <= i < m for i in cone) for cone in cones)):
         return (f"the maximal cones are not sets of {n} valid ray indices",)
+    normals = ridge_normals(fan)
     sides: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
     walls: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}   # cone -> (facet normal, apex side)
     for cone in cones:
         for apex in cone:
             facet = tuple(sorted(set(cone) - {apex}))
-            normal = _cross([rays[i] for i in facet], n)
+            normal = normals[facet]
             side = sum(a * b for a, b in zip(normal, rays[apex]))
             sides.setdefault(facet, []).append((cone, side))
             walls.setdefault(cone, []).append((normal, side))

@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, exit codes, stable JSON."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from toric_exc.exceptional import OrderedCollection, verify_strongly_exceptional
 from toric_exc.fan import Fan
 from toric_exc.picard import build_pic_context
 from test_cohomology import star_subdivided_p3
-from test_fan import projective_space
+from test_fan import projective_space, seeded_blowup
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -254,6 +255,46 @@ class TestVerify:
         ctx = build_pic_context(get_record("D1").fan, get_record("D1").pic_basis)
         with pytest.raises(BoxTooLarge):
             verify_strongly_exceptional(ctx, OrderedCollection(((0, 0, 0), (0, 30, 0))))
+
+    def run_fan_file(self, capsys, tmp_path, fan, collection):
+        fan_path, collection_path = tmp_path / "blowup.fan", tmp_path / "collection.txt"
+        fan_path.write_text(format_fan_file(fan))
+        collection_path.write_text(collection)
+        code, out, _ = run_cli(capsys, "--format", "json", "verify", "--fan-file", str(fan_path),
+                               "--collection", str(collection_path))
+        return code, json.loads(out)
+
+    def test_the_summands_odd_primes_miss_are_listed(self, capsys, tmp_path):
+        # p = 31 and p = 37 agree on 29 of this fan's 30 Bondal-Thomsen classes
+        fan = seeded_blowup(get_record("E2").fan, 10, 9)
+        code, payload = self.run_fan_file(capsys, tmp_path, fan, "0 0 0 0 0 0 0\n")
+        assert code == 1 and payload["warnings"] == []
+        summands = [tuple(s["coords"]) for s in payload["results"]["summands"]]
+        assert len(summands) == 30 and (0, 0, 1, 0, 1, -1, 1) in summands
+
+    def test_a_grid_past_the_limit_keeps_the_two_prime_set(self, capsys, tmp_path):
+        # L = 60: the exact grid would hold 91 * 60^3 points.  The digest of `results` was
+        # recorded while every summand set came from the primes 31 and 37.
+        fan = seeded_blowup(get_record("P3").fan, 9, 14)
+        code, payload = self.run_fan_file(capsys, tmp_path, fan, "0 0 0 0 0 0\n1 0 0 0 0 0\n")
+        assert code == 1
+        digest = hashlib.sha256(json.dumps(payload["results"], sort_keys=True).encode()).hexdigest()
+        assert digest == "23352aea22cb819524445b71a826fed42849bf11efba6cbe68efa255eed5614a"
+        assert len(payload["warnings"]) == 1 and "not certified complete" in payload["warnings"][0]
+
+    def test_the_theorem_path_calls_no_decompose(self, monkeypatch):
+        from toric_exc import cli, frobenius
+
+        def refuse(*args):
+            raise AssertionError("decompose called")
+
+        monkeypatch.setattr(frobenius, "decompose", refuse)
+        record = get_record("D1")
+        ctx = build_pic_context(record.fan, record.pic_basis)
+        warnings = []
+        results = cli._verify_one(ctx, cli._stored_collection(record, ctx), warnings)
+        assert results["fullness_certified"] and len(results["summands"]) == 9 and warnings == []
+
 
 class TestProveMainTheorem:
     def test_all_pass_and_deterministic(self, capsys):

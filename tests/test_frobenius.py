@@ -2,15 +2,18 @@
 
 import itertools
 from collections import Counter
+from math import lcm, prod
 
+import numpy as np
 import pytest
 
 from conftest import zvec
 from toric_exc.errors import NotStabilized, TooManyResidues
 from toric_exc.fan import Fan
-from toric_exc.frobenius import decompose, first_chern_sum, stable_summands
+from toric_exc.frobenius import bondal_summands, decompose, first_chern_sum, stable_summands
 from toric_exc.lattice import IntMatrix
 from toric_exc.picard import anticanonical_divisor, build_pic_context, to_class
+from test_fan import projective_space, seeded_blowup, seeded_blowups
 from thomsen_reference import cartier_shifts, cone_frame, divide_step, summand_divisor
 
 P3 = Fan.make(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
@@ -328,6 +331,97 @@ class TestStableSummands:
         with pytest.raises(NotStabilized) as info:
             stable_summands(records["D1"].fan, contexts["D1"], (0,) * 6, (2, 31))
         assert set(info.value.per_prime) == {2, 31}
+
+
+# ---------------------------------------------------------------------------
+# the exact Bondal-Thomsen set
+# ---------------------------------------------------------------------------
+
+def leibniz_det(rows):
+    """Determinant as the signed sum over permutations."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+def minor_lcm(fan):
+    return lcm(*(abs(d) for rows in itertools.combinations(fan.rays, fan.dim) if (d := leibniz_det(rows))))
+
+
+def bondal_reference(ctx, N=None):
+    """{[-floor(<theta, v>)] : theta in (1/N)Z^n cap [0,1)^n}, as classes.
+
+    One grid, by default N = lcm(1..n+1) L with L the lcm of the nonzero
+    ray minors.  The axis-0 coordinate is walked one value at a time; each
+    divisor is packed into one integer key, so only distinct keys are kept.
+    """
+    fan = ctx.fan
+    n, m, rays = fan.dim, fan.n_rays, np.array(fan.rays, dtype=np.int64)
+    N = N or lcm(*range(1, n + 2)) * minor_lcm(fan)
+    rest = list(itertools.product(range(N), repeat=n - 1))
+    tail = np.array(rest, dtype=np.int64).reshape(len(rest), n - 1) @ rays[:, 1:].T
+    radix = 2 * n * int(abs(rays).max()) + 1          # each floor lies in [-(radix // 2), radix // 2]
+    weights = radix ** np.arange(m, dtype=np.int64)
+    keys = set()
+    for first in range(N):
+        keys.update(np.unique(((first * rays[:, 0] + tail) // N + radix // 2) @ weights).tolist())
+    classes = set()
+    for key in keys:
+        divisor = []
+        for _ in range(m):
+            key, digit = divmod(key, radix)
+            divisor.append(radix // 2 - digit)
+        classes.add(to_class(ctx, divisor))
+    return classes
+
+
+class TestBondalSummands:
+    def test_equals_one_fine_grid(self, records, contexts):
+        blowups = [fan for seed in range(6) for fan in seeded_blowups(records, (9, 10, 11, 12), seed)
+                   if minor_lcm(fan) <= 2] + [seeded_blowup(records["E2"].fan, 10, 9)]
+        assert len(blowups) == 5
+        cases = [contexts[name] for name in sorted(records)]
+        cases += [build_pic_context(fan) for fan in [projective_space(n) for n in (1, 2, 4)] + blowups]
+        for ctx in cases:
+            assert set(bondal_summands(ctx)) == bondal_reference(ctx), ctx.fan
+
+    def test_equals_the_two_prime_set_on_the_catalog(self, records, contexts):
+        # so the theorem's summand lists, and its bytes, cannot move
+        for name, rec in records.items():
+            got = bondal_summands(contexts[name])
+            assert got == stable_summands(rec.fan, contexts[name], (0,) * rec.fan.n_rays), name
+
+    def test_the_vertex_grid_alone_misses_three_of_p3s_classes(self):
+        # every minor of P^3 is +-1, so (1/L)Z^3 cap [0,1)^3 is the origin: the barycenters are needed
+        ctx = build_pic_context(P3)
+        assert bondal_reference(ctx, N=1) == {(0,)}
+        assert bondal_summands(ctx) == ((0,), (1,), (2,), (3,))
+
+    def test_rays_past_int64(self):
+        shear = 10 ** 20
+        rays = [(1, 0, 0), (shear, 1, 0), (0, 0, 1), (-1 - shear, -1, -1)]
+        ctx = build_pic_context(Fan.make(3, rays, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]))
+        assert len(bondal_summands(ctx)) == 4
+
+    def test_a_grid_past_the_limit_is_declined(self, records):
+        fan = seeded_blowup(records["P3"].fan, 9, 14)
+        assert minor_lcm(fan) == 60
+        assert bondal_summands(build_pic_context(fan)) is None
+
+    def test_odd_primes_miss_a_class_on_a_blowup_of_e2(self, records):
+        # a vertex of the arrangement in (1/2)Z^3 is missed by every odd prime, and p = 2 misses more
+        fan = seeded_blowup(records["E2"].fan, 10, 9)
+        ctx = build_pic_context(fan)
+        exact = set(bondal_summands(ctx))
+        assert len(exact) == 30
+        for p in (2, 3, 5, 31, 37):
+            assert decompose(fan, ctx, (0,) * 10, p).classes <= exact
+        missed = (0, 0, 1, 0, 1, -1, 1)
+        assert missed in exact
+        assert all(missed not in decompose(fan, ctx, (0,) * 10, p).classes for p in (31, 37))
 
 
 # ---------------------------------------------------------------------------
