@@ -27,7 +27,8 @@ from toric_exc.cli import main as cli_main
 from toric_exc.fan import cone_inverse
 from toric_exc.frobenius import decompose
 from toric_exc.picard import anticanonical_divisor, build_pic_context
-from test_fan import projective_space, seeded_blowups
+from test_fan import projective_space, seeded_blowup, seeded_blowups
+from test_frobenius import bondal_reference
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -94,13 +95,49 @@ FAN_FILE_GOLDEN = [
 def test_fan_file_results_are_identical(records, tmp_path, name, argv, digest):
     fans = {"P1": projective_space(1), "P2": projective_space(2), "P4": projective_space(4),
             "blowup": seeded_blowups(records, (10,), seed=7)[0]}
-    path = tmp_path / f"{name}.fan"
-    path.write_text(format_fan_file(fans[name]))
+    code, results = fan_file_results(tmp_path, fans[name], [argv[0], *argv[1:]])
+    assert code == 0
+    assert hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest() == digest
+
+
+def fan_file_results(tmp_path, fan, argv, collection=None):
+    """Exit code and `results` of one JSON report on a fan file (and a collection file)."""
+    path = tmp_path / "input.fan"
+    path.write_text(format_fan_file(fan))
+    extra = []
+    if collection is not None:
+        extra = ["--collection", str(tmp_path / "collection.txt")]
+        (tmp_path / "collection.txt").write_text("".join(" ".join(map(str, c)) + "\n" for c in collection))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli_main(["--format", "json", argv[0], "--fan-file", str(path), *argv[1:]])
-    assert code == 0
-    results = json.loads(out.getvalue())["results"]
+        code = cli_main(["--format", "json", argv[0], "--fan-file", str(path), *argv[1:], *extra])
+    return code, json.loads(out.getvalue())["results"]
+
+
+# SHA-256 of the `results` of verify --fan-file --collection, recorded while a
+# collection check still kept its boxes in a per-fan memo and the Bondal grid
+# was a union of two grids: O, O(1), ..., O(n) on P^n (strongly exceptional and
+# full), and the 30 Bondal-Thomsen classes of a blow-up of E2 with L = 2 in
+# lexicographic order (full, not strongly exceptional: exit 1).
+VERIFY_FAN_FILE_GOLDEN = [
+    ("P1", 0, "a0b2a5f734baba9e5c5c7d890e8e38bb6a0c810325d8e43648e3c6a39724f92c"),
+    ("P2", 0, "f9595bf9b3d6a5c04bf95d304093fb97d4421d524f7a7082c4038a55469d6c7e"),
+    ("P4", 0, "c5ccf1a8e0dbfb66369e32e6683d96836702a51ac2b68a4e0b28cf9e071693f0"),
+    ("blowup-E2", 1, "5e5f3caa06c359cbeaa8f060ae04eaae0388eb3c36f932fee967311c6b15efdf"),
+]
+
+
+@pytest.mark.parametrize("name, expected_code, digest", VERIFY_FAN_FILE_GOLDEN,
+                         ids=[name for name, *_ in VERIFY_FAN_FILE_GOLDEN])
+def test_verify_fan_file_results_are_identical(records, tmp_path, name, expected_code, digest):
+    if name == "blowup-E2":
+        fan = seeded_blowup(records["E2"].fan, 10, 9)
+        collection = sorted(bondal_reference(build_pic_context(fan)))
+    else:
+        fan = projective_space(int(name[1:]))
+        collection = [(k,) for k in range(fan.dim + 1)]
+    code, results = fan_file_results(tmp_path, fan, ["verify"], collection)
+    assert code == expected_code
     assert hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest() == digest
 
 
