@@ -8,10 +8,9 @@ the summand-set/K_0-rank match or by a Koszul reduction.
 Run:  python demos/04_exceptional_collections.py
 """
 
-from toric_exc import (OrderedCollection, build_pic_context, class_label,
+from toric_exc import (OrderedCollection, bondal_summands, build_pic_context, class_label,
                        describe_certificate, fullness_certificate, get_record,
-                       koszul_reduction_certificate, stable_summands, to_class,
-                       verify_strongly_exceptional)
+                       koszul_reduction_certificate, to_class, verify_strongly_exceptional)
 
 print("D1 in detail")
 print("=" * 64)
@@ -24,7 +23,7 @@ for i, cls in enumerate(coll.classes):
 se = verify_strongly_exceptional(ctx, coll)
 print(f"strongly exceptional: {se.strongly_exceptional}")
 
-summands = stable_summands(d1.fan, ctx, (0,) * 6)
+summands = bondal_summands(ctx)
 print(f"pushforward summands: {len(summands)}, collection size: {len(coll)}, "
       f"K_0 rank: {len(d1.fan.max_cones)}")
 
@@ -48,7 +47,7 @@ for name in ("D1", "D2", "E1", "E2", "E4"):
     ctx = build_pic_context(rec.fan, rec.pic_basis)
     coll = OrderedCollection(tuple(to_class(ctx, d) for d in rec.collection))
     se = verify_strongly_exceptional(ctx, coll)
-    cert = fullness_certificate(ctx, coll, stable_summands(rec.fan, ctx, (0,) * rec.fan.n_rays))
+    cert = fullness_certificate(ctx, coll, bondal_summands(ctx))
     status = "PASS" if se.strongly_exceptional else "FAIL"
     print(f"  {name}: {status}  ({len(coll)} bundles; {describe_certificate(ctx, cert)})")
     for note in rec.notes:

@@ -148,6 +148,10 @@ def _cmd_thomsen(args) -> tuple[int, ReportDocument]:
         return EXIT_CHECK_FAILED, doc
     doc.results["stabilized"] = True
     doc.results["summands"] = [_class_payload(ctx, c) for c in classes]
+    exact = bondal_summands(ctx) if not any(to_class(ctx, divisor)) else None   # the summand set of O
+    if exact is not None and set(exact) != set(classes):
+        doc.warnings.append(f"primes {' and '.join(map(str, primes))} agree on {len(classes)} summand classes, "
+                            f"but the exact Bondal-Thomsen set has {len(exact)}")
     doc.text_lines.append(f"{len(classes)} distinct summand classes (primes {primes}):")
     for c in classes:
         doc.text_lines.append(f"  {class_label(ctx, c)}   coords {list(c)}")

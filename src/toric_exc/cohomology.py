@@ -46,13 +46,14 @@ all (Borisov-Hua, Adv. Math. 2009):
   all nonempty regions.  A fan whose pass for one divisor would hold more
   than _VERTEX_PASS_LIMIT gap entries raises BoxTooLarge before it starts.
 - The contributing candidates then fix the box by their floors and
-  ceilings.  A collection check computes the boxes of all its distinct
-  difference classes in one vectorised pass; a single query is the same
-  pass with one divisor.
-- The whole box is enumerated once per divisor into a cached list of
+  ceilings, in one vectorised pass over any number of divisors.
+- The whole box is enumerated once per divisor into a list of
   contributing patterns with the sup norms ||u|| of their characters; a
   box reaching past _RADIUS_LIMIT, or holding more than _CHARACTER_LIMIT
-  characters, raises BoxTooLarge before anything is enumerated.
+  characters, raises BoxTooLarge before anything is enumerated.  A single
+  query caches its divisor's list; a collection check (vanishing_verdicts)
+  takes the boxes of all its divisors from one pass, reads both verdicts
+  of each from its list, and keeps nothing.
 
 Every query reads its answer from that whole list, so every answer is
 exact.  A query checks its start radius r0 first: for cohomology_table,
@@ -84,7 +85,7 @@ from .picard import ClassVector, PicContext, to_class
 _MAX_SWEEP_RAYS = 20
 _RADIUS_LIMIT = 40  # the largest start radius, and the farthest a certified box may reach
 _CHARACTER_LIMIT = 1 << 22  # the most characters a certified box may hold (81^3 = 531,441 in dimension 3)
-_POINT_CACHE_SIZE = 128  # the differences a collection check repeats
+_POINT_CACHE_SIZE = 128  # the divisors whose lists the single queries share
 _PASS_ELEMENTS = 1 << 20  # gap entries (divisors x vertex candidates x rays) per vectorised box pass
 _VERTEX_PASS_LIMIT = 1 << 23  # the most gap entries of one divisor's vertex pass: 64 MB per int64 array
 
@@ -224,12 +225,11 @@ class _VertexFrames(NamedTuple):
     rays_t: np.ndarray        # n x m: the rays as columns
     ray_max: int              # the largest |ray entry|
     weights: np.ndarray       # m: bit i of a sign mask is ray i
-    boxes: dict[tuple[int, ...], Optional[_Box]]  # divisor -> its certified box (see _contributing_boxes)
 
 
 @lru_cache(maxsize=None)
 def _vertex_frames(fan: Fan) -> _VertexFrames:
-    """Exact inverses (cofactors over |det|) of every nonsingular ray n-subset, and the fan's memo of boxes.
+    """Exact inverses (cofactors over |det|) of every nonsingular ray n-subset.
 
     This is the one domain check.  It raises UnboundedRegion for a fan
     without fan.is_complete, naming the first problem found, since only
@@ -267,7 +267,7 @@ def _vertex_frames(fan: Fan) -> _VertexFrames:
                          np.array(dets, dtype=dtype)[:, None, None],
                          -(_corner_offsets(n).astype(corner_dtype) @ cofactors.astype(corner_dtype)), largest,
                          np.array(rays, dtype=dtype).T, ray_max,
-                         np.array([1 << i for i in range(m)], dtype=np.int64 if m < 63 else object), {})
+                         np.array([1 << i for i in range(m)], dtype=np.int64 if m < 63 else object))
 
 
 @lru_cache(maxsize=None)
@@ -282,16 +282,8 @@ class _Box(NamedTuple):
     extent: int               # the largest |coordinate| in the box
 
 
-def _contributing_box(fan: Fan, divisor: tuple[int, ...]) -> Optional[_Box]:
-    """A box holding every character whose pattern contributes, or None when none does."""
-    boxes = _vertex_frames(fan).boxes
-    if divisor not in boxes:
-        _contributing_boxes(fan, (divisor,))
-    return boxes[divisor]
-
-
-def _contributing_boxes(fan: Fan, divisors: Sequence[tuple[int, ...]]) -> None:
-    """Certify the boxes of the divisors not yet kept for the fan, in one vectorised pass.
+def _contributing_boxes(fan: Fan, divisors: Sequence[tuple[int, ...]]) -> list[Optional[_Box]]:
+    """Each divisor's box of contributing characters, or None when none contributes, in one vectorised pass.
 
     Each vertex of a region P_I(a) solves n of its inequalities with
     equality, |det A_S| u = -adj(A_S)(a_S + eps), and leaves no ray strictly
@@ -301,24 +293,15 @@ def _contributing_boxes(fan: Fan, divisors: Sequence[tuple[int, ...]]) -> None:
     contributing candidates span a box around them all.  The candidates of
     all divisors form one D x K x 2^n array (cut into chunks of at most
     _PASS_ELEMENTS gap entries); only the chosen rows are floored, and each
-    divisor's rows are reduced as one segment.
-
-    The fan keeps at most _POINT_CACHE_SIZE boxes, or one pass's boxes
-    when that is more: a pass that would overflow it first drops every box
-    it was not asked for.
+    divisor's rows are reduced as one segment.  The boxes come back in the
+    order of the divisors, and nothing is kept.
     """
     frames = _vertex_frames(fan)
-    boxes, wanted = frames.boxes, dict.fromkeys(divisors)
-    todo = [d for d in wanted if d not in boxes]
-    if not todo:
-        return
-    if len(boxes) + len(todo) > _POINT_CACHE_SIZE:
-        for old in [d for d in boxes if d not in wanted]:
-            del boxes[old]
     n = fan.dim
+    boxes: list[Optional[_Box]] = [None] * len(divisors)
     chunk = max(1, _PASS_ELEMENTS // (len(frames.subsets) * 2 ** n * fan.n_rays))
-    for start in range(0, len(todo), chunk):
-        batch = todo[start:start + chunk]
+    for start in range(0, len(divisors), chunk):
+        batch = divisors[start:start + chunk]
         big = max(max(map(abs, divisor)) for divisor in batch) + 1
         bound = (n * frames.ray_max * n + 1) * frames.largest * big   # bounds |numerator| and every entry of `gaps`
         dtype = np.int64 if bound < _INT64_SAFE else object
@@ -334,7 +317,6 @@ def _contributing_boxes(fan: Fan, divisors: Sequence[tuple[int, ...]]) -> None:
         for mask in contributing:
             chosen |= masks == mask
         which, subset, corner = np.nonzero(chosen & vertex)
-        boxes.update(dict.fromkeys(batch))
         if not len(which):
             continue
         num, den = numerators[which, subset, corner], dets[subset, 0]
@@ -342,7 +324,8 @@ def _contributing_boxes(fan: Fan, divisors: Sequence[tuple[int, ...]]) -> None:
         lows = np.minimum.reduceat(num // den, starts).tolist()
         highs = np.maximum.reduceat(-(-num // den), starts).tolist()
         for d, lo, hi in zip(which[starts].tolist(), lows, highs):
-            boxes[batch[d]] = _Box(tuple(lo), tuple(hi), max(map(abs, lo + hi)))
+            boxes[start + d] = _Box(tuple(lo), tuple(hi), max(map(abs, lo + hi)))
+    return boxes
 
 
 _NO_POINTS: Mapping[int, tuple[int, ...]] = MappingProxyType({})
@@ -350,6 +333,11 @@ _NO_POINTS: Mapping[int, tuple[int, ...]] = MappingProxyType({})
 
 @lru_cache(maxsize=_POINT_CACHE_SIZE)
 def _point_list(fan: Fan, divisor: tuple[int, ...]) -> Mapping[int, tuple[int, ...]]:
+    """_characters of one divisor, its box from a one-divisor pass; the single queries share it."""
+    return _characters(fan, divisor, _contributing_boxes(fan, (divisor,))[0])
+
+
+def _characters(fan: Fan, divisor: tuple[int, ...], box: Optional[_Box]) -> Mapping[int, tuple[int, ...]]:
     """Every contributing character of D: contributing mask -> ascending ||u|| of its characters.
 
     The whole certified box is enumerated once.  A box reaching past
@@ -359,7 +347,6 @@ def _point_list(fan: Fan, divisor: tuple[int, ...]) -> Mapping[int, tuple[int, .
     i of a mask is set when the representative a + pairing*u is nonnegative
     on ray i.  This is the one place where characters are built.
     """
-    box = _contributing_box(fan, divisor)
     if box is None:
         return _NO_POINTS
     if box.extent > _RADIUS_LIMIT:
@@ -401,8 +388,13 @@ def _checked_radius(r0: int) -> int:
     return r0
 
 
-def _has_character(ctx: PicContext, divisor: Sequence[int], escalate: bool, wanted, what: str) -> bool:
-    """Does D have a contributing character whose mask passes `wanted`?
+def _is_section(fan: Fan, mask: int) -> bool:
+    """The full pattern, an effective representative; every other contributing pattern is forbidden."""
+    return mask == (1 << fan.n_rays) - 1
+
+
+def _has_character(ctx: PicContext, divisor: Sequence[int], escalate: bool, section: bool, what: str) -> bool:
+    """Does D have a contributing character whose pattern is the full one (section) or a forbidden one?
 
     Read from the whole list.  An escalating query needs no start radius;
     without escalate, a yes whose nearest such character lies past the
@@ -410,7 +402,8 @@ def _has_character(ctx: PicContext, divisor: Sequence[int], escalate: bool, want
     """
     r0 = None if escalate else _checked_radius(_radius_for_class(to_class(ctx, divisor)))
     points = _point_list(ctx.fan, tuple(map(int, divisor)))
-    nearest = min((norms[0] for mask, norms in points.items() if wanted(mask)), default=None)
+    nearest = min((norms[0] for mask, norms in points.items() if _is_section(ctx.fan, mask) == section),
+                  default=None)
     if nearest is not None and not escalate and nearest > r0:
         raise BoxUnstable(f"the {what} rests on a character of sup norm {nearest}, past the radius {r0}; "
                           f"raise the radius")
@@ -419,8 +412,7 @@ def _has_character(ctx: PicContext, divisor: Sequence[int], escalate: bool, want
 
 def has_nonzero_global_sections(ctx: PicContext, divisor: Sequence[int], escalate: bool = False) -> bool:
     """True when D is linearly equivalent to an effective toric divisor: the full pattern is listed."""
-    full = (1 << ctx.fan.n_rays) - 1
-    return _has_character(ctx, divisor, escalate, lambda mask: mask == full, "sections verdict")
+    return _has_character(ctx, divisor, escalate, True, "sections verdict")
 
 
 def is_acyclic(ctx: PicContext, divisor: Sequence[int], escalate: bool = False) -> bool:
@@ -431,8 +423,22 @@ def is_acyclic(ctx: PicContext, divisor: Sequence[int], escalate: bool = False) 
     listed; no sweep over all ray subsets is needed.  Without escalate, a
     forbidden character past the start radius raises BoxUnstable.
     """
-    full = (1 << ctx.fan.n_rays) - 1
-    return not _has_character(ctx, divisor, escalate, lambda mask: mask != full, "acyclicity verdict")
+    return not _has_character(ctx, divisor, escalate, False, "acyclicity verdict")
+
+
+def vanishing_verdicts(ctx: PicContext, divisors: Sequence[Sequence[int]]) -> list[tuple[bool, bool]]:
+    """(is_acyclic, has_nonzero_global_sections) of each divisor, escalating, in input order.
+
+    The boxes come from one vectorised pass; each is enumerated once, both
+    verdicts are read from its one list, and the list is not kept.
+    """
+    fan = ctx.fan
+    divisors = [tuple(map(int, divisor)) for divisor in divisors]
+    verdicts = []
+    for divisor, box in zip(divisors, _contributing_boxes(fan, divisors)):
+        sections = [_is_section(fan, mask) for mask in _characters(fan, divisor, box)]
+        verdicts.append((all(sections), any(sections)))
+    return verdicts
 
 
 # ---------------------------------------------------------------------------

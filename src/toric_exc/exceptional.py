@@ -6,6 +6,9 @@ cohomology vanishing of differences: every twist L_b - L_a must be acyclic
 L_b - L_a must have no global sections (kills the backward Homs).  Each
 single line bundle is automatically exceptional on a complete toric
 variety, since the difference 0 is acyclic with one-dimensional sections.
+Both verdicts of every distinct difference come from one
+cohomology.vanishing_verdicts call, which enumerates each certified box
+once.
 
 Fullness rests on the generation theorem for Frobenius pushforward
 summands: the distinct summand classes of (pi_p)_* O, the Bondal-Thomsen
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
-from .cohomology import _contributing_boxes, has_nonzero_global_sections, is_acyclic
+from .cohomology import vanishing_verdicts
 from .errors import NotPrimitive, TermOutsideCollection, ToricExcError
 from .fan import is_face, primitive_collections
 from .picard import ClassVector, PicContext, class_label, class_to_divisor, to_class
@@ -98,37 +101,28 @@ class VerificationReport:
 
     @property
     def strongly_exceptional(self) -> bool:
-        k = len(self.collection)
-        ext_ok = all(self.acyclic[a][b] for a in range(k) for b in range(k))
-        hom_ok = all(
-            self.sections_backward[a][b] is False
-            for a in range(k) for b in range(k) if a > b
-        )
-        return ext_ok and hom_ok
+        return (all(map(all, self.acyclic))
+                and all(x is False for a, row in enumerate(self.sections_backward) for x in row[:a]))
 
 
 def verify_strongly_exceptional(ctx: PicContext, collection: OrderedCollection) -> VerificationReport:
     """Test conditions (i)' and (ii)' for every ordered pair of the collection.
 
     Each distinct difference class is formed once, with its divisor, and
-    asked once; the certified boxes of all of them come from one pass.
-    Every query escalates, so it reads its verdict from the whole certified
-    box; a box past the radius limit raises BoxTooLarge.
+    asked once: one vanishing_verdicts call reads both verdicts of every
+    class from its certified box, the boxes of all of them coming from one
+    pass.  A box past the radius limit raises BoxTooLarge.
     """
     if any(len(cls) != ctx.rank for cls in collection.classes):
         raise ValueError("collection class vectors do not match the Picard rank")
     classes = collection.classes
-    k = len(classes)
     diffs = [[tuple(b - a for b, a in zip(lb, la)) for lb in classes] for la in classes]
-    divisors = {cls: class_to_divisor(ctx, cls) for cls in dict.fromkeys(c for row in diffs for c in row)}
-    _contributing_boxes(ctx.fan, list(divisors.values()))
-    acyclic = {cls: is_acyclic(ctx, divisor, escalate=True) for cls, divisor in divisors.items()}
-    backward = dict.fromkeys(cls for a in range(k) for cls in diffs[a][:a])
-    sections = {cls: has_nonzero_global_sections(ctx, divisors[cls], escalate=True) for cls in backward}
+    distinct = list(dict.fromkeys(c for row in diffs for c in row))
+    verdicts = dict(zip(distinct, vanishing_verdicts(ctx, [class_to_divisor(ctx, cls) for cls in distinct])))
     return VerificationReport(
         collection,
-        tuple(tuple(acyclic[cls] for cls in row) for row in diffs),
-        tuple(tuple(sections[cls] if b < a else None for b, cls in enumerate(row)) for a, row in enumerate(diffs)),
+        tuple(tuple(verdicts[cls][0] for cls in row) for row in diffs),
+        tuple(tuple(verdicts[cls][1] if b < a else None for b, cls in enumerate(row)) for a, row in enumerate(diffs)),
     )
 
 
@@ -153,24 +147,19 @@ def koszul_reduction_certificate(
         raise ValueError(f"repeated ray indices in {pcoll}")
     if is_face(fan, pcoll):
         raise NotPrimitive(f"rays {tuple(i + 1 for i in pcoll)} span a cone; Koszul complex is not exact")
-    extra = tuple(int(x) for x in extra)
-    if extra in set(collection.classes):
+    extra, members = tuple(int(x) for x in extra), set(collection.classes)
+    if extra in members:
         raise ToricExcError("the eliminated class must lie outside the collection")
 
     ray_classes = [to_class(ctx, tuple(1 if j == i else 0 for j in range(fan.n_rays))) for i in pcoll]
-    terms = []
-    offending = []
+    terms, offending = [], []
     for j in range(len(pcoll) + 1):
         level: dict[ClassVector, int] = {}
         for subset in combinations(range(len(pcoll)), j):
             cls = tuple(e + sum(ray_classes[i][t] for i in subset) for t, e in enumerate(extra))
             level[cls] = level.get(cls, 0) + 1
         terms.append(tuple(sorted(level.items())))
-        if j == 0:
-            continue
-        for cls, _ in level.items():
-            if cls not in set(collection.classes):
-                offending.append(cls)
+        offending += [cls for cls in level if j and cls not in members]   # degree 0 is the eliminated class
     if offending:
         raise TermOutsideCollection(sorted(set(offending)))
     return KoszulReduction(extra, pcoll, tuple(terms))

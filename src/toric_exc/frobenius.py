@@ -22,8 +22,9 @@ than _RESIDUE_LIMIT residues with TooManyResidues before enumerating any.
 For p large enough the set of distinct summand classes stops depending on
 p; stable_summands demands agreement across at least two primes, by
 default DEFAULT_PRIMES.  That agreement is no proof: bondal_summands
-computes the distinct classes exactly, from a grid that meets every cell
-of the arrangement they are read from.
+computes the distinct classes exactly, from the one grid
+(1/((n + 1)L))Z^n, which meets every cell of the arrangement they are
+read from, and the thomsen report warns when two primes agree on fewer.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .picard import ClassVector, PicContext, to_class
 DEFAULT_PRIMES = (31, 37)
 _SLAB = 1 << 17  # residues per slab of the counting loop: its keys stay in cache
 _RESIDUE_LIMIT = 1 << 32  # the most residues decompose enumerates
-_GRID_LIMIT = 1 << 16  # the most points bondal_summands enumerates: L <= 8 in dimension 3
+_GRID_LIMIT = 1 << 16  # the most points (and ray n-subsets) bondal_summands takes: L <= 10 in dimension 3
 
 
 @dataclass(frozen=True)
@@ -222,10 +223,9 @@ def bondal_summands(ctx: PicContext) -> Optional[tuple[ClassVector, ...]]:
 
     Every summand class of (pi_p)_* O is one of them (theta = t/p), and
     they generate D^b(X) (Bondal, Oberwolfach report, 2006; Hanlon-Hicks-
-    Lazarev, 2023).  With L = _minor_lcm(fan), they are the classes over
-    theta in the union of (1/(kL))Z^n cap [0,1)^n for k <= n + 1; only the
-    k that divide no larger one are enumerated ({3, 4} in dimension 3,
-    91 L^3 points).  Proof:
+    Lazarev, 2023).  With L = _minor_lcm(fan) and N = (n + 1)L, they are
+    the classes over the one grid theta in (1/N)Z^n cap [0,1)^n, (n + 1)^n
+    L^n points (64 L^3 in dimension 3).  Proof:
 
     - The hyperplanes <theta, v_rho> in Z cut R^n into relatively open
       convex cells, on each of which every floor is constant.  The cells
@@ -233,30 +233,28 @@ def bondal_summands(ctx: PicContext) -> Optional[tuple[ClassVector, ...]]:
     - A vertex of a cell solves n independent equations <theta, v_rho> =
       k_rho, so det(A_S) theta is integral for a nonzero minor, and theta
       lies in (1/L)Z^n.
-    - A d-cell's closure has d + 1 affinely independent vertices; their
-      barycenter lies in the cell and in (1/((d + 1)L))Z^n.
+    - The closure of a relatively open d-cell, d <= n, has d + 1 affinely
+      independent vertices x_0 ... x_d.  The point (1 - d/(n + 1)) x_0 +
+      (1/(n + 1)) (x_1 + ... + x_d) has only positive weights, so it lies
+      in the cell, and it lies in (1/N)Z^n.
     - Shifting theta by Z^n adds a principal divisor, so the point may be
       taken in [0,1)^n.
 
     Every cell thus meets the grid.  The pairings <j, v_rho>, j in
-    [0, kL)^n, are int64 while kL n max|ray entry| is below _INT64_SAFE,
-    else Python integers.  A grid of more than _GRID_LIMIT points returns
-    None before anything is enumerated.
+    [0, N)^n, are int64 while N n max|ray entry| is below _INT64_SAFE,
+    else Python integers.  A fan with more than _GRID_LIMIT ray n-subsets,
+    or a grid of more than _GRID_LIMIT points, returns None before
+    anything is enumerated.
     """
     fan = ctx.fan
-    n, L = fan.dim, _minor_lcm(fan)
-    steps = range((n + 1) // 2 + 1, n + 2)        # the k <= n + 1 that divide no larger k
-    if sum((k * L) ** n for k in steps) > _GRID_LIMIT:
+    n = fan.dim
+    if math.comb(fan.n_rays, n) > _GRID_LIMIT or (N := (n + 1) * _minor_lcm(fan)) ** n > _GRID_LIMIT:
         return None
     ray_max = max(abs(x) for ray in fan.rays for x in ray)
-    divisors = set()
-    for k in steps:
-        N = k * L
-        dtype = np.int64 if N * n * ray_max < _INT64_SAFE else object
-        grid = np.indices((N,) * n).reshape(n, -1).T.astype(dtype)       # theta = grid / N
-        floors = -((grid @ np.array(fan.rays, dtype=dtype).T) // N)
-        divisors.update(map(tuple, floors.tolist()))
-    return tuple(sorted({to_class(ctx, d) for d in divisors}))
+    dtype = np.int64 if N * n * ray_max < _INT64_SAFE else object
+    grid = np.indices((N,) * n).reshape(n, -1).T.astype(dtype)       # theta = grid / N
+    floors = -((grid @ np.array(fan.rays, dtype=dtype).T) // N)
+    return tuple(sorted({to_class(ctx, d) for d in set(map(tuple, floors.tolist()))}))
 
 
 def first_chern_sum(decomposition: FrobeniusDecomposition) -> ClassVector:

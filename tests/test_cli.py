@@ -17,6 +17,7 @@ from toric_exc.fan import Fan
 from toric_exc.picard import build_pic_context
 from test_cohomology import star_subdivided_p3
 from test_fan import projective_space, seeded_blowup
+from test_frobenius import bondal_reference
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -25,6 +26,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def json_under_two_hash_seeds(argv, cwd, expected_code):
+    """The JSON stdout of one CLI run in a fresh interpreter under PYTHONHASHSEED 0, then 1."""
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "toric_exc.cli", "--format", "json", *argv], cwd=cwd, env=env,
+                              capture_output=True, timeout=600)
+        assert proc.returncode == expected_code, proc.stderr
+        outputs.append(proc.stdout)
+    return outputs
 
 
 class TestCatalogList:
@@ -52,6 +66,32 @@ class TestThomsen:
         assert code == 0
         assert len(payload["results"]["summands"]) == 10
         assert any("omits" in w for w in payload["warnings"])
+
+    def test_primes_that_miss_a_class_of_p3_are_warned_about(self, capsys):
+        # P^3 has four Bondal-Thomsen classes; p = 2 and p = 3 each find three, and agree
+        code, out, _ = run_cli(capsys, "--format", "json", "thomsen", "--variety", "P3",
+                               "--prime", "2", "--prime", "3")
+        payload = json.loads(out)
+        assert code == 0 and payload["results"]["stabilized"] is True
+        assert len(payload["results"]["summands"]) == 3
+        assert payload["warnings"] == ["primes 2 and 3 agree on 3 summand classes, "
+                                       "but the exact Bondal-Thomsen set has 4"]
+
+    def test_odd_primes_that_miss_a_class_of_a_blowup_are_warned_about(self, capsys, tmp_path):
+        path = tmp_path / "blowup.fan"
+        path.write_text(format_fan_file(seeded_blowup(get_record("E2").fan, 10, 9)))
+        code, out, _ = run_cli(capsys, "--format", "json", "thomsen", "--fan-file", str(path))
+        payload = json.loads(out)
+        assert code == 0 and len(payload["results"]["summands"]) == 29
+        assert payload["warnings"] == ["primes 31 and 37 agree on 29 summand classes, "
+                                       "but the exact Bondal-Thomsen set has 30"]
+
+    def test_a_twist_is_not_compared_with_the_summands_of_o(self, capsys):
+        # the 14 summand classes of -K on D1 are not the 9 of O, and that is no warning
+        code, out, _ = run_cli(capsys, "--format", "json", "thomsen", "--variety", "D1",
+                               "--divisor", "1 1 1 1 1 1")
+        payload = json.loads(out)
+        assert code == 0 and len(payload["results"]["summands"]) == 14 and payload["warnings"] == []
 
     def test_tiny_primes_fail_with_exit_1(self, capsys):
         code, out, _ = run_cli(capsys, "thomsen", "--variety", "D1",
@@ -310,17 +350,26 @@ class TestProveMainTheorem:
     def test_json_does_not_depend_on_the_hash_seed(self):
         # sets and dicts keyed by masks, supports or classes must not leak
         # their iteration order into the report
-        outputs = []
-        for seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-            proc = subprocess.run([sys.executable, "-m", "toric_exc.cli", "--format", "json",
-                                   "prove-main-theorem"], cwd=ROOT, env=env,
-                                  capture_output=True, timeout=600)
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(proc.stdout)
-        assert json.loads(outputs[0])["results"]["all_pass"] is True
-        assert outputs[0] == outputs[1]
+        first, second = json_under_two_hash_seeds(["prove-main-theorem"], ROOT, 0)
+        assert json.loads(first)["results"]["all_pass"] is True
+        assert first == second
+
+    @pytest.mark.parametrize("command", ["verify-blowup", "thomsen-p3"])
+    def test_verify_and_thomsen_do_not_depend_on_the_hash_seed(self, tmp_path, command):
+        if command == "thomsen-p3":
+            first, second = json_under_two_hash_seeds(["thomsen", "--variety", "P3", "--prime", "2", "--prime", "3"],
+                                                      tmp_path, 0)
+        else:   # the 30 Bondal-Thomsen classes of a blow-up of E2, as one collection
+            fan = seeded_blowup(get_record("E2").fan, 10, 9)
+            (tmp_path / "blowup.fan").write_text(format_fan_file(fan))
+            (tmp_path / "collection.txt").write_text(
+                "".join(" ".join(map(str, c)) + "\n" for c in sorted(bondal_reference(build_pic_context(fan)))))
+            first, second = json_under_two_hash_seeds(
+                ["verify", "--fan-file", "blowup.fan", "--collection", "collection.txt"], tmp_path, 1)
+        assert json.loads(first)["warnings"] == ([] if command == "verify-blowup" else
+                                                 ["primes 2 and 3 agree on 3 summand classes, "
+                                                  "but the exact Bondal-Thomsen set has 4"])
+        assert first == second
 
     def test_text_mode_prints_pass_lines(self, capsys):
         code, out, _ = run_cli(capsys, "prove-main-theorem")

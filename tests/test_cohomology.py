@@ -12,8 +12,8 @@ import pytest
 
 from toric_exc import cohomology
 from toric_exc.cli import main as cli_main
-from toric_exc.cohomology import (_POINT_CACHE_SIZE, _RADIUS_LIMIT, _contributing,
-                                  _contributing_box, _contributing_boxes, _pattern_ranks, _patterns,
+from toric_exc.cohomology import (_RADIUS_LIMIT, _contributing,
+                                  _contributing_boxes, _pattern_ranks, _patterns,
                                   _point_list, _radius_for_class, _vertex_frames, cohomology_table,
                                   forbidden_sets, has_nonzero_global_sections, is_acyclic,
                                   reduced_homology_ranks)
@@ -258,7 +258,7 @@ class TestPatternHistogram:
         assert max(abs(a) for a in divisor) >= _INT64_SAFE
         fan = d1.fan
         assert sum(plain_histogram(fan, divisor, 1).values()) == 27
-        assert _contributing_box(fan, divisor).extent > 2**50
+        assert box_of(fan, divisor).extent > 2**50
         queries = [lambda: cohomology_table(d1_ctx, divisor, box_radius=1),
                    lambda: has_nonzero_global_sections(d1_ctx, divisor, escalate=True),
                    lambda: is_acyclic(d1_ctx, divisor, escalate=True)]
@@ -383,7 +383,7 @@ class TestCertifiedBox:
         fan = star_subdivided_p3(21)
         rng = random.Random(21)
         for _ in range(4):
-            _contributing_box(fan, tuple(rng.randint(-2, 2) for _ in range(fan.n_rays)))
+            box_of(fan, tuple(rng.randint(-2, 2) for _ in range(fan.n_rays)))
 
     def test_many_rays_on_one_plane_are_checked_quickly(self):
         # (1, 0, 0) pairs to zero with 14 rays: the check must not visit their 2^14 subsets
@@ -418,7 +418,7 @@ class TestPlainCrossCheck:
     def test_counts_and_box_against_python_ints(self, records, contexts):
         for ctx, divisor in cross_check_cases(records, contexts):
             fan = ctx.fan
-            box = _contributing_box(fan, tuple(divisor))
+            box = box_of(fan, tuple(divisor))
             if box is not None and box.extent > _RADIUS_LIMIT:   # the huge divisor: refused before enumerating
                 with pytest.raises(BoxTooLarge):
                     listed_counts(ctx, divisor, 1)
@@ -433,7 +433,7 @@ class TestPlainCrossCheck:
     def test_the_whole_list_sums_to_the_stabilized_dimensions(self, records, contexts):
         # the huge divisor is left out: its class starts the search past the radius limit
         for ctx, divisor in cross_check_cases(records, contexts)[:-1]:
-            box = _contributing_box(ctx.fan, tuple(divisor))
+            box = box_of(ctx.fan, tuple(divisor))
             dims = [0] * (ctx.fan.dim + 1)
             if box is not None:
                 for mask, norms in _point_list(ctx.fan, tuple(divisor)).items():
@@ -445,7 +445,7 @@ class TestPlainCrossCheck:
     def test_a_huge_divisor_enumerates_no_more_than_the_cube(self, d1_ctx, monkeypatch):
         # the box reaches past the radius limit, so not one character is built
         divisor = (2**63 - 1, 1, -1, 0, 2, -1)
-        box = _contributing_box(d1_ctx.fan, divisor)
+        box = box_of(d1_ctx.fan, divisor)
         assert box.extent > 2**50
         built = []
         monkeypatch.setattr(cohomology, "product", lambda *ranges: built.append(ranges) or iter(()))
@@ -458,7 +458,7 @@ class TestPlainCrossCheck:
         # O(38) on P^5 and P^6 stays within the radius limit, but its box holds 39^n characters
         cases = [(ctx.fan, class_to_divisor(ctx, (38,)))
                  for ctx in (build_pic_context(projective_space(n)) for n in (5, 6))]
-        assert [_contributing_box(fan, divisor).extent for fan, divisor in cases] == [38, 38]
+        assert [box_of(fan, divisor).extent for fan, divisor in cases] == [38, 38]
         built = []
         monkeypatch.setattr(cohomology, "product", lambda *ranges: built.append(ranges) or iter(()))
         for fan, divisor in cases:
@@ -470,7 +470,7 @@ class TestPlainCrossCheck:
         ctx = build_pic_context(projective_space(4))
         assert cohomology_table(ctx, class_to_divisor(ctx, (10,)), escalate=True).dims == (1001, 0, 0, 0, 0)
         divisor = class_to_divisor(ctx, (38,))
-        assert _contributing_box(ctx.fan, divisor).extent == 38
+        assert box_of(ctx.fan, divisor).extent == 38
         # O(38) holds 39^4 = 2,313,441 characters, under the limit: its whole box reaches the
         # enumeration, here stubbed to yield one character so that nothing large is built
         built = []
@@ -506,7 +506,7 @@ class TestExactness:
     def test_every_query_equals_a_plain_count(self, records):
         for ctx, divisor in exactness_cases(records):
             fan, full = ctx.fan, (1 << ctx.fan.n_rays) - 1
-            box = _contributing_box(fan, divisor)
+            box = box_of(fan, divisor)
             # a cube two steps past the box: a character the box missed would show
             found = plain_norms(fan, divisor, 2 + (box.extent if box else 0))
             assert {mask: list(norms) for mask, norms in _point_list(fan, divisor).items()} == found
@@ -622,20 +622,24 @@ class TestPatternRankCertificates:
         assert 0 < len(ranked) <= 30   # 23; 210 without the two certificates
 
 
+def box_of(fan, divisor):
+    """The certified box of one divisor: a pass of one."""
+    return _contributing_boxes(fan, [divisor])[0]
+
+
 def boxes_one_at_a_time(fan, divisors):
     boxes = []
     for divisor in divisors:
         for memo in (_vertex_frames, _patterns):
             memo.cache_clear()
-        boxes.append(_contributing_box(fan, divisor))
+        boxes.append(box_of(fan, divisor))
     return boxes
 
 
 def boxes_in_one_pass(fan, divisors):
     for memo in (_vertex_frames, _patterns):
         memo.cache_clear()
-    _contributing_boxes(fan, divisors)
-    return [_vertex_frames(fan).boxes[divisor] for divisor in divisors]
+    return _contributing_boxes(fan, divisors)
 
 
 class TestBatchedBoxes:
@@ -660,16 +664,3 @@ class TestBatchedBoxes:
         for divisors in (small + near_2_40, small + near_2_40 + huge):   # int64, then the object dtype
             assert boxes_in_one_pass(fan, divisors) == boxes_one_at_a_time(fan, divisors)
         assert max(abs(x) for d in huge for x in d) >= _INT64_SAFE
-
-    def test_the_memo_stays_bounded(self, records):
-        fan = records["D1"].fan
-        _vertex_frames.cache_clear()
-        boxes = _vertex_frames(fan).boxes
-        divisors = [(a, b, c, 0, 0, 0) for a in range(-4, 5) for b in range(-4, 5) for c in range(-2, 2)]
-        for divisor in divisors[:200]:
-            _contributing_box(fan, divisor)
-            assert 0 < len(boxes) <= _POINT_CACHE_SIZE and divisor in boxes
-        _contributing_boxes(fan, divisors[150:])   # a pass larger than the memo keeps every box it was asked for
-        assert set(boxes) == set(divisors[150:])
-        _contributing_box(fan, divisors[0])
-        assert list(boxes) == [divisors[0]]

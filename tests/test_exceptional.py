@@ -6,7 +6,7 @@ from toric_exc.errors import NotPrimitive, TermOutsideCollection, ToricExcError
 from toric_exc.exceptional import (KoszulCertified, NotCertified, OrderedCollection,
                                    SummandSetMatchesK0Rank, fullness_certificate,
                                    koszul_reduction_certificate, verify_strongly_exceptional)
-from toric_exc.frobenius import stable_summands
+from toric_exc.frobenius import bondal_summands
 from toric_exc.picard import to_class
 
 D1_CLASSES = ((0, 0, 0), (1, 1, 0), (2, 2, 0), (0, 0, 1),
@@ -111,12 +111,12 @@ class TestFullness:
         ctx = contexts["D2"]
         rec = records["D2"]
         coll = OrderedCollection(tuple(to_class(ctx, d) for d in rec.collection))
-        summands = stable_summands(rec.fan, ctx, (0,) * 6)
+        summands = bondal_summands(ctx)
         cert = fullness_certificate(ctx, coll, summands)
         assert cert == SummandSetMatchesK0Rank(8)
 
-    def test_d1_needs_the_koszul_step(self, d1, d1_ctx, d1_collection):
-        summands = stable_summands(d1.fan, d1_ctx, (0,) * 6)
+    def test_d1_needs_the_koszul_step(self, d1_ctx, d1_collection):
+        summands = bondal_summands(d1_ctx)
         cert = fullness_certificate(d1_ctx, d1_collection, summands)
         assert isinstance(cert, KoszulCertified)
         (red,) = cert.reductions
@@ -124,8 +124,8 @@ class TestFullness:
         assert red.collection_used == (0, 1, 3)       # {v1, v2, v4}
         assert dict(red.terms[1]) == {(0, 1, 1): 2, (0, 0, 1): 1}
 
-    def test_unexplained_summand_not_certified(self, d1, d1_ctx):
-        summands = stable_summands(d1.fan, d1_ctx, (0,) * 6)
+    def test_unexplained_summand_not_certified(self, d1_ctx):
+        summands = bondal_summands(d1_ctx)
         small = OrderedCollection(D1_CLASSES[:6])
         cert = fullness_certificate(d1_ctx, small, summands)
         assert isinstance(cert, NotCertified)

@@ -13,6 +13,7 @@ from toric_exc.fan import Fan
 from toric_exc.frobenius import bondal_summands, decompose, first_chern_sum, stable_summands
 from toric_exc.lattice import IntMatrix
 from toric_exc.picard import anticanonical_divisor, build_pic_context, to_class
+from test_cohomology import star_subdivided_p3
 from test_fan import projective_space, seeded_blowup, seeded_blowups
 from thomsen_reference import cartier_shifts, cone_frame, divide_step, summand_divisor
 
@@ -395,10 +396,22 @@ class TestBondalSummands:
             assert got == stable_summands(rec.fan, contexts[name], (0,) * rec.fan.n_rays), name
 
     def test_the_vertex_grid_alone_misses_three_of_p3s_classes(self):
-        # every minor of P^3 is +-1, so (1/L)Z^3 cap [0,1)^3 is the origin: the barycenters are needed
+        # every minor of P^3 is +-1, so (1/L)Z^3 cap [0,1)^3 is the origin: the barycenters are needed,
+        # and N = n misses the open 3-cell, so n + 1 is the smallest grid that works
         ctx = build_pic_context(P3)
         assert bondal_reference(ctx, N=1) == {(0,)}
+        assert len(bondal_reference(ctx, N=3)) == 3
         assert bondal_summands(ctx) == ((0,), (1,), (2,), (3,))
+
+    def test_too_many_ray_subsets_are_declined_before_any_minor(self, monkeypatch):
+        # C(75, 3) = 67,525 ray triples, past the limit: no minor is computed
+        from toric_exc import frobenius
+
+        def refuse(fan):
+            raise AssertionError("minors enumerated")
+
+        monkeypatch.setattr(frobenius, "_minor_lcm", refuse)
+        assert bondal_summands(build_pic_context(star_subdivided_p3(75))) is None
 
     def test_rays_past_int64(self):
         shear = 10 ** 20
