@@ -16,7 +16,7 @@ from toric_exc.cohomology import (_RADIUS_LIMIT, _contributing,
                                   _contributing_boxes, _pattern_ranks, _patterns,
                                   _point_list, _radius_for_class, _vertex_frames, cohomology_table,
                                   forbidden_sets, has_nonzero_global_sections, is_acyclic,
-                                  reduced_homology_ranks)
+                                  reduced_homology_ranks, vanishing_verdicts)
 from toric_exc.errors import BoxTooLarge, BoxUnstable, TooManyRays, ToricExcError, UnboundedRegion
 from toric_exc.lattice import _INT64_SAFE
 from toric_exc.fan import Fan, is_complete, validate_fan
@@ -653,6 +653,18 @@ class TestBatchedBoxes:
         batched = boxes_in_one_pass(ctx.fan, divisors)
         assert batched == boxes_one_at_a_time(ctx.fan, divisors)
         assert any(box is None for box in batched) and any(box is not None for box in batched)
+
+    def test_a_collection_check_keeps_no_lists_and_equals_the_single_queries(self, records, contexts):
+        ctx = contexts["D1"]
+        classes = [to_class(ctx, d) for d in records["D1"].collection]
+        divisors = [class_to_divisor(ctx, cls) for cls in
+                    dict.fromkeys(tuple(b - a for b, a in zip(lb, la)) for la in classes for lb in classes)]
+        _point_list.cache_clear()
+        verdicts = vanishing_verdicts(ctx, divisors)
+        assert _point_list.cache_info().currsize == 0
+        assert verdicts == [(is_acyclic(ctx, d, escalate=True), has_nonzero_global_sections(ctx, d, escalate=True))
+                            for d in divisors]
+        assert set(verdicts) == {(True, True), (True, False)}   # every difference is acyclic
 
     def test_small_and_huge_divisors_in_one_pass(self, records):
         fan = records["D1"].fan
