@@ -45,15 +45,24 @@ all (Borisov-Hua, Adv. Math. 2009):
   leave no ray in the open gap (-a_rho - 1, -a_rho) carry the masks of
   all nonempty regions.  A fan whose pass for one divisor would hold more
   than _VERTEX_PASS_LIMIT gap entries raises BoxTooLarge before it starts.
-- The contributing candidates then fix the box by their floors and
-  ceilings, in one vectorised pass over any number of divisors.
-- The whole box is enumerated once per divisor into a list of
-  contributing patterns with the sup norms ||u|| of their characters; a
-  box reaching past _RADIUS_LIMIT, or holding more than _CHARACTER_LIMIT
-  characters, raises BoxTooLarge before anything is enumerated.  A single
-  query caches its divisor's list; a collection check (vanishing_verdicts)
-  takes the boxes of all its divisors from one pass, reads both verdicts
-  of each from its list, and keeps nothing.
+- A candidate's gap |det A_S| (<u, v_rho> + a_rho) is linear in the
+  divisor.  Per fan, the pairings -sign(det A_S) rays @ adj(A_S) and the
+  corner gaps of every eps are cached, the latter holding as many entries
+  as one divisor's pass.  A pass over any number of divisors takes n
+  multiply-adds per (S, ray, divisor) and one broadcast comparison with
+  the corner gaps to read every sign mask.  Only the contributing
+  candidates get their numerators |det A_S| u, whose floors and ceilings
+  fix each divisor's box.
+- The boxes are enumerated together into one list per divisor of
+  contributing patterns with the sup norms ||u|| of their characters: one
+  array of the characters of all the boxes (in runs of at most
+  _CHARACTER_LIMIT), one product with the rays and one mask computation.
+  A box reaching past _RADIUS_LIMIT, or holding more than
+  _CHARACTER_LIMIT characters, raises BoxTooLarge before anything is
+  enumerated.  A single query enumerates its one box and caches the list;
+  a collection check (vanishing_verdicts) enumerates the boxes of all its
+  divisors at once, reads both verdicts of each from its list, and keeps
+  nothing.
 
 Every query reads its answer from that whole list, so every answer is
 exact.  A query checks its start radius r0 first: for cohomology_table,
@@ -70,7 +79,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
 from math import comb, prod
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -219,8 +228,10 @@ def _contributing(fan: Fan, masks: set[int]) -> set[int]:
 class _VertexFrames(NamedTuple):
     subsets: np.ndarray       # K x n ray indices of the nonsingular ray n-subsets S
     cofactors: np.ndarray     # K x n x n: sign(det A_S) adj(A_S)^T, so A_S @ cofactors^T = |det A_S| I
-    dets: np.ndarray          # K x 1 x 1: |det A_S|
-    corner_numerators: np.ndarray  # K x 2^n x n: -eps @ cofactors, the divisor-free part of |det| u
+    dets: np.ndarray          # K: |det A_S|
+    wide: np.ndarray          # indices of the S with |det A_S| > 1: only their candidates can miss a vertex
+    pairings: np.ndarray      # K x m x n: -(rays @ cofactors^T), so pairings @ a_S is |det A_S| <u, v_rho> at eps = 0
+    corner_gaps: np.ndarray   # K x 2^n x m: the gaps' divisor-free part, eps @ pairings^T for each eps
     largest: int              # the largest |entry| of cofactors and dets
     rays_t: np.ndarray        # n x m: the rays as columns
     ray_max: int              # the largest |ray entry|
@@ -229,14 +240,15 @@ class _VertexFrames(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _vertex_frames(fan: Fan) -> _VertexFrames:
-    """Exact inverses (cofactors over |det|) of every nonsingular ray n-subset.
+    """Exact inverses (cofactors over |det|) of every nonsingular ray n-subset, and the divisor-free gap tables.
 
     This is the one domain check.  It raises UnboundedRegion for a fan
     without fan.is_complete, naming the first problem found, since only
     completeness proves every contributing region bounded (see the module
     docstring); a complete fan has a nonsingular maximal cone.  It raises
     BoxTooLarge when one divisor's vertex pass, C(m, n) 2^n candidates
-    against m rays, would hold more than _VERTEX_PASS_LIMIT gap entries.
+    against m rays, would hold more than _VERTEX_PASS_LIMIT gap entries;
+    corner_gaps, the largest table, holds that many.
     """
     problems = _completeness_problems(fan)
     if problems:
@@ -261,12 +273,13 @@ def _vertex_frames(fan: Fan) -> _VertexFrames:
     largest = max(max(abs(x) for cof in cofactors for row in cof for x in row), max(dets))
     ray_max = max(abs(x) for ray in rays for x in ray)
     dtype = np.int64 if max(largest, ray_max) < _INT64_SAFE else object
-    cofactors = np.array(cofactors, dtype=dtype)
-    corner_dtype = np.int64 if n * largest < _INT64_SAFE else object   # bounds every corner term
-    return _VertexFrames(np.array(subsets, dtype=np.int64), cofactors,
-                         np.array(dets, dtype=dtype)[:, None, None],
-                         -(_corner_offsets(n).astype(corner_dtype) @ cofactors.astype(corner_dtype)), largest,
-                         np.array(rays, dtype=dtype).T, ray_max,
+    gap_dtype = np.int64 if n * n * largest * ray_max < _INT64_SAFE else object   # bounds every corner gap
+    cofactors, rays_t = np.array(cofactors, dtype=dtype), np.array(rays, dtype=dtype).T
+    pairings = -(rays_t.T.astype(gap_dtype) @ cofactors.astype(gap_dtype).transpose(0, 2, 1))
+    return _VertexFrames(np.array(subsets, dtype=np.int64), cofactors, np.array(dets, dtype=dtype),
+                         np.flatnonzero(np.array(dets) > 1), pairings,
+                         _corner_offsets(n).astype(gap_dtype) @ pairings.transpose(0, 2, 1),
+                         largest, rays_t, ray_max,
                          np.array([1 << i for i in range(m)], dtype=np.int64 if m < 63 else object))
 
 
@@ -282,6 +295,30 @@ class _Box(NamedTuple):
     extent: int               # the largest |coordinate| in the box
 
 
+def _divisor_array(frames: _VertexFrames, divisors: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """The D x m divisors of a pass: int64 when that keeps every gap and numerator exact, else Python ints.
+
+    (n^2 ray_max + 1) largest (max |a_rho| + 1) bounds every base gap,
+    every gap, every numerator |det| u and every sum on the way.
+    """
+    n = frames.subsets.shape[1]
+    bound = (n * frames.ray_max * n + 1) * frames.largest * (max(map(abs, chain.from_iterable(divisors))) + 1)
+    return np.array(divisors, dtype=np.int64 if bound < _INT64_SAFE else object)
+
+
+def _base_gaps(frames: _VertexFrames, a: np.ndarray) -> np.ndarray:
+    """The gaps at eps = 0, |det A_S| a_rho + pairings[S] @ a_S, a K x m x D array for the D x m divisors a.
+
+    A candidate's gap is linear in the divisor: this part, n multiply-adds
+    per entry, plus the cached corner gap of its eps.  The divisors run
+    along the last axis, so the broadcasts over the candidates have a long
+    inner axis.  The dtype follows a and the tables; _divisor_array keeps
+    an int64 result exact.
+    """
+    a_t = a.T
+    return frames.dets[:, None, None] * a_t + frames.pairings @ a_t[frames.subsets]
+
+
 def _contributing_boxes(fan: Fan, divisors: Sequence[tuple[int, ...]]) -> list[Optional[_Box]]:
     """Each divisor's box of contributing characters, or None when none contributes, in one vectorised pass.
 
@@ -290,40 +327,43 @@ def _contributing_boxes(fan: Fan, divisors: Sequence[tuple[int, ...]]) -> list[O
     between -a_rho - 1 and -a_rho; its sign mask is I.  The rays span, so
     every nonempty region has a vertex, and the fan is complete, so every
     contributing region is bounded: the floors and ceilings of a divisor's
-    contributing candidates span a box around them all.  The candidates of
-    all divisors form one D x K x 2^n array (cut into chunks of at most
-    _PASS_ELEMENTS gap entries); only the chosen rows are floored, and each
-    divisor's rows are reduced as one segment.  The boxes come back in the
-    order of the divisors, and nothing is kept.
+    contributing candidates span a box around them all.  A candidate's
+    gap is its base gap (_base_gaps) plus the corner gap of its eps, so
+    the sign masks of all candidates come from one broadcast comparison
+    (in chunks of at most _PASS_ELEMENTS gap entries).  A gap is an
+    integer, so only a wide S (|det| > 1) can leave a ray inside one.  The
+    distinct masks are classified once; one comparison per contributing
+    mask (nearly always just the full one) picks the chosen rows, and only
+    those get their numerators |det| u, floored and reduced per divisor.
+    The boxes come back in the order of the divisors, and nothing is kept.
     """
     frames = _vertex_frames(fan)
-    n = fan.dim
+    n, corners, wide = fan.dim, 2 ** fan.dim, frames.wide
     boxes: list[Optional[_Box]] = [None] * len(divisors)
-    chunk = max(1, _PASS_ELEMENTS // (len(frames.subsets) * 2 ** n * fan.n_rays))
+    chunk = max(1, _PASS_ELEMENTS // (len(frames.subsets) * corners * fan.n_rays))
     for start in range(0, len(divisors), chunk):
-        batch = divisors[start:start + chunk]
-        big = max(max(map(abs, divisor)) for divisor in batch) + 1
-        bound = (n * frames.ray_max * n + 1) * frames.largest * big   # bounds |numerator| and every entry of `gaps`
-        dtype = np.int64 if bound < _INT64_SAFE else object
-        a = np.array(batch, dtype=dtype)
-        dets = frames.dets.astype(dtype, copy=False)
-        base = -(a[:, frames.subsets][:, :, None, :] @ frames.cofactors.astype(dtype, copy=False))  # eps = 0
-        numerators = base + frames.corner_numerators.astype(dtype, copy=False)  # |det| u, one row per (D, S, eps)
-        gaps = numerators @ frames.rays_t.astype(dtype, copy=False) + dets * a[:, None, None, :]  # |det| (<u, v_rho> + a_rho)
-        masks = (gaps >= 0) @ frames.weights
-        vertex = (gaps + dets > 0) @ frames.weights == masks               # no ray strictly inside a gap
-        contributing = _contributing(fan, set(masks[vertex].tolist()))
-        chosen = np.zeros_like(vertex)
-        for mask in contributing:
+        a = _divisor_array(frames, divisors[start:start + chunk])
+        base = _base_gaps(frames, a)
+        masks = frames.weights @ (base[:, None] >= -frames.corner_gaps[..., None])   # K x 2^n x D: gap >= 0
+        if len(wide):   # a ray strictly inside a gap, -|det| < gap < 0: no vertex, and -1 is no pattern's mask
+            gaps = base[wide, None] + frames.corner_gaps[wide, ..., None]
+            inside = ((gaps < 0) & (gaps > -frames.dets[wide, None, None, None])).any(axis=2)
+            masks[wide] = np.where(inside, -1, masks[wide])
+        distinct = set(masks.ravel().tolist()) - {-1}
+        chosen = np.zeros(masks.shape, dtype=bool)
+        for mask in _contributing(fan, distinct):   # mostly one: the full pattern
             chosen |= masks == mask
-        which, subset, corner = np.nonzero(chosen & vertex)
+        which, row = np.divmod(np.flatnonzero(chosen.transpose(2, 0, 1)), len(frames.subsets) * corners)
         if not len(which):
             continue
-        num, den = numerators[which, subset, corner], dets[subset, 0]
+        subset, corner = np.divmod(row, corners)
+        offsets = a[which[:, None], frames.subsets[subset]] + _corner_offsets(n)[corner]   # a_S + eps
+        num = -(offsets[:, None, :] @ frames.cofactors[subset])[:, 0]   # |det| u
         starts = np.flatnonzero(np.concatenate(([True], which[1:] != which[:-1])))   # each divisor's first row
-        lows = np.minimum.reduceat(num // den, starts).tolist()
-        highs = np.maximum.reduceat(-(-num // den), starts).tolist()
-        for d, lo, hi in zip(which[starts].tolist(), lows, highs):
+        # floor(num / |det|) and floor(-num / |det|) = -ceil(num / |det|), each reduced to its least per divisor
+        ends = np.minimum.reduceat(np.concatenate((num, -num), axis=1) // frames.dets[subset, None], starts)
+        for d, end in zip(which[starts].tolist(), ends.tolist()):
+            lo, hi = end[:n], [-x for x in end[n:]]
             boxes[start + d] = _Box(tuple(lo), tuple(hi), max(map(abs, lo + hi)))
     return boxes
 
@@ -334,41 +374,76 @@ _NO_POINTS: Mapping[int, tuple[int, ...]] = MappingProxyType({})
 @lru_cache(maxsize=_POINT_CACHE_SIZE)
 def _point_list(fan: Fan, divisor: tuple[int, ...]) -> Mapping[int, tuple[int, ...]]:
     """_characters of one divisor, its box from a one-divisor pass; the single queries share it."""
-    return _characters(fan, divisor, _contributing_boxes(fan, (divisor,))[0])
+    return _characters(fan, [(divisor, _contributing_boxes(fan, (divisor,))[0])])[0]
 
 
-def _characters(fan: Fan, divisor: tuple[int, ...], box: Optional[_Box]) -> Mapping[int, tuple[int, ...]]:
-    """Every contributing character of D: contributing mask -> ascending ||u|| of its characters.
+def _runs(pairs: Sequence[tuple[tuple[int, ...], Optional[_Box]]]) -> list[list[int]]:
+    """The indices of the pairs with a box, cut into consecutive runs of at most _CHARACTER_LIMIT characters.
 
-    The whole certified box is enumerated once.  A box reaching past
-    _RADIUS_LIMIT, or holding more than _CHARACTER_LIMIT characters (about
-    130 bytes each while enumerated), raises BoxTooLarge before anything is
-    enumerated: the radius alone bounds the count only in dimension 3.  Bit
-    i of a mask is set when the representative a + pairing*u is nonnegative
-    on ray i.  This is the one place where characters are built.
+    Every box is checked first: one reaching past _RADIUS_LIMIT, or holding
+    more than _CHARACTER_LIMIT characters (about 130 bytes each while
+    enumerated), raises BoxTooLarge before anything is enumerated; the
+    radius alone bounds the count only in dimension 3.
     """
-    if box is None:
-        return _NO_POINTS
-    if box.extent > _RADIUS_LIMIT:
-        raise BoxTooLarge(f"the certified box of contributing characters reaches radius {box.extent}, "
-                          f"past the limit {_RADIUS_LIMIT}")
-    count = prod(h - l + 1 for l, h in zip(box.lo, box.hi))
-    if count > _CHARACTER_LIMIT:
-        raise BoxTooLarge(f"the certified box of contributing characters holds {count} characters, "
-                          f"past the limit {_CHARACTER_LIMIT}")
+    runs: list[list[int]] = []
+    total = 0
+    for j, (_, box) in enumerate(pairs):
+        if box is None:
+            continue
+        if box.extent > _RADIUS_LIMIT:
+            raise BoxTooLarge(f"the certified box of contributing characters reaches radius {box.extent}, "
+                              f"past the limit {_RADIUS_LIMIT}")
+        count = prod(h - l + 1 for l, h in zip(box.lo, box.hi))
+        if count > _CHARACTER_LIMIT:
+            raise BoxTooLarge(f"the certified box of contributing characters holds {count} characters, "
+                              f"past the limit {_CHARACTER_LIMIT}")
+        if not runs or total + count > _CHARACTER_LIMIT:
+            runs.append([])
+            total = 0
+        runs[-1].append(j)
+        total += count
+    return runs
+
+
+def _characters(fan: Fan, pairs: Sequence[tuple[tuple[int, ...], Optional[_Box]]]
+                ) -> list[Mapping[int, tuple[int, ...]]]:
+    """Every contributing character of each (D, box) pair: per pair, contributing mask -> ascending ||u||.
+
+    The boxes are checked and cut into runs by _runs, then enumerated run
+    by run: one array of the characters of the run's boxes, one product
+    with the rays, each divisor added over the rows of its box, and one
+    mask computation.  Bit i of a mask is set when the representative
+    a + pairing*u is nonnegative on ray i.  _point_list and
+    vanishing_verdicts both call it, so this is the one place where
+    characters are built.
+    """
     frames = _vertex_frames(fan)
-    bound = frames.ray_max * (box.extent * fan.dim + 1) + max(map(abs, divisor))   # also bounds every ray entry
-    dtype = np.int64 if bound < _INT64_SAFE else object
-    chars = np.array(list(product(*(range(l, h + 1) for l, h in zip(box.lo, box.hi)))), dtype=np.int64)
-    reps = (chars.astype(dtype, copy=False) @ frames.rays_t.astype(dtype, copy=False)
-            + np.array(divisor, dtype=dtype))
-    masks = ((reps >= 0) @ frames.weights).tolist()
-    keep = _contributing(fan, set(masks))
-    by_mask = {}
-    for mask, norm in zip(masks, np.abs(chars).max(axis=1).tolist()):
-        if mask in keep:
-            by_mask.setdefault(mask, []).append(norm)
-    return MappingProxyType({mask: tuple(sorted(v)) for mask, v in by_mask.items()})
+    found: list[Mapping[int, tuple[int, ...]]] = [_NO_POINTS] * len(pairs)
+    for run in _runs(pairs):
+        chars: list[tuple[int, ...]] = []
+        sizes = []
+        for j in run:
+            box, before = pairs[j][1], len(chars)
+            chars.extend(product(*(range(l, h + 1) for l, h in zip(box.lo, box.hi))))
+            sizes.append(len(chars) - before)
+        divisors = [pairs[j][0] for j in run]
+        bound = (frames.ray_max * (max(pairs[j][1].extent for j in run) * fan.dim + 1)
+                 + max(map(abs, chain.from_iterable(divisors))))   # also bounds every ray entry
+        dtype = np.int64 if bound < _INT64_SAFE else object
+        points = np.array(chars, dtype=np.int64)
+        reps = (points.astype(dtype, copy=False) @ frames.rays_t
+                + np.repeat(np.array(divisors, dtype=dtype), sizes, axis=0))
+        masks = ((reps >= 0) @ frames.weights).tolist()
+        keep = _contributing(fan, set(masks))
+        rows = zip(masks, np.abs(points).max(axis=1).tolist())
+        for j, size in zip(run, sizes):
+            by_mask: dict[int, list[int]] = {}
+            for mask, norm in islice(rows, size):
+                if mask in keep:
+                    by_mask.setdefault(mask, []).append(norm)
+            if by_mask:
+                found[j] = MappingProxyType({mask: tuple(sorted(v)) for mask, v in by_mask.items()})
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -429,14 +504,15 @@ def is_acyclic(ctx: PicContext, divisor: Sequence[int], escalate: bool = False) 
 def vanishing_verdicts(ctx: PicContext, divisors: Sequence[Sequence[int]]) -> list[tuple[bool, bool]]:
     """(is_acyclic, has_nonzero_global_sections) of each divisor, escalating, in input order.
 
-    The boxes come from one vectorised pass; each is enumerated once, both
-    verdicts are read from its one list, and the list is not kept.
+    The boxes come from one vectorised pass and are enumerated together by
+    one _characters call; both verdicts of each divisor are read from its
+    list, and the lists are not kept.
     """
     fan = ctx.fan
     divisors = [tuple(map(int, divisor)) for divisor in divisors]
     verdicts = []
-    for divisor, box in zip(divisors, _contributing_boxes(fan, divisors)):
-        sections = [_is_section(fan, mask) for mask in _characters(fan, divisor, box)]
+    for points in _characters(fan, list(zip(divisors, _contributing_boxes(fan, divisors)))):
+        sections = [_is_section(fan, mask) for mask in points]
         verdicts.append((all(sections), any(sections)))
     return verdicts
 

@@ -6,9 +6,12 @@ cohomology vanishing of differences: every twist L_b - L_a must be acyclic
 L_b - L_a must have no global sections (kills the backward Homs).  Each
 single line bundle is automatically exceptional on a complete toric
 variety, since the difference 0 is acyclic with one-dimensional sections.
-Both verdicts of every distinct difference come from one
-cohomology.vanishing_verdicts call, which enumerates each certified box
-once.
+Each member's divisor is computed once, and the divisor of a difference
+L_b - L_a is the difference of the two members' divisors: the
+representative map is linear, so it is the divisor of the difference
+class.  Both verdicts of every distinct difference come from one
+cohomology.vanishing_verdicts call, which takes all the certified boxes
+from one vertex pass and enumerates their characters together.
 
 Fullness rests on the generation theorem for Frobenius pushforward
 summands: the distinct summand classes of (pi_p)_* O, the Bondal-Thomsen
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import sub
 from typing import Optional, Sequence, Union
 
 from .cohomology import vanishing_verdicts
@@ -108,17 +112,23 @@ class VerificationReport:
 def verify_strongly_exceptional(ctx: PicContext, collection: OrderedCollection) -> VerificationReport:
     """Test conditions (i)' and (ii)' for every ordered pair of the collection.
 
-    Each distinct difference class is formed once, with its divisor, and
-    asked once: one vanishing_verdicts call reads both verdicts of every
-    class from its certified box, the boxes of all of them coming from one
-    pass.  A box past the radius limit raises BoxTooLarge.
+    Each distinct difference class is formed once, with its divisor (the
+    difference of the members' divisors, each computed once), and asked
+    once: one vanishing_verdicts call reads both verdicts of every class
+    from its certified box, the boxes of all of them coming from one pass.
+    A box past the radius limit raises BoxTooLarge.
     """
     if any(len(cls) != ctx.rank for cls in collection.classes):
         raise ValueError("collection class vectors do not match the Picard rank")
     classes = collection.classes
-    diffs = [[tuple(b - a for b, a in zip(lb, la)) for lb in classes] for la in classes]
-    distinct = list(dict.fromkeys(c for row in diffs for c in row))
-    verdicts = dict(zip(distinct, vanishing_verdicts(ctx, [class_to_divisor(ctx, cls) for cls in distinct])))
+    members = [class_to_divisor(ctx, cls) for cls in classes]
+    diffs = [[tuple(map(sub, lb, la)) for lb in classes] for la in classes]
+    divisors = {}   # each distinct difference class -> L_b - L_a, formed from the members' divisors
+    for row, da in zip(diffs, members):
+        for cls, db in zip(row, members):
+            if cls not in divisors:
+                divisors[cls] = tuple(map(sub, db, da))
+    verdicts = dict(zip(divisors, vanishing_verdicts(ctx, list(divisors.values()))))
     return VerificationReport(
         collection,
         tuple(tuple(verdicts[cls][0] for cls in row) for row in diffs),

@@ -8,13 +8,14 @@ import random
 import time
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from toric_exc import cohomology
 from toric_exc.cli import main as cli_main
-from toric_exc.cohomology import (_RADIUS_LIMIT, _contributing,
-                                  _contributing_boxes, _pattern_ranks, _patterns,
-                                  _point_list, _radius_for_class, _vertex_frames, cohomology_table,
+from toric_exc.cohomology import (_RADIUS_LIMIT, _base_gaps, _contributing, _contributing_boxes,
+                                  _corner_offsets, _divisor_array, _pattern_ranks, _patterns,
+                                  _point_list, _radius_for_class, _runs, _vertex_frames, cohomology_table,
                                   forbidden_sets, has_nonzero_global_sections, is_acyclic,
                                   reduced_homology_ranks, vanishing_verdicts)
 from toric_exc.errors import BoxTooLarge, BoxUnstable, TooManyRays, ToricExcError, UnboundedRegion
@@ -646,9 +647,7 @@ class TestBatchedBoxes:
     @pytest.mark.parametrize("name", ["D1", "D2", "E1", "E2", "E4"])
     def test_a_collection_pass_equals_single_boxes(self, records, contexts, name):
         ctx = contexts[name]
-        classes = [to_class(ctx, d) for d in records[name].collection]
-        diffs = dict.fromkeys(tuple(b - a for b, a in zip(lb, la)) for la in classes for lb in classes)
-        divisors = [class_to_divisor(ctx, cls) for cls in diffs]
+        divisors = collection_differences(ctx, records[name])
         assert len(divisors) > 1
         batched = boxes_in_one_pass(ctx.fan, divisors)
         assert batched == boxes_one_at_a_time(ctx.fan, divisors)
@@ -656,9 +655,7 @@ class TestBatchedBoxes:
 
     def test_a_collection_check_keeps_no_lists_and_equals_the_single_queries(self, records, contexts):
         ctx = contexts["D1"]
-        classes = [to_class(ctx, d) for d in records["D1"].collection]
-        divisors = [class_to_divisor(ctx, cls) for cls in
-                    dict.fromkeys(tuple(b - a for b, a in zip(lb, la)) for la in classes for lb in classes)]
+        divisors = collection_differences(ctx, records["D1"])
         _point_list.cache_clear()
         verdicts = vanishing_verdicts(ctx, divisors)
         assert _point_list.cache_info().currsize == 0
@@ -666,8 +663,8 @@ class TestBatchedBoxes:
                             for d in divisors]
         assert set(verdicts) == {(True, True), (True, False)}   # every difference is acyclic
 
-    def test_small_and_huge_divisors_in_one_pass(self, records):
-        fan = records["D1"].fan
+    def test_small_and_huge_divisors_in_one_pass(self, records, contexts):
+        fan, ctx = records["D1"].fan, contexts["D1"]
         rng = random.Random(40)
         small = [tuple(rng.randint(-3, 3) for _ in range(6)) for _ in range(12)]
         near_2_40 = [tuple(rng.randint(-3, 3) + rng.choice((0, 2**40, -(2**40))) for _ in range(6))
@@ -675,4 +672,98 @@ class TestBatchedBoxes:
         huge = [(2**63 - 1, 1, -1, 0, 2, -1), (0, 1, -(2**62), 0, 1, 0)]
         for divisors in (small + near_2_40, small + near_2_40 + huge):   # int64, then the object dtype
             assert boxes_in_one_pass(fan, divisors) == boxes_one_at_a_time(fan, divisors)
+            # the collection check answers as the single queries do: each divisor's verdicts, or the
+            # refusal of the first box past the radius limit, before any character is built
+            assert single_verdicts(ctx, divisors) == collection_verdicts(ctx, divisors)
+        assert isinstance(single_verdicts(ctx, small), list) and isinstance(single_verdicts(ctx, near_2_40), str)
         assert max(abs(x) for d in huge for x in d) >= _INT64_SAFE
+
+    def test_a_batch_is_enumerated_in_runs_under_the_character_limit(self, records, contexts, monkeypatch):
+        ctx = contexts["D1"]
+        divisors = collection_differences(ctx, records["D1"])
+        pairs = list(zip(divisors, _contributing_boxes(ctx.fan, divisors)))
+        counts = [math.prod(h - l + 1 for l, h in zip(box.lo, box.hi)) if box else 0 for _, box in pairs]
+        want = vanishing_verdicts(ctx, divisors)
+        assert _runs(pairs) == [[j for j, count in enumerate(counts) if count]]   # 142 characters: one run
+        # at the largest box's count the batch splits into consecutive runs, none past the limit
+        monkeypatch.setattr(cohomology, "_CHARACTER_LIMIT", max(counts))
+        runs = _runs(pairs)
+        assert len(runs) > 1 and [j for run in runs for j in run] == [j for j, count in enumerate(counts) if count]
+        assert all(sum(counts[j] for j in run) <= max(counts) for run in runs)
+        assert all(sum(counts[j] for j in run + [nxt[0]]) > max(counts) for run, nxt in zip(runs, runs[1:]))
+        built = []
+        real = cohomology.product
+        monkeypatch.setattr(cohomology, "product", lambda *ranges: built.append(ranges) or real(*ranges))
+        assert vanishing_verdicts(ctx, divisors) == want
+        assert len(built) == len([count for count in counts if count])   # each box enumerated once
+        # one count lower, the largest box is refused before any box is enumerated
+        monkeypatch.setattr(cohomology, "_CHARACTER_LIMIT", max(counts) - 1)
+        built.clear()
+        with pytest.raises(BoxTooLarge, match=f"holds {max(counts)} characters"):
+            vanishing_verdicts(ctx, divisors)
+        assert built == []
+
+
+def collection_differences(ctx, record):
+    """The divisors of the distinct differences of a record's collection, in the order verify asks them."""
+    classes = [to_class(ctx, d) for d in record.collection]
+    return [class_to_divisor(ctx, cls) for cls in
+            dict.fromkeys(tuple(b - a for b, a in zip(lb, la)) for la in classes for lb in classes)]
+
+
+def single_verdicts(ctx, divisors):
+    """(is_acyclic, has_nonzero_global_sections) of each divisor, or the first BoxTooLarge message."""
+    try:
+        return [(is_acyclic(ctx, d, escalate=True), has_nonzero_global_sections(ctx, d, escalate=True))
+                for d in divisors]
+    except BoxTooLarge as exc:
+        return str(exc)
+
+
+def collection_verdicts(ctx, divisors):
+    """vanishing_verdicts of the divisors, or its BoxTooLarge message."""
+    try:
+        return vanishing_verdicts(ctx, divisors)
+    except BoxTooLarge as exc:
+        return str(exc)
+
+
+def plain_gap_rows(fan, subset, eps, divisor):
+    """|det A_S| (<u, v_rho> + a_rho) for every ray rho, in Python ints, u solving A_S u = -(a_S + eps).
+
+    Cramer's rule: |det A_S| u_j = sign(det A_S) det(A_S with column j replaced by -(a_S + eps)).
+    """
+    A = [fan.rays[i] for i in subset]
+    det = leibniz_determinant(A)
+    b = [-(divisor[i] + e) for i, e in zip(subset, eps)]
+    scaled_u = [(1 if det > 0 else -1) * leibniz_determinant([row[:j] + (b[r],) + row[j + 1:]
+                                                              for r, row in enumerate(A)])
+                for j in range(fan.dim)]
+    return [sum(x * v for x, v in zip(scaled_u, ray)) + abs(det) * a for ray, a in zip(fan.rays, divisor)]
+
+
+class TestGapTables:
+    def test_cached_tables_give_the_plain_gaps_of_every_candidate(self, records):
+        # every (S, eps) candidate of every divisor: the base gap plus the corner gap of eps equals
+        # |det A_S| (<u, v_rho> + a_rho) in Python ints, on the int64 and on the object path
+        fans = ([rec.fan for _, rec in sorted(records.items())] + [projective_space(n) for n in (1, 2, 4)]
+                + seeded_blowups(records, (9, 11, 13), seed=19))
+        rng = random.Random(19)
+        paths = set()
+        for fan in fans:
+            frames = _vertex_frames(fan)
+            m = fan.n_rays
+            small = [tuple(rng.randint(-6, 6) for _ in range(m)) for _ in range(2)]
+            huge = [tuple(rng.randint(-6, 6) + rng.choice((0, 2**60 + rng.randrange(2**40), -(2**62)))
+                          for _ in range(m))]
+            for batch in (small, small + huge):
+                a = _divisor_array(frames, batch)
+                paths.add(a.dtype)
+                gaps = _base_gaps(frames, a)[:, None] + frames.corner_gaps[..., None]   # K x 2^n x m x D
+                assert gaps.shape == (len(frames.subsets), 2 ** fan.dim, m, len(batch))
+                for k, subset in enumerate(frames.subsets.tolist()):
+                    for e, eps in enumerate(_corner_offsets(fan.dim).tolist()):
+                        for d, divisor in enumerate(batch):
+                            assert gaps[k, e, :, d].tolist() == plain_gap_rows(fan, subset, eps, divisor), \
+                                (fan.rays, subset, eps, divisor)
+        assert paths == {np.dtype(np.int64), np.dtype(object)}

@@ -2,12 +2,13 @@
 
 import pytest
 
+from toric_exc import exceptional
 from toric_exc.errors import NotPrimitive, TermOutsideCollection, ToricExcError
 from toric_exc.exceptional import (KoszulCertified, NotCertified, OrderedCollection,
                                    SummandSetMatchesK0Rank, fullness_certificate,
                                    koszul_reduction_certificate, verify_strongly_exceptional)
 from toric_exc.frobenius import bondal_summands
-from toric_exc.picard import to_class
+from toric_exc.picard import class_to_divisor, to_class
 
 D1_CLASSES = ((0, 0, 0), (1, 1, 0), (2, 2, 0), (0, 0, 1),
               (0, 1, 1), (1, 1, 1), (1, 2, 1), (2, 2, 1))
@@ -53,6 +54,30 @@ class TestStronglyExceptional:
         r2 = verify_strongly_exceptional(d1_ctx, twisted)
         assert r1.acyclic == r2.acyclic
         assert r1.sections_backward == r2.sections_backward
+
+    @pytest.mark.parametrize("name", ["D1", "D2", "E1", "E2", "E4"])
+    def test_member_divisors_are_computed_once(self, records, contexts, monkeypatch, name):
+        ctx = contexts[name]
+        collection = OrderedCollection(tuple(to_class(ctx, d) for d in records[name].collection))
+        converted, asked = [], []
+        monkeypatch.setattr(exceptional, "class_to_divisor",
+                            lambda ctx, cls: converted.append(cls) or class_to_divisor(ctx, cls))
+        real = exceptional.vanishing_verdicts
+        monkeypatch.setattr(exceptional, "vanishing_verdicts",
+                            lambda ctx, divisors: asked.extend(divisors) or real(ctx, divisors))
+        report = verify_strongly_exceptional(ctx, collection)
+        assert report.strongly_exceptional
+        assert converted == list(collection.classes)   # one call per member, not one per difference
+        classes = collection.classes
+        distinct = list(dict.fromkeys(tuple(b - a for b, a in zip(lb, la)) for la in classes for lb in classes))
+        assert asked == [class_to_divisor(ctx, cls) for cls in distinct]
+
+    def test_empty_and_one_member_collections(self, d1_ctx):
+        empty = verify_strongly_exceptional(d1_ctx, OrderedCollection(()))
+        assert (empty.acyclic, empty.sections_backward, empty.strongly_exceptional) == ((), (), True)
+        for cls in ((0, 0, 0), (2, -1, 3)):   # a single line bundle is exceptional: O is acyclic with sections
+            one = verify_strongly_exceptional(d1_ctx, OrderedCollection((cls,)))
+            assert (one.acyclic, one.sections_backward, one.strongly_exceptional) == (((True,),), ((None,),), True)
 
     def test_pass_forces_distinct_classes(self, d1_ctx):
         # equal classes in two slots would put the zero difference in a
