@@ -48,7 +48,8 @@ all (Borisov-Hua, Adv. Math. 2009):
 - A candidate's gap |det A_S| (<u, v_rho> + a_rho) is linear in the
   divisor.  Per fan, the pairings -sign(det A_S) rays @ adj(A_S) and the
   corner gaps of every eps are cached, the latter holding as many entries
-  as one divisor's pass.  A pass over any number of divisors takes n
+  as one divisor's pass; like the pattern memo and the forbidden sets,
+  they are kept for the last _FAN_CACHE_SIZE fans.  A pass over any number of divisors takes n
   multiply-adds per (S, ray, divisor) and one broadcast comparison with
   the corner gaps to read every sign mask.  Only the contributing
   candidates get their numerators |det A_S| u, whose floors and ceilings
@@ -95,6 +96,7 @@ _MAX_SWEEP_RAYS = 20
 _RADIUS_LIMIT = 40  # the largest start radius, and the farthest a certified box may reach
 _CHARACTER_LIMIT = 1 << 22  # the most characters a certified box may hold (81^3 = 531,441 in dimension 3)
 _POINT_CACHE_SIZE = 128  # the divisors whose lists the single queries share
+_FAN_CACHE_SIZE = 64  # the fans whose pattern memo, forbidden sets and vertex frames are kept; the catalog's 18 fit
 _PASS_ELEMENTS = 1 << 20  # gap entries (divisors x vertex candidates x rays) per vectorised box pass
 _VERTEX_PASS_LIMIT = 1 << 23  # the most gap entries of one divisor's vertex pass: 64 MB per int64 array
 
@@ -145,7 +147,7 @@ class _Patterns(NamedTuple):
     complete: bool                      # the fan carries fan.is_complete
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_FAN_CACHE_SIZE)
 def _patterns(fan: Fan) -> _Patterns:
     return _Patterns({}, set(), set(), face_masks(fan), is_complete(fan))
 
@@ -196,7 +198,7 @@ class ForbiddenSetReport:
     homology_ranks: tuple[tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_FAN_CACHE_SIZE)
 def forbidden_sets(fan: Fan) -> ForbiddenSetReport:
     """Exhaustive sweep over all proper subsets of the ray set."""
     m = fan.n_rays
@@ -238,7 +240,7 @@ class _VertexFrames(NamedTuple):
     weights: np.ndarray       # m: bit i of a sign mask is ray i
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_FAN_CACHE_SIZE)
 def _vertex_frames(fan: Fan) -> _VertexFrames:
     """Exact inverses (cofactors over |det|) of every nonsingular ray n-subset, and the divisor-free gap tables.
 

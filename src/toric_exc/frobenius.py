@@ -16,9 +16,15 @@ of ray j in sigma_k, and the row of C_lk it divides is v_j B_l whatever k
 is: each ray needs one row of one divide step, read from the base cone
 alone.  The summand multiset does not depend on the base cone, so
 decompose takes the first maximal cone.  It counts the summands that
-way, walking the residue box in slabs of about _SLAB residues along
-axis 0, so that its memory does not grow with p^n, and it refuses more
-than _RESIDUE_LIMIT residues with TooManyResidues before enumerating any.
+way, one mixed-radix digit per ray.  Two residue axes are joined when a
+row touches both, and the smallest separator H of that graph leaves
+groups of axes that no row joins (_split_axes); the key histogram is
+then the outer sum of the groups' histograms per value of H, walked in
+slabs of about _SLAB keys so that its memory does not grow with p^n.  A
+fan whose axes no separator splits walks the whole box in slabs of axis
+0.  The digits of every distinct key are decoded into classes in one
+product with the class map.  decompose refuses more than _RESIDUE_LIMIT
+residues with TooManyResidues before enumerating any.
 For p large enough the set of distinct summand classes stops depending on
 p; stable_summands demands agreement across at least two primes, by
 default DEFAULT_PRIMES.  That agreement is no proof: bondal_summands
@@ -32,7 +38,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -43,7 +50,7 @@ from .lattice import _INT64_SAFE
 from .picard import ClassVector, PicContext, to_class
 
 DEFAULT_PRIMES = (31, 37)
-_SLAB = 1 << 17  # residues per slab of the counting loop: its keys stay in cache
+_SLAB = 1 << 17  # partial keys (and pairs of runs) per slab of the counting loop: they stay in cache
 _RESIDUE_LIMIT = 1 << 32  # the most residues decompose enumerates
 _GRID_LIMIT = 1 << 16  # the most points (and ray n-subsets) bondal_summands takes: L <= 10 in dimension 3
 
@@ -79,16 +86,32 @@ def decompose(
     Its coefficient in D_v is -(q_j + floor((<c_j, v> + r_j) / p)), and
     that floor lies in a range [lo_j, hi_j] known in advance, so only q_j
     carries the size of a twist.  Each floor is computed on the axes where
-    c_j is nonzero and packed into one mixed-radix key per residue vector.  The residues are walked in slabs of at least one value
-    of axis 0 and about _SLAB residues each: the floors on axes 1..n-1 alone
-    are summed once, the others once per slab.  The arithmetic is int32 when
-    every floor argument and key is below 2^31, int64 up to _INT64_SAFE and
-    Python integers past it, so the peak memory is O(max(_SLAB, p^(n-1)))
-    plus the counts of the key space.  Each run of equal keys along the last
-    axis is counted once, weighted by its length (by bincount when the key
-    space is no larger than the p^n residues, else np.unique), and each
-    distinct key is decoded into D_v.  More than _RESIDUE_LIMIT residues
-    raise TooManyResidues before anything is enumerated.
+    c_j is nonzero, and ray j owns digit j of one mixed-radix key per
+    residue vector.
+
+    The key histogram is counted group by group.  _split_axes reads from
+    the rows' supports a separator H and groups of residue axes: once the
+    axes of H are fixed, no ray sees the axes of two groups.  The p^|H|
+    values of H are walked in slabs of at least one value.  Per value, each
+    group lists the runs of equal partial keys along its last axis (its
+    rays off H summed once, its rays on H once per slab, and the rays on H
+    alone added to the first group), and the slab's histogram is the outer
+    sum of the groups' runs, which own disjoint digits: p^|H| sum_g p^|g|
+    floors instead of p^n.  When no separator splits the axes, H = (0,)
+    and one group holds axes 1..n-1: the walk of the whole box in slabs of
+    axis 0.  A group's runs per value are bounded in advance, so a slab
+    holds about _SLAB partial keys and pairs of runs, and the peak memory
+    is O(max(_SLAB, p^(n-1))) plus the counts of the key space.  The
+    arithmetic is int32 when every floor argument and key is below 2^31,
+    int64 up to _INT64_SAFE and Python integers past it.  The histogram is
+    summed by bincount when the key space is no larger than the p^n
+    residues, else by np.unique.
+
+    D_v is linear in the key's digits, so every distinct key is decoded in
+    one product: class(D_v) = class(-(q + lo)) - digits class_map^T, int64
+    when every entry is below _INT64_SAFE, else Python integers.  More
+    than _RESIDUE_LIMIT residues raise TooManyResidues before anything is
+    enumerated.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
@@ -99,90 +122,157 @@ def decompose(
     uncovered = set(range(fan.n_rays)).difference(*cones)
     if uncovered:
         raise RayNotCovered(f"ray {min(uncovered)} lies in no maximal cone")
-    Bt = cone_inverse(fan, cones[0]).transpose()
+    columns = cone_inverse(fan, cones[0]).transpose().entries
     divisor = tuple(int(a) for a in divisor)
     base = [divisor[i] for i in cones[0]]
 
-    rows = []                         # (c_j, q_j, r_j, lo_j, span_j) per ray
+    rows, supports, masks = [], [], []   # (c_j, q_j, r_j, lo_j, span_j); c_j's axes; as a bitmask
     for ray, a in zip(fan.rays, divisor):
-        c = Bt.mul_vec(ray)           # v_j B_l: v_j on the base cone's ray basis
-        q, r = divmod(a - sum(x * u for x, u in zip(c, base)), p)
-        lo = ((p - 1) * sum(min(x, 0) for x in c) + r) // p
-        hi = ((p - 1) * sum(max(x, 0) for x in c) + r) // p
+        c = [sum(map(mul, column, ray)) for column in columns]   # v_j B_l: v_j on the base cone's ray basis
+        below = sum(x for x in c if x < 0)
+        q, r = divmod(a - sum(map(mul, c, base)), p)
+        lo = ((p - 1) * below + r) // p
+        hi = ((p - 1) * (sum(c) - below) + r) // p
         rows.append((c, q, r, lo, hi - lo + 1))
+        supports.append(tuple(i for i, x in enumerate(c) if x))
+        masks.append(sum(1 << i for i in supports[-1]))
 
-    bound = max(abs(x) for c, *_ in rows for x in c) * p * n + p
-    key_space = math.prod(span for *_, span in rows)
+    spans = [span for *_, span in rows]
+    bound = max(map(abs, chain.from_iterable(c for c, *_ in rows))) * p * n + p
+    key_space = math.prod(spans)
     widest = max(bound, key_space)
     dtype = object if widest >= _INT64_SAFE else np.int32 if widest < 2 ** 31 else np.int64
 
     # ray 0 is the lowest digit; the rays with the same support share one
-    # array, shaped p on those axes and 1 on the others.  The shares off
-    # axis 0 are summed once, the others once per slab of axis 0.
+    # array, shaped p on those axes and 1 on the others.  Every floor lies
+    # in (-span_j, span_j), so a partial key stays inside +-key_space, and
+    # the digits' offsets lo_j are subtracted once, from the first group.
     weights = [1]
-    for *_, span in rows[:-1]:
+    for span in spans[:-1]:
         weights.append(weights[-1] * span)
-    supports = [tuple(a for a, x in enumerate(c) if x) for c, *_ in rows]
+    H, groups = _split_axes(masks, n)
+    on_h = sum(1 << a for a in H)
 
-    def floor_sum(axes, on_axis_0, extra=0):
-        # the shares of the rays whose support meets axis 0 (or misses it),
-        # summed from the largest down, and then extra
-        shares: dict[tuple[int, ...], np.ndarray] = {}
-        for (c, _, r, lo, _), support, weight in zip(rows, supports, weights):
-            if (0 in support) != on_axis_0:
-                continue
-            t = sum((c[a] * axes[a] for a in support), r)
+    def key_sum(rays, axes, extra=0):
+        # the rays' weighted floors, summed from the largest share down, and then extra
+        shares: dict[int, np.ndarray] = {}
+        for j in rays:
+            c, _, r, _, _ = rows[j]
+            t = sum((axes[a] if c[a] == 1 else c[a] * axes[a] for a in supports[j]), r)
             t //= p
-            t -= lo
-            t *= weight
-            if support in shares:
-                shares[support] += t
+            if weights[j] != 1:
+                t *= weights[j]
+            if masks[j] in shares:
+                shares[masks[j]] += t
             else:
-                shares[support] = t
+                shares[masks[j]] = t
         total, *rest = sorted(shares.values(), key=np.size, reverse=True) + [extra]
         for part in rest:
-            if np.broadcast_shapes(total.shape, np.shape(part)) == total.shape:
+            if np.broadcast(total, part).shape == total.shape:
                 total += part
             else:
                 total = total + part
         return total
 
+    def runs(key):
+        # (value of H, key, length) of each run of equal keys in a row
+        change = np.ones(key.shape, dtype=bool)
+        np.not_equal(key[:, 1:], key[:, :-1], out=change[:, 1:])
+        starts = np.flatnonzero(change)
+        return starts // key.shape[1], key.ravel()[starts], np.concatenate((starts[1:], [key.size])) - starts
+
     dense = dtype is not object and key_space <= p ** n   # count by bincount, else np.unique
 
-    def run_counts(key):
-        # along a row of the last axis the key changes at most sum_j |c_j|
-        # times, so each run of equal keys is counted once, by its length
-        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        runs = np.diff(starts, append=key.size)
+    def histogram(keys, counts):
         if dense:
-            counts = np.bincount(key[starts], runs, key_space)
+            counts = np.bincount(keys, counts, key_space)
             keys = np.flatnonzero(counts)
             counts = counts[keys]
         else:
-            keys, index = np.unique(key[starts], return_inverse=True)
-            counts = np.bincount(index, runs)
+            keys, index = np.unique(keys, return_inverse=True)
+            counts = np.bincount(index, counts)
         return dict(zip(keys.tolist(), counts.astype(np.int64).tolist()))
 
-    axes = [None] + [np.arange(p, dtype=dtype).reshape((p,) + (1,) * (n - 1 - a))
-                     for a in range(1, n)]
-    fixed = floor_sum(axes, False)
-    step = -(-_SLAB // p ** (n - 1))   # rows of axis 0 per slab, at least one
+    # each group: its axes, shaped p on one of them and 1 on the others,
+    # behind the axis of the values of H; the share of its rays off H; its
+    # rays on H.  Along a line of the group's last axis its key changes at
+    # most sum_j |c_j| times over its rays, which bounds its runs per value.
+    plans, sizes, most_runs = [], [], 1
+    offset = -sum(lo * weight for (*_, lo, _), weight in zip(rows, weights))
+    for group in groups:
+        axes: list = [None] * n
+        for i, a in enumerate(group):
+            axes[a] = np.arange(p, dtype=dtype).reshape((1,) * (i + 1) + (p,) + (1,) * (len(group) - 1 - i))
+        inside = sum(1 << a for a in group)
+        mine = [j for j, mask in enumerate(masks) if mask & inside or not (plans or mask & ~on_h)]
+        plans.append((group, axes, key_sum([j for j in mine if not masks[j] & on_h], axes, offset),
+                      [j for j in mine if masks[j] & on_h]))
+        offset = 0
+        sizes.append(p ** len(group))
+        if group:
+            most_runs *= min(sizes[-1], sizes[-1] // p * (1 + sum(abs(rows[j][0][group[-1]]) for j in mine)))
+
+    def slab(flat):
+        # the histogram of the keys at the values flat of H
+        where = keys = counts = None
+        for group, axes, fixed, slab_rays in plans:
+            for t, a in enumerate(H):
+                axes[a] = (flat // p ** (len(H) - 1 - t) % p).reshape((-1,) + (1,) * len(group))
+            key = np.broadcast_to(key_sum(slab_rays, axes, fixed), (flat.size,) + (p,) * len(group))
+            at, part, length = runs(key.reshape(flat.size, -1))
+            if keys is None:
+                where, keys, counts = at, part, length
+                continue
+            # every pair of runs at one value of H
+            per_value = np.bincount(at, minlength=flat.size)
+            reps = per_value[where]
+            i = np.repeat(np.arange(where.size), reps)
+            j = np.arange(i.size) - np.repeat(np.cumsum(reps) - reps, reps) + (np.cumsum(per_value) - per_value)[where[i]]
+            where, keys, counts = where[i], keys[i] + part[j], counts[i] * length[j]
+        return histogram(keys, counts)
+
+    values = p ** len(H)
+    step = -(-_SLAB // max(sum(sizes), most_runs))   # values of H per slab, at least one
     tally: Counter[int] = Counter()
-    for start in range(0, p, step):
-        axes[0] = np.arange(start, min(start + step, p), dtype=dtype).reshape((-1,) + (1,) * (n - 1))
-        # the base cone's rays cover every axis, so the key fills the slab
-        tally.update(run_counts(floor_sum(axes, True, fixed).ravel()))
+    for start in range(0, values, step):
+        tally.update(slab(np.arange(start, min(start + step, values), dtype=dtype)))
     assert sum(tally.values()) == p ** n
 
-    totals: dict[ClassVector, int] = {}
-    for packed, mult in tally.items():
-        coeffs = []
-        for _, q, _, lo, span in rows:
-            packed, offset = divmod(packed, span)
-            coeffs.append(-(q + lo + offset))
-        cls = to_class(ctx, coeffs)
-        totals[cls] = totals.get(cls, 0) + mult
+    # D_v = -(q + lo + digits): every key's digits in one table, one product
+    packed = np.array(list(tally), dtype=np.int64 if key_space < _INT64_SAFE else object)
+    digits = packed[:, None] // np.array(weights, dtype=packed.dtype) % np.array(spans, dtype=packed.dtype)
+    M = ctx.class_map.entries
+    shift = to_class(ctx, [-(q + lo) for _, q, _, lo, _ in rows])
+    reach = max(map(abs, shift)) + max(map(abs, chain.from_iterable(M))) * sum(spans)
+    exact = np.int64 if reach < _INT64_SAFE else object
+    classes = np.array(shift, dtype=exact) - digits.astype(exact) @ np.array(M, dtype=exact).T
+    totals: Counter[ClassVector] = Counter()
+    for cls, mult in zip(map(tuple, classes.tolist()), tally.values()):
+        totals[cls] += mult
     return FrobeniusDecomposition(p, to_class(ctx, divisor), tuple(sorted(totals.items())))
+
+
+def _split_axes(masks: Sequence[int], n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """A separator H of the residue axes and the groups of axes it leaves.
+
+    Bit a of a ray's mask is set when its divide row is nonzero on axis a,
+    and two axes are joined when one mask holds both.  H is the first of
+    the smallest sets of axes whose removal leaves at least two connected
+    groups (H = () when the axes already split), and the groups are listed
+    by their first axis.  When no set does, H = (0,) and axes 1..n-1 form
+    one group.
+    """
+    joins = {mask for mask in masks if mask & (mask - 1)}   # a mask on one axis joins none
+    for size in range(n - 1):
+        for H in combinations(range(n), size):
+            groups = [1 << a for a in range(n) if a not in H]
+            for mask in joins:
+                joined = [g for g in groups if g & mask]
+                if len(joined) > 1:
+                    groups = [g for g in groups if not g & mask] + [sum(joined)]
+            if len(groups) > 1:
+                return H, tuple(sorted(tuple(a for a in range(n) if g >> a & 1) for g in groups))
+    return (0,), (tuple(range(1, n)),)
 
 
 def stable_summands(

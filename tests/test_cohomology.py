@@ -767,3 +767,33 @@ class TestGapTables:
                             assert gaps[k, e, :, d].tolist() == plain_gap_rows(fan, subset, eps, divisor), \
                                 (fan.rays, subset, eps, divisor)
         assert paths == {np.dtype(np.int64), np.dtype(object)}
+
+
+def sheared_p2(k):
+    """P2 under the shear (x, y) -> (x + k y, y): one fan per k, all isomorphic."""
+    return Fan.make(2, [(1, 0), (k, 1), (-1 - k, -1)], [(0, 1), (0, 2), (1, 2)])
+
+
+class TestFanCaches:
+    def test_the_per_fan_caches_keep_at_most_their_size(self):
+        # one fan more than the caches hold: the first is evicted, and
+        # computing it again gives the same answers
+        size = cohomology._FAN_CACHE_SIZE
+        assert size >= 64
+
+        def answers(fan):
+            ctx = build_pic_context(fan)
+            return (forbidden_sets(fan),
+                    [cohomology_table(ctx, D, escalate=True).dims for D in ((0, 0, 0), (-1, -1, -1), (-1, 0, 0))])
+
+        fans = [sheared_p2(k) for k in range(-(size // 2), size // 2 + 1)]   # the boxes reach |k| + 1
+        first = answers(fans[0])
+        assert first[1] == [(1, 0, 0), (0, 0, 1), (0, 0, 0)]
+        for fan in fans[1:]:
+            assert answers(fan) == first
+        memos = (cohomology._patterns, forbidden_sets, _vertex_frames)
+        assert all(memo.cache_info().currsize <= size for memo in memos)
+        misses = [memo.cache_info().misses for memo in memos]
+        _point_list.cache_clear()
+        assert answers(fans[0]) == first
+        assert [memo.cache_info().misses for memo in memos] == [m + 1 for m in misses]

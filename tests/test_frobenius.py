@@ -186,7 +186,7 @@ class TestDecompose:
                 )
                 assert lhs == rhs, (name, D)
 
-    def test_exact_fallback_matches_fast_path(self, d1, d1_ctx, e1, e1_ctx, monkeypatch):
+    def test_exact_fallback_matches_fast_path(self, records, contexts, d1, d1_ctx, e1, e1_ctx, monkeypatch):
         # forcing the arbitrary-precision path must not change anything
         import collections
         import toric_exc.frobenius as frob
@@ -203,9 +203,15 @@ class TestDecompose:
         )
         expected = tuple(sorted(direct.items()))
         assert decompose(e1.fan, e1_ctx, D, p).summands == expected
+        # C3 splits into three groups, B4 into two with no separator, E1
+        # into two around axis 0, and D1 does not split
+        split = {name: decompose(records[name].fan, contexts[name], anticanonical_divisor(records[name].fan), 13)
+                 for name in ("B4", "C3")}
         monkeypatch.setattr(frob, "_INT64_SAFE", 1)
         assert decompose(d1.fan, d1_ctx, (0,) * 6, 11).summands == fast
         assert decompose(e1.fan, e1_ctx, D, p).summands == expected
+        for name, dec in split.items():
+            assert decompose(records[name].fan, contexts[name], anticanonical_divisor(records[name].fan), 13) == dec
 
     def test_direct_count_on_every_fan(self, records, contexts):
         # every summand class against a count of summand_divisor over all
@@ -249,17 +255,20 @@ class TestDecompose:
     def test_peak_memory_is_a_few_keys_per_residue(self, records, contexts):
         # one int64 key per residue, and the counts of a key space no larger
         # than the residues: the peak stays below two 8-byte words per
-        # residue (F2, p = 53: about 1.3 MB)
+        # residue (p = 53: about 1.3 MB).  D1 walks the whole box in slabs
+        # of axis 0; F2 splits around axis 0.
         import tracemalloc
-        fan, ctx, p = records["F2"].fan, contexts["F2"], 53
-        decompose(fan, ctx, (0,) * fan.n_rays, p)
-        tracemalloc.start()
-        try:
+        p = 53
+        for name in ("D1", "F2"):
+            fan, ctx = records[name].fan, contexts[name]
             decompose(fan, ctx, (0,) * fan.n_rays, p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 8 * p ** 3, peak
+            tracemalloc.start()
+            try:
+                decompose(fan, ctx, (0,) * fan.n_rays, p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 8 * p ** 3, (name, peak)
 
 
     @pytest.mark.parametrize("int64_safe", [None, 1], ids=["fast", "exact"])
@@ -267,22 +276,75 @@ class TestDecompose:
         # one row of axis 0 per slab; p^(n-1) + 1 residues, so two rows per
         # slab and a partial last slab at odd p; and the default (at p = 53,
         # 47 rows and then 6).  The exact run forces the object path.
+        # Every slab is compared with the default int64 run, on the 11
+        # catalog fans that split as well as on the 7 that do not.
         import random
         import toric_exc.frobenius as frob
-        if int64_safe is not None:
-            monkeypatch.setattr(frob, "_INT64_SAFE", int64_safe)
-        default = frob._SLAB
+        safe, default = frob._INT64_SAFE, frob._SLAB
         rng = random.Random(13)
         for name, rec in records.items():
             fan, ctx = rec.fan, contexts[name]
             twist = tuple(rng.randint(-5, 5) for _ in range(fan.n_rays))
             for D in ((0,) * fan.n_rays, anticanonical_divisor(fan), twist):
                 for p in (2, 3, 31, 53):
-                    got = set()
+                    monkeypatch.setattr(frob, "_INT64_SAFE", safe)
+                    monkeypatch.setattr(frob, "_SLAB", default)
+                    expected = decompose(fan, ctx, D, p).summands
+                    if int64_safe is not None:
+                        monkeypatch.setattr(frob, "_INT64_SAFE", int64_safe)
                     for slab in (1, p ** (fan.dim - 1) + 1, default):
                         monkeypatch.setattr(frob, "_SLAB", slab)
-                        got.add(decompose(fan, ctx, D, p).summands)
-                    assert len(got) == 1, (name, D, p)
+                        assert decompose(fan, ctx, D, p).summands == expected, (name, D, p, slab)
+
+    def test_the_separator_plan_of_each_catalog_fan(self, records, contexts, monkeypatch):
+        # C3 splits outright into three groups, F2 around axis 0, D1 not at
+        # all; 11 of the 18 catalog fans split
+        import toric_exc.frobenius as frob
+        split_axes, plans = frob._split_axes, []
+        monkeypatch.setattr(frob, "_split_axes", lambda masks, n: plans.append(split_axes(masks, n)) or plans[-1])
+        names = sorted(records)
+        for name in names:
+            decompose(records[name].fan, contexts[name], (0,) * records[name].fan.n_rays, 2)
+        plan = dict(zip(names, plans))
+        assert plan["C3"] == ((), ((0,), (1,), (2,)))
+        assert plan["F2"] == ((0,), ((1,), (2,)))
+        assert plan["D1"] == ((0,), ((1, 2),))
+        assert {name for name, (_, groups) in plan.items() if len(groups) > 1} == {
+            "B3", "B4", "C1", "C3", "C4", "C5", "E1", "E2", "E3", "F1", "F2"}
+
+    def test_the_smallest_separator_is_taken(self):
+        from toric_exc.frobenius import _split_axes
+        assert _split_axes([0b001, 0b010, 0b100], 3) == ((), ((0,), (1,), (2,)))
+        assert _split_axes([0b011, 0b110], 3) == ((1,), ((0,), (2,)))
+        assert _split_axes([0b111], 3) == ((0,), ((1, 2),))
+        # a cycle of four axes: no one axis separates, two opposite ones do
+        assert _split_axes([0b0011, 0b0110, 0b1100, 0b1001], 4) == ((0, 2), ((1,), (3,)))
+        assert _split_axes([0b1], 1) == ((0,), ((),))
+
+    @pytest.mark.parametrize("plan", [((0,), ((1, 2),)), ((0, 1), ((2,),)), ((1, 2), ((0,),)), ((0, 1, 2), ((),))],
+                             ids=["one-axis", "two-axes", "last-two-axes", "every-axis"])
+    def test_every_separator_counts_the_same(self, records, contexts, monkeypatch, plan):
+        # one group behind any separator is a valid plan: against a direct
+        # count on every catalog fan, with a twist past int64 and slabs of
+        # one value of the separator
+        import collections
+        import random
+        import toric_exc.frobenius as frob
+        monkeypatch.setattr(frob, "_split_axes", lambda masks, n: plan)
+        monkeypatch.setattr(frob, "_SLAB", 1)
+        rng = random.Random(31)
+        p = 5
+        for name, rec in records.items():
+            fan, ctx = rec.fan, contexts[name]
+            frame = cone_frame(fan)
+            huge = tuple(rng.choice((-1, 1)) * rng.randint(10 ** 19, 10 ** 20) for _ in range(fan.n_rays))
+            for D in (anticanonical_divisor(fan), huge):
+                shifts = cartier_shifts(frame, D)
+                direct = collections.Counter(
+                    to_class(ctx, summand_divisor(frame, v, p, shifts))
+                    for v in itertools.product(range(p), repeat=3)
+                )
+                assert decompose(fan, ctx, D, p).summands == tuple(sorted(direct.items())), (name, D)
 
     def test_too_many_residues_are_refused(self, d1, d1_ctx, monkeypatch):
         # 1625^3 < 2^32 < 1626^3; the refusal comes before any enumeration
