@@ -194,7 +194,7 @@ def _collection_from_args(args, record: Optional[FanoRecord], ctx: PicContext) -
         try:
             with open(args.collection, "r", encoding="utf-8") as handle:
                 lines = [ln.strip() for ln in handle.readlines()]
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read collection file: {exc}") from exc
         classes = []
         for ln in lines:

@@ -48,8 +48,9 @@ all (Borisov-Hua, Adv. Math. 2009):
 - A candidate's gap |det A_S| (<u, v_rho> + a_rho) is linear in the
   divisor.  Per fan, the pairings -sign(det A_S) rays @ adj(A_S) and the
   corner gaps of every eps are cached, the latter holding as many entries
-  as one divisor's pass; like the pattern memo and the forbidden sets,
-  they are kept for the last _FAN_CACHE_SIZE fans.  A pass over any number of divisors takes n
+  as one divisor's pass; like the pattern memo, the forbidden sets and
+  every table of the fan module, they are kept for the last
+  fan._FAN_CACHE_SIZE fans.  A pass over any number of divisors takes n
   multiply-adds per (S, ray, divisor) and one broadcast comparison with
   the corner gaps to read every sign mask.  Only the contributing
   candidates get their numerators |det A_S| u, whose floors and ceilings
@@ -88,7 +89,8 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import BoxTooLarge, BoxUnstable, TooManyRays, UnboundedRegion
-from .fan import Fan, _completeness_problems, _mask_of, face_masks, is_complete, ridge_normals
+from .fan import (_FAN_CACHE_SIZE, Fan, _completeness_problems, _mask_of, face_masks, is_complete,
+                  ray_minors)
 from .lattice import _INT64_SAFE, IntMatrix, rank as matrix_rank
 from .picard import ClassVector, PicContext, to_class
 
@@ -96,7 +98,6 @@ _MAX_SWEEP_RAYS = 20
 _RADIUS_LIMIT = 40  # the largest start radius, and the farthest a certified box may reach
 _CHARACTER_LIMIT = 1 << 22  # the most characters a certified box may hold (81^3 = 531,441 in dimension 3)
 _POINT_CACHE_SIZE = 128  # the divisors whose lists the single queries share
-_FAN_CACHE_SIZE = 64  # the fans whose pattern memo, forbidden sets and vertex frames are kept; the catalog's 18 fit
 _PASS_ELEMENTS = 1 << 20  # gap entries (divisors x vertex candidates x rays) per vectorised box pass
 _VERTEX_PASS_LIMIT = 1 << 23  # the most gap entries of one divisor's vertex pass: 64 MB per int64 array
 
@@ -261,16 +262,11 @@ def _vertex_frames(fan: Fan) -> _VertexFrames:
     if entries > _VERTEX_PASS_LIMIT:
         raise BoxTooLarge(f"the vertex pass of one divisor would hold {entries} gap entries "
                           f"({m} rays in dimension {n}), past the limit {_VERTEX_PASS_LIMIT}")
-    cross = ridge_normals(fan)
-    subsets, cofactors, dets = [], [], []
-    for S in combinations(range(m), n):
-        # row i of the cofactor matrix is (-1)^i times the cross product of the other rows
-        rows = [cross[S[:i] + S[i + 1:]] for i in range(n)]
-        det = sum(a * c for a, c in zip(rays[S[0]], rows[0]))
+    every, subsets, cofactors, dets = list(combinations(range(m), n)), [], [], []
+    for S, (det, rows) in zip(every, ray_minors(fan, every, cofactors=True)):
         if det:
             subsets.append(S)
-            cofactors.append([[c if (i % 2 == 0) == (det > 0) else -c for c in row]
-                              for i, row in enumerate(rows)])
+            cofactors.append(rows)
             dets.append(abs(det))
     largest = max(max(abs(x) for cof in cofactors for row in cof for x in row), max(dets))
     ray_max = max(abs(x) for ray in rays for x in ray)

@@ -15,8 +15,15 @@ hyperplane, so every generic point lies in the same number of maximal
 cones; and an interior point of the first cone lies in no other, so that
 number is one.  The cones then tile R^n, and the boundary complex (the
 cones' ray sets) is a triangulated (n-1)-sphere, which the cohomology
-module's pattern certificates rely on.  The facet normals come from
-ridge_normals, the fan's one table of (n-1)-subset cross products.
+module's pattern certificates rely on.
+
+ridge_normals is the fan's one table of (n-1)-subset cross products, and
+every n x n ray minor and cofactor is read from it by ray_minors: the
+facet sides, the smoothness check of validate_fan, cone_inverse, the
+cohomology module's vertex frames and the Frobenius module's minor lcm.
+Every per-fan table, here and in the cohomology module, is kept for the
+last _FAN_CACHE_SIZE fans, so a process that checks many fans holds the
+tables of a bounded number of them.
 """
 
 from __future__ import annotations
@@ -25,10 +32,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from operator import mul
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import InteriorCoverFailure
-from .lattice import IntMatrix, _cross, determinant, unimodular_inverse
+from .errors import InteriorCoverFailure, NotUnimodular
+from .lattice import IntMatrix, _cross, _is_identity_product
+
+_FAN_CACHE_SIZE = 64  # the fans whose tables (here and in the cohomology module) are kept; the catalog's 18 fit
 
 
 @dataclass(frozen=True)
@@ -59,14 +69,73 @@ def cone_matrix(fan: Fan, cone: Sequence[int]) -> IntMatrix:
     return IntMatrix.from_rows([fan.rays[i] for i in cone])
 
 
-@lru_cache(maxsize=None)
-def cone_inverse(fan: Fan, cone: tuple[int, ...]) -> IntMatrix:
-    """Cached inverse of the cone's ray-row matrix (cone rays are a basis).
+class _Table(dict):
+    """key -> fill(fan, key), each computed on first lookup; a fill that raises stores nothing."""
 
-    It is unimodular_inverse, det times the transposed cofactor matrix; a
-    cone that is not smooth raises NotUnimodular.
+    def __init__(self, fan: Fan, fill: Callable):
+        super().__init__()
+        self.fan, self.fill = fan, fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(self.fan, key)
+        return value
+
+
+@lru_cache(maxsize=_FAN_CACHE_SIZE)
+def ridge_normals(fan: Fan) -> Mapping[tuple[int, ...], tuple[int, ...]]:
+    """The fan's one table of (n-1)-subset cross products, filled on demand.
+
+    The normal of R pairs with a ray w to det(w, rays of R), so it gives
+    the sides of a facet (_completeness_problems) and, through ray_minors,
+    every n x n ray minor and cofactor.  Keys are ascending index tuples.
     """
-    return unimodular_inverse(cone_matrix(fan, cone))
+    return _Table(fan, lambda fan, ridge: _cross([fan.rays[i] for i in ridge], fan.dim))
+
+
+def ray_minors(fan: Fan, subsets: Iterable[Sequence[int]], cofactors: bool = False) -> Iterator:
+    """det A_S for each ray n-subset S, A_S its rays as rows in S's order, read from ridge_normals.
+
+    det A_S = <v_S0, normal of S minus S0>.  With cofactors, each det comes
+    with the rows sign(det A_S) (-1)^i normal of S minus S_i, i < n, so that
+    A_S @ rows^T = |det A_S| I; a zero det comes with no rows.  The table is
+    fetched once per call, not once per subset.
+    """
+    rays, normals = fan.rays, ridge_normals(fan)
+    for S in subsets:
+        det = sum(map(mul, rays[S[0]], normals[S[1:]]))
+        if not cofactors:
+            yield det
+        elif not det:
+            yield det, ()
+        else:
+            rows = [normals[S[:i] + S[i + 1:]] for i in range(len(S))]
+            yield det, [row if (i % 2 == 0) == (det > 0) else tuple(-c for c in row) for i, row in enumerate(rows)]
+
+
+def _inverse(fan: Fan, cone: tuple[int, ...]) -> IntMatrix:
+    """det times the transposed cofactor matrix: the columns are the rows of ray_minors."""
+    if len(cone) != fan.dim:
+        raise NotUnimodular(f"matrix is {len(cone)}x{fan.dim}, not square")
+    ((det, columns),) = ray_minors(fan, (cone,), cofactors=True)
+    if abs(det) != 1:
+        raise NotUnimodular(f"determinant is {det}, not +-1")
+    assert _is_identity_product([fan.rays[i] for i in cone], columns)
+    return IntMatrix(tuple(zip(*columns)))
+
+
+@lru_cache(maxsize=_FAN_CACHE_SIZE)
+def _cone_inverses(fan: Fan) -> Mapping[tuple[int, ...], IntMatrix]:
+    """The fan's table of cone inverses, each computed on first lookup."""
+    return _Table(fan, _inverse)
+
+
+def cone_inverse(fan: Fan, cone: tuple[int, ...]) -> IntMatrix:
+    """Inverse of the cone's ray-row matrix (cone rays are a basis), from the fan's table.
+
+    A cone that is not smooth raises NotUnimodular, naming its determinant;
+    one with other than n rays raises it as not square.
+    """
+    return _cone_inverses(fan)[cone]
 
 
 def cone_coordinates(fan: Fan, cone: tuple[int, ...], point: Sequence[int]) -> tuple[int, ...]:
@@ -125,13 +194,15 @@ def validate_fan(fan: Fan) -> FanValidation:
         problems.append("duplicate rays")
 
     covered = set()
+    valid = []
     for cone in fan.max_cones:
         if len(set(cone)) != n or any(i < 0 or i >= m for i in cone):
             simplicial = False
             problems.append(f"cone {cone} is not a set of {n} valid ray indices")
             continue
         covered.update(cone)
-        d = determinant(cone_matrix(fan, cone))
+        valid.append(cone)
+    for cone, d in zip(valid, ray_minors(fan, valid)):
         if abs(d) != 1:
             smooth = False
             problems.append(f"cone {cone} has determinant {d}; not smooth")
@@ -145,31 +216,7 @@ def validate_fan(fan: Fan) -> FanValidation:
     return FanValidation(smooth, not cover, simplicial, cover)
 
 
-class _RidgeNormals(dict):
-    """Ascending (n-1)-tuple of ray indices R -> _cross of the rays of R, each computed on first lookup."""
-
-    def __init__(self, fan: Fan):
-        super().__init__()
-        self.fan = fan
-
-    def __missing__(self, ridge: tuple[int, ...]) -> tuple[int, ...]:
-        normal = self[ridge] = _cross([self.fan.rays[i] for i in ridge], self.fan.dim)
-        return normal
-
-
-@lru_cache(maxsize=None)
-def ridge_normals(fan: Fan) -> Mapping[tuple[int, ...], tuple[int, ...]]:
-    """The fan's one table of (n-1)-subset cross products, filled on demand.
-
-    The normal of R pairs with a ray w to det(w, rays of R), so it gives
-    the sides of a facet (_completeness_problems), the cofactors of every
-    ray n-subset (the cohomology module's vertex frames) and every n x n
-    ray minor (frobenius._minor_lcm).  Keys are ascending index tuples.
-    """
-    return _RidgeNormals(fan)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_FAN_CACHE_SIZE)
 def _completeness_problems(fan: Fan) -> tuple[str, ...]:
     """Why the maximal cones do not cover R^n exactly once, or () when they do.
 
@@ -231,7 +278,7 @@ def _mask_of(indices: Iterable[int]) -> int:
     return mask
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_FAN_CACHE_SIZE)
 def face_masks(fan: Fan) -> frozenset[int]:
     """Every face of the fan as a ray bitmask: all subsets of the maximal cones, 0 included."""
     faces = {0}
@@ -247,7 +294,7 @@ def is_face(fan: Fan, s: Iterable[int]) -> bool:
     return _mask_of(s) in face_masks(fan)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_FAN_CACHE_SIZE)
 def primitive_collections(fan: Fan) -> tuple[tuple[int, ...], ...]:
     """Minimal non-faces, ordered by cardinality then lexicographically.
 
@@ -265,7 +312,7 @@ def primitive_collections(fan: Fan) -> tuple[tuple[int, ...], ...]:
     return tuple(found)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_FAN_CACHE_SIZE)
 def primitive_relations(fan: Fan) -> tuple[PrimitiveRelation, ...]:
     """One relation per primitive collection, with exact coefficients."""
     relations = []
@@ -287,7 +334,6 @@ def primitive_relations(fan: Fan) -> tuple[PrimitiveRelation, ...]:
     return tuple(relations)
 
 
-@lru_cache(maxsize=None)
 def is_fano(fan: Fan) -> bool:
     """True when every primitive relation has positive degree."""
     return all(rel.degree > 0 for rel in primitive_relations(fan))

@@ -45,7 +45,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import NotStabilized, RayNotCovered, TooManyResidues
-from .fan import Fan, cone_inverse, ridge_normals
+from .fan import Fan, cone_inverse, ray_minors
 from .lattice import _INT64_SAFE
 from .picard import ClassVector, PicContext, to_class
 
@@ -299,13 +299,8 @@ def stable_summands(
 
 
 def _minor_lcm(fan: Fan) -> int:
-    """L, the lcm of the nonzero n x n ray minors; each is <v_S0, normal of S minus S0>."""
-    rays, normals, L = fan.rays, ridge_normals(fan), 1
-    for S in combinations(range(fan.n_rays), fan.dim):
-        minor = sum(a * b for a, b in zip(rays[S[0]], normals[S[1:]]))
-        if minor:
-            L = math.lcm(L, minor)
-    return L
+    """L, the lcm of the nonzero n x n ray minors (fan.ray_minors)."""
+    return math.lcm(*filter(None, ray_minors(fan, combinations(range(fan.n_rays), fan.dim))))
 
 
 def bondal_summands(ctx: PicContext) -> Optional[tuple[ClassVector, ...]]:

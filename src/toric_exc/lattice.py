@@ -7,8 +7,9 @@ so the implementation favours determinism and auditability.
 One fraction-free (Bareiss) elimination, _eliminate, gives every rank,
 determinant and cofactor in polynomial time; the cofactors (cross products
 of n - 1 rows, facet sides) are the n-minors it leaves in the last row of
-[rows^T | +-I].  Every inverse, of a cone or of a Pic frame, is
-unimodular_inverse: det times the transposed cofactor matrix.  The Smith
+[rows^T | +-I].  An inverse is det times the transposed cofactor matrix:
+unimodular_inverse for a Pic frame, and fan.cone_inverse, which reads the
+cofactors of a cone from the fan's table of cross products.  The Smith
 normal form, which pivots on the smallest-magnitude entry with ties broken
 by position, only chooses the quotient basis of Pic.
 """

@@ -269,6 +269,13 @@ class TestVerify:
         assert code == 1
         assert "strongly exceptional: NO" in out
 
+    def test_a_collection_file_that_is_not_utf8_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "coll.txt"
+        path.write_bytes(b"\xff\xfe\x00bad\n")
+        code, out, err = run_cli(capsys, "verify", "--variety", "D1", "--collection", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: cannot read collection file")
+
     def test_a_repeated_class_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "coll.txt"
         path.write_text("0 0 0\n0 0 0\n")

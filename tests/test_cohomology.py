@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from toric_exc import cohomology
+from toric_exc import cohomology, fan as fan_module
 from toric_exc.cli import main as cli_main
 from toric_exc.cohomology import (_RADIUS_LIMIT, _base_gaps, _contributing, _contributing_boxes,
                                   _corner_offsets, _divisor_array, _pattern_ranks, _patterns,
@@ -20,7 +20,7 @@ from toric_exc.cohomology import (_RADIUS_LIMIT, _base_gaps, _contributing, _con
                                   reduced_homology_ranks, vanishing_verdicts)
 from toric_exc.errors import BoxTooLarge, BoxUnstable, TooManyRays, ToricExcError, UnboundedRegion
 from toric_exc.lattice import _INT64_SAFE
-from toric_exc.fan import Fan, is_complete, validate_fan
+from toric_exc.fan import Fan, cone_inverse, cone_matrix, is_complete, is_fano, primitive_relations, validate_fan
 from toric_exc.picard import (anticanonical_divisor, build_pic_context, canonical_divisor,
                                 class_to_divisor, to_class)
 from test_fan import projective_space, seeded_blowups
@@ -776,24 +776,32 @@ def sheared_p2(k):
 
 class TestFanCaches:
     def test_the_per_fan_caches_keep_at_most_their_size(self):
-        # one fan more than the caches hold: the first is evicted, and
-        # computing it again gives the same answers
-        size = cohomology._FAN_CACHE_SIZE
-        assert size >= 64
+        # one fan more than the caches hold: the first is evicted from every
+        # per-fan table, and computing it again gives the same answers
+        size = fan_module._FAN_CACHE_SIZE
+        assert size >= 64 and cohomology._FAN_CACHE_SIZE is size
 
         def answers(fan):
             ctx = build_pic_context(fan)
-            return (forbidden_sets(fan),
+            return (forbidden_sets(fan), validate_fan(fan), primitive_relations(fan), is_fano(fan),
                     [cohomology_table(ctx, D, escalate=True).dims for D in ((0, 0, 0), (-1, -1, -1), (-1, 0, 0))])
 
+        def inverses(fan):
+            return [cone_inverse(fan, cone) for cone in fan.max_cones]
+
         fans = [sheared_p2(k) for k in range(-(size // 2), size // 2 + 1)]   # the boxes reach |k| + 1
-        first = answers(fans[0])
-        assert first[1] == [(1, 0, 0), (0, 0, 1), (0, 0, 0)]
+        first, first_inverses = answers(fans[0]), inverses(fans[0])
+        assert first[-1] == [(1, 0, 0), (0, 0, 1), (0, 0, 0)] and first[1].ok and first[3]
         for fan in fans[1:]:
             assert answers(fan) == first
-        memos = (cohomology._patterns, forbidden_sets, _vertex_frames)
+            assert all((cone_matrix(fan, cone) @ inverse).is_identity()
+                       for cone, inverse in zip(fan.max_cones, inverses(fan)))
+        memos = (cohomology._patterns, forbidden_sets, _vertex_frames, fan_module.ridge_normals,
+                 fan_module._completeness_problems, fan_module.face_masks, fan_module.primitive_collections,
+                 fan_module.primitive_relations, fan_module._cone_inverses)
         assert all(memo.cache_info().currsize <= size for memo in memos)
+        assert not hasattr(is_fano, "cache_info")
         misses = [memo.cache_info().misses for memo in memos]
         _point_list.cache_clear()
-        assert answers(fans[0]) == first
+        assert answers(fans[0]) == first and inverses(fans[0]) == first_inverses
         assert [memo.cache_info().misses for memo in memos] == [m + 1 for m in misses]

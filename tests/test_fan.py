@@ -1,16 +1,19 @@
 """Fan combinatorics: validation, primitive collections/relations, Fano test."""
 
 import random
+import sys
 import time
 from itertools import combinations
 
 import pytest
 
+from toric_exc import lattice
+from toric_exc.cohomology import _vertex_frames
 from toric_exc.errors import InteriorCoverFailure, NotUnimodular
-from toric_exc.fan import (Fan, _completeness_problems, cone_inverse, cone_matrix, face_masks,
+from toric_exc.fan import (Fan, _completeness_problems, _cone_inverses, cone_inverse, cone_matrix, face_masks,
                            is_complete, is_face, is_fano, primitive_collections, primitive_relations,
                            validate_fan)
-from toric_exc.lattice import IntMatrix, smith_normal_form
+from toric_exc.lattice import IntMatrix, determinant, smith_normal_form
 from toric_exc.picard import build_pic_context
 
 P3 = Fan.make(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
@@ -90,6 +93,19 @@ class TestValidateFan:
         report = validate_fan(bad)
         assert not report.smooth
 
+    def test_a_non_smooth_cone_names_its_signed_determinant(self, records):
+        blowup = seeded_blowup(records["E2"].fan, 10, 9)
+        fans = [Fan.make(2, [(1, 0), (1, 2), (-1, -1)], [(0, 1), (1, 2), (2, 0)]),
+                Fan.make(3, [(0, 1, 0), (1, 0, 0), (1, 1, 2), (-1, -1, -1)], P3.max_cones),
+                Fan.make(3, blowup.rays[:-1] + (tuple(3 * x for x in blowup.rays[-1]),), blowup.max_cones)]
+        signs = set()
+        for fan in fans:
+            dets = {cone: determinant(cone_matrix(fan, cone)) for cone in fan.max_cones}
+            expected = [f"cone {cone} has determinant {d}; not smooth" for cone, d in dets.items() if abs(d) != 1]
+            assert expected and [p for p in validate_fan(fan).problems if "not smooth" in p] == expected
+            signs.update(d > 0 for d in dets.values() if abs(d) != 1)
+        assert signs == {False, True}
+
     def test_missing_cone_breaks_completeness(self):
         halfopen = Fan.make(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
                             [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
@@ -160,6 +176,30 @@ class TestConeInverse:
         assert cone_inverse(fan, (1, 2)) == IntMatrix.from_rows([[1, -2], [0, 1]])   # rows (1, 2), (0, 1)
         with pytest.raises(NotUnimodular, match="not square"):
             cone_inverse(P3, (0, 1))
+
+
+class TestOneSourceOfMinors:
+    def test_no_minor_is_computed_by_elimination(self, records, monkeypatch):
+        # validate_fan, cone_inverse and the vertex frames read every minor and cofactor from ridge_normals
+        calls = []
+        for name in ("determinant", "unimodular_inverse"):
+            real = getattr(lattice, name)
+
+            def counted(A, real=real, name=name):
+                calls.append(name)
+                return real(A)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("toric_exc") and getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counted)
+        _cone_inverses.cache_clear()
+        _vertex_frames.cache_clear()
+        for fan in [rec.fan for rec in records.values()] + seeded_blowups(records, (9, 13), seed=5):
+            assert validate_fan(fan).ok
+            for cone in fan.max_cones:
+                cone_inverse(fan, cone)
+            _vertex_frames(fan)
+        assert not calls
 
 
 class TestFaceMasks:
@@ -250,7 +290,7 @@ class TestDimension:
     def test_projective_spaces_up_to_eleven_validate_in_seconds(self):
         # every cofactor is one Bareiss elimination; a cofactor expansion took over a minute on P^9 alone
         _completeness_problems.cache_clear()
-        cone_inverse.cache_clear()
+        _cone_inverses.cache_clear()
         start = time.perf_counter()
         for n in range(1, 12):
             fan = projective_space(n)
