@@ -279,35 +279,27 @@ def parse_fan_file(text: str) -> Fan:
     """Parse the plain-text fan format (dim / rays / cones sections).
 
     Ray indices in the cones section are 0-based; blank lines are ignored
-    and '#' starts a comment line.
+    and '#' starts a comment line.  Exactly one line is the keyword dim and
+    the dimension.
     """
     dim: Optional[int] = None
     rays: list[tuple[int, ...]] = []
     cones: list[tuple[int, ...]] = []
-    section = None
+    section: Optional[list[tuple[int, ...]]] = None
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
+        line, parts = raw.strip(), raw.split()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("dim"):
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: malformed dim line {line!r}")
+        if parts[0] == "dim":
+            if len(parts) != 2 or dim is not None:
+                raise ValueError(f"line {lineno}: malformed or repeated dim line {line!r}")
             dim = int(parts[1])
-            continue
-        if line == "rays":
-            section = "rays"
-            continue
-        if line == "cones":
-            section = "cones"
-            continue
-        values = tuple(int(tok) for tok in line.split())
-        if section == "rays":
-            rays.append(values)
-        elif section == "cones":
-            cones.append(values)
+        elif line in ("rays", "cones"):
+            section = rays if line == "rays" else cones
+        elif section is None:
+            raise ValueError(f"line {lineno}: data before a section header: {line!r}")
         else:
-            raise ValueError(f"line {lineno}: data before a section header")
+            section.append(tuple(int(tok) for tok in parts))
     if dim is None:
         raise ValueError("missing 'dim' line")
     if not rays or not cones:

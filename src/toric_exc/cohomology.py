@@ -48,13 +48,13 @@ all (Borisov-Hua, Adv. Math. 2009):
 - A candidate's gap |det A_S| (<u, v_rho> + a_rho) is linear in the
   divisor.  Per fan, the pairings -sign(det A_S) rays @ adj(A_S) and the
   corner gaps of every eps are cached, the latter holding as many entries
-  as one divisor's pass; like the pattern memo, the forbidden sets and
-  every table of the fan module, they are kept for the last
-  fan._FAN_CACHE_SIZE fans.  A pass over any number of divisors takes n
-  multiply-adds per (S, ray, divisor) and one broadcast comparison with
-  the corner gaps to read every sign mask.  Only the contributing
-  candidates get their numerators |det A_S| u, whose floors and ceilings
-  fix each divisor's box.
+  as one divisor's pass; like the pattern table (each mask's ranks, which
+  _pattern_ranks alone writes and forbidden_sets reads) and every table
+  of the fan module, they are kept for the last fan._FAN_CACHE_SIZE fans.
+  A pass over any number of divisors takes n multiply-adds per (S, ray,
+  divisor) and one broadcast comparison with the corner gaps to read
+  every sign mask.  Only the contributing candidates get their numerators
+  |det A_S| u, whose floors and ceilings fix each divisor's box.
 - The boxes are enumerated together into one list per divisor of
   contributing patterns with the sup norms ||u|| of their characters: one
   array of the characters of all the boxes (in runs of at most
@@ -91,7 +91,7 @@ import numpy as np
 from .errors import BoxTooLarge, BoxUnstable, TooManyRays, UnboundedRegion
 from .fan import (_FAN_CACHE_SIZE, Fan, _completeness_problems, _mask_of, face_masks, is_complete,
                   ray_minors)
-from .lattice import _INT64_SAFE, IntMatrix, rank as matrix_rank
+from .lattice import _INT64_SAFE, _eliminate
 from .picard import ClassVector, PicContext, to_class
 
 _MAX_SWEEP_RAYS = 20
@@ -134,23 +134,22 @@ def reduced_homology_ranks(fan: Fan, rays: Iterable[int]) -> tuple[int, ...]:
                 bit = rest & -rest
                 rows[index[face ^ bit]][j] = (-1) ** position
                 rest ^= bit
-        boundary[k] = matrix_rank(IntMatrix.from_rows(rows))
+        boundary[k] = _eliminate(rows, len(upper))[0]
     return tuple(len(by_size[k + 1]) - boundary[k + 1] - boundary[k + 2] for k in range(-1, n))
 
 
 class _Patterns(NamedTuple):
-    """Per-fan pattern state.  A query fetches it once, so the fan is hashed once, not per mask."""
+    """Per-fan pattern table.  _pattern_ranks is its one writer, and fetches it on every call."""
 
     ranks: dict[int, tuple[int, ...]]   # mask -> pattern ranks, one shared tuple for every zero
-    met: set[int]                       # the masks _contributing has classified
-    live: set[int]                      # the contributing ones among them
+    live: set[int]                      # the ranked masks that contribute: nonzero ranks, or the full one
     faces: frozenset[int]               # fan.face_masks
     complete: bool                      # the fan carries fan.is_complete
 
 
 @lru_cache(maxsize=_FAN_CACHE_SIZE)
 def _patterns(fan: Fan) -> _Patterns:
-    return _Patterns({}, set(), set(), face_masks(fan), is_complete(fan))
+    return _Patterns({}, set(), face_masks(fan), is_complete(fan))
 
 
 def _pattern_ranks(fan: Fan, mask: int) -> tuple[int, ...]:
@@ -168,7 +167,8 @@ def _pattern_ranks(fan: Fan, mask: int) -> tuple[int, ...]:
       On a fan without the certificate this rule is wrong (P3 without a
       maximal cone: the missing cone's rays bound a circle, though their
       complement is a ray), so it is not applied.
-    Every other mask is ranked by reduced_homology_ranks.
+    Every other mask is ranked by reduced_homology_ranks.  The mask joins
+    the live set when its ranks are nonzero or it is the full one.
     """
     memo = _patterns(fan)
     if mask not in memo.ranks:
@@ -179,6 +179,8 @@ def _pattern_ranks(fan: Fan, mask: int) -> tuple[int, ...]:
             if any(found):
                 ranks = found
         memo.ranks[mask] = ranks
+        if any(ranks) or not rest:
+            memo.live.add(mask)
     return memo.ranks[mask]
 
 
@@ -199,9 +201,8 @@ class ForbiddenSetReport:
     homology_ranks: tuple[tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=_FAN_CACHE_SIZE)
 def forbidden_sets(fan: Fan) -> ForbiddenSetReport:
-    """Exhaustive sweep over all proper subsets of the ray set."""
+    """Exhaustive sweep over all proper subsets of the ray set, read from the fan's pattern table."""
     m = fan.n_rays
     if m > _MAX_SWEEP_RAYS:
         raise TooManyRays(f"{m} rays; exhaustive 2^m sweep capped at m={_MAX_SWEEP_RAYS}")
@@ -221,10 +222,8 @@ def forbidden_sets(fan: Fan) -> ForbiddenSetReport:
 def _contributing(fan: Fan, masks: set[int]) -> set[int]:
     """The masks whose pattern can add to a cohomology dimension or a verdict."""
     memo = _patterns(fan)
-    if not masks <= memo.met:
-        full, new = (1 << fan.n_rays) - 1, masks - memo.met
-        memo.live.update(mask for mask in new if mask == full or any(_pattern_ranks(fan, mask)))
-        memo.met.update(new)
+    for mask in masks - memo.ranks.keys():
+        _pattern_ranks(fan, mask)
     return masks & memo.live
 
 

@@ -199,7 +199,7 @@ def fullness_certificate(
             try:
                 cert = koszul_reduction_certificate(ctx, collection, extra, pcoll)
                 break
-            except (TermOutsideCollection, NotPrimitive):
+            except TermOutsideCollection:
                 continue
         if cert is None:
             unexplained.append(extra)

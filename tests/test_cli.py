@@ -233,6 +233,15 @@ class TestForbidden:
         code, _, err = run_cli(capsys, "forbidden", "--fan-file", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("header, line", [("dim 2\ndim 3\n", "line 2"), ("dimension 3\n", "line 1")])
+    def test_the_dim_line_is_the_exact_keyword_once(self, capsys, tmp_path, header, line):
+        # P3 under a repeated dim line, or under a longer keyword, used to parse as 3-dimensional
+        path = tmp_path / "p3.fan"
+        path.write_text(header + format_fan_file(projective_space(3)).split("\n", 1)[1])
+        code, out, err = run_cli(capsys, "forbidden", "--fan-file", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read fan file: {line}: ")
+
     def test_too_many_rays_to_sweep_is_refused(self, capsys, tmp_path):
         # a refusal to search, not a failed check: exit 2, as for BoxTooLarge
         path = tmp_path / "p3_21.fan"

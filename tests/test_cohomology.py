@@ -616,8 +616,9 @@ class TestPatternRankCertificates:
         real = cohomology.reduced_homology_ranks
         monkeypatch.setattr(cohomology, "reduced_homology_ranks",
                             lambda fan, rays: ranked.append(rays) or real(fan, rays))
-        for memo in (_patterns, forbidden_sets, _vertex_frames, _point_list):
+        for memo in (_patterns, _vertex_frames, _point_list):
             memo.cache_clear()
+        assert not hasattr(forbidden_sets, "cache_info")
         assert cli_main(["--format", "json", "prove-main-theorem"]) == 0
         capsys.readouterr()
         assert 0 < len(ranked) <= 30   # 23; 210 without the two certificates
@@ -796,11 +797,11 @@ class TestFanCaches:
             assert answers(fan) == first
             assert all((cone_matrix(fan, cone) @ inverse).is_identity()
                        for cone, inverse in zip(fan.max_cones, inverses(fan)))
-        memos = (cohomology._patterns, forbidden_sets, _vertex_frames, fan_module.ridge_normals,
+        memos = (cohomology._patterns, _vertex_frames, fan_module.ridge_normals,
                  fan_module._completeness_problems, fan_module.face_masks, fan_module.primitive_collections,
                  fan_module.primitive_relations, fan_module._cone_inverses)
         assert all(memo.cache_info().currsize <= size for memo in memos)
-        assert not hasattr(is_fano, "cache_info")
+        assert not hasattr(is_fano, "cache_info") and not hasattr(forbidden_sets, "cache_info")
         misses = [memo.cache_info().misses for memo in memos]
         _point_list.cache_clear()
         assert answers(fans[0]) == first and inverses(fans[0]) == first_inverses

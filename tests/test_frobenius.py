@@ -450,6 +450,10 @@ class TestBondalSummands:
         cases += [build_pic_context(fan) for fan in [projective_space(n) for n in (1, 2, 4)] + blowups]
         for ctx in cases:
             assert set(bondal_summands(ctx)) == bondal_reference(ctx), ctx.fan
+            # for O, Thomsen's splitting at p = N = (n + 1)L walks the same grid (1/N)Z^n in the
+            # base cone's basis; decompose needs only p >= 2, so N may be composite
+            fan, N = ctx.fan, (ctx.fan.dim + 1) * minor_lcm(ctx.fan)
+            assert bondal_summands(ctx) == tuple(sorted(decompose(fan, ctx, (0,) * fan.n_rays, N).classes)), fan
 
     def test_equals_the_two_prime_set_on_the_catalog(self, records, contexts):
         # so the theorem's summand lists, and its bytes, cannot move
