@@ -23,7 +23,7 @@ from .exceptional import (FullnessCertificate, KoszulCertified, KoszulReduction,
 from .fan import (Fan, FanValidation, PrimitiveRelation, is_fano,
                   primitive_collections, primitive_relations, validate_fan)
 from .frobenius import FrobeniusDecomposition, bondal_summands, decompose, first_chern_sum, stable_summands
-from .lattice import IntMatrix, SNFResult, determinant, rank, smith_normal_form, unimodular_inverse
+from .lattice import IntMatrix, SNFResult, determinant, rank, smith_normal_form
 from .picard import (PicContext, anticanonical_divisor, build_pic_context, canonical_divisor,
                      class_label, class_to_divisor, divisor_label, pairing_matrix, to_class)
 

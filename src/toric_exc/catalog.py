@@ -280,7 +280,8 @@ def parse_fan_file(text: str) -> Fan:
 
     Ray indices in the cones section are 0-based; blank lines are ignored
     and '#' starts a comment line.  Exactly one line is the keyword dim and
-    the dimension.
+    the dimension, at least 1.  Every error names its line, except a
+    missing dim line or section.
     """
     dim: Optional[int] = None
     rays: list[tuple[int, ...]] = []
@@ -293,18 +294,27 @@ def parse_fan_file(text: str) -> Fan:
         if parts[0] == "dim":
             if len(parts) != 2 or dim is not None:
                 raise ValueError(f"line {lineno}: malformed or repeated dim line {line!r}")
-            dim = int(parts[1])
+            dim = _integer(parts[1], lineno)
+            if dim < 1:
+                raise ValueError(f"line {lineno}: dimension {dim} is below 1")
         elif line in ("rays", "cones"):
             section = rays if line == "rays" else cones
         elif section is None:
             raise ValueError(f"line {lineno}: data before a section header: {line!r}")
         else:
-            section.append(tuple(int(tok) for tok in parts))
+            section.append(tuple(_integer(tok, lineno) for tok in parts))
     if dim is None:
         raise ValueError("missing 'dim' line")
     if not rays or not cones:
         raise ValueError("fan file needs both a rays and a cones section")
     return Fan.make(dim, rays, cones)
+
+
+def _integer(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"line {lineno}: {token!r} is not an integer") from None
 
 
 def format_fan_file(fan: Fan) -> str:

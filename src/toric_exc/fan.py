@@ -19,8 +19,9 @@ module's pattern certificates rely on.
 
 ridge_normals is the fan's one table of (n-1)-subset cross products, and
 every n x n ray minor and cofactor is read from it by ray_minors: the
-facet sides, the smoothness check of validate_fan, cone_inverse, the
-cohomology module's vertex frames and the Frobenius module's minor lcm.
+facet sides, the smoothness check of validate_fan, cone_inverse (which
+also gives a stored Pic basis its class map), the cohomology module's
+vertex frames and the Frobenius module's minor lcm.
 Every per-fan table, here and in the cohomology module, is kept for the
 last _FAN_CACHE_SIZE fans, so a process that checks many fans holds the
 tables of a bounded number of them.
@@ -28,7 +29,7 @@ tables of a bounded number of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
@@ -46,12 +47,20 @@ class Fan:
     """Rays and maximal cones of a (purportedly) smooth complete fan.
 
     Ray indices are 0-based throughout the package; reports translate to the
-    1-based labels Z1, Z2, ... used for toric divisors.
+    1-based labels Z1, Z2, ... used for toric divisors.  The hash, the key
+    of every per-fan table, is computed once, at construction.
     """
 
     dim: int
     rays: tuple[tuple[int, ...], ...]
     max_cones: tuple[tuple[int, ...], ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.dim, self.rays, self.max_cones)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def make(cls, dim: int, rays: Iterable[Sequence[int]], max_cones: Iterable[Iterable[int]]) -> "Fan":
@@ -125,15 +134,21 @@ def _inverse(fan: Fan, cone: tuple[int, ...]) -> IntMatrix:
 
 @lru_cache(maxsize=_FAN_CACHE_SIZE)
 def _cone_inverses(fan: Fan) -> Mapping[tuple[int, ...], IntMatrix]:
-    """The fan's table of cone inverses, each computed on first lookup."""
+    """The fan's table of inverses of unimodular ray n-subsets, each computed on first lookup.
+
+    The keys are the maximal cones and the complements of stored Pic bases
+    (picard.build_pic_context); any ascending n-subset whose rays form a
+    lattice basis may be one, and each is read from ridge_normals.
+    """
     return _Table(fan, _inverse)
 
 
 def cone_inverse(fan: Fan, cone: tuple[int, ...]) -> IntMatrix:
-    """Inverse of the cone's ray-row matrix (cone rays are a basis), from the fan's table.
+    """Inverse of the ray-row matrix of an ascending ray n-subset that is a lattice basis, from the fan's table.
 
-    A cone that is not smooth raises NotUnimodular, naming its determinant;
-    one with other than n rays raises it as not square.
+    A subset whose rays are not a lattice basis raises NotUnimodular,
+    naming its determinant; one with other than n rays raises it as not
+    square.
     """
     return _cone_inverses(fan)[cone]
 

@@ -7,19 +7,19 @@ so the implementation favours determinism and auditability.
 One fraction-free (Bareiss) elimination, _eliminate, gives every rank,
 determinant and cofactor in polynomial time; the cofactors (cross products
 of n - 1 rows, facet sides) are the n-minors it leaves in the last row of
-[rows^T | +-I].  An inverse is det times the transposed cofactor matrix:
-unimodular_inverse for a Pic frame, and fan.cone_inverse, which reads the
-cofactors of a cone from the fan's table of cross products.  The Smith
-normal form, which pivots on the smallest-magnitude entry with ties broken
-by position, only chooses the quotient basis of Pic.
+[rows^T | +-I].  The only inverse built from them is fan.cone_inverse:
+det times the transposed cofactor matrix of n rays, read from the fan's
+table of cross products.  The Smith normal form, which pivots on the
+smallest-magnitude entry with ties broken by position, only chooses the
+quotient basis of Pic; it carries U^-1 beside U, so that basis needs no
+inverse of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Optional, Sequence
-
-from .errors import NotUnimodular
 
 # Bound below which the numpy kernels elsewhere in the package stay in
 # int64; above it they switch to Python ints rather than risk silent
@@ -74,12 +74,12 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         cols = other.transpose().entries
-        return IntMatrix(tuple(tuple(sum(a * b for a, b in zip(r, c)) for c in cols) for r in self.entries))
+        return IntMatrix(tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in self.entries))
 
     def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         if self.cols != len(v):
             raise ValueError("vector length does not match column count")
-        return tuple(sum(a * b for a, b in zip(r, v)) for r in self.entries)
+        return tuple(sum(map(mul, r, v)) for r in self.entries)
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == IntMatrix.identity(self.rows)
@@ -91,11 +91,12 @@ class IntMatrix:
 @dataclass(frozen=True)
 class SNFResult:
     """Smith normal form data: U @ A @ V == D with U, V unimodular and the
-    diagonal of D nonnegative, each entry dividing the next."""
+    diagonal of D nonnegative, each entry dividing the next; U_inverse is U^-1."""
 
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
+    U_inverse: IntMatrix
 
 
 def _eliminate(M: list[list[int]], width: int) -> tuple[int, int]:
@@ -175,17 +176,22 @@ def smith_normal_form(A: IntMatrix) -> SNFResult:
     """Smith normal form U @ A @ V == D.
 
     The pivot rule (smallest magnitude first, ties by position) makes the
-    output deterministic for a fixed input.  The identity U @ A @ V == D and
-    the divisibility chain are re-verified before returning.
+    output deterministic for a fixed input.  Each row operation on U is
+    recorded as the inverse column operation on U^-1.  The identities
+    U @ A @ V == D and U @ U^-1 == I and the divisibility chain are
+    re-verified before returning.
     """
     m, n = A.rows, A.cols
     M = [list(r) for r in A.entries]
     U = [list(r) for r in IntMatrix.identity(m).entries]
+    U_inverse = [list(r) for r in IntMatrix.identity(m).entries]
     V = [list(r) for r in IntMatrix.identity(n).entries]
 
     def swap_rows(a, b):
         M[a], M[b] = M[b], M[a]
         U[a], U[b] = U[b], U[a]
+        for row in U_inverse:
+            row[a], row[b] = row[b], row[a]
 
     def swap_cols(a, b):
         for row in M:
@@ -194,9 +200,11 @@ def smith_normal_form(A: IntMatrix) -> SNFResult:
             row[a], row[b] = row[b], row[a]
 
     def add_row(src, dst, q):
-        # row dst -= q * row src
+        # row dst -= q * row src; on U^-1, col src += q * col dst
         M[dst] = [x - q * y for x, y in zip(M[dst], M[src])]
         U[dst] = [x - q * y for x, y in zip(U[dst], U[src])]
+        for row in U_inverse:
+            row[src] += q * row[dst]
 
     def add_col(src, dst, q):
         # col dst -= q * col src
@@ -208,6 +216,8 @@ def smith_normal_form(A: IntMatrix) -> SNFResult:
     def negate_row(i):
         M[i] = [-x for x in M[i]]
         U[i] = [-x for x in U[i]]
+        for row in U_inverse:
+            row[i] = -row[i]
 
     def clear_at(t):
         while True:
@@ -267,30 +277,12 @@ def smith_normal_form(A: IntMatrix) -> SNFResult:
 
     Um, Dm, Vm = IntMatrix.from_rows(U), IntMatrix.from_rows(M), IntMatrix.from_rows(V)
     assert Um @ A @ Vm == Dm, "SNF identity violated"
+    assert _is_identity_product(U, tuple(zip(*U_inverse))), "U^-1 is not the inverse of U"
     diag = Dm.diagonal_entries()
     for i in range(len(diag) - 1):
         assert diag[i + 1] == 0 or (diag[i] != 0 and diag[i + 1] % diag[i] == 0), "divisibility chain violated"
-    assert abs(determinant(Um)) == 1 and abs(determinant(Vm)) == 1
-    return SNFResult(Um, Dm, Vm)
-
-
-def unimodular_inverse(A: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1: det times the transposed cofactor matrix.
-
-    Row i of the cofactor matrix is (-1)^i times _cross of the other rows,
-    and A @ cofactors^T = det(A) I.  Raises NotUnimodular for any other
-    determinant or a non-square matrix.
-    """
-    if A.rows != A.cols:
-        raise NotUnimodular(f"matrix is {A.rows}x{A.cols}, not square")
-    rows, n = A.entries, A.rows
-    cofactors = [tuple((-1) ** i * c for c in _cross(rows[:i] + rows[i + 1:], n)) for i in range(n)]
-    det = sum(a * c for a, c in zip(rows[0], cofactors[0]))
-    if abs(det) != 1:
-        raise NotUnimodular(f"determinant is {det}, not +-1")
-    columns = [tuple(det * c for c in cofactor) for cofactor in cofactors]
-    assert _is_identity_product(rows, columns)
-    return IntMatrix(tuple(zip(*columns)))
+    assert abs(determinant(Vm)) == 1
+    return SNFResult(Um, Dm, Vm, IntMatrix.from_rows(U_inverse))
 
 
 def _is_identity_product(rows: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]) -> bool:
@@ -300,5 +292,5 @@ def _is_identity_product(rows: Sequence[Sequence[int]], columns: Sequence[Sequen
     the product nor an identity matrix is built.
     """
     return len(rows) == len(columns) and all(
-        sum(a * b for a, b in zip(row, column)) == (i == j)
+        sum(map(mul, row, column)) == (i == j)
         for i, row in enumerate(rows) for j, column in enumerate(columns))

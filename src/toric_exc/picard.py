@@ -6,7 +6,10 @@ u -> (<u, v_rho>)_rho, and the Picard group is the (free, rank m-n)
 cokernel.  A PicContext fixes a basis of that quotient, either a preferred
 list of ray divisors whose classes form a basis, or the Smith-normal-form
 quotient basis, and exposes class computation as an exact linear map.
-Both read it from one unimodular frame and its inverse.
+A stored basis reads its class map from the fan's inverse table
+(fan.cone_inverse of the n rays outside the basis); the Smith basis reads
+it from U and the U^-1 that the Smith normal form carries.  Neither
+inverts an m x m matrix.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import NotABasis, NotUnimodular, TorsionInPicard
-from .fan import Fan
-from .lattice import IntMatrix, _is_identity_product, smith_normal_form, unimodular_inverse
+from .fan import Fan, cone_inverse
+from .lattice import IntMatrix, _is_identity_product, smith_normal_form
 
 DivisorVector = tuple[int, ...]  # coefficients on Z_1 ... Z_m
 ClassVector = tuple[int, ...]    # coordinates in the chosen Pic basis
@@ -49,15 +52,21 @@ class PicContext:
 def build_pic_context(fan: Fan, basis_divisors: Optional[Sequence[int]] = None) -> PicContext:
     """Build the class encoder, optionally on a user-chosen divisor basis.
 
-    Either way it builds an m x m unimodular frame W whose first n columns
-    span the image of the character pairing P: with a basis, the columns
-    of P (row i is ray i) followed by the basis unit vectors; without one,
-    U^-1 for the Smith normal form U P V = D, which only chooses the
-    quotient basis.  class_map is the last m - n rows of W^-1 and rep_map
-    the last m - n columns of W.  Raises NotABasis when the supplied divisors'
-    classes do not freely generate Pic (W is not unimodular), and
-    TorsionInPicard if the quotient is not free (which cannot happen for a
-    smooth complete fan and signals corrupt input).
+    Both ways describe an m x m unimodular frame W whose first n columns
+    are the character pairing P (row i is ray i) and whose last m - n
+    columns represent the basis classes: class_map is the last m - n rows
+    of W^-1 and rep_map the last m - n columns of W.  Neither inverts W.
+    - With a basis, those columns are the basis unit vectors.  Up to the
+      order of rows, W = [[A_R, 0], [A_basis, I]], with A_R the rays of the
+      n indices R outside the basis, so W is unimodular exactly when A_R
+      is, and class_map is the identity on the basis columns and
+      -A_basis B on the columns R, B = A_R^-1 read from fan.cone_inverse.
+    - Without one, W = U^-1 for the Smith normal form U P V = D, which only
+      chooses the quotient basis and carries U^-1 beside U.
+    Raises NotABasis when the supplied divisors' classes do not freely
+    generate Pic (A_R is not unimodular), and TorsionInPicard if the
+    quotient is not free (which cannot happen for a smooth complete fan
+    and signals corrupt input).
     """
     m, n = fan.n_rays, fan.dim
     rho = m - n
@@ -66,11 +75,17 @@ def build_pic_context(fan: Fan, basis_divisors: Optional[Sequence[int]] = None) 
         basis = tuple(int(i) for i in basis_divisors)
         if len(basis) != rho or len(set(basis)) != rho or any(i < 0 or i >= m for i in basis):
             raise NotABasis(f"need {rho} distinct ray indices, got {basis}")
-        frame = IntMatrix.from_rows(ray + tuple(int(i == b) for b in basis) for i, ray in enumerate(fan.rays))
+        rest = tuple(i for i in range(m) if i not in basis)
         try:
-            frame_inverse = unimodular_inverse(frame)
+            B = cone_inverse(fan, rest)
         except NotUnimodular as exc:
-            raise NotABasis(f"classes of rays {basis} do not freely generate Pic: {exc}") from exc
+            raise NotABasis(f"classes of rays {basis} do not freely generate Pic: rays {rest}: {exc}") from exc
+        rows = [[int(i == b) for i in range(m)] for b in basis]
+        for row, product in zip(rows, (IntMatrix.from_rows(fan.rays[b] for b in basis) @ B).entries):
+            for i, x in zip(rest, product):
+                row[i] = -x
+        class_map = IntMatrix.from_rows(rows)
+        rep_map = IntMatrix(tuple(tuple(int(i == b) for b in basis) for i in range(m)))
     else:
         snf = smith_normal_form(pairing_matrix(fan))
         diag = snf.D.diagonal_entries()
@@ -78,10 +93,9 @@ def build_pic_context(fan: Fan, basis_divisors: Optional[Sequence[int]] = None) 
             raise TorsionInPicard(f"divisor class group has torsion: invariant factors {diag}")
         if sum(1 for d in diag if d == 1) != n:
             raise TorsionInPicard("character pairing is not injective; fan does not span the lattice")
-        frame, frame_inverse = unimodular_inverse(snf.U), snf.U
+        class_map = IntMatrix(snf.U.entries[n:])
+        rep_map = IntMatrix(tuple(row[n:] for row in snf.U_inverse.entries))
 
-    class_map = IntMatrix(frame_inverse.entries[n:])
-    rep_map = IntMatrix(tuple(row[n:] for row in frame.entries))
     assert _is_identity_product(class_map.entries, tuple(zip(*rep_map.entries)))
     return PicContext(fan, class_map, rep_map)
 

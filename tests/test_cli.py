@@ -242,6 +242,18 @@ class TestForbidden:
         assert code == 2 and out == ""
         assert err.startswith(f"error: cannot read fan file: {line}: ")
 
+    @pytest.mark.parametrize("text, message", [
+        ("dim 3\nrays\n1 0 0\n1 0 a\ncones\n0 1\n", "line 4: 'a' is not an integer"),
+        ("dim -1\nrays\n1 0 0\ncones\n0\n", "line 1: dimension -1 is below 1"),
+    ])
+    def test_a_bad_number_names_its_line(self, capsys, tmp_path, text, message):
+        # a non-integer token used to exit with the bare int() message, and dim -1 to reach validation
+        path = tmp_path / "bad.fan"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "forbidden", "--fan-file", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read fan file: {message}")
+
     def test_too_many_rays_to_sweep_is_refused(self, capsys, tmp_path):
         # a refusal to search, not a failed check: exit 2, as for BoxTooLarge
         path = tmp_path / "p3_21.fan"

@@ -8,11 +8,12 @@ from itertools import combinations
 import pytest
 
 from toric_exc import lattice
-from toric_exc.cohomology import _vertex_frames
+from toric_exc.catalog import format_fan_file, parse_fan_file
+from toric_exc.cohomology import _patterns, _vertex_frames
 from toric_exc.errors import InteriorCoverFailure, NotUnimodular
 from toric_exc.fan import (Fan, _completeness_problems, _cone_inverses, cone_inverse, cone_matrix, face_masks,
                            is_complete, is_face, is_fano, primitive_collections, primitive_relations,
-                           validate_fan)
+                           ridge_normals, validate_fan)
 from toric_exc.lattice import IntMatrix, determinant, smith_normal_form
 from toric_exc.picard import build_pic_context
 
@@ -169,6 +170,10 @@ class TestConeInverse:
                 assert snf.D.is_identity() and inverse == snf.V @ snf.U
                 assert (cone_matrix(fan, cone) @ inverse).is_identity()
 
+    def test_printed_cone_matrix(self, records):
+        # D1's cone (Z1, Z4, Z5): its rays as rows, and the printed inverse
+        assert cone_inverse(records["D1"].fan, (0, 3, 4)) == IntMatrix.from_rows([[1, 0, 0], [-1, 1, -2], [0, 1, -1]])
+
     def test_a_singular_or_non_square_cone_is_refused(self):
         fan = Fan.make(2, [(1, 0), (1, 2), (0, 1)], [(0, 1), (1, 2)])
         with pytest.raises(NotUnimodular, match="determinant is 2"):
@@ -180,26 +185,43 @@ class TestConeInverse:
 
 class TestOneSourceOfMinors:
     def test_no_minor_is_computed_by_elimination(self, records, monkeypatch):
-        # validate_fan, cone_inverse and the vertex frames read every minor and cofactor from ridge_normals
+        # validate_fan, cone_inverse, the vertex frames and a Pic context on a stored basis read every
+        # minor and cofactor from ridge_normals, so each elimination they run fills one entry of it
         calls = []
-        for name in ("determinant", "unimodular_inverse"):
-            real = getattr(lattice, name)
+        real = lattice._eliminate
 
-            def counted(A, real=real, name=name):
-                calls.append(name)
-                return real(A)
+        def counted(M, width):
+            calls.append(width)
+            return real(M, width)
 
-            for module_name, module in list(sys.modules.items()):
-                if module_name.startswith("toric_exc") and getattr(module, name, None) is real:
-                    monkeypatch.setattr(module, name, counted)
-        _cone_inverses.cache_clear()
-        _vertex_frames.cache_clear()
-        for fan in [rec.fan for rec in records.values()] + seeded_blowups(records, (9, 13), seed=5):
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("toric_exc") and getattr(module, "_eliminate", None) is real:
+                monkeypatch.setattr(module, "_eliminate", counted)
+        for table in (ridge_normals, _completeness_problems, _cone_inverses, _vertex_frames):
+            table.cache_clear()
+        fans = [rec.fan for rec in records.values()] + seeded_blowups(records, (9, 13), seed=5)
+        for fan in fans:
             assert validate_fan(fan).ok
             for cone in fan.max_cones:
                 cone_inverse(fan, cone)
+                build_pic_context(fan, tuple(i for i in range(fan.n_rays) if i not in cone))
             _vertex_frames(fan)
-        assert not calls
+        for rec in records.values():
+            if rec.pic_basis is not None:
+                build_pic_context(rec.fan, rec.pic_basis)
+        assert len(calls) == sum(len(ridge_normals(fan)) for fan in fans) > 0
+
+
+class TestOneHashPerFan:
+    def test_equal_fans_share_every_table(self, records):
+        for rec in records.values():
+            text = format_fan_file(rec.fan)
+            a, b = parse_fan_file(text), parse_fan_file(text)
+            assert a is not b and a == b
+            assert hash(a) == hash(b) == hash((a.dim, a.rays, a.max_cones))
+            for table in (ridge_normals, _cone_inverses, _completeness_problems, face_masks,
+                          primitive_collections, primitive_relations, _patterns, _vertex_frames):
+                assert table(a) is table(b), (rec.name, table.__name__)
 
 
 class TestFaceMasks:

@@ -1,4 +1,4 @@
-"""Exact linear algebra: Smith normal form, unimodular inverses, ranks."""
+"""Exact linear algebra: Smith normal form with the inverse of U, ranks, cross products."""
 
 from functools import cache
 
@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toric_exc.errors import NotUnimodular
-from toric_exc.lattice import IntMatrix, _cross, determinant, rank, smith_normal_form, unimodular_inverse
+from toric_exc.lattice import IntMatrix, _cross, determinant, rank, smith_normal_form
 
 A3_D1 = IntMatrix.from_rows([[1, 0, 0], [-1, -1, 2], [-1, -1, 1]])
-B3_D1 = IntMatrix.from_rows([[1, 0, 0], [-1, 1, -2], [0, 1, -1]])
 
 small_matrices = st.integers(1, 5).flatmap(
     lambda m: st.integers(1, 5).flatmap(
@@ -62,6 +60,7 @@ class TestSmithNormalForm:
     def test_decomposition_properties(self, A):
         s = smith_normal_form(A)
         assert s.U @ A @ s.V == s.D
+        assert (s.U @ s.U_inverse).is_identity() and (s.U_inverse @ s.U).is_identity()
         assert abs(determinant(s.U)) == 1
         assert abs(determinant(s.V)) == 1
         diag = s.D.diagonal_entries()
@@ -78,33 +77,13 @@ class TestSmithNormalForm:
         A = IntMatrix.from_rows([[6, 4], [2, 8]])
         assert smith_normal_form(A) == smith_normal_form(A)
 
-
-class TestUnimodularInverse:
-    def test_printed_cone_matrix(self):
-        assert unimodular_inverse(A3_D1) == B3_D1
-        assert unimodular_inverse(B3_D1) == A3_D1
-
-    def test_signed_identity_is_self_inverse(self):
-        A = IntMatrix.diagonal([1, 1, -1])
-        assert unimodular_inverse(A) == A
-
-    def test_identity(self):
-        assert unimodular_inverse(IntMatrix.identity(4)) == IntMatrix.identity(4)
-
-    def test_rejects_non_unimodular(self):
-        with pytest.raises(NotUnimodular):
-            unimodular_inverse(IntMatrix.diagonal([2, 1]))
-        with pytest.raises(NotUnimodular):
-            unimodular_inverse(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))
-
     @given(unimodular_matrices())
     @settings(max_examples=150, deadline=None)
-    def test_involution(self, A):
-        inv = unimodular_inverse(A)
-        assert unimodular_inverse(inv) == A
-        assert (A @ inv).is_identity() and (inv @ A).is_identity()
-        snf = smith_normal_form(A)   # U A V = I, so A^-1 = V U
-        assert inv == snf.V @ snf.U
+    def test_u_inverse_of_a_unimodular_input(self, A):
+        s = smith_normal_form(A)   # U A V = I, so U^-1 = A V
+        assert s.D.is_identity()
+        assert s.U_inverse == A @ s.V
+        assert (s.U @ s.U_inverse).is_identity() and (s.U_inverse @ s.U).is_identity()
 
 
 class TestRank:

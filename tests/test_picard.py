@@ -2,10 +2,13 @@
 
 import random
 import sys
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from conftest import zvec
+from test_fan import seeded_blowups
 from toric_exc import lattice
 from toric_exc.errors import NotABasis
 from toric_exc.fan import Fan, _cone_inverses, cone_inverse
@@ -129,6 +132,58 @@ class TestBasisValidation:
             ctx = build_pic_context(rec.fan)  # SNF quotient basis
             for cls in [(1,) + (0,) * (ctx.rank - 1), (0,) * ctx.rank]:
                 assert to_class(ctx, class_to_divisor(ctx, cls)) == cls
+
+
+def fraction_inverse(rows):
+    """The inverse of a square integer matrix by Gauss-Jordan elimination over Fractions; None when singular."""
+    n = len(rows)
+    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    for c in range(n):
+        p = next((r for r in range(c, n) if M[r][c]), None)
+        if p is None:
+            return None
+        M[c], M[p] = M[p], M[c]
+        M[c] = [x / M[c][c] for x in M[c]]
+        for r in range(n):
+            f = M[r][c]
+            if r != c and f:
+                M[r] = [x - f * y for x, y in zip(M[r], M[c])]
+    return [row[n:] for row in M]
+
+
+def frame_maps(fan, basis):
+    """class_map and rep_map from the m x m frame [rays | basis unit vectors]; None unless it is unimodular."""
+    frame = [ray + tuple(int(i == b) for b in basis) for i, ray in enumerate(fan.rays)]
+    inverse = fraction_inverse(frame)
+    if inverse is None or any(x.denominator != 1 for row in inverse for x in row):
+        return None
+    n = fan.dim
+    return tuple(tuple(int(x) for x in row) for row in inverse[n:]), tuple(row[n:] for row in frame)
+
+
+class TestStoredBasis:
+    def test_every_cone_complement_matches_the_frame_inverse(self, records):
+        fans = [rec.fan for rec in records.values()] + seeded_blowups(records, (9, 10, 11, 12, 13), seed=23)
+        for fan in fans:
+            for cone in fan.max_cones:
+                basis = tuple(i for i in range(fan.n_rays) if i not in cone)
+                ctx = build_pic_context(fan, basis)
+                assert (ctx.class_map.entries, ctx.rep_map.entries) == frame_maps(fan, basis), (fan, basis)
+                assert all(c == (0,) * fan.dim for c in (ctx.class_map @ pairing_matrix(fan)).entries)
+
+    def test_a_dependent_basis_is_refused(self, records):
+        fans = [rec.fan for rec in records.values()] + seeded_blowups(records, (9, 10, 11, 12, 13), seed=23)
+        refused = []
+        for fan in fans:
+            for rest in combinations(range(fan.n_rays), fan.dim):
+                basis = tuple(i for i in range(fan.n_rays) if i not in rest)
+                if frame_maps(fan, basis) is None:
+                    with pytest.raises(NotABasis, match="do not freely generate Pic"):
+                        build_pic_context(fan, basis)
+                    refused.append(fan)
+                    break
+        # any three rays of P3 are a basis of the lattice, so any one ray's class generates Pic
+        assert [fan for fan in fans if fan not in refused] == [records["P3"].fan]
 
 
 class TestOneSmithForm:
