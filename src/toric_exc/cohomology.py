@@ -61,12 +61,23 @@ all (Borisov-Hua, Adv. Math. 2009):
   _CHARACTER_LIMIT), one product with the rays and one mask computation.
   A box reaching past _RADIUS_LIMIT, or holding more than
   _CHARACTER_LIMIT characters, raises BoxTooLarge before anything is
-  enumerated.  A single query enumerates its one box and caches the list;
-  a collection check (vanishing_verdicts) enumerates the boxes of all its
-  divisors at once, reads both verdicts of each from its list, and keeps
-  nothing.
+  enumerated.  A single query enumerates its one box and caches the list.
+- A collection check (vanishing_verdicts) needs no box for most
+  divisors.  A vertex candidate with integral u (always, when
+  |det A_S| = 1) is itself a character whose pattern is its mask, and a
+  contributing mask that no candidate carries has no character.  So a
+  divisor is not acyclic exactly when an integral candidate carries a
+  forbidden mask, its witness, and has sections exactly when one carries
+  the full mask.  The bound R = n (max |a_rho| + 1) max(|adj|, |det|)
+  holds every |floor| and |ceiling| of u, so a divisor with R within
+  _RADIUS_LIMIT and (2R + 1)^n within _CHARACTER_LIMIT has no box that
+  could be refused, and takes its verdicts from the vertex pass alone.
+  The other divisors, and those whose verdict rests on non-integral
+  vertices alone, have their boxes enumerated together and are refused
+  exactly as a single query is.  Nothing is kept.
 
-Every query reads its answer from that whole list, so every answer is
+Every single query reads its answer from that whole list, and every
+collection verdict from a witness or a whole list, so every answer is
 exact.  A query checks its start radius r0 first: for cohomology_table,
 box_radius if given, else max(3, 2 + the largest |class coordinate|),
 which is the only r0 of the verdict queries.  An r0 below 1 raises
@@ -84,7 +95,7 @@ from functools import lru_cache
 from itertools import chain, combinations, islice, product
 from math import comb, prod
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -98,7 +109,7 @@ _MAX_SWEEP_RAYS = 20
 _RADIUS_LIMIT = 40  # the largest start radius, and the farthest a certified box may reach
 _CHARACTER_LIMIT = 1 << 22  # the most characters a certified box may hold (81^3 = 531,441 in dimension 3)
 _POINT_CACHE_SIZE = 128  # the divisors whose lists the single queries share
-_PASS_ELEMENTS = 1 << 20  # gap entries (divisors x vertex candidates x rays) per vectorised box pass
+_PASS_ELEMENTS = 1 << 20  # gap entries (divisors x vertex candidates x rays) per vectorised vertex pass
 _VERTEX_PASS_LIMIT = 1 << 23  # the most gap entries of one divisor's vertex pass: 64 MB per int64 array
 
 
@@ -316,28 +327,23 @@ def _base_gaps(frames: _VertexFrames, a: np.ndarray) -> np.ndarray:
     return frames.dets[:, None, None] * a_t + frames.pairings @ a_t[frames.subsets]
 
 
-def _contributing_boxes(fan: Fan, divisors: Sequence[tuple[int, ...]]) -> list[Optional[_Box]]:
-    """Each divisor's box of contributing characters, or None when none contributes, in one vectorised pass.
+def _vertex_masks(frames: _VertexFrames, divisors: Sequence[tuple[int, ...]]
+                  ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The sign mask of every vertex candidate of the divisors, chunk by chunk: (start, a, masks).
 
     Each vertex of a region P_I(a) solves n of its inequalities with
     equality, |det A_S| u = -adj(A_S)(a_S + eps), and leaves no ray strictly
-    between -a_rho - 1 and -a_rho; its sign mask is I.  The rays span, so
-    every nonempty region has a vertex, and the fan is complete, so every
-    contributing region is bounded: the floors and ceilings of a divisor's
-    contributing candidates span a box around them all.  A candidate's
-    gap is its base gap (_base_gaps) plus the corner gap of its eps, so
-    the sign masks of all candidates come from one broadcast comparison
-    (in chunks of at most _PASS_ELEMENTS gap entries).  A gap is an
-    integer, so only a wide S (|det| > 1) can leave a ray inside one.  The
-    distinct masks are classified once; one comparison per contributing
-    mask (nearly always just the full one) picks the chosen rows, and only
-    those get their numerators |det| u, floored and reduced per divisor.
-    The boxes come back in the order of the divisors, and nothing is kept.
+    between -a_rho - 1 and -a_rho; its sign mask is I.  A candidate's gap
+    is its base gap (_base_gaps) plus the corner gap of its eps, so the
+    masks of all candidates come from one broadcast comparison, in chunks
+    of at most _PASS_ELEMENTS gap entries: a is the chunk's D x m divisor
+    array, masks its K x 2^n x D masks.  A gap is an integer, so only a
+    wide S (|det| > 1) can leave a ray inside one.  This is the one mask
+    computation of the vertex pass: the boxes and the verdict witnesses
+    both read it.
     """
-    frames = _vertex_frames(fan)
-    n, corners, wide = fan.dim, 2 ** fan.dim, frames.wide
-    boxes: list[Optional[_Box]] = [None] * len(divisors)
-    chunk = max(1, _PASS_ELEMENTS // (len(frames.subsets) * corners * fan.n_rays))
+    wide = frames.wide
+    chunk = max(1, _PASS_ELEMENTS // frames.corner_gaps.size)
     for start in range(0, len(divisors), chunk):
         a = _divisor_array(frames, divisors[start:start + chunk])
         base = _base_gaps(frames, a)
@@ -346,16 +352,40 @@ def _contributing_boxes(fan: Fan, divisors: Sequence[tuple[int, ...]]) -> list[O
             gaps = base[wide, None] + frames.corner_gaps[wide, ..., None]
             inside = ((gaps < 0) & (gaps > -frames.dets[wide, None, None, None])).any(axis=2)
             masks[wide] = np.where(inside, -1, masks[wide])
-        distinct = set(masks.ravel().tolist()) - {-1}
+        yield start, a, masks
+
+
+def _numerators(frames: _VertexFrames, a: np.ndarray, which: np.ndarray, subset: np.ndarray,
+                corner: np.ndarray) -> np.ndarray:
+    """|det A_S| u of the candidates (S, eps) of the divisors a[which]: index arrays that broadcast, n last."""
+    offsets = a[which[..., None], frames.subsets[subset]] + _corner_offsets(frames.subsets.shape[1])[corner]
+    return -(offsets[..., None, :] @ frames.cofactors[subset])[..., 0, :]
+
+
+def _contributing_boxes(fan: Fan, divisors: Sequence[tuple[int, ...]]) -> list[Optional[_Box]]:
+    """Each divisor's box of contributing characters, or None when none contributes, in one vectorised pass.
+
+    The rays span, so every nonempty region has a vertex, and the fan is
+    complete, so every contributing region is bounded: the floors and
+    ceilings of a divisor's contributing candidates (_vertex_masks) span a
+    box around them all.  The distinct masks are classified once; one
+    comparison per contributing mask (nearly always just the full one)
+    picks the chosen rows, and only those get their numerators |det| u,
+    floored and reduced per divisor.  The boxes come back in the order of
+    the divisors, and nothing is kept.
+    """
+    frames = _vertex_frames(fan)
+    n, corners = fan.dim, 2 ** fan.dim
+    boxes: list[Optional[_Box]] = [None] * len(divisors)
+    for start, a, masks in _vertex_masks(frames, divisors):
         chosen = np.zeros(masks.shape, dtype=bool)
-        for mask in _contributing(fan, distinct):   # mostly one: the full pattern
+        for mask in _contributing(fan, set(masks.ravel().tolist()) - {-1}):   # mostly one: the full pattern
             chosen |= masks == mask
         which, row = np.divmod(np.flatnonzero(chosen.transpose(2, 0, 1)), len(frames.subsets) * corners)
         if not len(which):
             continue
         subset, corner = np.divmod(row, corners)
-        offsets = a[which[:, None], frames.subsets[subset]] + _corner_offsets(n)[corner]   # a_S + eps
-        num = -(offsets[:, None, :] @ frames.cofactors[subset])[:, 0]   # |det| u
+        num = _numerators(frames, a, which, subset, corner)
         starts = np.flatnonzero(np.concatenate(([True], which[1:] != which[:-1])))   # each divisor's first row
         # floor(num / |det|) and floor(-num / |det|) = -ceil(num / |det|), each reduced to its least per divisor
         ends = np.minimum.reduceat(np.concatenate((num, -num), axis=1) // frames.dets[subset, None], starts)
@@ -363,6 +393,70 @@ def _contributing_boxes(fan: Fan, divisors: Sequence[tuple[int, ...]]) -> list[O
             lo, hi = end[:n], [-x for x in end[n:]]
             boxes[start + d] = _Box(tuple(lo), tuple(hi), max(map(abs, lo + hi)))
     return boxes
+
+
+def _integral_candidates(frames: _VertexFrames, a: np.ndarray) -> np.ndarray:
+    """K x 2^n x D: which vertex candidates of the divisors a have an integral u, so are characters.
+
+    Every candidate of an S with |det A_S| = 1 is; a wide S's candidate
+    is one when |det A_S| divides all n of its numerators |det A_S| u.
+    """
+    corners = frames.corner_gaps.shape[1]
+    integral = np.ones((len(frames.subsets), corners, len(a)), dtype=bool)
+    wide = frames.wide
+    if len(wide):
+        num = _numerators(frames, a, np.arange(len(a)), wide[:, None, None], np.arange(corners)[:, None])
+        integral[wide] = (num % frames.dets[wide, None, None, None] == 0).all(axis=-1)
+    return integral
+
+
+class _Witnesses(NamedTuple):
+    """A divisor's two verdicts, each decided by a character (u, mask) or by the absence of any."""
+
+    forbidden: Optional[tuple[tuple[int, ...], int]]   # a character with a forbidden pattern; None: acyclic
+    section: Optional[tuple[tuple[int, ...], int]]     # a character with the full pattern; None: no sections
+
+
+def _verdict_witnesses(fan: Fan, divisors: Sequence[tuple[int, ...]]) -> list[Optional[_Witnesses]]:
+    """Both verdicts of each divisor read from its vertex candidates alone, or None where they cannot be.
+
+    An integral candidate (_integral_candidates) that is a vertex is a
+    character whose pattern is its mask.  A contributing mask that no
+    candidate carries has no character, since every nonempty region has a
+    vertex.  So a verdict is decided by an integral candidate of its kind
+    (forbidden, or the full mask), which is its witness, or by no
+    candidate of its kind at all; it is left open (None for the divisor)
+    only when its kind sits at non-integral vertices alone.  No box is
+    built and no character is enumerated.
+    """
+    frames = _vertex_frames(fan)
+    corners, full = 2 ** fan.dim, (1 << fan.n_rays) - 1
+    found: list[Optional[_Witnesses]] = [None] * len(divisors)
+    for start, a, masks in _vertex_masks(frames, divisors):
+        live = _contributing(fan, set(masks.ravel().tolist()) - {-1})
+        integral = _integral_candidates(frames, a)
+        undecided = np.zeros(len(a), dtype=bool)
+        witnesses = []
+        for kind in (live - {full}, live & {full}):
+            if not kind:   # mostly the forbidden kind: no candidate carries it, so no character does
+                witnesses.append({})
+                continue
+            carried = np.zeros(masks.shape, dtype=bool)
+            for mask in kind:
+                carried |= masks == mask
+            hits = (carried & integral).reshape(-1, len(a))   # (K 2^n) x D
+            has = hits.any(axis=0)
+            which = np.flatnonzero(has)
+            row = hits.argmax(axis=0)[which]
+            subset, corner = np.divmod(row, corners)
+            u = _numerators(frames, a, which, subset, corner) // frames.dets[subset, None]
+            witnesses.append(dict(zip(which.tolist(), zip(map(tuple, u.tolist()),
+                                                          masks.reshape(-1, len(a))[row, which].tolist()))))
+            undecided |= carried.any(axis=(0, 1)) & ~has
+        forbidden, section = witnesses
+        for d in np.flatnonzero(~undecided).tolist():
+            found[start + d] = _Witnesses(forbidden.get(d), section.get(d))
+    return found
 
 
 _NO_POINTS: Mapping[int, tuple[int, ...]] = MappingProxyType({})
@@ -498,19 +592,49 @@ def is_acyclic(ctx: PicContext, divisor: Sequence[int], escalate: bool = False) 
     return not _has_character(ctx, divisor, escalate, False, "acyclicity verdict")
 
 
+def _unrefusable_reach(frames: _VertexFrames) -> int:
+    """The largest max |a_rho| of a divisor none of whose boxes _runs could refuse.
+
+    Every candidate has |u_i| <= |det A_S| |u_i| <= n (max |a_rho| + 1)
+    largest = R, so every floor and ceiling of u lies in [-R, R]: the box
+    reaches at most R and holds at most (2R + 1)^n characters.  The result
+    is the largest max |a_rho| whose R is within _RADIUS_LIMIT and whose
+    (2R + 1)^n is within _CHARACTER_LIMIT (-1 when none is).
+    """
+    n = frames.subsets.shape[1]
+    reach = _RADIUS_LIMIT
+    while (2 * reach + 1) ** n > _CHARACTER_LIMIT:
+        reach -= 1
+    return reach // (n * frames.largest) - 1
+
+
 def vanishing_verdicts(ctx: PicContext, divisors: Sequence[Sequence[int]]) -> list[tuple[bool, bool]]:
     """(is_acyclic, has_nonzero_global_sections) of each divisor, escalating, in input order.
 
-    The boxes come from one vectorised pass and are enumerated together by
-    one _characters call; both verdicts of each divisor are read from its
-    list, and the lists are not kept.
+    A divisor whose box no limit could refuse (_unrefusable_reach) takes both
+    verdicts from its vertex candidates (_verdict_witnesses): no box is
+    built and no character is enumerated.  The others, and any whose
+    verdict rests on non-integral vertices alone, have their boxes
+    computed in one vectorised pass and enumerated together by one
+    _characters call, which refuses a box past a limit exactly as a single
+    query does; both verdicts are read from each list, and nothing is
+    kept.
     """
     fan = ctx.fan
+    frames = _vertex_frames(fan)
     divisors = [tuple(map(int, divisor)) for divisor in divisors]
-    verdicts = []
-    for points in _characters(fan, list(zip(divisors, _contributing_boxes(fan, divisors)))):
-        sections = [_is_section(fan, mask) for mask in points]
-        verdicts.append((all(sections), any(sections)))
+    limit = _unrefusable_reach(frames)
+    quick = [j for j, divisor in enumerate(divisors) if max(map(abs, divisor)) <= limit]
+    verdicts: list[Optional[tuple[bool, bool]]] = [None] * len(divisors)
+    for j, witnesses in zip(quick, _verdict_witnesses(fan, [divisors[j] for j in quick])):
+        if witnesses is not None:
+            verdicts[j] = (witnesses.forbidden is None, witnesses.section is not None)
+    rest = [j for j, verdict in enumerate(verdicts) if verdict is None]
+    if rest:
+        boxed = [divisors[j] for j in rest]
+        for j, points in zip(rest, _characters(fan, list(zip(boxed, _contributing_boxes(fan, boxed))))):
+            sections = [_is_section(fan, mask) for mask in points]
+            verdicts[j] = (all(sections), any(sections))
     return verdicts
 
 

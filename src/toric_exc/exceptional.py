@@ -10,8 +10,11 @@ Each member's divisor is computed once, and the divisor of a difference
 L_b - L_a is the difference of the two members' divisors: the
 representative map is linear, so it is the divisor of the difference
 class.  Both verdicts of every distinct difference come from one
-cohomology.vanishing_verdicts call, which takes all the certified boxes
-from one vertex pass and enumerates their characters together.
+cohomology.vanishing_verdicts call, which reads them from one vertex pass:
+a character at a vertex witnesses each forbidden pattern or section, and
+a pattern at no vertex has no character.  Only a difference whose box
+could pass a limit, or whose verdict rests on non-integral vertices
+alone, has its certified box enumerated.
 
 Fullness rests on the generation theorem for Frobenius pushforward
 summands: the distinct summand classes of (pi_p)_* O, the Bondal-Thomsen
@@ -115,8 +118,9 @@ def verify_strongly_exceptional(ctx: PicContext, collection: OrderedCollection) 
     Each distinct difference class is formed once, with its divisor (the
     difference of the members' divisors, each computed once), and asked
     once: one vanishing_verdicts call reads both verdicts of every class
-    from its certified box, the boxes of all of them coming from one pass.
-    A box past the radius limit raises BoxTooLarge.
+    from one vertex pass, enumerating a certified box only where the
+    vertices cannot decide or a limit could refuse it.  A box past the
+    radius limit raises BoxTooLarge.
     """
     if any(len(cls) != ctx.rank for cls in collection.classes):
         raise ValueError("collection class vectors do not match the Picard rank")

@@ -13,10 +13,10 @@ import pytest
 
 from toric_exc import cohomology, fan as fan_module
 from toric_exc.cli import main as cli_main
-from toric_exc.cohomology import (_RADIUS_LIMIT, _base_gaps, _contributing, _contributing_boxes,
+from toric_exc.cohomology import (_RADIUS_LIMIT, _base_gaps, _characters, _contributing, _contributing_boxes,
                                   _corner_offsets, _divisor_array, _pattern_ranks, _patterns,
-                                  _point_list, _radius_for_class, _runs, _vertex_frames, cohomology_table,
-                                  forbidden_sets, has_nonzero_global_sections, is_acyclic,
+                                  _point_list, _radius_for_class, _runs, _verdict_witnesses, _vertex_frames,
+                                  cohomology_table, forbidden_sets, has_nonzero_global_sections, is_acyclic,
                                   reduced_homology_ranks, vanishing_verdicts)
 from toric_exc.errors import BoxTooLarge, BoxUnstable, TooManyRays, ToricExcError, UnboundedRegion
 from toric_exc.lattice import _INT64_SAFE
@@ -680,6 +680,8 @@ class TestBatchedBoxes:
         assert max(abs(x) for d in huge for x in d) >= _INT64_SAFE
 
     def test_a_batch_is_enumerated_in_runs_under_the_character_limit(self, records, contexts, monkeypatch):
+        # on the forced fallback every divisor with a contributing candidate is enumerated from its box
+        monkeypatch.setattr(cohomology, "_integral_candidates", no_integral_candidates)
         ctx = contexts["D1"]
         divisors = collection_differences(ctx, records["D1"])
         pairs = list(zip(divisors, _contributing_boxes(ctx.fan, divisors)))
@@ -703,6 +705,117 @@ class TestBatchedBoxes:
         with pytest.raises(BoxTooLarge, match=f"holds {max(counts)} characters"):
             vanishing_verdicts(ctx, divisors)
         assert built == []
+
+    def test_small_and_huge_divisors_on_seeded_blowups(self, records):
+        # spread 4 mostly passes the refusal bound R, spread 40 always: the collection check answers
+        # as the single queries do, or refuses the same first box
+        rng = random.Random(41)
+        for fan in seeded_blowups(records, (9, 10, 11, 12, 13), seed=5):
+            ctx = build_pic_context(fan)
+            for spread in (4, 40):
+                divisors = [tuple(rng.randint(-spread, spread) for _ in range(fan.n_rays)) for _ in range(8)]
+                assert collection_verdicts(ctx, divisors) == single_verdicts(ctx, divisors), (fan.rays, spread)
+
+    def test_batches_just_inside_and_just_past_the_refusal_bound(self, records, monkeypatch):
+        # R = n (max |a| + 1) largest: a batch with R <= 40 builds no box, one just past builds them all
+        fans = [records["D1"].fan, next(f for f in seeded_blowups(records, (9, 10, 11, 12, 13), seed=5)
+                                        if _vertex_frames(f).largest == 3)]
+        boxed = []
+        real = cohomology._contributing_boxes
+        monkeypatch.setattr(cohomology, "_contributing_boxes", lambda fan, ds: boxed.extend(ds) or real(fan, ds))
+        rng = random.Random(42)
+        for fan in fans:
+            ctx, n, largest = build_pic_context(fan), fan.dim, _vertex_frames(fan).largest
+            inside = _RADIUS_LIMIT // (n * largest) - 1
+            assert n * (inside + 1) * largest <= _RADIUS_LIMIT < n * (inside + 2) * largest
+            for spread, built in ((inside, False), (inside + 1, True)):
+                divisors = [tuple(rng.randint(-spread, spread) for _ in range(fan.n_rays - 1)) + (spread,)
+                            for _ in range(10)]
+                boxed.clear()
+                verdicts = collection_verdicts(ctx, divisors)
+                assert boxed == (divisors if built else [])
+                assert verdicts == single_verdicts(ctx, divisors), (fan.rays, spread)
+
+
+def no_integral_candidates(frames, a):
+    """Stands in for _integral_candidates: no vertex counts as a character, so every carried verdict falls back."""
+    return np.zeros((len(frames.subsets), frames.corner_gaps.shape[1], len(a)), dtype=bool)
+
+
+def enumerated_verdicts(fan, divisors):
+    """Both verdicts of each divisor read from the characters of its whole box, enumerated."""
+    full = (1 << fan.n_rays) - 1
+    return [(all(mask == full for mask in points), full in points)
+            for points in _characters(fan, list(zip(divisors, _contributing_boxes(fan, divisors))))]
+
+
+def plain_mask(fan, divisor, u):
+    """The sign pattern of a + P u, in Python ints: bit i when a_i + <u, v_i> >= 0."""
+    return sum(1 << i for i, (ray, a) in enumerate(zip(fan.rays, divisor))
+               if a + sum(x * v for x, v in zip(u, ray)) >= 0)
+
+
+class TestVerdictWitnesses:
+    def test_every_witness_is_a_character_with_its_pattern(self, records, contexts):
+        # the theorem's differences, then seeded blow-ups whose fans have 6-130 ray 3-subsets with
+        # |det| from 2 to 11, so that many vertex candidates are not integral
+        rng = random.Random(24)
+        cases = [(contexts[name].fan, collection_differences(contexts[name], records[name]))
+                 for name in ("D1", "D2", "E1", "E2", "E4")]
+        for fan in seeded_blowups(records, (9, 10, 11, 12, 13) * 2, seed=5):
+            assert len(_vertex_frames(fan).wide) >= 6
+            cases.append((fan, [tuple(rng.randint(-3, 3) for _ in range(fan.n_rays)) for _ in range(12)]))
+        checked = Counter()
+        for k, (fan, divisors) in enumerate(cases):
+            full = (1 << fan.n_rays) - 1
+            found = _verdict_witnesses(fan, divisors)
+            if k < 5:
+                assert None not in found   # the theorem needs no box
+            for divisor, witnesses, verdicts in zip(divisors, found, enumerated_verdicts(fan, divisors)):
+                if witnesses is None:
+                    continue
+                assert (witnesses.forbidden is None, witnesses.section is not None) == verdicts, divisor
+                if witnesses.forbidden is not None:
+                    u, mask = witnesses.forbidden
+                    assert all(type(x) is int for x in u) and plain_mask(fan, divisor, u) == mask
+                    assert mask != full and contributes(fan, mask) and any(alexander_ranks(fan, mask))
+                    checked["forbidden"] += 1
+                if witnesses.section is not None:
+                    u, mask = witnesses.section
+                    assert all(type(x) is int for x in u) and plain_mask(fan, divisor, u) == mask == full
+                    checked["section"] += 1
+                checked["decided"] += 1
+        assert checked["forbidden"] >= 100 and checked["section"] >= 100 and checked["decided"] >= 300, checked
+
+    def test_the_forced_fallback_equals_the_enumeration(self, records, contexts, monkeypatch):
+        rng = random.Random(25)
+        cases = [(contexts[name], collection_differences(contexts[name], records[name]))
+                 for name in ("D1", "D2", "E1", "E2", "E4")]
+        for ctx in [contexts[name] for name in sorted(records)] + [build_pic_context(fan) for fan in
+                                                                   seeded_blowups(records, (9, 11, 13), seed=5)]:
+            cases.append((ctx, [tuple(rng.randint(-3, 3) for _ in range(ctx.fan.n_rays)) for _ in range(8)]))
+        want = [enumerated_verdicts(ctx.fan, divisors) for ctx, divisors in cases]
+        assert [vanishing_verdicts(ctx, divisors) for ctx, divisors in cases] == want
+        boxed = []
+        real = cohomology._contributing_boxes
+        monkeypatch.setattr(cohomology, "_contributing_boxes", lambda fan, ds: boxed.extend(ds) or real(fan, ds))
+        monkeypatch.setattr(cohomology, "_integral_candidates", no_integral_candidates)
+        assert [vanishing_verdicts(ctx, divisors) for ctx, divisors in cases] == want
+        # every divisor with a contributing candidate fell back to its box
+        assert set(boxed) == {d for ctx, divisors in cases for d, box in
+                              zip(divisors, real(ctx.fan, divisors)) if box is not None}
+
+    def test_the_theorem_builds_no_box_and_enumerates_no_character(self, monkeypatch, capsys):
+        calls = Counter()
+        for name in ("_characters", "_contributing_boxes", "_verdict_witnesses"):
+            real = getattr(cohomology, name)
+            monkeypatch.setattr(cohomology, name,
+                                lambda *args, _real=real, _name=name: calls.update([_name]) or _real(*args))
+        for memo in (_patterns, _vertex_frames, _point_list):
+            memo.cache_clear()
+        assert cli_main(["--format", "json", "prove-main-theorem"]) == 0
+        capsys.readouterr()
+        assert calls == Counter({"_verdict_witnesses": 5})   # one collection check per variety
 
 
 def collection_differences(ctx, record):
