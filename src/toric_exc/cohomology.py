@@ -55,13 +55,13 @@ all (Borisov-Hua, Adv. Math. 2009):
   divisor) and one broadcast comparison with the corner gaps to read
   every sign mask.  Only the contributing candidates get their numerators
   |det A_S| u, whose floors and ceilings fix each divisor's box.
-- The boxes are enumerated together into one list per divisor of
-  contributing patterns with the sup norms ||u|| of their characters: one
-  array of the characters of all the boxes (in runs of at most
-  _CHARACTER_LIMIT), one product with the rays and one mask computation.
-  A box reaching past _RADIUS_LIMIT, or holding more than
+- A box reaching past _RADIUS_LIMIT, or holding more than
   _CHARACTER_LIMIT characters, raises BoxTooLarge before anything is
-  enumerated.  A single query enumerates its one box and caches the list.
+  enumerated.  A box is enumerated on its own into one list of
+  contributing patterns with the sup norms ||u|| of their characters: one
+  array of its characters, one product with the rays and one mask
+  computation, so at most _CHARACTER_LIMIT characters are held at once.
+  A single query caches its divisor's list.
 - A collection check (vanishing_verdicts) needs no box for most
   divisors.  A vertex candidate with integral u (always, when
   |det A_S| = 1) is itself a character whose pattern is its mask, and a
@@ -73,8 +73,8 @@ all (Borisov-Hua, Adv. Math. 2009):
   _RADIUS_LIMIT and (2R + 1)^n within _CHARACTER_LIMIT has no box that
   could be refused, and takes its verdicts from the vertex pass alone.
   The other divisors, and those whose verdict rests on non-integral
-  vertices alone, have their boxes enumerated together and are refused
-  exactly as a single query is.  Nothing is kept.
+  vertices alone, have every box checked, and refused exactly as a single
+  query is, before any is enumerated.  Nothing is kept.
 
 Every single query reads its answer from that whole list, and every
 collection verdict from a witness or a whole list, so every answer is
@@ -92,7 +92,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, islice, product
+from itertools import chain, combinations, product
 from math import comb, prod
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -103,7 +103,7 @@ from .errors import BoxTooLarge, BoxUnstable, TooManyRays, UnboundedRegion
 from .fan import (_FAN_CACHE_SIZE, Fan, _completeness_problems, _mask_of, face_masks, is_complete,
                   ray_minors)
 from .lattice import _INT64_SAFE, _eliminate
-from .picard import ClassVector, PicContext, to_class
+from .picard import ClassVector, PicContext, _check_length, to_class
 
 _MAX_SWEEP_RAYS = 20
 _RADIUS_LIMIT = 40  # the largest start radius, and the farthest a certified box may reach
@@ -362,37 +362,28 @@ def _numerators(frames: _VertexFrames, a: np.ndarray, which: np.ndarray, subset:
     return -(offsets[..., None, :] @ frames.cofactors[subset])[..., 0, :]
 
 
-def _contributing_boxes(fan: Fan, divisors: Sequence[tuple[int, ...]]) -> list[Optional[_Box]]:
-    """Each divisor's box of contributing characters, or None when none contributes, in one vectorised pass.
+def _contributing_box(fan: Fan, divisor: tuple[int, ...]) -> Optional[_Box]:
+    """The divisor's box of contributing characters, or None when none contributes.
 
     The rays span, so every nonempty region has a vertex, and the fan is
     complete, so every contributing region is bounded: the floors and
-    ceilings of a divisor's contributing candidates (_vertex_masks) span a
-    box around them all.  The distinct masks are classified once; one
-    comparison per contributing mask (nearly always just the full one)
-    picks the chosen rows, and only those get their numerators |det| u,
-    floored and reduced per divisor.  The boxes come back in the order of
-    the divisors, and nothing is kept.
+    ceilings of the contributing candidates (_vertex_masks, one chunk) span
+    a box around them all.  The distinct masks are classified once, and
+    only the candidates with a contributing mask (nearly always just the
+    full one) get their numerators |det| u.  Nothing is kept.
     """
     frames = _vertex_frames(fan)
-    n, corners = fan.dim, 2 ** fan.dim
-    boxes: list[Optional[_Box]] = [None] * len(divisors)
-    for start, a, masks in _vertex_masks(frames, divisors):
-        chosen = np.zeros(masks.shape, dtype=bool)
-        for mask in _contributing(fan, set(masks.ravel().tolist()) - {-1}):   # mostly one: the full pattern
-            chosen |= masks == mask
-        which, row = np.divmod(np.flatnonzero(chosen.transpose(2, 0, 1)), len(frames.subsets) * corners)
-        if not len(which):
-            continue
-        subset, corner = np.divmod(row, corners)
-        num = _numerators(frames, a, which, subset, corner)
-        starts = np.flatnonzero(np.concatenate(([True], which[1:] != which[:-1])))   # each divisor's first row
-        # floor(num / |det|) and floor(-num / |det|) = -ceil(num / |det|), each reduced to its least per divisor
-        ends = np.minimum.reduceat(np.concatenate((num, -num), axis=1) // frames.dets[subset, None], starts)
-        for d, end in zip(which[starts].tolist(), ends.tolist()):
-            lo, hi = end[:n], [-x for x in end[n:]]
-            boxes[start + d] = _Box(tuple(lo), tuple(hi), max(map(abs, lo + hi)))
-    return boxes
+    _, a, masks = next(_vertex_masks(frames, (divisor,)))
+    chosen = np.zeros(masks.shape, dtype=bool)
+    for mask in _contributing(fan, set(masks.ravel().tolist()) - {-1}):   # mostly one: the full pattern
+        chosen |= masks == mask
+    subset, corner, which = np.nonzero(chosen)
+    if not len(subset):
+        return None
+    num = _numerators(frames, a, which, subset, corner)
+    dets = frames.dets[subset, None]
+    lo, hi = (num // dets).min(axis=0).tolist(), (-(-num // dets)).max(axis=0).tolist()
+    return _Box(tuple(lo), tuple(hi), max(map(abs, lo + hi)))
 
 
 def _integral_candidates(frames: _VertexFrames, a: np.ndarray) -> np.ndarray:
@@ -459,28 +450,20 @@ def _verdict_witnesses(fan: Fan, divisors: Sequence[tuple[int, ...]]) -> list[Op
     return found
 
 
-_NO_POINTS: Mapping[int, tuple[int, ...]] = MappingProxyType({})
-
-
 @lru_cache(maxsize=_POINT_CACHE_SIZE)
 def _point_list(fan: Fan, divisor: tuple[int, ...]) -> Mapping[int, tuple[int, ...]]:
-    """_characters of one divisor, its box from a one-divisor pass; the single queries share it."""
-    return _characters(fan, [(divisor, _contributing_boxes(fan, (divisor,))[0])])[0]
+    """_characters of one divisor in its checked box; the single queries share it."""
+    return _characters(fan, divisor, _checked(_contributing_box(fan, divisor)))
 
 
-def _runs(pairs: Sequence[tuple[tuple[int, ...], Optional[_Box]]]) -> list[list[int]]:
-    """The indices of the pairs with a box, cut into consecutive runs of at most _CHARACTER_LIMIT characters.
+def _checked(box: Optional[_Box]) -> Optional[_Box]:
+    """The box, refused with BoxTooLarge before anything is enumerated when it passes a limit.
 
-    Every box is checked first: one reaching past _RADIUS_LIMIT, or holding
-    more than _CHARACTER_LIMIT characters (about 130 bytes each while
-    enumerated), raises BoxTooLarge before anything is enumerated; the
-    radius alone bounds the count only in dimension 3.
+    A box reaching past _RADIUS_LIMIT, or holding more than
+    _CHARACTER_LIMIT characters (about 130 bytes each while enumerated), is
+    refused; the radius alone bounds the count only in dimension 3.
     """
-    runs: list[list[int]] = []
-    total = 0
-    for j, (_, box) in enumerate(pairs):
-        if box is None:
-            continue
+    if box is not None:
         if box.extent > _RADIUS_LIMIT:
             raise BoxTooLarge(f"the certified box of contributing characters reaches radius {box.extent}, "
                               f"past the limit {_RADIUS_LIMIT}")
@@ -488,53 +471,32 @@ def _runs(pairs: Sequence[tuple[tuple[int, ...], Optional[_Box]]]) -> list[list[
         if count > _CHARACTER_LIMIT:
             raise BoxTooLarge(f"the certified box of contributing characters holds {count} characters, "
                               f"past the limit {_CHARACTER_LIMIT}")
-        if not runs or total + count > _CHARACTER_LIMIT:
-            runs.append([])
-            total = 0
-        runs[-1].append(j)
-        total += count
-    return runs
+    return box
 
 
-def _characters(fan: Fan, pairs: Sequence[tuple[tuple[int, ...], Optional[_Box]]]
-                ) -> list[Mapping[int, tuple[int, ...]]]:
-    """Every contributing character of each (D, box) pair: per pair, contributing mask -> ascending ||u||.
+def _characters(fan: Fan, divisor: tuple[int, ...], box: Optional[_Box]) -> Mapping[int, tuple[int, ...]]:
+    """Every contributing character of D in its checked box: contributing mask -> ascending ||u||.
 
-    The boxes are checked and cut into runs by _runs, then enumerated run
-    by run: one array of the characters of the run's boxes, one product
-    with the rays, each divisor added over the rows of its box, and one
-    mask computation.  Bit i of a mask is set when the representative
-    a + pairing*u is nonnegative on ray i.  _point_list and
-    vanishing_verdicts both call it, so this is the one place where
-    characters are built.
+    One array of the box's characters, one product with the rays, the
+    divisor added by broadcasting, and one mask computation.  Bit i of a
+    mask is set when the representative a + pairing*u is nonnegative on ray
+    i.  _point_list and vanishing_verdicts both call it, so this is the one
+    place where characters are built.
     """
+    if box is None:
+        return MappingProxyType({})
     frames = _vertex_frames(fan)
-    found: list[Mapping[int, tuple[int, ...]]] = [_NO_POINTS] * len(pairs)
-    for run in _runs(pairs):
-        chars: list[tuple[int, ...]] = []
-        sizes = []
-        for j in run:
-            box, before = pairs[j][1], len(chars)
-            chars.extend(product(*(range(l, h + 1) for l, h in zip(box.lo, box.hi))))
-            sizes.append(len(chars) - before)
-        divisors = [pairs[j][0] for j in run]
-        bound = (frames.ray_max * (max(pairs[j][1].extent for j in run) * fan.dim + 1)
-                 + max(map(abs, chain.from_iterable(divisors))))   # also bounds every ray entry
-        dtype = np.int64 if bound < _INT64_SAFE else object
-        points = np.array(chars, dtype=np.int64)
-        reps = (points.astype(dtype, copy=False) @ frames.rays_t
-                + np.repeat(np.array(divisors, dtype=dtype), sizes, axis=0))
-        masks = ((reps >= 0) @ frames.weights).tolist()
-        keep = _contributing(fan, set(masks))
-        rows = zip(masks, np.abs(points).max(axis=1).tolist())
-        for j, size in zip(run, sizes):
-            by_mask: dict[int, list[int]] = {}
-            for mask, norm in islice(rows, size):
-                if mask in keep:
-                    by_mask.setdefault(mask, []).append(norm)
-            if by_mask:
-                found[j] = MappingProxyType({mask: tuple(sorted(v)) for mask, v in by_mask.items()})
-    return found
+    bound = frames.ray_max * (box.extent * fan.dim + 1) + max(map(abs, divisor))   # also bounds every ray entry
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    points = np.array(list(product(*(range(l, h + 1) for l, h in zip(box.lo, box.hi)))), dtype=np.int64)
+    reps = points.astype(dtype, copy=False) @ frames.rays_t + np.array(divisor, dtype=dtype)
+    masks = ((reps >= 0) @ frames.weights).tolist()
+    keep = _contributing(fan, set(masks))
+    by_mask: dict[int, list[int]] = {}
+    for mask, norm in zip(masks, np.abs(points).max(axis=1).tolist()):
+        if mask in keep:
+            by_mask.setdefault(mask, []).append(norm)
+    return MappingProxyType({mask: tuple(sorted(v)) for mask, v in by_mask.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +528,7 @@ def _has_character(ctx: PicContext, divisor: Sequence[int], escalate: bool, sect
     without escalate, a yes whose nearest such character lies past the
     class-derived start radius r0 raises BoxUnstable.
     """
+    _check_length(ctx.fan, divisor)
     r0 = None if escalate else _checked_radius(_radius_for_class(to_class(ctx, divisor)))
     points = _point_list(ctx.fan, tuple(map(int, divisor)))
     nearest = min((norms[0] for mask, norms in points.items() if _is_section(ctx.fan, mask) == section),
@@ -593,7 +556,7 @@ def is_acyclic(ctx: PicContext, divisor: Sequence[int], escalate: bool = False) 
 
 
 def _unrefusable_reach(frames: _VertexFrames) -> int:
-    """The largest max |a_rho| of a divisor none of whose boxes _runs could refuse.
+    """The largest max |a_rho| of a divisor whose box _checked could not refuse.
 
     Every candidate has |u_i| <= |det A_S| |u_i| <= n (max |a_rho| + 1)
     largest = R, so every floor and ceiling of u lies in [-R, R]: the box
@@ -614,15 +577,17 @@ def vanishing_verdicts(ctx: PicContext, divisors: Sequence[Sequence[int]]) -> li
     A divisor whose box no limit could refuse (_unrefusable_reach) takes both
     verdicts from its vertex candidates (_verdict_witnesses): no box is
     built and no character is enumerated.  The others, and any whose
-    verdict rests on non-integral vertices alone, have their boxes
-    computed in one vectorised pass and enumerated together by one
-    _characters call, which refuses a box past a limit exactly as a single
-    query does; both verdicts are read from each list, and nothing is
-    kept.
+    verdict rests on non-integral vertices alone, first have every box
+    built and checked, so the first box past a limit in input order is
+    refused as a single query refuses it; then each box is enumerated on
+    its own (_characters) and both verdicts are read from its list.
+    Nothing is kept.
     """
     fan = ctx.fan
     frames = _vertex_frames(fan)
     divisors = [tuple(map(int, divisor)) for divisor in divisors]
+    for divisor in divisors:
+        _check_length(fan, divisor)
     limit = _unrefusable_reach(frames)
     quick = [j for j, divisor in enumerate(divisors) if max(map(abs, divisor)) <= limit]
     verdicts: list[Optional[tuple[bool, bool]]] = [None] * len(divisors)
@@ -630,11 +595,10 @@ def vanishing_verdicts(ctx: PicContext, divisors: Sequence[Sequence[int]]) -> li
         if witnesses is not None:
             verdicts[j] = (witnesses.forbidden is None, witnesses.section is not None)
     rest = [j for j, verdict in enumerate(verdicts) if verdict is None]
-    if rest:
-        boxed = [divisors[j] for j in rest]
-        for j, points in zip(rest, _characters(fan, list(zip(boxed, _contributing_boxes(fan, boxed))))):
-            sections = [_is_section(fan, mask) for mask in points]
-            verdicts[j] = (all(sections), any(sections))
+    boxes = [_checked(_contributing_box(fan, divisors[j])) for j in rest]   # every refusal comes first
+    for j, box in zip(rest, boxes):
+        sections = [_is_section(fan, mask) for mask in _characters(fan, divisors[j], box)]
+        verdicts[j] = (all(sections), any(sections))
     return verdicts
 
 

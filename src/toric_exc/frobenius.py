@@ -47,7 +47,7 @@ import numpy as np
 from .errors import NotStabilized, RayNotCovered, TooManyResidues
 from .fan import Fan, cone_inverse, ray_minors
 from .lattice import _INT64_SAFE
-from .picard import ClassVector, PicContext, to_class
+from .picard import ClassVector, PicContext, _check_length, to_class
 
 DEFAULT_PRIMES = (31, 37)
 _SLAB = 1 << 17  # partial keys (and pairs of runs) per slab of the counting loop: they stay in cache
@@ -113,6 +113,7 @@ def decompose(
     than _RESIDUE_LIMIT residues raise TooManyResidues before anything is
     enumerated.
     """
+    _check_length(fan, divisor)
     if p < 2:
         raise ValueError("p must be at least 2")
     n = fan.dim

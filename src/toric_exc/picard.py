@@ -100,10 +100,15 @@ def build_pic_context(fan: Fan, basis_divisors: Optional[Sequence[int]] = None) 
     return PicContext(fan, class_map, rep_map)
 
 
+def _check_length(fan: Fan, divisor: Sequence[int]) -> None:
+    """Refuse a divisor coefficient vector that does not have one entry per ray."""
+    if len(divisor) != fan.n_rays:
+        raise ValueError("divisor coefficient vector has wrong length")
+
+
 def to_class(ctx: PicContext, divisor: Sequence[int]) -> ClassVector:
     """Class coordinates of a toric divisor sum(a_rho Z_rho)."""
-    if len(divisor) != ctx.fan.n_rays:
-        raise ValueError("divisor coefficient vector has wrong length")
+    _check_length(ctx.fan, divisor)
     return ctx.class_map.mul_vec(divisor)
 
 

@@ -10,20 +10,23 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toric_exc import cohomology, fan as fan_module
 from toric_exc.cli import main as cli_main
-from toric_exc.cohomology import (_RADIUS_LIMIT, _base_gaps, _characters, _contributing, _contributing_boxes,
+from toric_exc.cohomology import (_RADIUS_LIMIT, _base_gaps, _characters, _checked, _contributing, _contributing_box,
                                   _corner_offsets, _divisor_array, _pattern_ranks, _patterns,
-                                  _point_list, _radius_for_class, _runs, _verdict_witnesses, _vertex_frames,
+                                  _point_list, _radius_for_class, _verdict_witnesses, _vertex_frames,
                                   cohomology_table, forbidden_sets, has_nonzero_global_sections, is_acyclic,
                                   reduced_homology_ranks, vanishing_verdicts)
 from toric_exc.errors import BoxTooLarge, BoxUnstable, TooManyRays, ToricExcError, UnboundedRegion
 from toric_exc.lattice import _INT64_SAFE
 from toric_exc.fan import Fan, cone_inverse, cone_matrix, is_complete, is_fano, primitive_relations, validate_fan
+from toric_exc.frobenius import decompose
 from toric_exc.picard import (anticanonical_divisor, build_pic_context, canonical_divisor,
                                 class_to_divisor, to_class)
-from test_fan import projective_space, seeded_blowups
+from test_fan import projective_space, seeded_blowup, seeded_blowups
 from test_lattice import leibniz_determinant
 
 D_FORBIDDEN = {(), (3, 6), (4, 6), (3, 5), (1, 2, 5), (1, 2, 4), (1, 2, 4, 5),
@@ -162,6 +165,15 @@ class TestAcyclicity:
                 query(d1_ctx, huge)
         assert issubclass(BoxTooLarge, ToricExcError)
 
+    def test_a_divisor_of_the_wrong_length_raises_one_error_everywhere(self, d1, d1_ctx):
+        queries = [functools.partial(query, d1_ctx, escalate=escalate) for escalate in (False, True)
+                   for query in (is_acyclic, has_nonzero_global_sections, cohomology_table)]
+        queries += [lambda d: decompose(d1.fan, d1_ctx, d, 5), lambda d: vanishing_verdicts(d1_ctx, [(0,) * 6, d])]
+        for divisor in ((0, 0), (0,) * 5, (0,) * 7):
+            for query in queries:
+                with pytest.raises(ValueError, match="^divisor coefficient vector has wrong length$"):
+                    query(divisor)
+
     def test_acyclicity_needs_no_sweep_past_the_cap(self):
         # only the patterns a query meets are ranked, so the 2^m sweep's cap
         # bounds the forbidden listing and nothing else
@@ -259,7 +271,7 @@ class TestPatternHistogram:
         assert max(abs(a) for a in divisor) >= _INT64_SAFE
         fan = d1.fan
         assert sum(plain_histogram(fan, divisor, 1).values()) == 27
-        assert box_of(fan, divisor).extent > 2**50
+        assert _contributing_box(fan, divisor).extent > 2**50
         queries = [lambda: cohomology_table(d1_ctx, divisor, box_radius=1),
                    lambda: has_nonzero_global_sections(d1_ctx, divisor, escalate=True),
                    lambda: is_acyclic(d1_ctx, divisor, escalate=True)]
@@ -384,7 +396,7 @@ class TestCertifiedBox:
         fan = star_subdivided_p3(21)
         rng = random.Random(21)
         for _ in range(4):
-            box_of(fan, tuple(rng.randint(-2, 2) for _ in range(fan.n_rays)))
+            _contributing_box(fan, tuple(rng.randint(-2, 2) for _ in range(fan.n_rays)))
 
     def test_many_rays_on_one_plane_are_checked_quickly(self):
         # (1, 0, 0) pairs to zero with 14 rays: the check must not visit their 2^14 subsets
@@ -419,7 +431,7 @@ class TestPlainCrossCheck:
     def test_counts_and_box_against_python_ints(self, records, contexts):
         for ctx, divisor in cross_check_cases(records, contexts):
             fan = ctx.fan
-            box = box_of(fan, tuple(divisor))
+            box = _contributing_box(fan, tuple(divisor))
             if box is not None and box.extent > _RADIUS_LIMIT:   # the huge divisor: refused before enumerating
                 with pytest.raises(BoxTooLarge):
                     listed_counts(ctx, divisor, 1)
@@ -434,7 +446,7 @@ class TestPlainCrossCheck:
     def test_the_whole_list_sums_to_the_stabilized_dimensions(self, records, contexts):
         # the huge divisor is left out: its class starts the search past the radius limit
         for ctx, divisor in cross_check_cases(records, contexts)[:-1]:
-            box = box_of(ctx.fan, tuple(divisor))
+            box = _contributing_box(ctx.fan, tuple(divisor))
             dims = [0] * (ctx.fan.dim + 1)
             if box is not None:
                 for mask, norms in _point_list(ctx.fan, tuple(divisor)).items():
@@ -446,7 +458,7 @@ class TestPlainCrossCheck:
     def test_a_huge_divisor_enumerates_no_more_than_the_cube(self, d1_ctx, monkeypatch):
         # the box reaches past the radius limit, so not one character is built
         divisor = (2**63 - 1, 1, -1, 0, 2, -1)
-        box = box_of(d1_ctx.fan, divisor)
+        box = _contributing_box(d1_ctx.fan, divisor)
         assert box.extent > 2**50
         built = []
         monkeypatch.setattr(cohomology, "product", lambda *ranges: built.append(ranges) or iter(()))
@@ -459,7 +471,7 @@ class TestPlainCrossCheck:
         # O(38) on P^5 and P^6 stays within the radius limit, but its box holds 39^n characters
         cases = [(ctx.fan, class_to_divisor(ctx, (38,)))
                  for ctx in (build_pic_context(projective_space(n)) for n in (5, 6))]
-        assert [box_of(fan, divisor).extent for fan, divisor in cases] == [38, 38]
+        assert [_contributing_box(fan, divisor).extent for fan, divisor in cases] == [38, 38]
         built = []
         monkeypatch.setattr(cohomology, "product", lambda *ranges: built.append(ranges) or iter(()))
         for fan, divisor in cases:
@@ -471,7 +483,7 @@ class TestPlainCrossCheck:
         ctx = build_pic_context(projective_space(4))
         assert cohomology_table(ctx, class_to_divisor(ctx, (10,)), escalate=True).dims == (1001, 0, 0, 0, 0)
         divisor = class_to_divisor(ctx, (38,))
-        assert box_of(ctx.fan, divisor).extent == 38
+        assert _contributing_box(ctx.fan, divisor).extent == 38
         # O(38) holds 39^4 = 2,313,441 characters, under the limit: its whole box reaches the
         # enumeration, here stubbed to yield one character so that nothing large is built
         built = []
@@ -507,7 +519,7 @@ class TestExactness:
     def test_every_query_equals_a_plain_count(self, records):
         for ctx, divisor in exactness_cases(records):
             fan, full = ctx.fan, (1 << ctx.fan.n_rays) - 1
-            box = box_of(fan, divisor)
+            box = _contributing_box(fan, divisor)
             # a cube two steps past the box: a character the box missed would show
             found = plain_norms(fan, divisor, 2 + (box.extent if box else 0))
             assert {mask: list(norms) for mask, norms in _point_list(fan, divisor).items()} == found
@@ -624,36 +636,7 @@ class TestPatternRankCertificates:
         assert 0 < len(ranked) <= 30   # 23; 210 without the two certificates
 
 
-def box_of(fan, divisor):
-    """The certified box of one divisor: a pass of one."""
-    return _contributing_boxes(fan, [divisor])[0]
-
-
-def boxes_one_at_a_time(fan, divisors):
-    boxes = []
-    for divisor in divisors:
-        for memo in (_vertex_frames, _patterns):
-            memo.cache_clear()
-        boxes.append(box_of(fan, divisor))
-    return boxes
-
-
-def boxes_in_one_pass(fan, divisors):
-    for memo in (_vertex_frames, _patterns):
-        memo.cache_clear()
-    return _contributing_boxes(fan, divisors)
-
-
 class TestBatchedBoxes:
-    @pytest.mark.parametrize("name", ["D1", "D2", "E1", "E2", "E4"])
-    def test_a_collection_pass_equals_single_boxes(self, records, contexts, name):
-        ctx = contexts[name]
-        divisors = collection_differences(ctx, records[name])
-        assert len(divisors) > 1
-        batched = boxes_in_one_pass(ctx.fan, divisors)
-        assert batched == boxes_one_at_a_time(ctx.fan, divisors)
-        assert any(box is None for box in batched) and any(box is not None for box in batched)
-
     def test_a_collection_check_keeps_no_lists_and_equals_the_single_queries(self, records, contexts):
         ctx = contexts["D1"]
         divisors = collection_differences(ctx, records["D1"])
@@ -672,31 +655,25 @@ class TestBatchedBoxes:
                      for _ in range(6)]
         huge = [(2**63 - 1, 1, -1, 0, 2, -1), (0, 1, -(2**62), 0, 1, 0)]
         for divisors in (small + near_2_40, small + near_2_40 + huge):   # int64, then the object dtype
-            assert boxes_in_one_pass(fan, divisors) == boxes_one_at_a_time(fan, divisors)
             # the collection check answers as the single queries do: each divisor's verdicts, or the
             # refusal of the first box past the radius limit, before any character is built
             assert single_verdicts(ctx, divisors) == collection_verdicts(ctx, divisors)
         assert isinstance(single_verdicts(ctx, small), list) and isinstance(single_verdicts(ctx, near_2_40), str)
         assert max(abs(x) for d in huge for x in d) >= _INT64_SAFE
 
-    def test_a_batch_is_enumerated_in_runs_under_the_character_limit(self, records, contexts, monkeypatch):
+    def test_the_fallback_enumerates_each_box_once_or_refuses_first(self, records, contexts, monkeypatch):
         # on the forced fallback every divisor with a contributing candidate is enumerated from its box
         monkeypatch.setattr(cohomology, "_integral_candidates", no_integral_candidates)
         ctx = contexts["D1"]
         divisors = collection_differences(ctx, records["D1"])
-        pairs = list(zip(divisors, _contributing_boxes(ctx.fan, divisors)))
-        counts = [math.prod(h - l + 1 for l, h in zip(box.lo, box.hi)) if box else 0 for _, box in pairs]
-        want = vanishing_verdicts(ctx, divisors)
-        assert _runs(pairs) == [[j for j, count in enumerate(counts) if count]]   # 142 characters: one run
-        # at the largest box's count the batch splits into consecutive runs, none past the limit
-        monkeypatch.setattr(cohomology, "_CHARACTER_LIMIT", max(counts))
-        runs = _runs(pairs)
-        assert len(runs) > 1 and [j for run in runs for j in run] == [j for j, count in enumerate(counts) if count]
-        assert all(sum(counts[j] for j in run) <= max(counts) for run in runs)
-        assert all(sum(counts[j] for j in run + [nxt[0]]) > max(counts) for run, nxt in zip(runs, runs[1:]))
+        counts = [math.prod(h - l + 1 for l, h in zip(box.lo, box.hi)) if box else 0
+                  for box in (_contributing_box(ctx.fan, d) for d in divisors)]
+        want = single_verdicts(ctx, divisors)
         built = []
         real = cohomology.product
         monkeypatch.setattr(cohomology, "product", lambda *ranges: built.append(ranges) or real(*ranges))
+        # a limit of exactly the largest box's count refuses none
+        monkeypatch.setattr(cohomology, "_CHARACTER_LIMIT", max(counts))
         assert vanishing_verdicts(ctx, divisors) == want
         assert len(built) == len([count for count in counts if count])   # each box enumerated once
         # one count lower, the largest box is refused before any box is enumerated
@@ -721,8 +698,8 @@ class TestBatchedBoxes:
         fans = [records["D1"].fan, next(f for f in seeded_blowups(records, (9, 10, 11, 12, 13), seed=5)
                                         if _vertex_frames(f).largest == 3)]
         boxed = []
-        real = cohomology._contributing_boxes
-        monkeypatch.setattr(cohomology, "_contributing_boxes", lambda fan, ds: boxed.extend(ds) or real(fan, ds))
+        real = cohomology._contributing_box
+        monkeypatch.setattr(cohomology, "_contributing_box", lambda fan, d: boxed.append(d) or real(fan, d))
         rng = random.Random(42)
         for fan in fans:
             ctx, n, largest = build_pic_context(fan), fan.dim, _vertex_frames(fan).largest
@@ -746,7 +723,7 @@ def enumerated_verdicts(fan, divisors):
     """Both verdicts of each divisor read from the characters of its whole box, enumerated."""
     full = (1 << fan.n_rays) - 1
     return [(all(mask == full for mask in points), full in points)
-            for points in _characters(fan, list(zip(divisors, _contributing_boxes(fan, divisors))))]
+            for points in (_characters(fan, d, _checked(_contributing_box(fan, d))) for d in divisors)]
 
 
 def plain_mask(fan, divisor, u):
@@ -797,17 +774,16 @@ class TestVerdictWitnesses:
         want = [enumerated_verdicts(ctx.fan, divisors) for ctx, divisors in cases]
         assert [vanishing_verdicts(ctx, divisors) for ctx, divisors in cases] == want
         boxed = []
-        real = cohomology._contributing_boxes
-        monkeypatch.setattr(cohomology, "_contributing_boxes", lambda fan, ds: boxed.extend(ds) or real(fan, ds))
+        real = cohomology._contributing_box
+        monkeypatch.setattr(cohomology, "_contributing_box", lambda fan, d: boxed.append(d) or real(fan, d))
         monkeypatch.setattr(cohomology, "_integral_candidates", no_integral_candidates)
         assert [vanishing_verdicts(ctx, divisors) for ctx, divisors in cases] == want
         # every divisor with a contributing candidate fell back to its box
-        assert set(boxed) == {d for ctx, divisors in cases for d, box in
-                              zip(divisors, real(ctx.fan, divisors)) if box is not None}
+        assert set(boxed) == {d for ctx, divisors in cases for d in divisors if real(ctx.fan, d) is not None}
 
     def test_the_theorem_builds_no_box_and_enumerates_no_character(self, monkeypatch, capsys):
         calls = Counter()
-        for name in ("_characters", "_contributing_boxes", "_verdict_witnesses"):
+        for name in ("_characters", "_contributing_box", "_verdict_witnesses"):
             real = getattr(cohomology, name)
             monkeypatch.setattr(cohomology, name,
                                 lambda *args, _real=real, _name=name: calls.update([_name]) or _real(*args))
@@ -840,6 +816,29 @@ def collection_verdicts(ctx, divisors):
         return vanishing_verdicts(ctx, divisors)
     except BoxTooLarge as exc:
         return str(exc)
+
+
+class TestGeneratedFans:
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_collection_checks_and_serre_duality_on_seeded_blowups(self, records, data):
+        base = data.draw(st.sampled_from(sorted(records)), label="base")
+        fan = seeded_blowup(records[base].fan, data.draw(st.integers(9, 13), label="rays"),
+                            data.draw(st.integers(0, 10 ** 6), label="seed"))
+        ctx = build_pic_context(fan)
+
+        def divisors(spread):
+            entries = st.tuples(*[st.integers(-spread, spread)] * fan.n_rays)
+            return data.draw(st.lists(entries, min_size=1, max_size=4), label=f"spread {spread}")
+
+        small = divisors(3)
+        for batch in (small, divisors(40)):
+            assert collection_verdicts(ctx, batch) == single_verdicts(ctx, batch)
+        K = canonical_divisor(fan)
+        for D in small:
+            h = cohomology_table(ctx, D, escalate=True).dims
+            hk = cohomology_table(ctx, tuple(k - d for k, d in zip(K, D)), escalate=True).dims
+            assert h == tuple(reversed(hk)), D
 
 
 def plain_gap_rows(fan, subset, eps, divisor):
