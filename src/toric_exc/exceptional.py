@@ -157,6 +157,9 @@ def koszul_reduction_certificate(
     """
     fan = ctx.fan
     pcoll = tuple(sorted(int(i) for i in pcollection))
+    outside = [i for i in pcoll if not 0 <= i < fan.n_rays]
+    if outside:
+        raise ValueError(f"ray index {outside[0]} is outside [0, {fan.n_rays})")
     if len(set(pcoll)) != len(pcoll):
         raise ValueError(f"repeated ray indices in {pcoll}")
     if is_face(fan, pcoll):

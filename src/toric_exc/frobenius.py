@@ -16,15 +16,15 @@ of ray j in sigma_k, and the row of C_lk it divides is v_j B_l whatever k
 is: each ray needs one row of one divide step, read from the base cone
 alone.  The summand multiset does not depend on the base cone, so
 decompose takes the first maximal cone.  It counts the summands that
-way, one mixed-radix digit per ray.  Two residue axes are joined when a
-row touches both, and the smallest separator H of that graph leaves
-groups of axes that no row joins (_split_axes); the key histogram is
-then the outer sum of the groups' histograms per value of H, walked in
-slabs of about _SLAB keys so that its memory does not grow with p^n.  A
-fan whose axes no separator splits walks the whole box in slabs of axis
-0.  The digits of every distinct key are decoded into classes in one
-product with the class map.  decompose refuses more than _RESIDUE_LIMIT
-residues with TooManyResidues before enumerating any.
+way, one mixed-radix digit per ray, line by line: a line fixes the first
+n - 1 residue coordinates, and along the last one each ray's floor is a
+step function whose steps have closed forms.  So a line is a few
+segments of one key each, weighted by their lengths, and a line with
+more steps than residues takes every residue instead.  The lines are
+walked in slabs of about _SLAB floors, so that the memory does not grow
+with p^n.  The digits of every distinct key are decoded into classes in
+one product with the class map.  decompose refuses more than
+_RESIDUE_LIMIT residues with TooManyResidues before enumerating any.
 For p large enough the set of distinct summand classes stops depending on
 p; stable_summands demands agreement across at least two primes, by
 default DEFAULT_PRIMES.  That agreement is no proof: bondal_summands
@@ -50,7 +50,7 @@ from .lattice import _INT64_SAFE
 from .picard import ClassVector, PicContext, _check_length, to_class
 
 DEFAULT_PRIMES = (31, 37)
-_SLAB = 1 << 17  # partial keys (and pairs of runs) per slab of the counting loop: they stay in cache
+_SLAB = 1 << 15  # segments per slab of the counting loop: a slab's arrays stay small next to the residues
 _RESIDUE_LIMIT = 1 << 32  # the most residues decompose enumerates
 _GRID_LIMIT = 1 << 16  # the most points (and ray n-subsets) bondal_summands takes: L <= 10 in dimension 3
 
@@ -89,23 +89,28 @@ def decompose(
     c_j is nonzero, and ray j owns digit j of one mixed-radix key per
     residue vector.
 
-    The key histogram is counted group by group.  _split_axes reads from
-    the rows' supports a separator H and groups of residue axes: once the
-    axes of H are fixed, no ray sees the axes of two groups.  The p^|H|
-    values of H are walked in slabs of at least one value.  Per value, each
-    group lists the runs of equal partial keys along its last axis (its
-    rays off H summed once, its rays on H once per slab, and the rays on H
-    alone added to the first group), and the slab's histogram is the outer
-    sum of the groups' runs, which own disjoint digits: p^|H| sum_g p^|g|
-    floors instead of p^n.  When no separator splits the axes, H = (0,)
-    and one group holds axes 1..n-1: the walk of the whole box in slabs of
-    axis 0.  A group's runs per value are bounded in advance, so a slab
-    holds about _SLAB partial keys and pairs of runs, and the peak memory
-    is O(max(_SLAB, p^(n-1))) plus the counts of the key space.  The
-    arithmetic is int32 when every floor argument and key is below 2^31,
-    int64 up to _INT64_SAFE and Python integers past it.  The histogram is
-    summed by bincount when the key space is no larger than the p^n
-    residues, else by np.unique.
+    The key histogram is counted line by line.  A line fixes v_0 ...
+    v_(n-2) and lets x = v_(n-1) run over [0, p).  With t_j = <c_j, v> +
+    r_j - lo_j p on the fixed axes, F_j = floor(t_j / p), m_j = t_j - F_j
+    p and s_j = c_j[n-1], ray j's digit is F_j + floor((m_j + s_j x) / p),
+    which steps at |s_j| points in closed form: x = ceil((k p - t_j) /
+    s_j), k = F_j + 1 ... F_j + s_j, when s_j > 0, and x = floor((t_j - k
+    p) / |s_j|) + 1, k = F_j ... F_j + s_j + 1, when s_j < 0, clipped to
+    p.  Both depend on m_j alone, so they are tabulated once per call.
+    Rays of span 1, such as the base cone's own, have digit 0 and are left
+    out, and a ray with s_j = 0 adds one floor per line.  So the segment
+    starts of a line are 0 and the sorted steps, each segment's length is
+    the next start minus its own, and its key is evaluated at min(start,
+    p - 1), so that a zero-length segment clipped to p stays inside the
+    key space.  When 1 + sum_j |s_j| >= p, every x starts a segment and
+    nothing is sorted.  A slab holds at most _SLAB floors (segments times
+    the rays left in), at least one line, so the peak memory is O(_SLAB)
+    plus the counts of the key space.  The floors are int32 when their
+    arguments stay below 2^31, int64 below _INT64_SAFE and Python integers
+    past it; the keys take their own type from the key space in the same
+    way.  The histogram is summed by bincount, weighted by the segment
+    lengths, when the key space is no larger than the p^n residues, else
+    by np.unique.
 
     D_v is linear in the key's digits, so every distinct key is decoded in
     one product: class(D_v) = class(-(q + lo)) - digits class_map^T, int64
@@ -127,7 +132,7 @@ def decompose(
     divisor = tuple(int(a) for a in divisor)
     base = [divisor[i] for i in cones[0]]
 
-    rows, supports, masks = [], [], []   # (c_j, q_j, r_j, lo_j, span_j); c_j's axes; as a bitmask
+    rows = []   # (c_j, q_j, r_j, lo_j, span_j)
     for ray, a in zip(fan.rays, divisor):
         c = [sum(map(mul, column, ray)) for column in columns]   # v_j B_l: v_j on the base cone's ray basis
         below = sum(x for x in c if x < 0)
@@ -135,108 +140,68 @@ def decompose(
         lo = ((p - 1) * below + r) // p
         hi = ((p - 1) * (sum(c) - below) + r) // p
         rows.append((c, q, r, lo, hi - lo + 1))
-        supports.append(tuple(i for i, x in enumerate(c) if x))
-        masks.append(sum(1 << i for i in supports[-1]))
 
+    # ray 0 is the lowest digit; the rays of span 1 are left out, and the
+    # rays with a slope s_j come first
     spans = [span for *_, span in rows]
-    bound = max(map(abs, chain.from_iterable(c for c, *_ in rows))) * p * n + p
+    weights = [math.prod(spans[:j]) for j in range(len(spans))]
     key_space = math.prod(spans)
-    widest = max(bound, key_space)
-    dtype = object if widest >= _INT64_SAFE else np.int32 if widest < 2 ** 31 else np.int64
+    used = sorted(((c[:-1], c[-1], r - lo * p, weight) for (c, _, r, lo, span), weight in zip(rows, weights)
+                   if span > 1), key=lambda ray: ray[1] == 0)
+    top = max(map(abs, chain.from_iterable(c for c, *_ in rows)))
 
-    # ray 0 is the lowest digit; the rays with the same support share one
-    # array, shaped p on those axes and 1 on the others.  Every floor lies
-    # in (-span_j, span_j), so a partial key stays inside +-key_space, and
-    # the digits' offsets lo_j are subtracted once, from the first group.
-    weights = [1]
-    for span in spans[:-1]:
-        weights.append(weights[-1] * span)
-    H, groups = _split_axes(masks, n)
-    on_h = sum(1 << a for a in H)
+    def dtype_for(bound):
+        return object if bound >= _INT64_SAFE else np.int32 if bound < 2 ** 31 else np.int64
 
-    def key_sum(rays, axes, extra=0):
-        # the rays' weighted floors, summed from the largest share down, and then extra
-        shares: dict[int, np.ndarray] = {}
-        for j in rays:
-            c, _, r, _, _ = rows[j]
-            t = sum((axes[a] if c[a] == 1 else c[a] * axes[a] for a in supports[j]), r)
-            t //= p
-            if weights[j] != 1:
-                t *= weights[j]
-            if masks[j] in shares:
-                shares[masks[j]] += t
-            else:
-                shares[masks[j]] = t
-        total, *rest = sorted(shares.values(), key=np.size, reverse=True) + [extra]
-        for part in rest:
-            if np.broadcast(total, part).shape == total.shape:
-                total += part
-            else:
-                total = total + part
-        return total
-
-    def runs(key):
-        # (value of H, key, length) of each run of equal keys in a row
-        change = np.ones(key.shape, dtype=bool)
-        np.not_equal(key[:, 1:], key[:, :-1], out=change[:, 1:])
-        starts = np.flatnonzero(change)
-        return starts // key.shape[1], key.ravel()[starts], np.concatenate((starts[1:], [key.size])) - starts
-
-    dense = dtype is not object and key_space <= p ** n   # count by bincount, else np.unique
+    floor_dtype, key_dtype = dtype_for(3 * n * p * (top + 1)), dtype_for(key_space)
+    dense = key_dtype is not object and key_space <= p ** n   # count by bincount, else np.unique
 
     def histogram(keys, counts):
         if dense:
             counts = np.bincount(keys, counts, key_space)
-            keys = np.flatnonzero(counts)
-            counts = counts[keys]
         else:
             keys, index = np.unique(keys, return_inverse=True)
             counts = np.bincount(index, counts)
-        return dict(zip(keys.tolist(), counts.astype(np.int64).tolist()))
+        kept = np.flatnonzero(counts)   # a segment clipped to p has length 0
+        return dict(zip((kept if dense else keys[kept]).tolist(), counts[kept].astype(np.int64).tolist()))
 
-    # each group: its axes, shaped p on one of them and 1 on the others,
-    # behind the axis of the values of H; the share of its rays off H; its
-    # rays on H.  Along a line of the group's last axis its key changes at
-    # most sum_j |c_j| times over its rays, which bounds its runs per value.
-    plans, sizes, most_runs = [], [], 1
-    offset = -sum(lo * weight for (*_, lo, _), weight in zip(rows, weights))
-    for group in groups:
-        axes: list = [None] * n
-        for i, a in enumerate(group):
-            axes[a] = np.arange(p, dtype=dtype).reshape((1,) * (i + 1) + (p,) + (1,) * (len(group) - 1 - i))
-        inside = sum(1 << a for a in group)
-        mine = [j for j, mask in enumerate(masks) if mask & inside or not (plans or mask & ~on_h)]
-        plans.append((group, axes, key_sum([j for j in mine if not masks[j] & on_h], axes, offset),
-                      [j for j in mine if masks[j] & on_h]))
-        offset = 0
-        sizes.append(p ** len(group))
-        if group:
-            most_runs *= min(sizes[-1], sizes[-1] // p * (1 + sum(abs(rows[j][0][group[-1]]) for j in mine)))
-
-    def slab(flat):
-        # the histogram of the keys at the values flat of H
-        where = keys = counts = None
-        for group, axes, fixed, slab_rays in plans:
-            for t, a in enumerate(H):
-                axes[a] = (flat // p ** (len(H) - 1 - t) % p).reshape((-1,) + (1,) * len(group))
-            key = np.broadcast_to(key_sum(slab_rays, axes, fixed), (flat.size,) + (p,) * len(group))
-            at, part, length = runs(key.reshape(flat.size, -1))
-            if keys is None:
-                where, keys, counts = at, part, length
-                continue
-            # every pair of runs at one value of H
-            per_value = np.bincount(at, minlength=flat.size)
-            reps = per_value[where]
-            i = np.repeat(np.arange(where.size), reps)
-            j = np.arange(i.size) - np.repeat(np.cumsum(reps) - reps, reps) + (np.cumsum(per_value) - per_value)[where[i]]
-            where, keys, counts = where[i], keys[i] + part[j], counts[i] * length[j]
-        return histogram(keys, counts)
-
-    values = p ** len(H)
-    step = -(-_SLAB // max(sum(sizes), most_runs))   # values of H per slab, at least one
+    # every step of every sloped ray, one row each, tabulated over m in [0, p)
+    owner = [j for j, (_, s, *_) in enumerate(used) for _ in range(abs(s))]
+    every_x = 1 + len(owner) >= p
+    width = p if every_x else 1 + len(owner)   # segments per line
+    if not every_x:
+        every_m = np.arange(p)
+        table = np.array([np.minimum(-((every_m - (i + 1) * p) // s) if s > 0 else (every_m + i * p) // -s + 1, p)
+                          for _, s, *_ in used for i in range(abs(s))], dtype=floor_dtype).reshape(-1, p)
+        offsets = np.arange(len(owner))[:, None] * p   # where each row starts in the flat table
+    C = np.array([c for c, *_ in used], dtype=floor_dtype).reshape(len(used), n - 1).T
+    R = np.array([r for *_, r, _ in used], dtype=floor_dtype)[:, None]
+    S = np.array([s for _, s, *_ in used if s], dtype=floor_dtype)[:, None]
+    sloped = len(S)
+    W = np.array([weight for *_, weight in used], dtype=key_dtype)
+    lines, per_slab = p ** (n - 1), max(1, _SLAB // (width * max(1, len(used))))
     tally: Counter[int] = Counter()
-    for start in range(0, values, step):
-        tally.update(slab(np.arange(start, min(start + step, values), dtype=dtype)))
+    for first in range(0, lines, per_slab):
+        # one column per line, so that every row is long
+        rest = np.arange(first, min(first + per_slab, lines), dtype=floor_dtype)
+        t = R + np.zeros(rest.size, dtype=floor_dtype)
+        for row in C[::-1]:   # from the coordinate of axis n - 2 down
+            quotient = rest // p
+            t += row[:, None] * (rest - quotient * p)
+            rest = quotient
+        F = t // p
+        m = t - F * p
+        if every_x:
+            x, lengths = np.arange(p, dtype=floor_dtype)[:, None, None], None
+        else:
+            steps = np.sort(table.take((m[owner] + offsets).astype(np.intp, copy=False)), axis=0)
+            ends = np.full((1, rest.size), p, dtype=floor_dtype)
+            starts = np.concatenate((ends - p, steps))
+            lengths = (np.concatenate((steps, ends)) - starts).ravel().astype(np.int64, copy=False)
+            x = np.minimum(starts, p - 1)[:, None]
+        rises = (m[:sloped] + S * x) // p   # segments x sloped rays x lines
+        key = W[:sloped] @ rises.astype(key_dtype, copy=False) + W @ F.astype(key_dtype, copy=False)
+        tally.update(histogram(key.ravel(), lengths))
     assert sum(tally.values()) == p ** n
 
     # D_v = -(q + lo + digits): every key's digits in one table, one product
@@ -251,29 +216,6 @@ def decompose(
     for cls, mult in zip(map(tuple, classes.tolist()), tally.values()):
         totals[cls] += mult
     return FrobeniusDecomposition(p, to_class(ctx, divisor), tuple(sorted(totals.items())))
-
-
-def _split_axes(masks: Sequence[int], n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """A separator H of the residue axes and the groups of axes it leaves.
-
-    Bit a of a ray's mask is set when its divide row is nonzero on axis a,
-    and two axes are joined when one mask holds both.  H is the first of
-    the smallest sets of axes whose removal leaves at least two connected
-    groups (H = () when the axes already split), and the groups are listed
-    by their first axis.  When no set does, H = (0,) and axes 1..n-1 form
-    one group.
-    """
-    joins = {mask for mask in masks if mask & (mask - 1)}   # a mask on one axis joins none
-    for size in range(n - 1):
-        for H in combinations(range(n), size):
-            groups = [1 << a for a in range(n) if a not in H]
-            for mask in joins:
-                joined = [g for g in groups if g & mask]
-                if len(joined) > 1:
-                    groups = [g for g in groups if not g & mask] + [sum(joined)]
-            if len(groups) > 1:
-                return H, tuple(sorted(tuple(a for a in range(n) if g >> a & 1) for g in groups))
-    return (0,), (tuple(range(1, n)),)
 
 
 def stable_summands(

@@ -1,13 +1,18 @@
 """Command line behavior: subcommands, exit codes, stable JSON."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toric_exc.catalog import format_fan_file, get_record, load_catalog
 from toric_exc.cli import main
@@ -418,3 +423,53 @@ class TestOneVerifyPath:
             assert code == 0
             entry = {k: v for k, v in theorem[name].items() if k not in ("summands_match_expected", "pass")}
             assert json.loads(out)["results"] == entry, name
+
+
+def mutated_fan_file(data, records):
+    """A catalog fan file with one mutation drawn from data, and a zero class of its Picard rank."""
+    rec = records[data.draw(st.sampled_from(sorted(records)), label="fan")]
+    rays, cones = [list(ray) for ray in rec.fan.rays], [list(cone) for cone in rec.fan.max_cones]
+    dim, m = rec.fan.dim, len(rays)
+    kind = data.draw(st.sampled_from(["shear", "entry", "duplicate", "zero", "drop", "repeat", "index", "dim"]),
+                     label="mutation")
+    if kind == "shear":
+        N = data.draw(st.sampled_from([3, 10 ** 5, 10 ** 20]), label="N")
+        rays = [[ray[0] + N * ray[1], *ray[1:]] for ray in rays]
+    elif kind == "entry":
+        i, k = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, dim - 1))
+        rays[i][k] = data.draw(st.sampled_from([2 ** 63, -2 ** 63]))
+    elif kind in ("duplicate", "zero"):
+        i, j = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+        rays[i] = list(rays[j]) if kind == "duplicate" and i != j else [0] * dim
+    elif kind == "drop":
+        del cones[data.draw(st.integers(0, len(cones) - 1))]
+    elif kind == "repeat":
+        cones.append(cones[data.draw(st.integers(0, len(cones) - 1))])
+    elif kind == "index":
+        cone = cones[data.draw(st.integers(0, len(cones) - 1))]
+        cone[data.draw(st.integers(0, dim - 1))] = data.draw(st.sampled_from([m, m + 7, -1]))
+    else:
+        dim = data.draw(st.sampled_from([2, 4]))
+    text = "\n".join([f"dim {dim}", "rays", *(" ".join(map(str, r)) for r in rays),
+                      "cones", *(" ".join(map(str, c)) for c in cones)]) + "\n"
+    return text, " ".join(["0"] * (m - rec.fan.dim))
+
+
+class TestFanFileFuzz:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_a_mutated_fan_file_ends_in_an_exit_code(self, records, data):
+        # a shear keeps the fan valid with coordinates up to 10^20 (the
+        # divide rows and the class map do not change); the other
+        # mutations break the file or, mostly, the fan
+        text, zero = mutated_fan_file(data, records)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mutated.fan"
+            path.write_text(text)
+            for argv in (["forbidden"], ["cohomology", "--class", zero], ["thomsen", "--prime", "2", "--prime", "3"]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([argv[0], "--fan-file", str(path), *argv[1:]])
+                assert code in (0, 1, 2), (argv, text)
+                if code == 2:
+                    assert any(line.startswith("error: ") for line in err.getvalue().splitlines()), (argv, text)

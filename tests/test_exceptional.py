@@ -125,6 +125,13 @@ class TestKoszulReduction:
         with pytest.raises(ValueError):
             koszul_reduction_certificate(d1_ctx, d1_collection, (-1, 0, 1), (0, 1, 1, 3))
 
+    @pytest.mark.parametrize("rays", [(0, 1, 6), (0, 1, 99), (-1, 0, 1)])
+    def test_ray_indices_outside_the_fan_rejected(self, d1_ctx, d1_collection, rays):
+        # before any term is built: an index past the rays is no zero divisor
+        bad = next(i for i in rays if not 0 <= i < 6)
+        with pytest.raises(ValueError, match=rf"^ray index {bad} is outside \[0, 6\)$"):
+            koszul_reduction_certificate(d1_ctx, d1_collection, (-1, 0, 1), rays)
+
     def test_ragged_class_vectors_rejected(self, d1_ctx):
         ragged = OrderedCollection(((0, 0, 0), (1, 1)))
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Fan combinatorics: validation, primitive collections/relations, Fano test."""
 
 import random
+import re
 import sys
 import time
 from itertools import combinations
@@ -10,7 +11,7 @@ import pytest
 from toric_exc import lattice
 from toric_exc.catalog import format_fan_file, parse_fan_file
 from toric_exc.cohomology import _patterns, _vertex_frames
-from toric_exc.errors import InteriorCoverFailure, NotUnimodular
+from toric_exc.errors import InteriorCoverFailure, NotUnimodular, UnboundedRegion
 from toric_exc.fan import (Fan, _completeness_problems, _cone_inverses, cone_inverse, cone_matrix, face_masks,
                            is_complete, is_face, is_fano, primitive_collections, primitive_relations,
                            ridge_normals, validate_fan)
@@ -142,6 +143,20 @@ class TestValidateFan:
         assert _completeness_problems(twice) == (
             "the ray sum (1, 1) of maximal cone (0, 1) also lies in maximal cone (4, 5)",)
         assert not is_complete(twice)
+
+    def test_a_double_cover_through_a_ray_fails_the_degree_check(self):
+        # the same winding with the diagonals as rays: the point (1, 1) is
+        # then a ray of cone (3, 4), on its boundary, and only a degree test
+        # that counts the boundary sees the second cover.  validate_fan
+        # stops at the three cones of determinant 2, so the checks are
+        # called directly.
+        rays = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1), (-1, -1), (1, -1)]
+        twice = Fan.make(2, rays, [(i, (i + 1) % 8) for i in range(8)])
+        problem = "the ray sum (1, 1) of maximal cone (0, 1) also lies in maximal cone (3, 4)"
+        assert _completeness_problems(twice) == (problem,)
+        assert not is_complete(twice)
+        with pytest.raises(UnboundedRegion, match=re.escape(problem)):
+            _vertex_frames(twice)
 
     def test_malformed_cones_are_not_complete(self):
         assert not is_complete(Fan(3, P3.rays, ((0, 1), (0, 2, 3))))

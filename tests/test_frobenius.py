@@ -203,14 +203,13 @@ class TestDecompose:
         )
         expected = tuple(sorted(direct.items()))
         assert decompose(e1.fan, e1_ctx, D, p).summands == expected
-        # C3 splits into three groups, B4 into two with no separator, E1
-        # into two around axis 0, and D1 does not split
-        split = {name: decompose(records[name].fan, contexts[name], anticanonical_divisor(records[name].fan), 13)
-                 for name in ("B4", "C3")}
+        # B4 and C3 take the sorted step points at p = 13, one step a line
+        stepped = {name: decompose(records[name].fan, contexts[name], anticanonical_divisor(records[name].fan), 13)
+                   for name in ("B4", "C3")}
         monkeypatch.setattr(frob, "_INT64_SAFE", 1)
         assert decompose(d1.fan, d1_ctx, (0,) * 6, 11).summands == fast
         assert decompose(e1.fan, e1_ctx, D, p).summands == expected
-        for name, dec in split.items():
+        for name, dec in stepped.items():
             assert decompose(records[name].fan, contexts[name], anticanonical_divisor(records[name].fan), 13) == dec
 
     def test_direct_count_on_every_fan(self, records, contexts):
@@ -253,10 +252,10 @@ class TestDecompose:
                 assert decompose(fan, ctx, D, p).summands == tuple(sorted(direct.items())), (name, D)
 
     def test_peak_memory_is_a_few_keys_per_residue(self, records, contexts):
-        # one int64 key per residue, and the counts of a key space no larger
-        # than the residues: the peak stays below two 8-byte words per
-        # residue (p = 53: about 1.3 MB).  D1 walks the whole box in slabs
-        # of axis 0; F2 splits around axis 0.
+        # a slab of at most _SLAB floors, and the counts of a key space no
+        # larger than the residues: the peak stays below two 8-byte words
+        # per residue (p = 53: 2.4 MB; D1 peaks near 0.7 MB).  D1's lines
+        # have five segments, F2's two.
         import tracemalloc
         p = 53
         for name in ("D1", "F2"):
@@ -273,11 +272,10 @@ class TestDecompose:
 
     @pytest.mark.parametrize("int64_safe", [None, 1], ids=["fast", "exact"])
     def test_slab_boundaries_change_nothing(self, records, contexts, monkeypatch, int64_safe):
-        # one row of axis 0 per slab; p^(n-1) + 1 residues, so two rows per
-        # slab and a partial last slab at odd p; and the default (at p = 53,
-        # 47 rows and then 6).  The exact run forces the object path.
-        # Every slab is compared with the default int64 run, on the 11
-        # catalog fans that split as well as on the 7 that do not.
+        # one line per slab; p^(n-1) + 1 floors, so that D1 at p = 53 takes
+        # 16 slabs, the last one partial; and the default (D1 at p = 53 in
+        # two slabs, F2 in one).  The exact run forces the object path.
+        # Every slab size is compared with the default int64 run.
         import random
         import toric_exc.frobenius as frob
         safe, default = frob._INT64_SAFE, frob._SLAB
@@ -296,55 +294,35 @@ class TestDecompose:
                         monkeypatch.setattr(frob, "_SLAB", slab)
                         assert decompose(fan, ctx, D, p).summands == expected, (name, D, p, slab)
 
-    def test_the_separator_plan_of_each_catalog_fan(self, records, contexts, monkeypatch):
-        # C3 splits outright into three groups, F2 around axis 0, D1 not at
-        # all; 11 of the 18 catalog fans split
-        import toric_exc.frobenius as frob
-        split_axes, plans = frob._split_axes, []
-        monkeypatch.setattr(frob, "_split_axes", lambda masks, n: plans.append(split_axes(masks, n)) or plans[-1])
-        names = sorted(records)
-        for name in names:
-            decompose(records[name].fan, contexts[name], (0,) * records[name].fan.n_rays, 2)
-        plan = dict(zip(names, plans))
-        assert plan["C3"] == ((), ((0,), (1,), (2,)))
-        assert plan["F2"] == ((0,), ((1,), (2,)))
-        assert plan["D1"] == ((0,), ((1, 2),))
-        assert {name for name, (_, groups) in plan.items() if len(groups) > 1} == {
-            "B3", "B4", "C1", "C3", "C4", "C5", "E1", "E2", "E3", "F1", "F2"}
-
-    def test_the_smallest_separator_is_taken(self):
-        from toric_exc.frobenius import _split_axes
-        assert _split_axes([0b001, 0b010, 0b100], 3) == ((), ((0,), (1,), (2,)))
-        assert _split_axes([0b011, 0b110], 3) == ((1,), ((0,), (2,)))
-        assert _split_axes([0b111], 3) == ((0,), ((1, 2),))
-        # a cycle of four axes: no one axis separates, two opposite ones do
-        assert _split_axes([0b0011, 0b0110, 0b1100, 0b1001], 4) == ((0, 2), ((1,), (3,)))
-        assert _split_axes([0b1], 1) == ((0,), ((),))
-
-    @pytest.mark.parametrize("plan", [((0,), ((1, 2),)), ((0, 1), ((2,),)), ((1, 2), ((0,),)), ((0, 1, 2), ((),))],
+    @pytest.mark.parametrize("axes", [(0,), (0, 1), (1, 2), (0, 1, 2)],
                              ids=["one-axis", "two-axes", "last-two-axes", "every-axis"])
-    def test_every_separator_counts_the_same(self, records, contexts, monkeypatch, plan):
-        # one group behind any separator is a valid plan: against a direct
-        # count on every catalog fan, with a twist past int64 and slabs of
-        # one value of the separator
+    def test_every_separator_counts_the_same(self, records, contexts, monkeypatch, axes):
+        # against a direct count on every catalog fan, with a twist past
+        # int64 on the rays that reach the given axes of the base cone (on
+        # every ray for every-axis) and one line per slab: at p = 7 every
+        # fan's lines take the sorted step points (1 + sum |s_j| < 7), at
+        # p = 2 most fans' lines start a segment at every x
         import collections
         import random
         import toric_exc.frobenius as frob
-        monkeypatch.setattr(frob, "_split_axes", lambda masks, n: plan)
+        from toric_exc.fan import cone_coordinates
         monkeypatch.setattr(frob, "_SLAB", 1)
         rng = random.Random(31)
-        p = 5
         for name, rec in records.items():
             fan, ctx = rec.fan, contexts[name]
             frame = cone_frame(fan)
-            huge = tuple(rng.choice((-1, 1)) * rng.randint(10 ** 19, 10 ** 20) for _ in range(fan.n_rays))
-            for D in (anticanonical_divisor(fan), huge):
+            reach = [any(cone_coordinates(fan, fan.max_cones[0], ray)[k] for k in axes) for ray in fan.rays]
+            twisted = tuple(a + (rng.choice((-1, 1)) * rng.randint(10 ** 19, 10 ** 20) if far else 0)
+                            for a, far in zip(anticanonical_divisor(fan), reach))
+            assert any(abs(a) >= 2 ** 63 for a in twisted)
+            for D in (anticanonical_divisor(fan), twisted):
                 shifts = cartier_shifts(frame, D)
-                direct = collections.Counter(
-                    to_class(ctx, summand_divisor(frame, v, p, shifts))
-                    for v in itertools.product(range(p), repeat=3)
-                )
-                assert decompose(fan, ctx, D, p).summands == tuple(sorted(direct.items())), (name, D)
+                for p in (2, 7):
+                    direct = collections.Counter(
+                        to_class(ctx, summand_divisor(frame, v, p, shifts))
+                        for v in itertools.product(range(p), repeat=3)
+                    )
+                    assert decompose(fan, ctx, D, p).summands == tuple(sorted(direct.items())), (name, D, p)
 
     def test_too_many_residues_are_refused(self, d1, d1_ctx, monkeypatch):
         # 1625^3 < 2^32 < 1626^3; the refusal comes before any enumeration
@@ -357,9 +335,9 @@ class TestDecompose:
             decompose(d1.fan, d1_ctx, (0,) * 6, 32)
 
     def test_peak_memory_does_not_grow_with_the_residues(self, records, contexts):
-        # the keys are counted slab by slab, so at p = 101 (eight slabs) the
-        # peak stays below two bytes per residue; a p^3 array of int64 keys
-        # alone would be eight
+        # the keys are counted slab by slab, so at p = 101 (D1 in five
+        # slabs, F2 in four) the peak stays below two bytes per residue; a
+        # p^3 array of int64 keys alone would be eight
         import tracemalloc
         p = 101
         for name in ("D1", "F2"):
