@@ -46,22 +46,29 @@ all (Borisov-Hua, Adv. Math. 2009):
   all nonempty regions.  A fan whose pass for one divisor would hold more
   than _VERTEX_PASS_LIMIT gap entries raises BoxTooLarge before it starts.
 - A candidate's gap |det A_S| (<u, v_rho> + a_rho) is linear in the
-  divisor.  Per fan, the pairings -sign(det A_S) rays @ adj(A_S) and the
-  corner gaps of every eps are cached, the latter holding as many entries
-  as one divisor's pass; like the pattern table (each mask's ranks, which
-  _pattern_ranks alone writes and forbidden_sets reads) and every table
-  of the fan module, they are kept for the last fan._FAN_CACHE_SIZE fans.
-  A pass over any number of divisors takes n multiply-adds per (S, ray,
-  divisor) and one broadcast comparison with the corner gaps to read
-  every sign mask.  Only the contributing candidates get their numerators
-  |det A_S| u, whose floors and ceilings fix each divisor's box.
+  divisor: a base gap, computed per divisor, minus a threshold that
+  depends on eps alone.  Per fan, the pairings -sign(det A_S) rays @
+  adj(A_S) and the thresholds of every eps are cached, the latter holding
+  as many entries as one divisor's pass; like the pattern table (each
+  mask's ranks, which _pattern_ranks alone writes and forbidden_sets
+  reads) and every table of the fan module, they are kept for the last
+  fan._FAN_CACHE_SIZE fans.  A pass takes n multiply-adds per (S, ray,
+  divisor) and one broadcast comparison of the base gaps with the
+  thresholds to read every sign mask: one divisor at a time for a single
+  query, chunks of divisors for a collection check.  Only the
+  contributing candidates get their numerators |det A_S| u, whose floors
+  and ceilings fix each divisor's box, and the box keeps their masks.
 - A box reaching past _RADIUS_LIMIT, or holding more than
   _CHARACTER_LIMIT characters, raises BoxTooLarge before anything is
   enumerated.  A box is enumerated on its own into one list of
   contributing patterns with the sup norms ||u|| of their characters: one
   array of its characters, one product with the rays and one mask
   computation, so at most _CHARACTER_LIMIT characters are held at once.
-  A single query caches its divisor's list.
+  The list keeps the characters whose mask is one the box holds: every
+  nonempty region has a vertex candidate that carries its mask, so no
+  contributing character is left out and no mask is classified twice.  A
+  single query caches its divisor's list; an escalating verdict asks only
+  whether the list holds a pattern of its kind.
 - A collection check (vanishing_verdicts) needs no box for most
   divisors.  A vertex candidate with integral u (always, when
   |det A_S| = 1) is itself a character whose pattern is its mask, and a
@@ -95,7 +102,7 @@ from functools import lru_cache
 from itertools import chain, combinations, product
 from math import comb, prod
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -233,7 +240,7 @@ def forbidden_sets(fan: Fan) -> ForbiddenSetReport:
 def _contributing(fan: Fan, masks: set[int]) -> set[int]:
     """The masks whose pattern can add to a cohomology dimension or a verdict."""
     memo = _patterns(fan)
-    for mask in masks - memo.ranks.keys():
+    for mask in masks.difference(memo.ranks):   # iterates the masks, not the table
         _pattern_ranks(fan, mask)
     return masks & memo.live
 
@@ -244,7 +251,7 @@ class _VertexFrames(NamedTuple):
     dets: np.ndarray          # K: |det A_S|
     wide: np.ndarray          # indices of the S with |det A_S| > 1: only their candidates can miss a vertex
     pairings: np.ndarray      # K x m x n: -(rays @ cofactors^T), so pairings @ a_S is |det A_S| <u, v_rho> at eps = 0
-    corner_gaps: np.ndarray   # K x 2^n x m: the gaps' divisor-free part, eps @ pairings^T for each eps
+    thresholds: np.ndarray    # K x 2^n x m: -(eps @ pairings^T) for each eps, so a gap is base gap - threshold
     largest: int              # the largest |entry| of cofactors and dets
     rays_t: np.ndarray        # n x m: the rays as columns
     ray_max: int              # the largest |ray entry|
@@ -261,7 +268,7 @@ def _vertex_frames(fan: Fan) -> _VertexFrames:
     docstring); a complete fan has a nonsingular maximal cone.  It raises
     BoxTooLarge when one divisor's vertex pass, C(m, n) 2^n candidates
     against m rays, would hold more than _VERTEX_PASS_LIMIT gap entries;
-    corner_gaps, the largest table, holds that many.
+    thresholds, the largest table, holds that many.
     """
     problems = _completeness_problems(fan)
     if problems:
@@ -281,12 +288,12 @@ def _vertex_frames(fan: Fan) -> _VertexFrames:
     largest = max(max(abs(x) for cof in cofactors for row in cof for x in row), max(dets))
     ray_max = max(abs(x) for ray in rays for x in ray)
     dtype = np.int64 if max(largest, ray_max) < _INT64_SAFE else object
-    gap_dtype = np.int64 if n * n * largest * ray_max < _INT64_SAFE else object   # bounds every corner gap
+    gap_dtype = np.int64 if n * n * largest * ray_max < _INT64_SAFE else object   # bounds every threshold
     cofactors, rays_t = np.array(cofactors, dtype=dtype), np.array(rays, dtype=dtype).T
     pairings = -(rays_t.T.astype(gap_dtype) @ cofactors.astype(gap_dtype).transpose(0, 2, 1))
     return _VertexFrames(np.array(subsets, dtype=np.int64), cofactors, np.array(dets, dtype=dtype),
                          np.flatnonzero(np.array(dets) > 1), pairings,
-                         _corner_offsets(n).astype(gap_dtype) @ pairings.transpose(0, 2, 1),
+                         -(_corner_offsets(n).astype(gap_dtype) @ pairings.transpose(0, 2, 1)),
                          largest, rays_t, ray_max,
                          np.array([1 << i for i in range(m)], dtype=np.int64 if m < 63 else object))
 
@@ -300,65 +307,68 @@ def _corner_offsets(n: int) -> np.ndarray:
 class _Box(NamedTuple):
     lo: tuple[int, ...]
     hi: tuple[int, ...]
-    extent: int               # the largest |coordinate| in the box
+    extent: int                             # the largest |coordinate| in the box
+    masks: frozenset[int] = frozenset()     # the contributing masks its vertex candidates carry
 
 
-def _divisor_array(frames: _VertexFrames, divisors: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """The D x m divisors of a pass: int64 when that keeps every gap and numerator exact, else Python ints.
+def _divisor_array(frames: _VertexFrames, divisors: Sequence, reach: int) -> np.ndarray:
+    """One divisor's m entries, or D divisors as a D x m array, in the dtype of their vertex pass.
 
-    (n^2 ray_max + 1) largest (max |a_rho| + 1) bounds every base gap,
-    every gap, every numerator |det| u and every sum on the way.
+    reach is the largest |a_rho|.  (n^2 ray_max + 1) largest (reach + 1)
+    bounds every base gap, every gap, every numerator |det| u and every
+    sum on the way, so the array is int64 when that bound is, else Python
+    ints.
     """
     n = frames.subsets.shape[1]
-    bound = (n * frames.ray_max * n + 1) * frames.largest * (max(map(abs, chain.from_iterable(divisors))) + 1)
+    bound = (n * frames.ray_max * n + 1) * frames.largest * (reach + 1)
     return np.array(divisors, dtype=np.int64 if bound < _INT64_SAFE else object)
 
 
 def _base_gaps(frames: _VertexFrames, a: np.ndarray) -> np.ndarray:
-    """The gaps at eps = 0, |det A_S| a_rho + pairings[S] @ a_S, a K x m x D array for the D x m divisors a.
+    """The gaps at eps = 0, |det A_S| a_rho + pairings[S] @ a_S: K x m for one divisor, K x m x D for D x m divisors.
 
     A candidate's gap is linear in the divisor: this part, n multiply-adds
-    per entry, plus the cached corner gap of its eps.  The divisors run
-    along the last axis, so the broadcasts over the candidates have a long
-    inner axis.  The dtype follows a and the tables; _divisor_array keeps
-    an int64 result exact.
+    per entry, minus the cached threshold of its eps.  One divisor takes a
+    matrix-vector product per S; the divisors of a batch run along the
+    last axis, so the broadcasts over the candidates have a long inner
+    axis.  The dtype follows a and the tables; _divisor_array keeps an
+    int64 result exact.
     """
+    if a.ndim == 1:
+        return frames.dets[:, None] * a + (frames.pairings @ a[frames.subsets, None])[..., 0]
     a_t = a.T
     return frames.dets[:, None, None] * a_t + frames.pairings @ a_t[frames.subsets]
 
 
-def _vertex_masks(frames: _VertexFrames, divisors: Sequence[tuple[int, ...]]
-                  ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The sign mask of every vertex candidate of the divisors, chunk by chunk: (start, a, masks).
+def _vertex_masks(frames: _VertexFrames, a: np.ndarray) -> np.ndarray:
+    """The sign mask of every vertex candidate (S, eps): K x 2^n for one divisor, K x 2^n x D for D x m divisors.
 
     Each vertex of a region P_I(a) solves n of its inequalities with
     equality, |det A_S| u = -adj(A_S)(a_S + eps), and leaves no ray strictly
     between -a_rho - 1 and -a_rho; its sign mask is I.  A candidate's gap
-    is its base gap (_base_gaps) plus the corner gap of its eps, so the
-    masks of all candidates come from one broadcast comparison, in chunks
-    of at most _PASS_ELEMENTS gap entries: a is the chunk's D x m divisor
-    array, masks its K x 2^n x D masks.  A gap is an integer, so only a
-    wide S (|det| > 1) can leave a ray inside one.  This is the one mask
-    computation of the vertex pass: the boxes and the verdict witnesses
-    both read it.
+    is its base gap (_base_gaps) minus the threshold of its eps, so ray
+    rho is in its mask when the base gap reaches the threshold: one
+    broadcast comparison with the per-fan thresholds gives every mask.  A
+    gap is an integer, so only a wide S (|det| > 1) can leave a ray inside
+    one.  This is the one mask computation of the vertex pass: the boxes
+    (one divisor) and the verdict witnesses (a chunk of divisors) both
+    read it.
     """
+    tail = (None,) * (a.ndim - 1)   # a batch's divisor axis, last
+    base, thresholds = _base_gaps(frames, a)[:, None], frames.thresholds[(..., *tail)]
+    above = base >= thresholds   # K x 2^n x m (x D): gap >= 0
+    masks = above @ frames.weights if a.ndim == 1 else frames.weights @ above   # the ray axis: last, or before D
     wide = frames.wide
-    chunk = max(1, _PASS_ELEMENTS // frames.corner_gaps.size)
-    for start in range(0, len(divisors), chunk):
-        a = _divisor_array(frames, divisors[start:start + chunk])
-        base = _base_gaps(frames, a)
-        masks = frames.weights @ (base[:, None] >= -frames.corner_gaps[..., None])   # K x 2^n x D: gap >= 0
-        if len(wide):   # a ray strictly inside a gap, -|det| < gap < 0: no vertex, and -1 is no pattern's mask
-            gaps = base[wide, None] + frames.corner_gaps[wide, ..., None]
-            inside = ((gaps < 0) & (gaps > -frames.dets[wide, None, None, None])).any(axis=2)
-            masks[wide] = np.where(inside, -1, masks[wide])
-        yield start, a, masks
+    if len(wide):   # a ray strictly inside a gap, -|det| < gap < 0: no vertex, and -1 is no pattern's mask
+        low, high = base[wide], thresholds[wide]
+        inside = ((low < high) & (low + frames.dets[(wide, None, None, *tail)] > high)).any(axis=2)
+        masks[wide] = np.where(inside, -1, masks[wide])
+    return masks
 
 
-def _numerators(frames: _VertexFrames, a: np.ndarray, which: np.ndarray, subset: np.ndarray,
-                corner: np.ndarray) -> np.ndarray:
-    """|det A_S| u of the candidates (S, eps) of the divisors a[which]: index arrays that broadcast, n last."""
-    offsets = a[which[..., None], frames.subsets[subset]] + _corner_offsets(frames.subsets.shape[1])[corner]
+def _numerators(frames: _VertexFrames, rows: np.ndarray, subset: np.ndarray, corner: np.ndarray) -> np.ndarray:
+    """|det A_S| u of the candidates (S, eps): rows holds each one's divisor entries a_S; all broadcast, n last."""
+    offsets = rows + _corner_offsets(frames.subsets.shape[1])[corner]
     return -(offsets[..., None, :] @ frames.cofactors[subset])[..., 0, :]
 
 
@@ -367,36 +377,40 @@ def _contributing_box(fan: Fan, divisor: tuple[int, ...]) -> Optional[_Box]:
 
     The rays span, so every nonempty region has a vertex, and the fan is
     complete, so every contributing region is bounded: the floors and
-    ceilings of the contributing candidates (_vertex_masks, one chunk) span
-    a box around them all.  The distinct masks are classified once, and
-    only the candidates with a contributing mask (nearly always just the
-    full one) get their numerators |det| u.  Nothing is kept.
+    ceilings of the contributing candidates (_vertex_masks) span a box
+    around them all.  The distinct masks are classified once, only the
+    candidates with a contributing mask (nearly always just the full one)
+    get their numerators |det| u, and the box keeps those masks.  Nothing
+    else is kept.
     """
     frames = _vertex_frames(fan)
-    _, a, masks = next(_vertex_masks(frames, (divisor,)))
-    chosen = np.zeros(masks.shape, dtype=bool)
-    for mask in _contributing(fan, set(masks.ravel().tolist()) - {-1}):   # mostly one: the full pattern
-        chosen |= masks == mask
-    subset, corner, which = np.nonzero(chosen)
-    if not len(subset):
+    a = _divisor_array(frames, divisor, max(map(abs, divisor)))
+    masks = _vertex_masks(frames, a)
+    live = _contributing(fan, set(masks.ravel().tolist()) - {-1})   # mostly one: the full pattern
+    if not live:
         return None
-    num = _numerators(frames, a, which, subset, corner)
+    chosen = np.zeros(masks.shape, dtype=bool)
+    for mask in live:
+        chosen |= masks == mask
+    subset, corner = np.nonzero(chosen)
+    num = _numerators(frames, a[frames.subsets[subset]], subset, corner)
     dets = frames.dets[subset, None]
     lo, hi = (num // dets).min(axis=0).tolist(), (-(-num // dets)).max(axis=0).tolist()
-    return _Box(tuple(lo), tuple(hi), max(map(abs, lo + hi)))
+    return _Box(tuple(lo), tuple(hi), max(map(abs, lo + hi)), frozenset(live))
 
 
 def _integral_candidates(frames: _VertexFrames, a: np.ndarray) -> np.ndarray:
-    """K x 2^n x D: which vertex candidates of the divisors a have an integral u, so are characters.
+    """K x 2^n x D: which vertex candidates of the D x m divisors a have an integral u, so are characters.
 
     Every candidate of an S with |det A_S| = 1 is; a wide S's candidate
     is one when |det A_S| divides all n of its numerators |det A_S| u.
     """
-    corners = frames.corner_gaps.shape[1]
+    corners = frames.thresholds.shape[1]
     integral = np.ones((len(frames.subsets), corners, len(a)), dtype=bool)
     wide = frames.wide
     if len(wide):
-        num = _numerators(frames, a, np.arange(len(a)), wide[:, None, None], np.arange(corners)[:, None])
+        rows = a[:, frames.subsets[wide]].transpose(1, 0, 2)[:, None]   # W x 1 x D x n
+        num = _numerators(frames, rows, wide[:, None, None], np.arange(corners)[:, None])
         integral[wide] = (num % frames.dets[wide, None, None, None] == 0).all(axis=-1)
     return integral
 
@@ -417,13 +431,18 @@ def _verdict_witnesses(fan: Fan, divisors: Sequence[tuple[int, ...]]) -> list[Op
     vertex.  So a verdict is decided by an integral candidate of its kind
     (forbidden, or the full mask), which is its witness, or by no
     candidate of its kind at all; it is left open (None for the divisor)
-    only when its kind sits at non-integral vertices alone.  No box is
-    built and no character is enumerated.
+    only when its kind sits at non-integral vertices alone.  The divisors
+    go through _vertex_masks in chunks of at most _PASS_ELEMENTS gap
+    entries.  No box is built and no character is enumerated.
     """
     frames = _vertex_frames(fan)
     corners, full = 2 ** fan.dim, (1 << fan.n_rays) - 1
     found: list[Optional[_Witnesses]] = [None] * len(divisors)
-    for start, a, masks in _vertex_masks(frames, divisors):
+    chunk = max(1, _PASS_ELEMENTS // frames.thresholds.size)
+    for start in range(0, len(divisors), chunk):
+        part = divisors[start:start + chunk]
+        a = _divisor_array(frames, part, max(map(abs, chain.from_iterable(part))))
+        masks = _vertex_masks(frames, a)
         live = _contributing(fan, set(masks.ravel().tolist()) - {-1})
         integral = _integral_candidates(frames, a)
         undecided = np.zeros(len(a), dtype=bool)
@@ -440,7 +459,8 @@ def _verdict_witnesses(fan: Fan, divisors: Sequence[tuple[int, ...]]) -> list[Op
             which = np.flatnonzero(has)
             row = hits.argmax(axis=0)[which]
             subset, corner = np.divmod(row, corners)
-            u = _numerators(frames, a, which, subset, corner) // frames.dets[subset, None]
+            rows = a[which[:, None], frames.subsets[subset]]
+            u = _numerators(frames, rows, subset, corner) // frames.dets[subset, None]
             witnesses.append(dict(zip(which.tolist(), zip(map(tuple, u.tolist()),
                                                           masks.reshape(-1, len(a))[row, which].tolist()))))
             undecided |= carried.any(axis=(0, 1)) & ~has
@@ -480,8 +500,11 @@ def _characters(fan: Fan, divisor: tuple[int, ...], box: Optional[_Box]) -> Mapp
     One array of the box's characters, one product with the rays, the
     divisor added by broadcasting, and one mask computation.  Bit i of a
     mask is set when the representative a + pairing*u is nonnegative on ray
-    i.  _point_list and vanishing_verdicts both call it, so this is the one
-    place where characters are built.
+    i.  Every nonempty region has a vertex candidate that carries its mask,
+    so the box's masks are every contributing mask a character can have,
+    and the characters are filtered by them alone.  _point_list and
+    vanishing_verdicts both call it, so this is the one place where
+    characters are built.
     """
     if box is None:
         return MappingProxyType({})
@@ -491,10 +514,9 @@ def _characters(fan: Fan, divisor: tuple[int, ...], box: Optional[_Box]) -> Mapp
     points = np.array(list(product(*(range(l, h + 1) for l, h in zip(box.lo, box.hi)))), dtype=np.int64)
     reps = points.astype(dtype, copy=False) @ frames.rays_t + np.array(divisor, dtype=dtype)
     masks = ((reps >= 0) @ frames.weights).tolist()
-    keep = _contributing(fan, set(masks))
     by_mask: dict[int, list[int]] = {}
     for mask, norm in zip(masks, np.abs(points).max(axis=1).tolist()):
-        if mask in keep:
+        if mask in box.masks:
             by_mask.setdefault(mask, []).append(norm)
     return MappingProxyType({mask: tuple(sorted(v)) for mask, v in by_mask.items()})
 
@@ -516,24 +538,23 @@ def _checked_radius(r0: int) -> int:
     return r0
 
 
-def _is_section(fan: Fan, mask: int) -> bool:
-    """The full pattern, an effective representative; every other contributing pattern is forbidden."""
-    return mask == (1 << fan.n_rays) - 1
-
-
 def _has_character(ctx: PicContext, divisor: Sequence[int], escalate: bool, section: bool, what: str) -> bool:
     """Does D have a contributing character whose pattern is the full one (section) or a forbidden one?
 
-    Read from the whole list.  An escalating query needs no start radius;
-    without escalate, a yes whose nearest such character lies past the
-    class-derived start radius r0 raises BoxUnstable.
+    Read from the whole list, in which every pattern but the full one is
+    forbidden.  An escalating query needs no start radius and asks only
+    whether the list holds a pattern of its kind; without escalate, a yes
+    whose nearest such character lies past the class-derived start radius
+    r0 raises BoxUnstable.
     """
     _check_length(ctx.fan, divisor)
     r0 = None if escalate else _checked_radius(_radius_for_class(to_class(ctx, divisor)))
     points = _point_list(ctx.fan, tuple(map(int, divisor)))
-    nearest = min((norms[0] for mask, norms in points.items() if _is_section(ctx.fan, mask) == section),
-                  default=None)
-    if nearest is not None and not escalate and nearest > r0:
+    full = (1 << ctx.fan.n_rays) - 1
+    if escalate:
+        return full in points if section else not points.keys() <= {full}
+    nearest = min((norms[0] for mask, norms in points.items() if (mask == full) == section), default=None)
+    if nearest is not None and nearest > r0:
         raise BoxUnstable(f"the {what} rests on a character of sup norm {nearest}, past the radius {r0}; "
                           f"raise the radius")
     return nearest is not None
@@ -596,9 +617,10 @@ def vanishing_verdicts(ctx: PicContext, divisors: Sequence[Sequence[int]]) -> li
             verdicts[j] = (witnesses.forbidden is None, witnesses.section is not None)
     rest = [j for j, verdict in enumerate(verdicts) if verdict is None]
     boxes = [_checked(_contributing_box(fan, divisors[j])) for j in rest]   # every refusal comes first
+    full = (1 << fan.n_rays) - 1
     for j, box in zip(rest, boxes):
-        sections = [_is_section(fan, mask) for mask in _characters(fan, divisors[j], box)]
-        verdicts[j] = (all(sections), any(sections))
+        points = _characters(fan, divisors[j], box)
+        verdicts[j] = (points.keys() <= {full}, full in points)
     return verdicts
 
 

@@ -109,8 +109,8 @@ def decompose(
     arguments stay below 2^31, int64 below _INT64_SAFE and Python integers
     past it; the keys take their own type from the key space in the same
     way.  The histogram is summed by bincount, weighted by the segment
-    lengths, when the key space is no larger than the p^n residues, else
-    by np.unique.
+    lengths, into one running count per key over all slabs when the key
+    space is no larger than the p^n residues, else by np.unique per slab.
 
     D_v is linear in the key's digits, so every distinct key is decoded in
     one product: class(D_v) = class(-(q + lo)) - digits class_map^T, int64
@@ -156,15 +156,6 @@ def decompose(
     floor_dtype, key_dtype = dtype_for(3 * n * p * (top + 1)), dtype_for(key_space)
     dense = key_dtype is not object and key_space <= p ** n   # count by bincount, else np.unique
 
-    def histogram(keys, counts):
-        if dense:
-            counts = np.bincount(keys, counts, key_space)
-        else:
-            keys, index = np.unique(keys, return_inverse=True)
-            counts = np.bincount(index, counts)
-        kept = np.flatnonzero(counts)   # a segment clipped to p has length 0
-        return dict(zip((kept if dense else keys[kept]).tolist(), counts[kept].astype(np.int64).tolist()))
-
     # every step of every sloped ray, one row each, tabulated over m in [0, p)
     owner = [j for j, (_, s, *_) in enumerate(used) for _ in range(abs(s))]
     every_x = 1 + len(owner) >= p
@@ -180,6 +171,7 @@ def decompose(
     sloped = len(S)
     W = np.array([weight for *_, weight in used], dtype=key_dtype)
     lines, per_slab = p ** (n - 1), max(1, _SLAB // (width * max(1, len(used))))
+    total = None   # the dense path's running count per key, summed over the slabs
     tally: Counter[int] = Counter()
     for first in range(0, lines, per_slab):
         # one column per line, so that every row is long
@@ -201,7 +193,20 @@ def decompose(
             x = np.minimum(starts, p - 1)[:, None]
         rises = (m[:sloped] + S * x) // p   # segments x sloped rays x lines
         key = W[:sloped] @ rises.astype(key_dtype, copy=False) + W @ F.astype(key_dtype, copy=False)
-        tally.update(histogram(key.ravel(), lengths))
+        if dense:
+            counts = np.bincount(key.ravel(), lengths, key_space)
+            if total is None:
+                total = counts
+            else:
+                total += counts
+        else:
+            keys, index = np.unique(key.ravel(), return_inverse=True)
+            counts = np.bincount(index, lengths)
+            kept = np.flatnonzero(counts)   # a segment clipped to p has length 0, so its key may count 0
+            tally.update(dict(zip(keys[kept].tolist(), counts[kept].astype(np.int64).tolist())))
+    if dense:
+        kept = np.flatnonzero(total)
+        tally.update(dict(zip(kept.tolist(), total[kept].astype(np.int64).tolist())))
     assert sum(tally.values()) == p ** n
 
     # D_v = -(q + lo + digits): every key's digits in one table, one product

@@ -426,7 +426,7 @@ class TestOneVerifyPath:
 
 
 def mutated_fan_file(data, records):
-    """A catalog fan file with one mutation drawn from data, and a zero class of its Picard rank."""
+    """A catalog fan file with one mutation drawn from data, the record it came from, and the mutation."""
     rec = records[data.draw(st.sampled_from(sorted(records)), label="fan")]
     rays, cones = [list(ray) for ray in rec.fan.rays], [list(cone) for cone in rec.fan.max_cones]
     dim, m = rec.fan.dim, len(rays)
@@ -452,7 +452,7 @@ def mutated_fan_file(data, records):
         dim = data.draw(st.sampled_from([2, 4]))
     text = "\n".join([f"dim {dim}", "rays", *(" ".join(map(str, r)) for r in rays),
                       "cones", *(" ".join(map(str, c)) for c in cones)]) + "\n"
-    return text, " ".join(["0"] * (m - rec.fan.dim))
+    return text, rec, kind
 
 
 class TestFanFileFuzz:
@@ -460,13 +460,22 @@ class TestFanFileFuzz:
     @given(data=st.data())
     def test_a_mutated_fan_file_ends_in_an_exit_code(self, records, data):
         # a shear keeps the fan valid with coordinates up to 10^20 (the
-        # divide rows and the class map do not change); the other
-        # mutations break the file or, mostly, the fan
-        text, zero = mutated_fan_file(data, records)
+        # divide rows and the class map do not change), so on a shear
+        # thomsen also takes a divisor with one entry of +-2^63, whose
+        # summand classes decode in Python integers; the other mutations
+        # break the file or, mostly, the fan
+        text, rec, kind = mutated_fan_file(data, records)
+        zero = " ".join(["0"] * (rec.fan.n_rays - rec.fan.dim))
+        runs = [["forbidden"], ["cohomology", "--class", zero], ["thomsen", "--prime", "2", "--prime", "3"]]
+        if kind == "shear":
+            divisor = [0] * rec.fan.n_rays
+            divisor[data.draw(st.integers(0, len(divisor) - 1), label="entry")] = data.draw(
+                st.sampled_from([2 ** 63, -2 ** 63]), label="value")
+            runs.append(["thomsen", "--prime", "2", "--prime", "3", "--divisor", " ".join(map(str, divisor))])
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "mutated.fan"
             path.write_text(text)
-            for argv in (["forbidden"], ["cohomology", "--class", zero], ["thomsen", "--prime", "2", "--prime", "3"]):
+            for argv in runs:
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     code = main([argv[0], "--fan-file", str(path), *argv[1:]])

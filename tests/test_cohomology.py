@@ -17,7 +17,7 @@ from toric_exc import cohomology, fan as fan_module
 from toric_exc.cli import main as cli_main
 from toric_exc.cohomology import (_RADIUS_LIMIT, _base_gaps, _characters, _checked, _contributing, _contributing_box,
                                   _corner_offsets, _divisor_array, _pattern_ranks, _patterns,
-                                  _point_list, _radius_for_class, _verdict_witnesses, _vertex_frames,
+                                  _point_list, _radius_for_class, _verdict_witnesses, _vertex_frames, _vertex_masks,
                                   cohomology_table, forbidden_sets, has_nonzero_global_sections, is_acyclic,
                                   reduced_homology_ranks, vanishing_verdicts)
 from toric_exc.errors import BoxTooLarge, BoxUnstable, TooManyRays, ToricExcError, UnboundedRegion
@@ -716,7 +716,7 @@ class TestBatchedBoxes:
 
 def no_integral_candidates(frames, a):
     """Stands in for _integral_candidates: no vertex counts as a character, so every carried verdict falls back."""
-    return np.zeros((len(frames.subsets), frames.corner_gaps.shape[1], len(a)), dtype=bool)
+    return np.zeros((len(frames.subsets), frames.thresholds.shape[1], len(a)), dtype=bool)
 
 
 def enumerated_verdicts(fan, divisors):
@@ -857,8 +857,9 @@ def plain_gap_rows(fan, subset, eps, divisor):
 
 class TestGapTables:
     def test_cached_tables_give_the_plain_gaps_of_every_candidate(self, records):
-        # every (S, eps) candidate of every divisor: the base gap plus the corner gap of eps equals
-        # |det A_S| (<u, v_rho> + a_rho) in Python ints, on the int64 and on the object path
+        # every (S, eps) candidate of every divisor: the base gap minus the threshold of eps equals
+        # |det A_S| (<u, v_rho> + a_rho) in Python ints, on the int64 and on the object path, and a
+        # divisor passed alone gets the gaps and the masks of its column in a batch
         fans = ([rec.fan for _, rec in sorted(records.items())] + [projective_space(n) for n in (1, 2, 4)]
                 + seeded_blowups(records, (9, 11, 13), seed=19))
         rng = random.Random(19)
@@ -870,10 +871,16 @@ class TestGapTables:
             huge = [tuple(rng.randint(-6, 6) + rng.choice((0, 2**60 + rng.randrange(2**40), -(2**62)))
                           for _ in range(m))]
             for batch in (small, small + huge):
-                a = _divisor_array(frames, batch)
+                a = _divisor_array(frames, batch, max(abs(x) for d in batch for x in d))
                 paths.add(a.dtype)
-                gaps = _base_gaps(frames, a)[:, None] + frames.corner_gaps[..., None]   # K x 2^n x m x D
+                gaps = _base_gaps(frames, a)[:, None] - frames.thresholds[..., None]   # K x 2^n x m x D
                 assert gaps.shape == (len(frames.subsets), 2 ** fan.dim, m, len(batch))
+                masks = _vertex_masks(frames, a)
+                for d, divisor in enumerate(batch):
+                    alone = _divisor_array(frames, divisor, max(map(abs, divisor)))
+                    assert alone.shape == (m,)
+                    assert (_base_gaps(frames, alone)[:, None] - frames.thresholds).tolist() == gaps[..., d].tolist()
+                    assert _vertex_masks(frames, alone).tolist() == masks[..., d].tolist()
                 for k, subset in enumerate(frames.subsets.tolist()):
                     for e, eps in enumerate(_corner_offsets(fan.dim).tolist()):
                         for d, divisor in enumerate(batch):
