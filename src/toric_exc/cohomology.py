@@ -12,14 +12,16 @@ A proper ray subset I is *forbidden* when C_I has nontrivial reduced
 homology; the Borisov-Hua criterion says O(D) is acyclic exactly when no
 representative of D has a forbidden sign pattern.  The faces of C_I are
 read from the fan's one face set (fan.face_masks, ray bitmasks), and most
-patterns a query meets are certified contractible by a membership test in
-it, without a boundary matrix:
+patterns a query meets have their ranks certified without a boundary
+matrix, two of them by a membership test in it:
 
 - a nonempty I that is a face spans a full simplex, on any fan;
 - on a fan with fan.is_complete, whose boundary complex is therefore an
   (n-1)-sphere S, a proper I whose complement J is a face has C_I a
   deformation retract of S minus the closed simplex of J, which has the
-  reduced homology of a point by Alexander duality.
+  reduced homology of a point by Alexander duality;
+- on such a fan the full ray set has C_I = S, with rank one in degree
+  n - 1 alone.
 
 Writing a' = a + (<u, v_rho>)_rho for a character u, only the patterns I
 that are empty, forbidden or full can change a dimension or a verdict, and
@@ -173,8 +175,8 @@ def _patterns(fan: Fan) -> _Patterns:
 def _pattern_ranks(fan: Fan, mask: int) -> tuple[int, ...]:
     """Reduced homology ranks of C_I, degrees -1 .. n-1, for the ray set I of the mask.
 
-    Two certificates, each a lookup in the face set, give zero ranks
-    without a boundary matrix:
+    Three certificates give the ranks without a boundary matrix; the first
+    two are a lookup in the face set, and give zero ranks:
     - I is nonempty and is a face: every subset of I is a face, so C_I is
       a full simplex, on any fan.
     - I is proper, its complement J is nonempty and is a face, and the fan
@@ -185,6 +187,10 @@ def _pattern_ranks(fan: Fan, mask: int) -> tuple[int, ...]:
       On a fan without the certificate this rule is wrong (P3 without a
       maximal cone: the missing cone's rays bound a circle, though their
       complement is a ray), so it is not applied.
+    - I is the full ray set and the fan is certified complete: C_I is the
+      sphere S itself, with rank one in degree n - 1 and zero elsewhere.
+      Without the certificate the full set is ranked like any other (a
+      disk, with zero ranks, on P3 without a maximal cone).
     Every other mask is ranked by reduced_homology_ranks.  The mask joins
     the live set when its ranks are nonzero or it is the full one.
     """
@@ -192,7 +198,9 @@ def _pattern_ranks(fan: Fan, mask: int) -> tuple[int, ...]:
     if mask not in memo.ranks:
         faces, rest = memo.faces, ((1 << fan.n_rays) - 1) & ~mask
         ranks = _zero_ranks(fan.dim)   # shared, so a 2^m sweep stores one zero tuple, not thousands
-        if not (mask and mask in faces or memo.complete and rest and rest in faces):
+        if memo.complete and not rest:
+            ranks = ranks[1:] + (1,)
+        elif not (mask and mask in faces or memo.complete and rest and rest in faces):
             found = reduced_homology_ranks(fan, [i for i in range(fan.n_rays) if mask >> i & 1])
             if any(found):
                 ranks = found
@@ -269,30 +277,35 @@ def _vertex_frames(fan: Fan) -> _VertexFrames:
     BoxTooLarge when one divisor's vertex pass, C(m, n) 2^n candidates
     against m rays, would hold more than _VERTEX_PASS_LIMIT gap entries;
     thresholds, the largest table, holds that many.
+
+    The dets and cofactors of every ray n-subset are one fan.ray_minors
+    request.  It is made before the completeness check when the rays have
+    n entries and the pass is within the limit, so that its one fill of
+    ridge_normals also holds the facet normals the check reads: one kernel
+    call per fan, not two, whose fixed cost is most of a small fill.  The
+    refusals keep their order.
     """
+    n, m, rays = fan.dim, fan.n_rays, fan.rays
+    entries = comb(m, n) * 2 ** n * m
+    if entries <= _VERTEX_PASS_LIMIT and all(len(ray) == n for ray in rays):
+        every = np.array(list(combinations(range(m), n)), dtype=np.int64).reshape(-1, n)
+        dets, cofactors = ray_minors(fan, every, cofactors=True)
     problems = _completeness_problems(fan)
     if problems:
         raise UnboundedRegion(f"the fan is not complete, so its regions of characters need not be bounded: "
                               f"{problems[0]}")
-    n, m, rays = fan.dim, fan.n_rays, fan.rays
-    entries = comb(m, n) * 2 ** n * m
     if entries > _VERTEX_PASS_LIMIT:
         raise BoxTooLarge(f"the vertex pass of one divisor would hold {entries} gap entries "
                           f"({m} rays in dimension {n}), past the limit {_VERTEX_PASS_LIMIT}")
-    every, subsets, cofactors, dets = list(combinations(range(m), n)), [], [], []
-    for S, (det, rows) in zip(every, ray_minors(fan, every, cofactors=True)):
-        if det:
-            subsets.append(S)
-            cofactors.append(rows)
-            dets.append(abs(det))
-    largest = max(max(abs(x) for cof in cofactors for row in cof for x in row), max(dets))
+    nonsingular = np.flatnonzero(dets)
+    subsets, cofactors, dets = every[nonsingular], cofactors[nonsingular], np.abs(dets[nonsingular])
+    largest = int(max(np.abs(cofactors).max(), dets.max()))
     ray_max = max(abs(x) for ray in rays for x in ray)
     dtype = np.int64 if max(largest, ray_max) < _INT64_SAFE else object
     gap_dtype = np.int64 if n * n * largest * ray_max < _INT64_SAFE else object   # bounds every threshold
-    cofactors, rays_t = np.array(cofactors, dtype=dtype), np.array(rays, dtype=dtype).T
+    cofactors, rays_t = cofactors.astype(dtype), np.array(rays, dtype=dtype).T
     pairings = -(rays_t.T.astype(gap_dtype) @ cofactors.astype(gap_dtype).transpose(0, 2, 1))
-    return _VertexFrames(np.array(subsets, dtype=np.int64), cofactors, np.array(dets, dtype=dtype),
-                         np.flatnonzero(np.array(dets) > 1), pairings,
+    return _VertexFrames(subsets, cofactors, dets.astype(dtype), np.flatnonzero(dets > 1), pairings,
                          -(_corner_offsets(n).astype(gap_dtype) @ pairings.transpose(0, 2, 1)),
                          largest, rays_t, ray_max,
                          np.array([1 << i for i in range(m)], dtype=np.int64 if m < 63 else object))
@@ -443,7 +456,11 @@ def _verdict_witnesses(fan: Fan, divisors: Sequence[tuple[int, ...]]) -> list[Op
         part = divisors[start:start + chunk]
         a = _divisor_array(frames, part, max(map(abs, chain.from_iterable(part))))
         masks = _vertex_masks(frames, a)
-        live = _contributing(fan, set(masks.ravel().tolist()) - {-1})
+        if full + 1 < masks.size:   # 2^m + 1 counts, one per mask and one for -1, are no more than the entries
+            seen = set(np.flatnonzero(np.bincount(masks.ravel() + 1)[1:]).tolist())
+        else:
+            seen = set(masks.ravel().tolist()) - {-1}
+        live = _contributing(fan, seen)
         integral = _integral_candidates(frames, a)
         undecided = np.zeros(len(a), dtype=bool)
         witnesses = []

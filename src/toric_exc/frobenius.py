@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -110,7 +110,8 @@ def decompose(
     past it; the keys take their own type from the key space in the same
     way.  The histogram is summed by bincount, weighted by the segment
     lengths, into one running count per key over all slabs when the key
-    space is no larger than the p^n residues, else by np.unique per slab.
+    space is no larger than the p^n residues, else by np.unique per slab,
+    or, for Python-integer keys, by one pass over each slab's keys.
 
     D_v is linear in the key's digits, so every distinct key is decoded in
     one product: class(D_v) = class(-(q + lo)) - digits class_map^T, int64
@@ -199,6 +200,10 @@ def decompose(
                 total = counts
             else:
                 total += counts
+        elif key_dtype is object:   # np.unique sorts Python integers by comparison; on int64 it wins on large slabs
+            for k, length in zip(key.ravel().tolist(), repeat(1) if lengths is None else lengths.tolist()):
+                if length:   # a segment clipped to p has length 0
+                    tally[k] += length
         else:
             keys, index = np.unique(key.ravel(), return_inverse=True)
             counts = np.bincount(index, lengths)
@@ -248,7 +253,7 @@ def stable_summands(
 
 def _minor_lcm(fan: Fan) -> int:
     """L, the lcm of the nonzero n x n ray minors (fan.ray_minors)."""
-    return math.lcm(*filter(None, ray_minors(fan, combinations(range(fan.n_rays), fan.dim))))
+    return math.lcm(*filter(None, ray_minors(fan, list(combinations(range(fan.n_rays), fan.dim))).tolist()))
 
 
 def bondal_summands(ctx: PicContext) -> Optional[tuple[ClassVector, ...]]:

@@ -1,25 +1,32 @@
 """Exact integer linear algebra primitives.
 
-Everything in this module runs over arbitrary-precision Python integers;
-no floating point appears anywhere.  The matrices involved downstream are
-small (ray pairing matrices, boundary matrices of simplicial subcomplexes),
-so the implementation favours determinism and auditability.
-One fraction-free (Bareiss) elimination, _eliminate, gives every rank,
-determinant and cofactor in polynomial time; the cofactors (cross products
-of n - 1 rows, facet sides) are the n-minors it leaves in the last row of
-[rows^T | +-I].  The only inverse built from them is fan.cone_inverse:
-det times the transposed cofactor matrix of n rays, read from the fan's
-table of cross products.  The Smith normal form, which pivots on the
-smallest-magnitude entry with ties broken by position, only chooses the
-quotient basis of Pic; it carries U^-1 beside U, so that basis needs no
-inverse of its own.
+No floating point appears anywhere: the scalar routines run over
+arbitrary-precision Python integers, and the one batched kernel runs in
+int64 only under a proven bound, else in Python integers too.  The
+matrices involved downstream are small (ray pairing matrices, boundary
+matrices of simplicial subcomplexes), so the implementation favours
+determinism and auditability.
+One fraction-free (Bareiss) elimination, _eliminate, gives every rank and
+determinant in polynomial time.  One batched kernel, _cross_products,
+gives the cross products of n - 1 rows for a whole batch of row sets in
+one vectorised, division-free pass (Samuelson-Berkowitz); the fan
+module's one table of ridge normals is filled by it, and every ray minor
+and cofactor is read from that table.  The only inverse built from them
+is fan.cone_inverse: det times the transposed cofactor matrix of n rays.
+The Smith normal form, which pivots on the smallest-magnitude entry with
+ties broken by position, only chooses the quotient basis of Pic; it
+carries U^-1 beside U, so that basis needs no inverse of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import factorial
 from operator import mul
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 # Bound below which the numpy kernels elsewhere in the package stay in
 # int64; above it they switch to Python ints rather than risk silent
@@ -143,20 +150,64 @@ def rank(A: IntMatrix) -> int:
     return _eliminate([list(row) for row in A.entries], A.cols)[0]
 
 
-def _cross(rows: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
-    """x with <x, w> = det(w, rows) for every w: orthogonal to the n - 1 rows.
+def _minor_dtype(n: int, top: int) -> type:
+    """int64 when every minor of size at most n of an integer matrix with entries of size at most top >= 1, and
+    every value of a _cross_products pass over n - 1 such rows, is below _INT64_SAFE; else object (Python ints).
 
-    x_k = det(e_k, rows) = det(rows^T | (-1)^(n-1) e_k).  Eliminating
-    [rows^T | (-1)^(n-1) I] on its first n - 1 columns leaves these n-minors
-    in its last row; they all vanish when the rows are dependent.  Row i of
-    a square matrix's cofactor matrix is (-1)^i times the cross product of
-    the other rows, so A @ cofactors^T = det(A) I.
+    A k-minor is a sum of k! products of k entries, so it is at most k! top^k, and every partial sum of it too.
     """
-    sign = (-1) ** (n - 1)
-    M = [[row[k] for row in rows] + [0] * k + [sign] + [0] * (n - 1 - k) for k in range(n)]
-    if _eliminate(M, n - 1)[0] < n - 1:
-        return (0,) * n
-    return tuple(M[n - 1][n - 1:])
+    bound = max(factorial(n) * top ** n, n * ((n - 1) * top) ** (n - 1))
+    return np.int64 if bound < _INT64_SAFE else object
+
+
+@lru_cache(maxsize=None)
+def _omitting(n: int) -> np.ndarray:
+    """n x (n-1): row i lists the positions 0 .. n-1 other than i, so S[:, _omitting(n)][:, i] is S minus S_i."""
+    return np.array([[j for j in range(n) if j != i] for i in range(n)], dtype=np.intp).reshape(n, n - 1)
+
+
+@lru_cache(maxsize=None)
+def _alternating(n: int) -> np.ndarray:
+    """(1, -1, 1, ...), n entries: the sign (-1)^i of position i."""
+    return np.array([(-1) ** i for i in range(n)], dtype=np.int64)
+
+
+def _cross_products(rows: np.ndarray, top: int) -> np.ndarray:
+    """B x n: for each of B sets of n - 1 rows (a B x (n-1) x n integer array), the x with <x, w> = det(w, rows).
+
+    x is orthogonal to the n - 1 rows, and x_k = det(e_k, rows) = (-1)^k
+    det(A_k), A_k the rows without column k.  The B n determinants of size
+    N = n - 1 come from one vectorised pass of the Samuelson-Berkowitz
+    algorithm, which needs no division and no pivot, so dependent rows give
+    0 like any other and the pass takes O(n^3) array operations.  The
+    characteristic polynomial of each leading r x r block of A_k follows
+    from that of the block before by one Toeplitz product, whose entries
+    are 1, -a (the new diagonal entry) and -R B^j S (R and S the new row and
+    column, B the block before), and det A_k is (-1)^N times the last
+    coefficient.  With T = N top, top >= 1 a bound on every |entry|: the i-th
+    coefficient of an r x r block is a signed sum of its C(r, i) principal
+    i-minors, so at most T^i; -R B^j S is at most T^(j+2); and every sum on
+    the way has at most n terms of at most T^N.  So the pass runs in int64
+    when _minor_dtype allows, else in Python integers.  Row i of a square
+    matrix's cofactor matrix is (-1)^i times the cross product of the other
+    rows, so A @ cofactors^T = det(A) I.
+    """
+    count, N, n = rows.shape
+    dtype = _minor_dtype(n, top)
+    A = rows.astype(dtype, copy=False)[:, :, _omitting(n)].transpose(0, 2, 1, 3)   # count x n x N x N: A_k
+    if not N:
+        return np.ones((count, 1), dtype=dtype)
+    # every coefficient and Toeplitz entry is a count x n x 1 x 1 array, so that the products are matmuls
+    p = [-A[..., :1, :1]]   # the coefficients after the leading 1, of the leading 1 x 1 block
+    for r in range(1, N):
+        R, S, block = A[..., r:r + 1, :r], A[..., :r, r:r + 1], A[..., :r, :r]
+        u = [A[..., r:r + 1, r:r + 1]]   # minus the Toeplitz entries after the leading 1
+        for j in range(r):
+            u.append(R @ S)
+            if j < r - 1:
+                S = block @ S
+        p = [(p[i] if i < r else 0) - sum((u[i - 1 - j] * p[j] for j in range(i)), u[i]) for i in range(r + 1)]
+    return p[-1][..., 0, 0] * (_alternating(n) if N % 2 == 0 else -_alternating(n))
 
 
 def _pivot_position(M: list[list[int]], t: int) -> Optional[tuple[int, int]]:

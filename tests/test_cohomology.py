@@ -5,6 +5,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 import time
 from collections import Counter
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toric_exc import cohomology, fan as fan_module
+from toric_exc import cohomology, fan as fan_module, lattice
 from toric_exc.cli import main as cli_main
 from toric_exc.cohomology import (_RADIUS_LIMIT, _base_gaps, _characters, _checked, _contributing, _contributing_box,
                                   _corner_offsets, _divisor_array, _pattern_ranks, _patterns,
@@ -623,17 +624,52 @@ class TestPatternRankCertificates:
         assert _pattern_ranks(fan, 0b1111) == (0, 0, 0, 0)
         assert _contributing(fan, {0b1111, 0b0111, 0b0001}) == {0b1111, 0b0111}
 
-    def test_the_theorem_ranks_few_boundary_matrices(self, monkeypatch, capsys):
+    def test_the_full_mask_of_a_complete_fan_is_the_sphere(self, records, monkeypatch):
         ranked = []
         real = cohomology.reduced_homology_ranks
         monkeypatch.setattr(cohomology, "reduced_homology_ranks",
-                            lambda fan, rays: ranked.append(rays) or real(fan, rays))
-        for memo in (_patterns, _vertex_frames, _point_list):
+                            lambda fan, rays: ranked.append(fan) or real(fan, rays))
+        _patterns.cache_clear()
+        for fan in [rec.fan for rec in records.values()] + seeded_blowups(records, (9, 10, 11, 12, 13), seed=28):
+            full = (1 << fan.n_rays) - 1
+            assert _pattern_ranks(fan, full) == alexander_ranks(fan, full) == (0, 0, 0, 1)
+        for n in range(1, 6):   # the (n-1)-sphere in other dimensions, against its boundary matrices
+            fan = projective_space(n)
+            assert _pattern_ranks(fan, (1 << n + 1) - 1) == boundary_ranks(fan, (1 << n + 1) - 1) == (0,) * n + (1,)
+        assert ranked == []
+        fan = p3_without_a_cone()   # no certificate: the full mask, a disk here, is ranked by boundary matrices
+        assert _pattern_ranks(fan, 0b1111) == (0, 0, 0, 0) and ranked == [fan]
+
+    def test_the_theorem_ranks_few_boundary_matrices(self, monkeypatch, capsys):
+        # a cold run: every elimination ranks a boundary matrix, and no elimination computes a minor
+        ranked, inside, stray = [], [], []
+        real, real_eliminate = cohomology.reduced_homology_ranks, lattice._eliminate
+
+        def ranks(fan, rays):
+            ranked.append(rays)
+            inside.append(rays)
+            try:
+                return real(fan, rays)
+            finally:
+                inside.pop()
+
+        def eliminate(M, width):
+            if not inside:
+                stray.append(width)
+            return real_eliminate(M, width)
+
+        monkeypatch.setattr(cohomology, "reduced_homology_ranks", ranks)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("toric_exc") and getattr(module, "_eliminate", None) is real_eliminate:
+                monkeypatch.setattr(module, "_eliminate", eliminate)
+        for memo in (_patterns, _vertex_frames, _point_list, fan_module.ridge_normals,
+                     fan_module._completeness_problems, fan_module._cone_inverses):
             memo.cache_clear()
         assert not hasattr(forbidden_sets, "cache_info")
         assert cli_main(["--format", "json", "prove-main-theorem"]) == 0
         capsys.readouterr()
-        assert 0 < len(ranked) <= 30   # 23; 210 without the two certificates
+        assert stray == []
+        assert 0 < len(ranked) <= 30   # 18; 210 without the certificates
 
 
 class TestBatchedBoxes:

@@ -8,15 +8,17 @@ from itertools import combinations
 
 import pytest
 
-from toric_exc import lattice
+from toric_exc import fan as fan_module, lattice
 from toric_exc.catalog import format_fan_file, parse_fan_file
 from toric_exc.cohomology import _patterns, _vertex_frames
 from toric_exc.errors import InteriorCoverFailure, NotUnimodular, UnboundedRegion
 from toric_exc.fan import (Fan, _completeness_problems, _cone_inverses, cone_inverse, cone_matrix, face_masks,
                            is_complete, is_face, is_fano, primitive_collections, primitive_relations,
-                           ridge_normals, validate_fan)
+                           ray_minors, ridge_normals, validate_fan)
+from toric_exc.frobenius import _minor_lcm
 from toric_exc.lattice import IntMatrix, determinant, smith_normal_form
 from toric_exc.picard import build_pic_context
+from test_lattice import leibniz_determinant, sheared_p3_rays
 
 P3 = Fan.make(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
               [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
@@ -135,6 +137,15 @@ class TestValidateFan:
         assert "facet (0, 3): maximal cones (0, 1, 3) and (0, 2, 3) do not lie on opposite sides of it" \
             in report.problems
 
+    def test_an_apex_on_its_facet_is_on_neither_side(self):
+        # cone (0, 2) is flat: its apexes lie on the lines of its facets, so those facets have a side of 0, which
+        # the pairing test must refuse (a test that only refused equal signs would pass it on to the degree test)
+        flat = Fan.make(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2), (0, 2)])
+        assert _completeness_problems(flat) == (
+            "facet (0,): maximal cones (0, 1) and (0, 2) do not lie on opposite sides of it",
+            "facet (2,): maximal cones (0, 2) and (1, 2) do not lie on opposite sides of it")
+        assert not is_complete(flat)
+
     def test_a_double_cover_fails_the_degree_check(self):
         # eight 2-D cones that wind twice around the origin: every ray is the
         # wall between two cones on opposite sides, but (1, 1) lies in two cones
@@ -200,18 +211,16 @@ class TestConeInverse:
 
 class TestOneSourceOfMinors:
     def test_no_minor_is_computed_by_elimination(self, records, monkeypatch):
-        # validate_fan, cone_inverse, the vertex frames and a Pic context on a stored basis read every
-        # minor and cofactor from ridge_normals, so each elimination they run fills one entry of it
-        calls = []
-        real = lattice._eliminate
-
-        def counted(M, width):
-            calls.append(width)
-            return real(M, width)
-
+        # validate_fan, cone_inverse, the vertex frames, the minor lcm and a Pic context on a stored basis read
+        # every minor and cofactor from ridge_normals: no elimination runs, and the batched kernel computes
+        # each ridge of the table exactly once
+        eliminations, computed = [], []
+        real_eliminate, real_kernel = lattice._eliminate, fan_module._cross_products
         for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("toric_exc") and getattr(module, "_eliminate", None) is real:
-                monkeypatch.setattr(module, "_eliminate", counted)
+            if module_name.startswith("toric_exc") and getattr(module, "_eliminate", None) is real_eliminate:
+                monkeypatch.setattr(module, "_eliminate", lambda M, width: eliminations.append(width)
+                                    or real_eliminate(M, width))
+        monkeypatch.setattr(fan_module, "_cross_products", lambda rows, top: computed.append(len(rows)) or real_kernel(rows, top))
         for table in (ridge_normals, _completeness_problems, _cone_inverses, _vertex_frames):
             table.cache_clear()
         fans = [rec.fan for rec in records.values()] + seeded_blowups(records, (9, 13), seed=5)
@@ -221,10 +230,53 @@ class TestOneSourceOfMinors:
                 cone_inverse(fan, cone)
                 build_pic_context(fan, tuple(i for i in range(fan.n_rays) if i not in cone))
             _vertex_frames(fan)
+            _minor_lcm(fan)
         for rec in records.values():
             if rec.pic_basis is not None:
                 build_pic_context(rec.fan, rec.pic_basis)
-        assert len(calls) == sum(len(ridge_normals(fan)) for fan in fans) > 0
+        assert not eliminations
+        assert sum(computed) == sum(len(ridge_normals(fan)) for fan in fans) > 0
+
+
+class TestRayMinors:
+    def test_arrays_equal_the_per_subset_dets_and_cofactors(self, records):
+        rng = random.Random(28)
+        sheared = Fan.make(3, sheared_p3_rays(10 ** 20), P3.max_cones)   # Python-integer arrays
+        for fan in [rec.fan for rec in records.values()] + seeded_blowups(records, (9, 11, 13), seed=28) + [sheared]:
+            subsets = list(combinations(range(fan.n_rays), 3))
+            subsets += [tuple(rng.sample(S, 3)) for S in subsets[::3]]   # rows in the subset's own order
+            dets, cofactors = ray_minors(fan, subsets, cofactors=True)
+            assert dets.tolist() == ray_minors(fan, subsets).tolist()
+            assert (dets.dtype == object) == (fan is sheared)
+            for S, det, rows in zip(subsets, dets.tolist(), cofactors.tolist()):
+                A = cone_matrix(fan, S)
+                assert det == leibniz_determinant(A.entries), (fan.rays, S)
+                expected = (IntMatrix.diagonal([abs(det)] * 3) if det
+                            else IntMatrix.from_rows([[0] * 3] * 3))
+                assert (A if det else expected) @ IntMatrix.from_rows(rows).transpose() == expected, (fan.rays, S)
+                assert any(map(any, rows)) == bool(det)
+
+    def test_minors_past_int64_are_exact(self):
+        # rays with entries up to 2^21: every entry and cross product fits int64, but 3-minors pass 2^63
+        rng = random.Random(21)
+        fan = Fan.make(3, [[rng.choice((1, -1)) * rng.randint(2 ** 20, 2 ** 21) for _ in range(3)]
+                           for _ in range(7)], [])
+        subsets = list(combinations(range(7), 3))
+        expected = [leibniz_determinant(cone_matrix(fan, S).entries) for S in subsets]
+        assert max(map(abs, expected)) >= 2 ** 63
+        dets = ray_minors(fan, subsets)
+        assert dets.dtype == object and dets.tolist() == expected
+
+    def test_a_request_fills_only_the_ridges_it_lacks(self, monkeypatch):
+        computed = []
+        real_kernel = fan_module._cross_products
+        monkeypatch.setattr(fan_module, "_cross_products", lambda rows, top: computed.append(len(rows)) or real_kernel(rows, top))
+        fan = projective_space(4)
+        ridge_normals.cache_clear()
+        ray_minors(fan, [(0, 1, 2, 3)])                       # one ridge: (1, 2, 3)
+        ray_minors(fan, [(0, 1, 2, 3), (4, 1, 2, 3)])         # the same ridge again
+        ray_minors(fan, [(0, 1, 2, 3)], cofactors=True)       # three more, in one batch
+        assert computed == [1, 3] and len(ridge_normals(fan)) == 4
 
 
 class TestOneHashPerFan:
@@ -325,7 +377,8 @@ class TestIsFano:
 
 class TestDimension:
     def test_projective_spaces_up_to_eleven_validate_in_seconds(self):
-        # every cofactor is one Bareiss elimination; a cofactor expansion took over a minute on P^9 alone
+        # every cross product comes from the batched kernel, polynomial in n; a cofactor expansion took over a
+        # minute on P^9 alone
         _completeness_problems.cache_clear()
         _cone_inverses.cache_clear()
         start = time.perf_counter()

@@ -68,7 +68,7 @@ def test_stdout_is_byte_identical(argv, digest):
 
 
 # SHA-256 of json.dumps(results, sort_keys=True) for a fan file: the Smith-form
-# Pic basis, and lattice._cross in dimensions 1, 2 and 4.  Only `results` is
+# Pic basis, and lattice._cross_products in dimensions 1, 2 and 4.  Only `results` is
 # digested, since `inputs.fan_file` names a temporary path.
 FAN_FILE_GOLDEN = [
     ("P1", ("thomsen",), "36616771578a1db27caed767b7a6192c75aaecf6973ed4475a9eb5f6376b480a"),

@@ -1,12 +1,14 @@
-"""Exact linear algebra: Smith normal form with the inverse of U, ranks, cross products."""
+"""Exact linear algebra: Smith normal form with the inverse of U, ranks, batched cross products."""
 
+import random
 from functools import cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toric_exc.lattice import IntMatrix, _cross, determinant, rank, smith_normal_form
+from toric_exc.lattice import IntMatrix, _cross_products, determinant, rank, smith_normal_form
 
 A3_D1 = IntMatrix.from_rows([[1, 0, 0], [-1, -1, 2], [-1, -1, 1]])
 
@@ -121,25 +123,101 @@ def leibniz_determinant(rows):
     return completions(0)
 
 
+def cross(rows, n):
+    """The kernel on a batch of one set of n - 1 rows."""
+    return tuple(_cross_products(np.array(rows, dtype=object).reshape(1, n - 1, n), largest(rows))[0].tolist())
+
+
+def largest(rows):
+    """The largest |entry| of a set of rows or a batch of them, at least 1: the kernel's bound."""
+    return max(1, max((largest(row) if isinstance(row, (list, tuple)) else abs(row) for row in rows), default=0))
+
+
+def reference_cross(rows, n):
+    """x_k = det(e_k, rows) by the permutation sum."""
+    return tuple(leibniz_determinant([[int(i == k) for i in range(n)]] + [list(row) for row in rows])
+                 for k in range(n))
+
+
+@st.composite
+def row_batches(draw):
+    """A batch of sets of n - 1 rows, n in 1 .. 8, some of them made dependent."""
+    n = draw(st.integers(1, 8))
+    row = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    batch = draw(st.lists(st.lists(row, min_size=n - 1, max_size=n - 1), min_size=1, max_size=6))
+    for rows in batch:
+        if n > 2 and draw(st.booleans()):   # a combination of two other rows
+            rows[0] = [a - 2 * b for a, b in zip(rows[1], rows[2 % (n - 1)])]
+    return n, batch
+
+
+def sheared_p3_rays(shear):
+    """The rays of P3 after x -> x + shear y: a change of lattice basis with huge entries."""
+    return [(x + shear * y, y, z) for x, y, z in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))]
+
+
+def twice_sheared_p3_rays(shear):
+    """The rays of P3 after x -> x + shear y and y -> y + shear z: entries about shear, 2-minors about shear^2."""
+    return [(x + shear * y, y + shear * z, z) for x, y, z in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))]
+
+
 class TestCross:
     def test_three_dimensional_cross_product(self):
-        assert _cross([(1, 0, 0), (0, 1, 0)], 3) == (0, 0, 1)
-        assert _cross([(1, 2, 3), (-1, 0, 2)], 3) == (4, -5, 2)
+        assert cross([(1, 0, 0), (0, 1, 0)], 3) == (0, 0, 1)
+        assert cross([(1, 2, 3), (-1, 0, 2)], 3) == (4, -5, 2)
 
     @given(square_matrices)
     @settings(max_examples=150, deadline=None)
     def test_pairing_is_the_bareiss_determinant(self, rows):
         # <cross(rows[1:]), rows[0]> = det(rows), and cross(rows[1:]) is orthogonal to each of them;
-        # both eliminations are checked against the permutation sum
+        # the kernel and the scalar elimination are both checked against the permutation sum
         n = len(rows)
-        x = _cross(rows[1:], n)
+        x = cross(rows[1:], n)
         det = determinant(IntMatrix.from_rows(rows))
         assert det == leibniz_determinant(rows)
         assert sum(a * b for a, b in zip(x, rows[0])) == det
         assert all(sum(a * b for a, b in zip(x, row)) == 0 for row in rows[1:])
 
     def test_dependent_rows_have_a_zero_cross_product(self):
-        assert _cross([], 1) == (1,)
-        assert _cross([(0, 0)], 2) == (0, 0)
-        assert _cross([(1, 2, 3), (2, 4, 6)], 3) == (0, 0, 0)
-        assert _cross([(0, 1, 0, 0), (0, 0, 1, 0), (0, 1, 1, 0)], 4) == (0, 0, 0, 0)
+        assert cross([], 1) == (1,)
+        assert cross([(0, 0)], 2) == (0, 0)
+        assert cross([(1, 2, 3), (2, 4, 6)], 3) == (0, 0, 0)
+        assert cross([(0, 1, 0, 0), (0, 0, 1, 0), (0, 1, 1, 0)], 4) == (0, 0, 0, 0)
+
+    @given(row_batches())
+    @settings(max_examples=150, deadline=None)
+    def test_a_batch_equals_its_members_one_at_a_time(self, case):
+        n, batch = case   # the int64 path; the object path is tested below
+        together = _cross_products(np.array(batch, dtype=np.int64).reshape(len(batch), n - 1, n), largest(batch))
+        assert [tuple(x) for x in together.tolist()] == [cross(rows, n) for rows in batch] \
+            == [reference_cross(rows, n) for rows in batch]
+
+    def test_the_object_path_is_exact(self):
+        rng = random.Random(28)
+        cases = []
+        for shear in (10 ** 20, -(10 ** 20)):   # P3 sheared: every pair of its rays
+            rays = sheared_p3_rays(shear)
+            cases.append((3, [[rays[i], rays[j]] for i in range(4) for j in range(4) if i != j]))
+        for n in (2, 3, 4, 5):   # entries of +-2^63 among small ones, and one dependent set
+            batch = [[[rng.choice((2 ** 63, -(2 ** 63), rng.randint(-5, 5))) for _ in range(n)]
+                      for _ in range(n - 1)] for _ in range(8)]
+            batch.append([[2 ** 63 * k for k in range(1, n + 1)]] * (n - 1))
+            cases.append((n, batch))
+        for n, batch in cases:
+            crosses = _cross_products(np.array(batch, dtype=object), largest(batch))
+            assert crosses.dtype == object
+            assert [tuple(x) for x in crosses.tolist()] == [reference_cross(rows, n) for rows in batch]
+
+    def test_cross_products_past_int64_are_exact(self):
+        # entries up to 2^32 + 1, which fit int64 with room to spare, but 2-minors that pass 2^63; among them
+        # the ridges of P3 sheared twice by 2^32, whose cross products hold 2^64
+        rng = random.Random(18)
+        batch = [[[rng.choice((1, -1)) * rng.randint(2 ** 31, 2 ** 32) for _ in range(3)] for _ in range(2)]
+                 for _ in range(40)]
+        rays = twice_sheared_p3_rays(2 ** 32)
+        batch += [[rays[i], rays[j]] for i in range(4) for j in range(4) if i != j]
+        expected = [reference_cross(rows, 3) for rows in batch]
+        assert max(abs(c) for x in expected for c in x) >= 2 ** 64
+        crosses = _cross_products(np.array(batch, dtype=np.int64), largest(batch))
+        assert crosses.dtype == object
+        assert [tuple(x) for x in crosses.tolist()] == expected
