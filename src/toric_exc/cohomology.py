@@ -276,27 +276,21 @@ def _vertex_frames(fan: Fan) -> _VertexFrames:
     docstring); a complete fan has a nonsingular maximal cone.  It raises
     BoxTooLarge when one divisor's vertex pass, C(m, n) 2^n candidates
     against m rays, would hold more than _VERTEX_PASS_LIMIT gap entries;
-    thresholds, the largest table, holds that many.
-
-    The dets and cofactors of every ray n-subset are one fan.ray_minors
-    request.  It is made before the completeness check when the rays have
-    n entries and the pass is within the limit, so that its one fill of
-    ridge_normals also holds the facet normals the check reads: one kernel
-    call per fan, not two, whose fixed cost is most of a small fill.  The
-    refusals keep their order.
+    thresholds, the largest table, holds that many.  Only then are the
+    dets and cofactors of every ray n-subset read, in one fan.ray_minors
+    request.
     """
-    n, m, rays = fan.dim, fan.n_rays, fan.rays
-    entries = comb(m, n) * 2 ** n * m
-    if entries <= _VERTEX_PASS_LIMIT and all(len(ray) == n for ray in rays):
-        every = np.array(list(combinations(range(m), n)), dtype=np.int64).reshape(-1, n)
-        dets, cofactors = ray_minors(fan, every, cofactors=True)
     problems = _completeness_problems(fan)
     if problems:
         raise UnboundedRegion(f"the fan is not complete, so its regions of characters need not be bounded: "
                               f"{problems[0]}")
+    n, m, rays = fan.dim, fan.n_rays, fan.rays
+    entries = comb(m, n) * 2 ** n * m
     if entries > _VERTEX_PASS_LIMIT:
         raise BoxTooLarge(f"the vertex pass of one divisor would hold {entries} gap entries "
                           f"({m} rays in dimension {n}), past the limit {_VERTEX_PASS_LIMIT}")
+    every = np.array(list(combinations(range(m), n)), dtype=np.int64).reshape(-1, n)
+    dets, cofactors = ray_minors(fan, every, cofactors=True)
     nonsingular = np.flatnonzero(dets)
     subsets, cofactors, dets = every[nonsingular], cofactors[nonsingular], np.abs(dets[nonsingular])
     largest = int(max(np.abs(cofactors).max(), dets.max()))
@@ -325,7 +319,7 @@ class _Box(NamedTuple):
 
 
 def _divisor_array(frames: _VertexFrames, divisors: Sequence, reach: int) -> np.ndarray:
-    """One divisor's m entries, or D divisors as a D x m array, in the dtype of their vertex pass.
+    """D divisors as a D x m array, in the dtype of their vertex pass.
 
     reach is the largest |a_rho|.  (n^2 ray_max + 1) largest (reach + 1)
     bounds every base gap, every gap, every numerator |det| u and every
@@ -338,23 +332,20 @@ def _divisor_array(frames: _VertexFrames, divisors: Sequence, reach: int) -> np.
 
 
 def _base_gaps(frames: _VertexFrames, a: np.ndarray) -> np.ndarray:
-    """The gaps at eps = 0, |det A_S| a_rho + pairings[S] @ a_S: K x m for one divisor, K x m x D for D x m divisors.
+    """The gaps at eps = 0, |det A_S| a_rho + pairings[S] @ a_S: K x m x D for D x m divisors.
 
     A candidate's gap is linear in the divisor: this part, n multiply-adds
-    per entry, minus the cached threshold of its eps.  One divisor takes a
-    matrix-vector product per S; the divisors of a batch run along the
-    last axis, so the broadcasts over the candidates have a long inner
-    axis.  The dtype follows a and the tables; _divisor_array keeps an
-    int64 result exact.
+    per entry, minus the cached threshold of its eps.  The divisors run
+    along the last axis, so the broadcasts over the candidates have a long
+    inner axis.  The dtype follows a and the tables; _divisor_array keeps
+    an int64 result exact.
     """
-    if a.ndim == 1:
-        return frames.dets[:, None] * a + (frames.pairings @ a[frames.subsets, None])[..., 0]
     a_t = a.T
     return frames.dets[:, None, None] * a_t + frames.pairings @ a_t[frames.subsets]
 
 
 def _vertex_masks(frames: _VertexFrames, a: np.ndarray) -> np.ndarray:
-    """The sign mask of every vertex candidate (S, eps): K x 2^n for one divisor, K x 2^n x D for D x m divisors.
+    """The sign mask of every vertex candidate (S, eps): K x 2^n x D for D x m divisors.
 
     Each vertex of a region P_I(a) solves n of its inequalities with
     equality, |det A_S| u = -adj(A_S)(a_S + eps), and leaves no ray strictly
@@ -364,17 +355,16 @@ def _vertex_masks(frames: _VertexFrames, a: np.ndarray) -> np.ndarray:
     broadcast comparison with the per-fan thresholds gives every mask.  A
     gap is an integer, so only a wide S (|det| > 1) can leave a ray inside
     one.  This is the one mask computation of the vertex pass: the boxes
-    (one divisor) and the verdict witnesses (a chunk of divisors) both
-    read it.
+    (a batch of one divisor) and the verdict witnesses (a chunk of
+    divisors) both read it.
     """
-    tail = (None,) * (a.ndim - 1)   # a batch's divisor axis, last
-    base, thresholds = _base_gaps(frames, a)[:, None], frames.thresholds[(..., *tail)]
-    above = base >= thresholds   # K x 2^n x m (x D): gap >= 0
-    masks = above @ frames.weights if a.ndim == 1 else frames.weights @ above   # the ray axis: last, or before D
+    base, thresholds = _base_gaps(frames, a)[:, None], frames.thresholds[..., None]
+    above = base >= thresholds   # K x 2^n x m x D: gap >= 0
+    masks = frames.weights @ above   # the ray axis, before D
     wide = frames.wide
     if len(wide):   # a ray strictly inside a gap, -|det| < gap < 0: no vertex, and -1 is no pattern's mask
         low, high = base[wide], thresholds[wide]
-        inside = ((low < high) & (low + frames.dets[(wide, None, None, *tail)] > high)).any(axis=2)
+        inside = ((low < high) & (low + frames.dets[wide, None, None, None] > high)).any(axis=2)
         masks[wide] = np.where(inside, -1, masks[wide])
     return masks
 
@@ -397,8 +387,8 @@ def _contributing_box(fan: Fan, divisor: tuple[int, ...]) -> Optional[_Box]:
     else is kept.
     """
     frames = _vertex_frames(fan)
-    a = _divisor_array(frames, divisor, max(map(abs, divisor)))
-    masks = _vertex_masks(frames, a)
+    a = _divisor_array(frames, [divisor], max(map(abs, divisor)))
+    masks = _vertex_masks(frames, a)[..., 0]
     live = _contributing(fan, set(masks.ravel().tolist()) - {-1})   # mostly one: the full pattern
     if not live:
         return None
@@ -406,7 +396,7 @@ def _contributing_box(fan: Fan, divisor: tuple[int, ...]) -> Optional[_Box]:
     for mask in live:
         chosen |= masks == mask
     subset, corner = np.nonzero(chosen)
-    num = _numerators(frames, a[frames.subsets[subset]], subset, corner)
+    num = _numerators(frames, a[0, frames.subsets[subset]], subset, corner)
     dets = frames.dets[subset, None]
     lo, hi = (num // dets).min(axis=0).tolist(), (-(-num // dets)).max(axis=0).tolist()
     return _Box(tuple(lo), tuple(hi), max(map(abs, lo + hi)), frozenset(live))

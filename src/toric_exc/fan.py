@@ -17,16 +17,13 @@ number is one.  The cones then tile R^n, and the boundary complex (the
 cones' ray sets) is a triangulated (n-1)-sphere, which the cohomology
 module's pattern certificates rely on.
 
-ridge_normals is the fan's one table of (n-1)-subset cross products.  A
-request names the ridges it needs as an index array; the ones the table
-lacks are filled in one batch of lattice._cross_products, the one exact
-kernel for them, and every answer is read from the table.  The facet
-sides of the completeness certificate are one request, and ray_minors
-answers one with arrays: the n x n ray minors of a batch of n-subsets
-and, when asked, their signed cofactors.  Those serve the smoothness
-check of validate_fan, cone_inverse (which also gives a stored Pic basis
-its class map; a batch of one), the cohomology module's vertex frames
-and the Frobenius module's minor lcm.
+ray_minors answers a request with arrays: the n x n ray minors of a
+batch of n-subsets and, when asked, their signed cofactors, all from one
+batch of lattice._cross_products, the one exact kernel for them.  Those
+serve the smoothness check of validate_fan, cone_inverse (which also
+gives a stored Pic basis its class map; a batch of one), the cohomology
+module's vertex frames and the Frobenius module's minor lcm.  The facet
+sides of the completeness certificate are one more batch of the kernel.
 Every per-fan table, here and in the cohomology module, is kept for the
 last _FAN_CACHE_SIZE fans, so a process that checks many fans holds the
 tables of a bounded number of them.
@@ -36,8 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, filterfalse
-from math import gcd, prod
+from itertools import chain, combinations
+from math import gcd
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -96,66 +93,32 @@ class _Table(dict):
         return value
 
 
-class _Normals:
-    """A fan's ridge normals: each (n-1)-subset of rays that a request names gets one row of `values`.
-
-    `index` maps a ridge, a tuple of ray indices, to its row; `top` is the
-    largest |ray entry| (at least 1), the bound the kernel is given, and
-    `rays` is the fan's ray array in the dtype _minor_dtype allows for it,
-    which also holds every n x n ray minor and each of its partial sums.
-    """
-
-    def __init__(self, fan: Fan):
-        self.top = max(1, max(map(abs, chain.from_iterable(fan.rays)), default=0))   # at least 1
-        self.rays = np.array(fan.rays, dtype=_minor_dtype(fan.dim, self.top)).reshape(-1, fan.dim)
-        self.index: dict[tuple[int, ...], int] = {}
-        self.values = np.zeros((0, fan.dim), dtype=self.rays.dtype)
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def find(self, ridges: np.ndarray) -> np.ndarray:
-        """The rows of `values` of an ... x (n-1) array of ridges; the ridges not yet in the table are
-        filled first, in one _cross_products batch."""
-        flat = ridges.reshape(prod(ridges.shape[:-1]), ridges.shape[-1])
-        keys = list(zip(*flat.T.tolist())) if flat.shape[1] else [()] * len(flat)   # n = 1: every ridge is empty
-        index = self.index
-        missing = list(dict.fromkeys(filterfalse(index.__contains__, keys)))
-        if missing:
-            normals = _cross_products(self.rays[np.array(missing, dtype=np.intp)], self.top)
-            self.values = np.concatenate((self.values, normals))
-            index.update(zip(missing, range(len(index), len(index) + len(missing))))
-        return np.array(list(map(index.__getitem__, keys)), dtype=np.intp).reshape(ridges.shape[:-1])
-
-
-@lru_cache(maxsize=_FAN_CACHE_SIZE)
-def ridge_normals(fan: Fan) -> _Normals:
-    """The fan's one table of (n-1)-subset cross products, filled per request.
-
-    The normal of R pairs with a ray w to det(w, rays of R), so it gives
-    the sides of a facet (_completeness_problems) and, through ray_minors,
-    every n x n ray minor and cofactor.  A ridge is a tuple of ray indices,
-    ascending by convention; the cross product follows its order.
-    """
-    return _Normals(fan)
+def _ray_array(fan: Fan) -> tuple[np.ndarray, int]:
+    """The m x n ray array in the dtype _minor_dtype allows, which holds every n x n ray minor and each of its
+    partial sums, and top, the largest |ray entry| (at least 1): the bound _cross_products is given."""
+    top = max(1, max(map(abs, chain.from_iterable(fan.rays)), default=0))
+    return np.array(fan.rays, dtype=_minor_dtype(fan.dim, top)).reshape(-1, fan.dim), top
 
 
 def ray_minors(fan: Fan, subsets: Sequence[Sequence[int]] | np.ndarray,
                cofactors: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """det A_S for the K ray n-subsets S of one request, A_S the rays of S as rows in S's order, from ridge_normals.
+    """det A_S for the K ray n-subsets S of one request, A_S the rays of S as rows in S's order.
 
     subsets is a K x n index array, or anything np.array makes one of.
-    det A_S = <v_S0, normal of S minus S0>, so the dets (a K array) need
-    only the ridges S minus S0.  With cofactors, the request also returns
-    the K x n x n rows sign(det A_S) (-1)^i normal of S minus S_i, so that
-    A_S @ rows^T = |det A_S| I; a zero det has zero rows.  The arrays are
-    int64, or Python integers on a fan past _minor_dtype's bound.
+    det A_S = <v_S0, normal of S minus S0>, the normal of a ridge R being
+    the cross product of its rays in R's order, so the dets (a K array)
+    need only the ridges S minus S0.  With cofactors, the request also
+    returns the K x n x n rows sign(det A_S) (-1)^i normal of S minus S_i,
+    so that A_S @ rows^T = |det A_S| I; a zero det has zero rows.  Every
+    normal of the request comes from one _cross_products call.  The arrays
+    are int64, or Python integers on a fan past _minor_dtype's bound.
     """
-    n, table = fan.dim, ridge_normals(fan)
+    n, (rays, top) = fan.dim, _ray_array(fan)
     S = np.array(subsets, dtype=np.intp).reshape(-1, n)
-    rows = table.find(S[:, _omitting(n)] if cofactors else S[:, None, 1:])   # first: a fill replaces table.values
-    normals = table.values[rows]
-    dets = (table.rays[S[:, :1]] @ normals[:, 0, :, None])[:, 0, 0]
+    ridges = S[:, _omitting(n)] if cofactors else S[:, None, 1:]   # K x r x (n-1), r = n or 1
+    K, r = ridges.shape[:2]
+    normals = _cross_products(rays[ridges.reshape(K * r, n - 1)], top).reshape(K, r, n)
+    dets = (rays[S[:, :1]] @ normals[:, 0, :, None])[:, 0, 0]
     if not cofactors:
         return dets
     return dets, (np.sign(dets)[:, None] * _alternating(n))[:, :, None] * normals
@@ -179,7 +142,7 @@ def _cone_inverses(fan: Fan) -> Mapping[tuple[int, ...], IntMatrix]:
 
     The keys are the maximal cones and the complements of stored Pic bases
     (picard.build_pic_context); any ascending n-subset whose rays form a
-    lattice basis may be one, and each is read from ridge_normals.
+    lattice basis may be one, and each is a ray_minors request of one.
     """
     return _Table(fan, _inverse)
 
@@ -258,7 +221,7 @@ def validate_fan(fan: Fan) -> FanValidation:
             continue
         covered.update(cone)
         valid.append(cone)
-    for cone, d in zip(valid, ray_minors(fan, valid).tolist() if valid else ()):   # no table for a 0-dimensional fan
+    for cone, d in zip(valid, ray_minors(fan, valid).tolist() if valid else ()):   # a 0-dimensional fan asks for none
         if abs(d) != 1:
             smooth = False
             problems.append(f"cone {cone} has determinant {d}; not smooth")
@@ -284,19 +247,18 @@ def _completeness_problems(fan: Fan) -> tuple[str, ...]:
     - Degree one: the ray sum of the first maximal cone, an interior point
       of it, lies in no other maximal cone.
 
-    Both checks are exact integer sign tests on the facet normals of one
-    ridge_normals request.
+    Both checks are exact integer sign tests on the facet normals, which
+    come from one _cross_products call.
     """
     n, m, rays, cones = fan.dim, fan.n_rays, fan.rays, fan.max_cones
     if (not cones or any(len(ray) != n for ray in rays)
             or any(len(set(cone)) != n or not all(0 <= i < m for i in cone) for cone in cones)):
         return (f"the maximal cones are not sets of {n} valid ray indices",)
-    table = ridge_normals(fan)
+    ray_array, top = _ray_array(fan)
     apexes = np.array([sorted(cone) for cone in cones], dtype=np.intp)   # C x n
     facets = apexes[:, _omitting(n)]                                      # C x n x (n-1): facet i omits apex i
-    rows = table.find(facets)   # first: a fill replaces table.values
-    normals = table.values[rows]
-    sides = (normals[..., None, :] @ table.rays[apexes][..., None])[..., 0, 0].tolist()   # C x n: each apex's side
+    normals = _cross_products(ray_array[facets.reshape(len(cones) * n, n - 1)], top).reshape(len(cones), n, n)
+    sides = (normals[..., None, :] @ ray_array[apexes][..., None])[..., 0, 0].tolist()   # C x n: each apex's side
     pairs: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
     for cone, cone_facets, cone_sides in zip(cones, facets.tolist(), sides):
         for facet, side in zip(cone_facets, cone_sides):
@@ -312,7 +274,7 @@ def _completeness_problems(fan: Fan) -> tuple[str, ...]:
         return tuple(problems)
     first = cones[0]
     point = tuple(map(sum, zip(*(rays[i] for i in first))))
-    dtype = _minor_dtype(n, n * table.top)   # <normal, point> = det(point, facet rays), entries at most n top
+    dtype = _minor_dtype(n, n * top)   # <normal, point> = det(point, facet rays), entries at most n top
     reach = (normals.astype(dtype, copy=False) @ np.array(point, dtype=dtype)).tolist()
     for cone, cone_sides, cone_reach in zip(cones[1:], sides[1:], reach[1:]):
         if all(side * at >= 0 for side, at in zip(cone_sides, cone_reach)):

@@ -9,9 +9,9 @@ determinism and auditability.
 One fraction-free (Bareiss) elimination, _eliminate, gives every rank and
 determinant in polynomial time.  One batched kernel, _cross_products,
 gives the cross products of n - 1 rows for a whole batch of row sets in
-one vectorised, division-free pass (Samuelson-Berkowitz); the fan
-module's one table of ridge normals is filled by it, and every ray minor
-and cofactor is read from that table.  The only inverse built from them
+one vectorised, division-free pass (Samuelson-Berkowitz); every ray
+minor and cofactor of the fan module is read from one such pass per
+request (fan.ray_minors).  The only inverse built from them
 is fan.cone_inverse: det times the transposed cofactor matrix of n rays.
 The Smith normal form, which pivots on the smallest-magnitude entry with
 ties broken by position, only chooses the quotient basis of Pic; it

@@ -662,8 +662,8 @@ class TestPatternRankCertificates:
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("toric_exc") and getattr(module, "_eliminate", None) is real_eliminate:
                 monkeypatch.setattr(module, "_eliminate", eliminate)
-        for memo in (_patterns, _vertex_frames, _point_list, fan_module.ridge_normals,
-                     fan_module._completeness_problems, fan_module._cone_inverses):
+        for memo in (_patterns, _vertex_frames, _point_list, fan_module._completeness_problems,
+                     fan_module._cone_inverses):
             memo.cache_clear()
         assert not hasattr(forbidden_sets, "cache_info")
         assert cli_main(["--format", "json", "prove-main-theorem"]) == 0
@@ -895,7 +895,7 @@ class TestGapTables:
     def test_cached_tables_give_the_plain_gaps_of_every_candidate(self, records):
         # every (S, eps) candidate of every divisor: the base gap minus the threshold of eps equals
         # |det A_S| (<u, v_rho> + a_rho) in Python ints, on the int64 and on the object path, and a
-        # divisor passed alone gets the gaps and the masks of its column in a batch
+        # divisor passed alone, as a batch of one, gets the gaps and the masks of its column in a batch
         fans = ([rec.fan for _, rec in sorted(records.items())] + [projective_space(n) for n in (1, 2, 4)]
                 + seeded_blowups(records, (9, 11, 13), seed=19))
         rng = random.Random(19)
@@ -913,10 +913,11 @@ class TestGapTables:
                 assert gaps.shape == (len(frames.subsets), 2 ** fan.dim, m, len(batch))
                 masks = _vertex_masks(frames, a)
                 for d, divisor in enumerate(batch):
-                    alone = _divisor_array(frames, divisor, max(map(abs, divisor)))
-                    assert alone.shape == (m,)
-                    assert (_base_gaps(frames, alone)[:, None] - frames.thresholds).tolist() == gaps[..., d].tolist()
-                    assert _vertex_masks(frames, alone).tolist() == masks[..., d].tolist()
+                    alone = _divisor_array(frames, [divisor], max(map(abs, divisor)))
+                    assert alone.shape == (1, m)
+                    assert ((_base_gaps(frames, alone)[:, None] - frames.thresholds[..., None]).tolist()
+                            == gaps[..., d:d + 1].tolist())
+                    assert _vertex_masks(frames, alone).tolist() == masks[..., d:d + 1].tolist()
                 for k, subset in enumerate(frames.subsets.tolist()):
                     for e, eps in enumerate(_corner_offsets(fan.dim).tolist()):
                         for d, divisor in enumerate(batch):
@@ -952,9 +953,8 @@ class TestFanCaches:
             assert answers(fan) == first
             assert all((cone_matrix(fan, cone) @ inverse).is_identity()
                        for cone, inverse in zip(fan.max_cones, inverses(fan)))
-        memos = (cohomology._patterns, _vertex_frames, fan_module.ridge_normals,
-                 fan_module._completeness_problems, fan_module.face_masks, fan_module.primitive_collections,
-                 fan_module.primitive_relations, fan_module._cone_inverses)
+        memos = (cohomology._patterns, _vertex_frames, fan_module._completeness_problems, fan_module.face_masks,
+                 fan_module.primitive_collections, fan_module.primitive_relations, fan_module._cone_inverses)
         assert all(memo.cache_info().currsize <= size for memo in memos)
         assert not hasattr(is_fano, "cache_info") and not hasattr(forbidden_sets, "cache_info")
         misses = [memo.cache_info().misses for memo in memos]

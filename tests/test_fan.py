@@ -14,7 +14,7 @@ from toric_exc.cohomology import _patterns, _vertex_frames
 from toric_exc.errors import InteriorCoverFailure, NotUnimodular, UnboundedRegion
 from toric_exc.fan import (Fan, _completeness_problems, _cone_inverses, cone_inverse, cone_matrix, face_masks,
                            is_complete, is_face, is_fano, primitive_collections, primitive_relations,
-                           ray_minors, ridge_normals, validate_fan)
+                           ray_minors, validate_fan)
 from toric_exc.frobenius import _minor_lcm
 from toric_exc.lattice import IntMatrix, determinant, smith_normal_form
 from toric_exc.picard import build_pic_context
@@ -212,16 +212,25 @@ class TestConeInverse:
 class TestOneSourceOfMinors:
     def test_no_minor_is_computed_by_elimination(self, records, monkeypatch):
         # validate_fan, cone_inverse, the vertex frames, the minor lcm and a Pic context on a stored basis read
-        # every minor and cofactor from ridge_normals: no elimination runs, and the batched kernel computes
-        # each ridge of the table exactly once
-        eliminations, computed = [], []
-        real_eliminate, real_kernel = lattice._eliminate, fan_module._cross_products
+        # every minor and cofactor from ray_minors: no elimination runs, each ray_minors request makes exactly
+        # one call of the batched kernel, and so does each miss of the completeness certificate
+        eliminations, computed, requests = [], [], []
+        real_eliminate, real_kernel, real_minors = lattice._eliminate, fan_module._cross_products, ray_minors
+
+        def request(*args, **kwargs):
+            before = len(computed)
+            result = real_minors(*args, **kwargs)
+            requests.append(len(computed) - before)
+            return result
+
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("toric_exc") and getattr(module, "_eliminate", None) is real_eliminate:
                 monkeypatch.setattr(module, "_eliminate", lambda M, width: eliminations.append(width)
                                     or real_eliminate(M, width))
+            if module_name.startswith("toric_exc") and getattr(module, "ray_minors", None) is real_minors:
+                monkeypatch.setattr(module, "ray_minors", request)
         monkeypatch.setattr(fan_module, "_cross_products", lambda rows, top: computed.append(len(rows)) or real_kernel(rows, top))
-        for table in (ridge_normals, _completeness_problems, _cone_inverses, _vertex_frames):
+        for table in (_completeness_problems, _cone_inverses, _vertex_frames):
             table.cache_clear()
         fans = [rec.fan for rec in records.values()] + seeded_blowups(records, (9, 13), seed=5)
         for fan in fans:
@@ -235,7 +244,8 @@ class TestOneSourceOfMinors:
             if rec.pic_basis is not None:
                 build_pic_context(rec.fan, rec.pic_basis)
         assert not eliminations
-        assert sum(computed) == sum(len(ridge_normals(fan)) for fan in fans) > 0
+        assert len(requests) > len(fans) and set(requests) == {1}
+        assert len(computed) - len(requests) == _completeness_problems.cache_info().misses == len(fans)
 
 
 class TestRayMinors:
@@ -267,18 +277,6 @@ class TestRayMinors:
         dets = ray_minors(fan, subsets)
         assert dets.dtype == object and dets.tolist() == expected
 
-    def test_a_request_fills_only_the_ridges_it_lacks(self, monkeypatch):
-        computed = []
-        real_kernel = fan_module._cross_products
-        monkeypatch.setattr(fan_module, "_cross_products", lambda rows, top: computed.append(len(rows)) or real_kernel(rows, top))
-        fan = projective_space(4)
-        ridge_normals.cache_clear()
-        ray_minors(fan, [(0, 1, 2, 3)])                       # one ridge: (1, 2, 3)
-        ray_minors(fan, [(0, 1, 2, 3), (4, 1, 2, 3)])         # the same ridge again
-        ray_minors(fan, [(0, 1, 2, 3)], cofactors=True)       # three more, in one batch
-        assert computed == [1, 3] and len(ridge_normals(fan)) == 4
-
-
 class TestOneHashPerFan:
     def test_equal_fans_share_every_table(self, records):
         for rec in records.values():
@@ -286,7 +284,7 @@ class TestOneHashPerFan:
             a, b = parse_fan_file(text), parse_fan_file(text)
             assert a is not b and a == b
             assert hash(a) == hash(b) == hash((a.dim, a.rays, a.max_cones))
-            for table in (ridge_normals, _cone_inverses, _completeness_problems, face_masks,
+            for table in (_cone_inverses, _completeness_problems, face_masks,
                           primitive_collections, primitive_relations, _patterns, _vertex_frames):
                 assert table(a) is table(b), (rec.name, table.__name__)
 
