@@ -22,7 +22,9 @@ batch of n-subsets and, when asked, their signed cofactors, all from one
 batch of lattice._cross_products, the one exact kernel for them.  Those
 serve the smoothness check of validate_fan, cone_inverse (which also
 gives a stored Pic basis its class map; a batch of one), the cohomology
-module's vertex frames and the Frobenius module's minor lcm.  The facet
+module's vertex frames, and the Frobenius module's minor lcm and line
+frame (every maximal cone's cofactors, from which decompose picks its
+base cone and line axis).  The facet
 sides of the completeness certificate are one more batch of the kernel.
 Every per-fan table, here and in the cohomology module, is kept for the
 last _FAN_CACHE_SIZE fans, so a process that checks many fans holds the

@@ -14,13 +14,16 @@ sigma_k containing ray j (the choice does not matter).  As the rows of A_k
 are the rays of sigma_k, that pairing is the entry of h_k at the position
 of ray j in sigma_k, and the row of C_lk it divides is v_j B_l whatever k
 is: each ray needs one row of one divide step, read from the base cone
-alone.  The summand multiset does not depend on the base cone, so
-decompose takes the first maximal cone.  It counts the summands that
-way, one mixed-radix digit per ray, line by line: a line fixes the first
-n - 1 residue coordinates, and along the last one each ray's floor is a
+alone.  The summand multiset depends neither on the base cone nor on
+the order of its rays.  decompose counts the summands that way, one
+mixed-radix digit per ray, line by line: a line fixes all residue
+coordinates but one, the line axis, and along it each ray's floor is a
 step function whose steps have closed forms.  So a line is a few
 segments of one key each, weighted by their lengths, and a line with
-more steps than residues takes every residue instead.  The lines are
+more steps than residues takes every residue instead.  The base cone and
+line axis are the per-fan frame (_line_frame) with the fewest segments a
+line: two on every catalog fan, against up to five on the first maximal
+cone's last axis.  The lines are
 walked in slabs of about _SLAB floors, so that the memory does not grow
 with p^n.  The digits of every distinct key are decoded into classes in
 one product with the class map.  decompose refuses more than
@@ -38,6 +41,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations, repeat
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -45,7 +49,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import NotStabilized, RayNotCovered, TooManyResidues
-from .fan import Fan, cone_inverse, ray_minors
+from .fan import _FAN_CACHE_SIZE, Fan, cone_inverse, ray_minors
 from .lattice import _INT64_SAFE
 from .picard import ClassVector, PicContext, _check_length, to_class
 
@@ -72,6 +76,46 @@ class FrobeniusDecomposition:
         return sum(mult for _, mult in self.summands)
 
 
+@lru_cache(maxsize=_FAN_CACHE_SIZE)
+def _line_frame(fan: Fan) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The base cone of decompose, its rays ordered so that the line axis is last, and every ray's c_j on them.
+
+    On a unimodular maximal cone sigma, c_j = v_j B_sigma, and a line along
+    axis k has 1 + sum over j not in sigma of |c_j[k]| segments (sigma's
+    own ray k adds the 1).  The frame is the (sigma, k) with the fewest,
+    ties going to the fewest sloped rays (c_j[k] != 0, j not in sigma),
+    then to the earliest cone, then to its last axis, so that the first
+    cone's last axis wins a full tie.  Every c_j on every maximal cone
+    comes from one ray_minors request with cofactors and one product with
+    the rays: for det +-1 the cofactor rows are the columns of B_sigma.  A
+    ray in no maximal cone raises RayNotCovered.  A first maximal cone
+    that is not a lattice basis raises its NotUnimodular from
+    cone_inverse; any other such cone, or one that is not n valid ray
+    indices, is no candidate.
+    """
+    n, m, cones = fan.dim, fan.n_rays, fan.max_cones
+    uncovered = set(range(m)).difference(*cones)
+    if uncovered:
+        raise RayNotCovered(f"ray {min(uncovered)} lies in no maximal cone")
+    shaped = [cone for cone in cones if len(cone) == n and 0 <= min(cone) and max(cone) < m]
+    if not shaped or shaped[0] != cones[0]:
+        cone_inverse(fan, cones[0])   # raises, or fails on a bad index as the lookup always has
+    dets, rows = ray_minors(fan, shaped, cofactors=True)
+    if abs(dets[0]) != 1:
+        cone_inverse(fan, cones[0])   # raises NotUnimodular
+    unimodular = np.flatnonzero(abs(dets) == 1)
+    coordinates = rows[unimodular] @ np.array(fan.rays, dtype=rows.dtype).T   # cones x n x m: c_j[i] = <row i, v_j>
+    # per (cone, axis): the segments of a line (the cone's own ray adds the 1), then the sloped rays; each |c_j[k]|
+    # is capped at _RESIDUE_LIMIT >= p, past which every x starts a segment anyway, so that no int64 sum wraps
+    segments = np.minimum(abs(coordinates), _RESIDUE_LIMIT).sum(axis=2)[:, ::-1].ravel()
+    sloped = (coordinates != 0).sum(axis=2)[:, ::-1].ravel()
+    choice, k = divmod(int(np.lexsort((sloped, segments))[0]), n)   # a stable sort: the first cone, then its last axis
+    axis = n - 1 - k
+    order = [i for i in range(n) if i != axis] + [axis]
+    cone = shaped[unimodular[choice]]
+    return tuple(cone[i] for i in order), tuple(zip(*coordinates[choice][order].tolist()))
+
+
 def decompose(
     fan: Fan,
     ctx: PicContext,
@@ -80,9 +124,10 @@ def decompose(
 ) -> FrobeniusDecomposition:
     """Full splitting of (pi_p)_* O(D) dual into line bundle classes.
 
-    The base cone sigma_l is the first maximal cone.  Ray j reads its row
-    c_j = v_j B_l of the divide step and its shift w_j = a_j - <c_j, a
-    restricted to sigma_l> = q_j p + r_j, both from the base cone alone.
+    The base cone sigma_l and its ray order are the fan's _line_frame, so
+    that the line axis below is the last.  Ray j reads its row c_j = v_j
+    B_l of the divide step from the frame and its shift w_j = a_j - <c_j,
+    a restricted to sigma_l> = q_j p + r_j, both from the base cone alone.
     Its coefficient in D_v is -(q_j + floor((<c_j, v> + r_j) / p)), and
     that floor lies in a range [lo_j, hi_j] known in advance, so only q_j
     carries the size of a twist.  Each floor is computed on the axes where
@@ -125,17 +170,12 @@ def decompose(
     n = fan.dim
     if p ** n > _RESIDUE_LIMIT:
         raise TooManyResidues(f"{p}^{n} residues; decompose enumerates at most 2^32")
-    cones = fan.max_cones
-    uncovered = set(range(fan.n_rays)).difference(*cones)
-    if uncovered:
-        raise RayNotCovered(f"ray {min(uncovered)} lies in no maximal cone")
-    columns = cone_inverse(fan, cones[0]).transpose().entries
+    cone, coordinates = _line_frame(fan)
     divisor = tuple(int(a) for a in divisor)
-    base = [divisor[i] for i in cones[0]]
+    base = [divisor[i] for i in cone]
 
     rows = []   # (c_j, q_j, r_j, lo_j, span_j)
-    for ray, a in zip(fan.rays, divisor):
-        c = [sum(map(mul, column, ray)) for column in columns]   # v_j B_l: v_j on the base cone's ray basis
+    for c, a in zip(coordinates, divisor):
         below = sum(x for x in c if x < 0)
         q, r = divmod(a - sum(map(mul, c, base)), p)
         lo = ((p - 1) * below + r) // p

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toric_exc import cohomology, fan as fan_module, lattice
+from toric_exc import cohomology, fan as fan_module, frobenius, lattice
 from toric_exc.cli import main as cli_main
 from toric_exc.cohomology import (_RADIUS_LIMIT, _base_gaps, _characters, _checked, _contributing, _contributing_box,
                                   _corner_offsets, _divisor_array, _pattern_ranks, _patterns,
@@ -941,20 +941,22 @@ class TestFanCaches:
         def answers(fan):
             ctx = build_pic_context(fan)
             return (forbidden_sets(fan), validate_fan(fan), primitive_relations(fan), is_fano(fan),
-                    [cohomology_table(ctx, D, escalate=True).dims for D in ((0, 0, 0), (-1, -1, -1), (-1, 0, 0))])
+                    [cohomology_table(ctx, D, escalate=True).dims for D in ((0, 0, 0), (-1, -1, -1), (-1, 0, 0))],
+                    decompose(fan, ctx, (0, 0, 0), 3).summands)
 
         def inverses(fan):
             return [cone_inverse(fan, cone) for cone in fan.max_cones]
 
         fans = [sheared_p2(k) for k in range(-(size // 2), size // 2 + 1)]   # the boxes reach |k| + 1
         first, first_inverses = answers(fans[0]), inverses(fans[0])
-        assert first[-1] == [(1, 0, 0), (0, 0, 1), (0, 0, 0)] and first[1].ok and first[3]
+        assert first[-2] == [(1, 0, 0), (0, 0, 1), (0, 0, 0)] and first[1].ok and first[3]
         for fan in fans[1:]:
             assert answers(fan) == first
             assert all((cone_matrix(fan, cone) @ inverse).is_identity()
                        for cone, inverse in zip(fan.max_cones, inverses(fan)))
         memos = (cohomology._patterns, _vertex_frames, fan_module._completeness_problems, fan_module.face_masks,
-                 fan_module.primitive_collections, fan_module.primitive_relations, fan_module._cone_inverses)
+                 fan_module.primitive_collections, fan_module.primitive_relations, fan_module._cone_inverses,
+                 frobenius._line_frame)
         assert all(memo.cache_info().currsize <= size for memo in memos)
         assert not hasattr(is_fano, "cache_info") and not hasattr(forbidden_sets, "cache_info")
         misses = [memo.cache_info().misses for memo in memos]

@@ -15,7 +15,7 @@ from toric_exc.errors import InteriorCoverFailure, NotUnimodular, UnboundedRegio
 from toric_exc.fan import (Fan, _completeness_problems, _cone_inverses, cone_inverse, cone_matrix, face_masks,
                            is_complete, is_face, is_fano, primitive_collections, primitive_relations,
                            ray_minors, validate_fan)
-from toric_exc.frobenius import _minor_lcm
+from toric_exc.frobenius import _line_frame, _minor_lcm
 from toric_exc.lattice import IntMatrix, determinant, smith_normal_form
 from toric_exc.picard import build_pic_context
 from test_lattice import leibniz_determinant, sheared_p3_rays
@@ -285,7 +285,7 @@ class TestOneHashPerFan:
             assert a is not b and a == b
             assert hash(a) == hash(b) == hash((a.dim, a.rays, a.max_cones))
             for table in (_cone_inverses, _completeness_problems, face_masks,
-                          primitive_collections, primitive_relations, _patterns, _vertex_frames):
+                          primitive_collections, primitive_relations, _patterns, _vertex_frames, _line_frame):
                 assert table(a) is table(b), (rec.name, table.__name__)
 
 

@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 
 from conftest import zvec
-from toric_exc.errors import NotStabilized, TooManyResidues
-from toric_exc.fan import Fan
+import toric_exc.frobenius as frob
+from toric_exc.errors import NotStabilized, NotUnimodular, RayNotCovered, TooManyResidues
+from toric_exc.fan import Fan, cone_coordinates, ray_minors
 from toric_exc.frobenius import bondal_summands, decompose, first_chern_sum, stable_summands
 from toric_exc.lattice import IntMatrix
 from toric_exc.picard import anticanonical_divisor, build_pic_context, to_class
 from test_cohomology import star_subdivided_p3
 from test_fan import projective_space, seeded_blowup, seeded_blowups
+from test_lattice import sheared_p3_rays
 from thomsen_reference import cartier_shifts, cone_frame, divide_step, summand_divisor
 
 P3 = Fan.make(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
@@ -32,6 +34,25 @@ E24_SUMMANDS = {(0, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 0), (1, 0, 1, 0), (0, 1, 0
 
 def base_frame(fan, base_cone_rays):
     return cone_frame(fan, fan.max_cones.index(tuple(sorted(base_cone_rays))))
+
+
+def every_line_frame(fan):
+    """Every line frame decompose may walk: a unimodular maximal cone's rays with one axis moved last, and every
+    ray's coordinates on them in that order; the cones in order, each from its last axis to its first."""
+    for cone in fan.max_cones:
+        if abs(ray_minors(fan, [cone])[0]) != 1:
+            continue
+        coordinates = [cone_coordinates(fan, cone, ray) for ray in fan.rays]
+        for k in reversed(range(fan.dim)):
+            order = [i for i in range(fan.dim) if i != k] + [k]
+            yield tuple(cone[i] for i in order), tuple(tuple(c[i] for i in order) for c in coordinates)
+
+
+def line_cost(frame):
+    """The segments of a line, 1 + sum |c_j[-1]| over the rays j outside the cone, and the sloped rays among them."""
+    cone, coordinates = frame
+    slopes = [c[-1] for j, c in enumerate(coordinates) if j not in cone]
+    return 1 + sum(map(abs, slopes)), sum(map(bool, slopes))
 
 
 class TestDivideStep:
@@ -143,8 +164,12 @@ class TestDecompose:
                 factor = p ** 2 * (p - 1) // 2
                 assert first_chern_sum(dec) == tuple(factor * k for k in minus_k), (name, p)
 
-    def test_base_cone_independence(self, d1, d1_ctx):
-        # decompose divides on cone 0; the per-cone reference on every base cone agrees with it
+    def test_base_cone_independence(self, d1, d1_ctx, records, monkeypatch):
+        # the per-cone reference on every base cone agrees with decompose;
+        # and decompose forced through every (cone, axis) frame, on D1 and
+        # two blow-ups, gives the chosen frame's summands, with lines of up
+        # to five segments on D1, at p = 2 (every x) and on the sorted steps
+        import random
         p = 11
         got = decompose(d1.fan, d1_ctx, (0,) * 6, p).summands
         for b in range(len(d1.fan.max_cones)):
@@ -152,6 +177,19 @@ class TestDecompose:
             reference = Counter(to_class(d1_ctx, summand_divisor(frame, v, p))
                                 for v in itertools.product(range(p), repeat=3))
             assert got == tuple(sorted(reference.items())), b
+        rng = random.Random(43)
+        for fan in [d1.fan] + seeded_blowups(records, (10, 12), seed=43):
+            ctx = d1_ctx if fan == d1.fan else build_pic_context(fan)
+            twist = tuple(rng.randint(-3, 3) for _ in range(fan.n_rays))
+            requests = [(D, q) for D in ((0,) * fan.n_rays, twist) for q in (2, 7, 11)]
+            chosen = [decompose(fan, ctx, D, q).summands for D, q in requests]
+            frames = list(every_line_frame(fan))
+            assert len(frames) == 3 * len(fan.max_cones) and frob._line_frame(fan) in frames
+            assert max(map(line_cost, frames))[0] >= 3
+            for frame in frames:
+                monkeypatch.setattr(frob, "_line_frame", lambda _, frame=frame: frame)
+                assert [decompose(fan, ctx, D, q).summands for D, q in requests] == chosen, frame[0]
+            monkeypatch.undo()
 
     def test_twist_by_p_times_divisor(self, d1, d1_ctx):
         # projection formula: summands of O(pE) are the summands of O shifted by -class(E)
@@ -189,7 +227,6 @@ class TestDecompose:
     def test_exact_fallback_matches_fast_path(self, records, contexts, d1, d1_ctx, e1, e1_ctx, monkeypatch):
         # forcing the arbitrary-precision path must not change anything
         import collections
-        import toric_exc.frobenius as frob
         fast = decompose(d1.fan, d1_ctx, (0,) * 6, 11).summands
         # a twisted divisor: per-class multiplicities against a direct count
         # of summand_divisor over every residue vector
@@ -254,8 +291,8 @@ class TestDecompose:
     def test_peak_memory_is_a_few_keys_per_residue(self, records, contexts):
         # a slab of at most _SLAB floors, and the counts of a key space no
         # larger than the residues: the peak stays below two 8-byte words
-        # per residue (p = 53: 2.4 MB; D1 peaks near 0.7 MB).  D1's lines
-        # have five segments, F2's two.
+        # per residue (p = 53: 2.4 MB; D1 peaks near 0.36 MB, F2 near 0.43
+        # MB).  The lines of both have two segments.
         import tracemalloc
         p = 53
         for name in ("D1", "F2"):
@@ -273,11 +310,10 @@ class TestDecompose:
     @pytest.mark.parametrize("int64_safe", [None, 1], ids=["fast", "exact"])
     def test_slab_boundaries_change_nothing(self, records, contexts, monkeypatch, int64_safe):
         # one line per slab; p^(n-1) + 1 floors, so that D1 at p = 53 takes
-        # 16 slabs, the last one partial; and the default (D1 at p = 53 in
-        # two slabs, F2 in one).  The exact run forces the object path.
+        # 7 slabs, the last one partial; and the default (D1 and F2 at p =
+        # 53 in one slab).  The exact run forces the object path.
         # Every slab size is compared with the default int64 run.
         import random
-        import toric_exc.frobenius as frob
         safe, default = frob._INT64_SAFE, frob._SLAB
         rng = random.Random(13)
         for name, rec in records.items():
@@ -304,14 +340,12 @@ class TestDecompose:
         # p = 2 most fans' lines start a segment at every x
         import collections
         import random
-        import toric_exc.frobenius as frob
-        from toric_exc.fan import cone_coordinates
         monkeypatch.setattr(frob, "_SLAB", 1)
         rng = random.Random(31)
         for name, rec in records.items():
             fan, ctx = rec.fan, contexts[name]
             frame = cone_frame(fan)
-            reach = [any(cone_coordinates(fan, fan.max_cones[0], ray)[k] for k in axes) for ray in fan.rays]
+            reach = [any(c[k] for k in axes) for c in frob._line_frame(fan)[1]]   # axis 2 is the line axis
             twisted = tuple(a + (rng.choice((-1, 1)) * rng.randint(10 ** 19, 10 ** 20) if far else 0)
                             for a, far in zip(anticanonical_divisor(fan), reach))
             assert any(abs(a) >= 2 ** 63 for a in twisted)
@@ -326,7 +360,6 @@ class TestDecompose:
 
     def test_too_many_residues_are_refused(self, d1, d1_ctx, monkeypatch):
         # 1625^3 < 2^32 < 1626^3; the refusal comes before any enumeration
-        import toric_exc.frobenius as frob
         with pytest.raises(TooManyResidues, match="1626\\^3 residues"):
             decompose(d1.fan, d1_ctx, (0,) * 6, 1626)
         monkeypatch.setattr(frob, "_RESIDUE_LIMIT", 31 ** 3)
@@ -335,7 +368,7 @@ class TestDecompose:
             decompose(d1.fan, d1_ctx, (0,) * 6, 32)
 
     def test_peak_memory_does_not_grow_with_the_residues(self, records, contexts):
-        # the keys are counted slab by slab, so at p = 101 (D1 in five
+        # the keys are counted slab by slab, so at p = 101 (D1 in two
         # slabs, F2 in four) the peak stays below two bytes per residue; a
         # p^3 array of int64 keys alone would be eight
         import tracemalloc
@@ -350,6 +383,46 @@ class TestDecompose:
             finally:
                 tracemalloc.stop()
             assert peak < 2 * p ** 3, (name, peak)
+
+class TestLineFrame:
+    def test_every_catalog_fan_walks_two_segments_a_line(self, records):
+        # one sloped ray of slope +-1 a line, where the first maximal cone's
+        # last axis gives up to five segments (D1); the frame's coordinates
+        # write every ray on its cone's rays
+        for name, rec in records.items():
+            fan = rec.fan
+            cone, coordinates = frob._line_frame(fan)
+            assert sorted(cone) in map(list, fan.max_cones), name
+            assert line_cost((cone, coordinates)) == (2, 1), name
+            for ray, c in zip(fan.rays, coordinates):
+                assert tuple(sum(x * fan.rays[i][k] for x, i in zip(c, cone)) for k in range(fan.dim)) == ray, name
+
+    def test_the_frame_is_the_first_with_the_fewest_segments_then_sloped_rays(self, records):
+        # on the catalog, blow-ups, P3, P1, P3 with rays past int64 (the
+        # object path) and a 2-fan whose cheapest (cone, axis) by scaled
+        # cofactors is the non-unimodular cone (0, 4), det -3
+        non_smooth = Fan.make(2, [(-3, -1), (-2, -1), (-1, -3), (3, -1), (0, 1)],
+                              [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)])
+        sheared = Fan.make(3, sheared_p3_rays(10 ** 20), P3.max_cones)
+        fans = ([P3, P1, non_smooth, sheared] + [rec.fan for rec in records.values()]
+                + seeded_blowups(records, (9, 11, 13), seed=47))
+        for fan in fans:
+            assert frob._line_frame(fan) == min(every_line_frame(fan), key=line_cost)   # min keeps the first
+        assert sorted(frob._line_frame(non_smooth)[0]) != [0, 4]
+
+    def test_only_the_first_cone_must_be_a_lattice_basis(self):
+        # a first maximal cone of det 2 is refused as its cone_inverse lookup
+        # refuses it; a later one is no candidate; an uncovered ray is named
+        rays = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 2))
+        ctx = build_pic_context(P3, (3,))
+        first = Fan(3, rays, ((0, 1, 4), (0, 1, 2), (0, 2, 3), (1, 2, 3), (0, 1, 3)))
+        with pytest.raises(NotUnimodular, match="determinant is 2"):
+            decompose(first, ctx, (0,) * 5, 5)
+        later = Fan(3, rays[:4] + ((1, 1, 3),), ((0, 1, 2), (0, 1, 4), (0, 2, 3), (1, 2, 3), (0, 1, 3)))
+        assert sorted(frob._line_frame(later)[0]) != [0, 1, 4]
+        with pytest.raises(RayNotCovered, match="ray 4"):
+            decompose(Fan(3, rays, P3.max_cones), ctx, (0,) * 5, 5)
+
 
 class TestStableSummands:
     def test_d1_default_primes(self, d1, d1_ctx):
