@@ -77,13 +77,12 @@ all (Borisov-Hua, Adv. Math. 2009):
   contributing mask that no candidate carries has no character.  So a
   divisor is not acyclic exactly when an integral candidate carries a
   forbidden mask, its witness, and has sections exactly when one carries
-  the full mask.  The bound R = n (max |a_rho| + 1) max(|adj|, |det|)
-  holds every |floor| and |ceiling| of u, so a divisor with R within
-  _RADIUS_LIMIT and (2R + 1)^n within _CHARACTER_LIMIT has no box that
-  could be refused, and takes its verdicts from the vertex pass alone.
-  The other divisors, and those whose verdict rests on non-integral
-  vertices alone, have every box checked, and refused exactly as a single
-  query is, before any is enumerated.  Nothing is kept.
+  the full mask.  Witnesses and absences are exact at any size of
+  divisor, so every divisor whose verdicts the vertex pass decides takes
+  them from it alone, and no box limit applies to it.  Only the divisors
+  whose verdict rests on non-integral vertices alone have their boxes
+  checked, and refused exactly as a single query is, before any is
+  enumerated.  Nothing is kept.
 
 Every single query reads its answer from that whole list, and every
 collection verdict from a witness or a whole list, so every answer is
@@ -583,45 +582,25 @@ def is_acyclic(ctx: PicContext, divisor: Sequence[int], escalate: bool = False) 
     return not _has_character(ctx, divisor, escalate, False, "acyclicity verdict")
 
 
-def _unrefusable_reach(frames: _VertexFrames) -> int:
-    """The largest max |a_rho| of a divisor whose box _checked could not refuse.
-
-    Every candidate has |u_i| <= |det A_S| |u_i| <= n (max |a_rho| + 1)
-    largest = R, so every floor and ceiling of u lies in [-R, R]: the box
-    reaches at most R and holds at most (2R + 1)^n characters.  The result
-    is the largest max |a_rho| whose R is within _RADIUS_LIMIT and whose
-    (2R + 1)^n is within _CHARACTER_LIMIT (-1 when none is).
-    """
-    n = frames.subsets.shape[1]
-    reach = _RADIUS_LIMIT
-    while (2 * reach + 1) ** n > _CHARACTER_LIMIT:
-        reach -= 1
-    return reach // (n * frames.largest) - 1
-
-
 def vanishing_verdicts(ctx: PicContext, divisors: Sequence[Sequence[int]]) -> list[tuple[bool, bool]]:
     """(is_acyclic, has_nonzero_global_sections) of each divisor, escalating, in input order.
 
-    A divisor whose box no limit could refuse (_unrefusable_reach) takes both
-    verdicts from its vertex candidates (_verdict_witnesses): no box is
-    built and no character is enumerated.  The others, and any whose
-    verdict rests on non-integral vertices alone, first have every box
-    built and checked, so the first box past a limit in input order is
-    refused as a single query refuses it; then each box is enumerated on
-    its own (_characters) and both verdicts are read from its list.
-    Nothing is kept.
+    Every divisor takes both verdicts from its vertex candidates
+    (_verdict_witnesses) when they decide them, whatever its size: no box
+    is built and no character is enumerated.  Only a divisor whose verdict
+    rests on non-integral vertices alone has its box built; every such box
+    is checked before any is enumerated, so the first one past a limit in
+    input order is refused as a single query refuses it.  Then each box is
+    enumerated on its own (_characters) and both verdicts are read from
+    its list.  Nothing is kept.
     """
     fan = ctx.fan
-    frames = _vertex_frames(fan)
     divisors = [tuple(map(int, divisor)) for divisor in divisors]
     for divisor in divisors:
         _check_length(fan, divisor)
-    limit = _unrefusable_reach(frames)
-    quick = [j for j, divisor in enumerate(divisors) if max(map(abs, divisor)) <= limit]
-    verdicts: list[Optional[tuple[bool, bool]]] = [None] * len(divisors)
-    for j, witnesses in zip(quick, _verdict_witnesses(fan, [divisors[j] for j in quick])):
-        if witnesses is not None:
-            verdicts[j] = (witnesses.forbidden is None, witnesses.section is not None)
+    verdicts: list[Optional[tuple[bool, bool]]] = [
+        None if witnesses is None else (witnesses.forbidden is None, witnesses.section is not None)
+        for witnesses in _verdict_witnesses(fan, divisors)]
     rest = [j for j, verdict in enumerate(verdicts) if verdict is None]
     boxes = [_checked(_contributing_box(fan, divisors[j])) for j in rest]   # every refusal comes first
     full = (1 << fan.n_rays) - 1

@@ -12,9 +12,10 @@ representative map is linear, so it is the divisor of the difference
 class.  Both verdicts of every distinct difference come from one
 cohomology.vanishing_verdicts call, which reads them from one vertex pass:
 a character at a vertex witnesses each forbidden pattern or section, and
-a pattern at no vertex has no character.  Only a difference whose box
-could pass a limit, or whose verdict rests on non-integral vertices
-alone, has its certified box enumerated.
+a pattern at no vertex has no character.  Only a difference whose
+verdict rests on non-integral vertices alone has its certified box
+enumerated, so no change of lattice basis can refuse a difference that
+the vertices decide.
 
 Fullness rests on the generation theorem for Frobenius pushforward
 summands: the distinct summand classes of (pi_p)_* O, the Bondal-Thomsen
@@ -119,8 +120,8 @@ def verify_strongly_exceptional(ctx: PicContext, collection: OrderedCollection) 
     difference of the members' divisors, each computed once), and asked
     once: one vanishing_verdicts call reads both verdicts of every class
     from one vertex pass, enumerating a certified box only where the
-    vertices cannot decide or a limit could refuse it.  A box past the
-    radius limit raises BoxTooLarge.
+    vertices cannot decide.  Such a box past the radius limit raises
+    BoxTooLarge.
     """
     if any(len(cls) != ctx.rank for cls in collection.classes):
         raise ValueError("collection class vectors do not match the Picard rank")

@@ -14,7 +14,7 @@ from collections import Counter
 
 from toric_exc.cli import main as cli_main
 from toric_exc.cohomology import (cohomology_table, forbidden_sets,
-                                  has_nonzero_global_sections, is_acyclic)
+                                  has_nonzero_global_sections, is_acyclic, vanishing_verdicts)
 from toric_exc.exceptional import (KoszulCertified, OrderedCollection,
                                    SummandSetMatchesK0Rank, fullness_certificate,
                                    koszul_reduction_certificate, verify_strongly_exceptional)
@@ -116,12 +116,17 @@ class TestAcceptance:
         checked = 0
         for name, rec in records.items():
             ctx = contexts[name]
-            for cls in itertools.product(range(-2, 3), repeat=ctx.rank):
-                D = class_to_divisor(ctx, cls)
+            divisors = [class_to_divisor(ctx, cls) for cls in itertools.product(range(-2, 3), repeat=ctx.rank)]
+            # the criterion twice: read from each class's enumerated list (which checks the rank
+            # bookkeeping against the table's), and from one vertex pass over the fan's classes
+            batch = vanishing_verdicts(ctx, divisors)
+            for D, (acyclic, sections) in zip(divisors, batch):
                 table = cohomology_table(ctx, D, escalate=True)
                 if is_acyclic(ctx, D, escalate=True) != table.is_acyclic:
                     disagreements += 1
                 if has_nonzero_global_sections(ctx, D, escalate=True) != (table.dims[0] > 0):
+                    disagreements += 1
+                if (acyclic, sections) != (table.is_acyclic, table.dims[0] > 0):
                     disagreements += 1
                 checked += 1
         elapsed = time.monotonic() - t0

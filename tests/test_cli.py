@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 
 from toric_exc.catalog import format_fan_file, get_record, load_catalog
 from toric_exc.cli import main
-from toric_exc.errors import BoxTooLarge
 from toric_exc.exceptional import OrderedCollection, verify_strongly_exceptional
 from toric_exc.fan import Fan
-from toric_exc.picard import build_pic_context
+from toric_exc.picard import build_pic_context, class_to_divisor
 from test_cohomology import star_subdivided_p3
 from test_fan import projective_space, seeded_blowup
 from test_frobenius import bondal_reference
@@ -202,9 +201,18 @@ class TestCohomology:
         collection_path.write_text("0\n1\n")
         code, out, err = run_cli(capsys, "--format", "json", "cohomology", "--fan-file", str(fan_path), "--class", "0")
         assert code == 0 and err == "" and json.loads(out)["results"]["dims"] == [1, 0, 0, 0]
-        code, out, err = run_cli(capsys, "verify", "--fan-file", str(fan_path), "--collection", str(collection_path))
-        assert code in (0, 2) and "Traceback" not in err
-        assert code == 0 or out == "" and err.startswith("error: too large to search")
+        code, out, err = run_cli(capsys, "--format", "json", "verify", "--fan-file", str(fan_path),
+                                 "--collection", str(collection_path))
+        assert code == 1 and err == ""
+        # {O, O(1)} is strongly exceptional and not full, as on the unsheared P^3
+        results = json.loads(out)["results"]
+        assert results["strongly_exceptional"] and not results["fullness_certified"]
+        assert results["certificate"] == "NotCertified(O(2Z4), O(3Z4))"
+        plain_path = tmp_path / "p3.fan"
+        plain_path.write_text(format_fan_file(projective_space(3)))
+        code, out, _ = run_cli(capsys, "--format", "json", "verify", "--fan-file", str(plain_path),
+                               "--collection", str(collection_path))
+        assert code == 1 and json.loads(out)["results"] == results
 
     def test_a_vertex_pass_too_large_for_memory_is_usage_error(self, capsys, tmp_path):
         # 60 rays: C(60, 3) * 8 * 60 = 16,425,600 gap entries for one divisor, refused before any is built
@@ -318,16 +326,27 @@ class TestVerify:
         assert json.loads(json.dumps(payload)) == payload
 
 
-    def test_a_difference_past_the_radius_limit_is_refused(self, capsys, tmp_path):
+    def test_a_difference_past_the_radius_limit_is_answered(self, capsys, tmp_path, monkeypatch):
+        # the boxes of O(30Z5) and O(-30Z5) reach radius 59, past the limit a single query keeps, but
+        # integral vertices witness both verdicts: each is not acyclic, and O(-30Z5) has no section
         path = tmp_path / "coll.txt"
         path.write_text("0 0 0\n0 30 0\n")
-        code, out, err = run_cli(capsys, "verify", "--variety", "D1", "--collection", str(path))
-        assert code == 2 and out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: too large to search")
-        assert "certified box" in err and "radius 59" in err
+        code, out, err = run_cli(capsys, "--format", "json", "verify", "--variety", "D1", "--collection", str(path))
+        pairwise = json.loads(out)["results"]["pairwise"]
+        assert code == 1 and err == ""
+        assert pairwise == {"acyclic": [[True, False], [False, True]], "backward_sections": [[None, None], [False, None]]}
         ctx = build_pic_context(get_record("D1").fan, get_record("D1").pic_basis)
-        with pytest.raises(BoxTooLarge):
-            verify_strongly_exceptional(ctx, OrderedCollection(((0, 0, 0), (0, 30, 0))))
+        report = verify_strongly_exceptional(ctx, OrderedCollection(((0, 0, 0), (0, 30, 0))))
+        assert report.acyclic == ((True, False), (False, True)) and not report.strongly_exceptional
+        # the tables, enumerated with the radius limit raised to 60, agree
+        from toric_exc import cohomology
+        monkeypatch.setattr(cohomology, "_RADIUS_LIMIT", 60)
+        try:
+            dims = [cohomology.cohomology_table(ctx, class_to_divisor(ctx, cls), escalate=True).dims
+                    for cls in ((0, 30, 0), (0, -30, 0))]
+        finally:
+            cohomology._point_list.cache_clear()   # the lists built past the real limit
+        assert dims == [(1, 13920, 0, 0), (0, 0, 13021, 0)]
 
     def run_fan_file(self, capsys, tmp_path, fan, collection):
         fan_path, collection_path = tmp_path / "blowup.fan", tmp_path / "collection.txt"

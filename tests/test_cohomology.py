@@ -684,18 +684,19 @@ class TestBatchedBoxes:
         assert set(verdicts) == {(True, True), (True, False)}   # every difference is acyclic
 
     def test_small_and_huge_divisors_in_one_pass(self, records, contexts):
-        fan, ctx = records["D1"].fan, contexts["D1"]
+        ctx = contexts["D1"]
         rng = random.Random(40)
         small = [tuple(rng.randint(-3, 3) for _ in range(6)) for _ in range(12)]
         near_2_40 = [tuple(rng.randint(-3, 3) + rng.choice((0, 2**40, -(2**40))) for _ in range(6))
                      for _ in range(6)]
         huge = [(2**63 - 1, 1, -1, 0, 2, -1), (0, 1, -(2**62), 0, 1, 0)]
-        for divisors in (small + near_2_40, small + near_2_40 + huge):   # int64, then the object dtype
-            # the collection check answers as the single queries do: each divisor's verdicts, or the
-            # refusal of the first box past the radius limit, before any character is built
-            assert single_verdicts(ctx, divisors) == collection_verdicts(ctx, divisors)
         assert isinstance(single_verdicts(ctx, small), list) and isinstance(single_verdicts(ctx, near_2_40), str)
         assert max(abs(x) for d in huge for x in d) >= _INT64_SAFE
+        # int64, then the object dtype: the huge divisors change no other divisor's verdicts
+        assert vanishing_verdicts(ctx, small + near_2_40) == vanishing_verdicts(ctx, small + near_2_40 + huge)[:18]
+        # the small divisors answer as the single queries do; the others, whose boxes no limit
+        # would pass, answer from witnesses that plain_mask re-checks
+        assert assert_collection_answers(ctx, small + near_2_40 + huge) == Counter(single=12, witness=8)
 
     def test_the_fallback_enumerates_each_box_once_or_refuses_first(self, records, contexts, monkeypatch):
         # on the forced fallback every divisor with a contributing candidate is enumerated from its box
@@ -720,34 +721,17 @@ class TestBatchedBoxes:
         assert built == []
 
     def test_small_and_huge_divisors_on_seeded_blowups(self, records):
-        # spread 4 mostly passes the refusal bound R, spread 40 always: the collection check answers
-        # as the single queries do, or refuses the same first box
+        # spread 4 mostly passes the old refusal bound, spread 20 and 400 always; the single queries
+        # refuse none at spread 4, some at spread 20 and all at spread 400, yet the collection check
+        # answers every divisor
         rng = random.Random(41)
+        routes = Counter()
         for fan in seeded_blowups(records, (9, 10, 11, 12, 13), seed=5):
             ctx = build_pic_context(fan)
-            for spread in (4, 40):
+            for spread in (4, 20, 400):
                 divisors = [tuple(rng.randint(-spread, spread) for _ in range(fan.n_rays)) for _ in range(8)]
-                assert collection_verdicts(ctx, divisors) == single_verdicts(ctx, divisors), (fan.rays, spread)
-
-    def test_batches_just_inside_and_just_past_the_refusal_bound(self, records, monkeypatch):
-        # R = n (max |a| + 1) largest: a batch with R <= 40 builds no box, one just past builds them all
-        fans = [records["D1"].fan, next(f for f in seeded_blowups(records, (9, 10, 11, 12, 13), seed=5)
-                                        if _vertex_frames(f).largest == 3)]
-        boxed = []
-        real = cohomology._contributing_box
-        monkeypatch.setattr(cohomology, "_contributing_box", lambda fan, d: boxed.append(d) or real(fan, d))
-        rng = random.Random(42)
-        for fan in fans:
-            ctx, n, largest = build_pic_context(fan), fan.dim, _vertex_frames(fan).largest
-            inside = _RADIUS_LIMIT // (n * largest) - 1
-            assert n * (inside + 1) * largest <= _RADIUS_LIMIT < n * (inside + 2) * largest
-            for spread, built in ((inside, False), (inside + 1, True)):
-                divisors = [tuple(rng.randint(-spread, spread) for _ in range(fan.n_rays - 1)) + (spread,)
-                            for _ in range(10)]
-                boxed.clear()
-                verdicts = collection_verdicts(ctx, divisors)
-                assert boxed == (divisors if built else [])
-                assert verdicts == single_verdicts(ctx, divisors), (fan.rays, spread)
+                routes += assert_collection_answers(ctx, divisors)
+        assert routes["single"] >= 40 and routes["raised"] >= 5 and routes["witness"] >= 40, routes
 
 
 def no_integral_candidates(frames, a):
@@ -846,12 +830,43 @@ def single_verdicts(ctx, divisors):
         return str(exc)
 
 
-def collection_verdicts(ctx, divisors):
-    """vanishing_verdicts of the divisors, or its BoxTooLarge message."""
-    try:
-        return vanishing_verdicts(ctx, divisors)
-    except BoxTooLarge as exc:
-        return str(exc)
+_RAISED_CHARACTERS = 1 << 17   # a box the single queries refuse is enumerated when it holds at most this many
+
+
+def assert_collection_answers(ctx, divisors):
+    """vanishing_verdicts answers every divisor, and each answer agrees with a second computation.
+
+    Returns how many divisors each route checked:
+    - single: the single queries answer, and give the same verdicts;
+    - raised: the single queries refuse, and the box, enumerated with both limits raised, gives them;
+    - witness: the box holds more than _RAISED_CHARACTERS characters, and every witness of
+      _verdict_witnesses is a character whose pattern plain_mask and alexander_ranks confirm.
+    """
+    fan, full = ctx.fan, (1 << ctx.fan.n_rays) - 1
+    routes = Counter()
+    for divisor, verdict, witnesses in zip(divisors, vanishing_verdicts(ctx, divisors),
+                                           _verdict_witnesses(fan, divisors)):
+        single = single_verdicts(ctx, [divisor])
+        if not isinstance(single, str):
+            assert verdict == single[0], divisor
+            routes["single"] += 1
+            continue
+        box = _contributing_box(fan, divisor)
+        if math.prod(h - l + 1 for l, h in zip(box.lo, box.hi)) <= _RAISED_CHARACTERS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cohomology, "_RADIUS_LIMIT", 10 ** 9)
+                patch.setattr(cohomology, "_CHARACTER_LIMIT", _RAISED_CHARACTERS)
+                assert [verdict] == enumerated_verdicts(fan, [divisor]), divisor
+            routes["raised"] += 1
+            continue
+        assert verdict == (witnesses.forbidden is None, witnesses.section is not None), divisor
+        for witness, kind in ((witnesses.forbidden, "forbidden"), (witnesses.section, "section")):
+            if witness is not None:
+                u, mask = witness
+                assert all(type(x) is int for x in u) and plain_mask(fan, divisor, u) == mask, divisor
+                assert mask == full if kind == "section" else mask != full and any(alexander_ranks(fan, mask))
+        routes["witness"] += 1
+    return routes
 
 
 class TestGeneratedFans:
@@ -869,7 +884,7 @@ class TestGeneratedFans:
 
         small = divisors(3)
         for batch in (small, divisors(40)):
-            assert collection_verdicts(ctx, batch) == single_verdicts(ctx, batch)
+            assert_collection_answers(ctx, batch)
         K = canonical_divisor(fan)
         for D in small:
             h = cohomology_table(ctx, D, escalate=True).dims

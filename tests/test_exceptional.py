@@ -1,5 +1,7 @@
 """Strong exceptionality verification and fullness certificates."""
 
+import random
+
 import pytest
 
 from toric_exc import exceptional
@@ -7,8 +9,9 @@ from toric_exc.errors import NotPrimitive, TermOutsideCollection, ToricExcError
 from toric_exc.exceptional import (KoszulCertified, NotCertified, OrderedCollection,
                                    SummandSetMatchesK0Rank, fullness_certificate,
                                    koszul_reduction_certificate, verify_strongly_exceptional)
+from toric_exc.fan import Fan
 from toric_exc.frobenius import bondal_summands
-from toric_exc.picard import class_to_divisor, to_class
+from toric_exc.picard import build_pic_context, class_to_divisor, to_class
 
 D1_CLASSES = ((0, 0, 0), (1, 1, 0), (2, 2, 0), (0, 0, 1),
               (0, 1, 1), (1, 1, 1), (1, 2, 1), (2, 2, 1))
@@ -87,6 +90,37 @@ class TestStronglyExceptional:
         assert has_nonzero_global_sections(d1_ctx, (0,) * 6)
         with pytest.raises(ValueError):
             OrderedCollection(((0, 0, 1), (0, 0, 1)))
+
+
+def change_of_basis(rng, steps, bound):
+    """A product of `steps` random elementary 3 x 3 matrices whose entries stay within bound in size."""
+    m = [[int(i == j) for j in range(3)] for i in range(3)]
+    for _ in range(steps):
+        i, j = rng.sample(range(3), 2)
+        room = (bound - max(map(abs, m[i]))) // max(map(abs, m[j]))   # row i + c row j stays within bound
+        if room:
+            c = rng.choice((-1, 1)) * rng.randint(1, room)
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    return m
+
+
+class TestChangeOfBasis:
+    @pytest.mark.parametrize("name", ["D1", "D2", "E1", "E2", "E4"])
+    def test_every_basis_gives_the_catalog_verdicts(self, records, contexts, name):
+        # the rays times a unimodular matrix, in the same order, are the same variety with the same
+        # class map; the vertices decide every difference whatever the basis, so no box is refused
+        # even with matrix entries up to 10^6
+        record, ctx = records[name], contexts[name]
+        want = verify_strongly_exceptional(ctx, OrderedCollection(tuple(to_class(ctx, d) for d in record.collection)))
+        rng = random.Random(2031)
+        for steps, bound in [(6, 3)] * 3 + [(8, 10)] * 3 + [(6, 10 ** 6)] * 6:
+            m = change_of_basis(rng, steps, bound)
+            rays = [tuple(sum(r[k] * m[k][j] for k in range(3)) for j in range(3)) for r in record.fan.rays]
+            moved = build_pic_context(Fan.make(3, rays, record.fan.max_cones), record.pic_basis)
+            assert moved.class_map == ctx.class_map, m
+            got = verify_strongly_exceptional(moved, want.collection)
+            assert (got.acyclic, got.sections_backward) == (want.acyclic, want.sections_backward), m
+            assert got.strongly_exceptional
 
 
 class TestKoszulReduction:
