@@ -317,17 +317,17 @@ class _Box(NamedTuple):
     masks: frozenset[int] = frozenset()     # the contributing masks its vertex candidates carry
 
 
-def _divisor_array(frames: _VertexFrames, divisors: Sequence, reach: int) -> np.ndarray:
-    """D divisors as a D x m array, in the dtype of their vertex pass.
-
-    reach is the largest |a_rho|.  (n^2 ray_max + 1) largest (reach + 1)
-    bounds every base gap, every gap, every numerator |det| u and every
-    sum on the way, so the array is int64 when that bound is, else Python
-    ints.
-    """
+def _int64_reach(frames: _VertexFrames) -> int:
+    """The largest |a_rho| whose vertex pass is int64: (n^2 ray_max + 1) largest (|a_rho| + 1), below
+    _INT64_SAFE, bounds every base gap, every gap, every numerator |det| u and every sum on the way."""
     n = frames.subsets.shape[1]
-    bound = (n * frames.ray_max * n + 1) * frames.largest * (reach + 1)
-    return np.array(divisors, dtype=np.int64 if bound < _INT64_SAFE else object)
+    return (_INT64_SAFE - 1) // ((n * frames.ray_max * n + 1) * frames.largest) - 1
+
+
+def _divisor_array(frames: _VertexFrames, divisors: Sequence) -> np.ndarray:
+    """D divisors as a D x m array, int64 when no entry passes _int64_reach, else Python ints."""
+    reach = max(map(abs, chain.from_iterable(divisors)))
+    return np.array(divisors, dtype=np.int64 if reach <= _int64_reach(frames) else object)
 
 
 def _base_gaps(frames: _VertexFrames, a: np.ndarray) -> np.ndarray:
@@ -386,7 +386,7 @@ def _contributing_box(fan: Fan, divisor: tuple[int, ...]) -> Optional[_Box]:
     else is kept.
     """
     frames = _vertex_frames(fan)
-    a = _divisor_array(frames, [divisor], max(map(abs, divisor)))
+    a = _divisor_array(frames, [divisor])
     masks = _vertex_masks(frames, a)[..., 0]
     live = _contributing(fan, set(masks.ravel().tolist()) - {-1})   # mostly one: the full pattern
     if not live:
@@ -435,15 +435,19 @@ def _verdict_witnesses(fan: Fan, divisors: Sequence[tuple[int, ...]]) -> list[Op
     candidate of its kind at all; it is left open (None for the divisor)
     only when its kind sits at non-integral vertices alone.  The divisors
     go through _vertex_masks in chunks of at most _PASS_ELEMENTS gap
-    entries.  No box is built and no character is enumerated.
+    entries, the int64-safe ones apart, so that a huge divisor puts no
+    other on Python integers.  No box is built and no character is enumerated.
     """
     frames = _vertex_frames(fan)
     corners, full = 2 ** fan.dim, (1 << fan.n_rays) - 1
     found: list[Optional[_Witnesses]] = [None] * len(divisors)
     chunk = max(1, _PASS_ELEMENTS // frames.thresholds.size)
-    for start in range(0, len(divisors), chunk):
-        part = divisors[start:start + chunk]
-        a = _divisor_array(frames, part, max(map(abs, chain.from_iterable(part))))
+    reach, groups = _int64_reach(frames), {np.int64: [], object: []}
+    for j, divisor in enumerate(divisors):
+        groups[np.int64 if max(map(abs, divisor)) <= reach else object].append(j)
+    for dtype, index in [(dtype, group[start:start + chunk]) for dtype, group in groups.items()
+                         for start in range(0, len(group), chunk)]:
+        a = np.array([divisors[j] for j in index], dtype=dtype)
         masks = _vertex_masks(frames, a)
         if full + 1 < masks.size:   # 2^m + 1 counts, one per mask and one for -1, are no more than the entries
             seen = set(np.flatnonzero(np.bincount(masks.ravel() + 1)[1:]).tolist())
@@ -472,7 +476,7 @@ def _verdict_witnesses(fan: Fan, divisors: Sequence[tuple[int, ...]]) -> list[Op
             undecided |= carried.any(axis=(0, 1)) & ~has
         forbidden, section = witnesses
         for d in np.flatnonzero(~undecided).tolist():
-            found[start + d] = _Witnesses(forbidden.get(d), section.get(d))
+            found[index[d]] = _Witnesses(forbidden.get(d), section.get(d))
     return found
 
 

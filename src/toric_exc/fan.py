@@ -19,13 +19,14 @@ module's pattern certificates rely on.
 
 ray_minors answers a request with arrays: the n x n ray minors of a
 batch of n-subsets and, when asked, their signed cofactors, all from one
-batch of lattice._cross_products, the one exact kernel for them.  Those
-serve the smoothness check of validate_fan, cone_inverse (which also
-gives a stored Pic basis its class map; a batch of one), the cohomology
-module's vertex frames, and the Frobenius module's minor lcm and line
-frame (every maximal cone's cofactors, from which decompose picks its
-base cone and line axis).  The facet
-sides of the completeness certificate are one more batch of the kernel.
+batch of lattice._cross_products, the one exact kernel for them.  One
+request over the maximal cones, times the rays, is the fan's table of
+every ray's coordinates on each (ray_coordinates): validate_fan's
+smoothness check, the primitive relations and the Frobenius line frame
+read it.  The others are cone_inverse (one subset, not cached: a stored
+Pic basis's complement), the cohomology module's vertex frames and the
+Frobenius minor lcm.  The facet sides of the completeness certificate
+are one more batch of the kernel.
 Every per-fan table, here and in the cohomology module, is kept for the
 last _FAN_CACHE_SIZE fans, so a process that checks many fans holds the
 tables of a bounded number of them.
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations
 from math import gcd
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -83,18 +84,6 @@ def cone_matrix(fan: Fan, cone: Sequence[int]) -> IntMatrix:
     return IntMatrix.from_rows([fan.rays[i] for i in cone])
 
 
-class _Table(dict):
-    """key -> fill(fan, key), each computed on first lookup; a fill that raises stores nothing."""
-
-    def __init__(self, fan: Fan, fill: Callable):
-        super().__init__()
-        self.fan, self.fill = fan, fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(self.fan, key)
-        return value
-
-
 def _ray_array(fan: Fan) -> tuple[np.ndarray, int]:
     """The m x n ray array in the dtype _minor_dtype allows, which holds every n x n ray minor and each of its
     partial sums, and top, the largest |ray entry| (at least 1): the bound _cross_products is given."""
@@ -126,8 +115,14 @@ def ray_minors(fan: Fan, subsets: Sequence[Sequence[int]] | np.ndarray,
     return dets, (np.sign(dets)[:, None] * _alternating(n))[:, :, None] * normals
 
 
-def _inverse(fan: Fan, cone: tuple[int, ...]) -> IntMatrix:
-    """det times the transposed cofactor matrix: the columns are the rows of ray_minors."""
+def cone_inverse(fan: Fan, cone: tuple[int, ...]) -> IntMatrix:
+    """Inverse of the ray-row matrix of an ascending ray n-subset that is a lattice basis: a request of one, not cached.
+
+    det times the transposed cofactor matrix: its columns are the rows of
+    ray_minors.  A subset whose rays are not a lattice basis raises
+    NotUnimodular, naming its determinant; one with other than n rays
+    raises it as not square.
+    """
     if len(cone) != fan.dim:
         raise NotUnimodular(f"matrix is {len(cone)}x{fan.dim}, not square")
     dets, rows = ray_minors(fan, [cone], cofactors=True)
@@ -139,31 +134,22 @@ def _inverse(fan: Fan, cone: tuple[int, ...]) -> IntMatrix:
 
 
 @lru_cache(maxsize=_FAN_CACHE_SIZE)
-def _cone_inverses(fan: Fan) -> Mapping[tuple[int, ...], IntMatrix]:
-    """The fan's table of inverses of unimodular ray n-subsets, each computed on first lookup.
+def ray_coordinates(fan: Fan) -> tuple[tuple[tuple[int, ...], ...], np.ndarray, np.ndarray]:
+    """The fan's table of every ray's coordinates on every maximal cone, from one ray_minors request.
 
-    The keys are the maximal cones and the complements of stored Pic bases
-    (picard.build_pic_context); any ascending n-subset whose rays form a
-    lattice basis may be one, and each is a ray_minors request of one.
+    The maximal cones of n valid ray indices in fan.max_cones order, their
+    dets d, and the read-only K x n x m cofactor rows times the rays: entry
+    [k, i, j] is |d_k| times the coefficient of ray j on ray i of cone k,
+    exact on a unimodular cone and 0 on a singular one.
     """
-    return _Table(fan, _inverse)
-
-
-def cone_inverse(fan: Fan, cone: tuple[int, ...]) -> IntMatrix:
-    """Inverse of the ray-row matrix of an ascending ray n-subset that is a lattice basis, from the fan's table.
-
-    A subset whose rays are not a lattice basis raises NotUnimodular,
-    naming its determinant; one with other than n rays raises it as not
-    square.
-    """
-    return _cone_inverses(fan)[cone]
-
-
-def cone_coordinates(fan: Fan, cone: tuple[int, ...], point: Sequence[int]) -> tuple[int, ...]:
-    """Coefficients of `point` on the cone's ray basis (exact integers)."""
-    # point = sum(lambda_j * v_j) <=> lambda = B^T point with B the inverse
-    # of the ray-row matrix.
-    return cone_inverse(fan, cone).transpose().mul_vec(point)
+    n, m = fan.dim, fan.n_rays
+    cones = tuple(cone for cone in fan.max_cones if len(set(cone)) == n and all(0 <= i < m for i in cone))
+    if not cones:   # no request, which a 0-dimensional fan could not make
+        return cones, np.zeros(0, dtype=np.int64), np.zeros((0, n, m), dtype=np.int64)
+    dets, rows = ray_minors(fan, cones, cofactors=True)
+    coordinates = rows @ np.array(fan.rays, dtype=rows.dtype).reshape(-1, n).T
+    dets.flags.writeable = coordinates.flags.writeable = False
+    return cones, dets, coordinates
 
 
 @dataclass(frozen=True)
@@ -214,16 +200,14 @@ def validate_fan(fan: Fan) -> FanValidation:
     if len(set(fan.rays)) != m:
         problems.append("duplicate rays")
 
-    covered = set()
-    valid = []
+    cones, dets, _ = ray_coordinates(fan)
+    valid = set(cones)
     for cone in fan.max_cones:
-        if len(set(cone)) != n or any(i < 0 or i >= m for i in cone):
+        if cone not in valid:
             simplicial = False
             problems.append(f"cone {cone} is not a set of {n} valid ray indices")
-            continue
-        covered.update(cone)
-        valid.append(cone)
-    for cone, d in zip(valid, ray_minors(fan, valid).tolist() if valid else ()):   # a 0-dimensional fan asks for none
+    covered = set().union(*cones)
+    for cone, d in zip(cones, dets.tolist()):
         if abs(d) != 1:
             smooth = False
             problems.append(f"cone {cone} has determinant {d}; not smooth")
@@ -337,23 +321,23 @@ def primitive_collections(fan: Fan) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=_FAN_CACHE_SIZE)
 def primitive_relations(fan: Fan) -> tuple[PrimitiveRelation, ...]:
-    """One relation per primitive collection, with exact coefficients."""
+    """One relation per primitive collection, with exact coefficients, read from ray_coordinates.
+
+    The target is the first cone on which the sum of the collection's
+    columns is >= 0; a singular cone met before it raises NotUnimodular.
+    """
+    cones, dets, coordinates = ray_coordinates(fan)
+    unimodular = abs(dets) == 1
     relations = []
     for pc in primitive_collections(fan):
-        total = tuple(sum(fan.rays[i][j] for i in pc) for j in range(fan.dim))
-        if all(x == 0 for x in total):
-            relations.append(PrimitiveRelation(pc, ()))
-            continue
-        for cone in fan.max_cones:
-            coords = cone_coordinates(fan, cone, total)
-            if all(c >= 0 for c in coords):
-                target = tuple((ray, c) for ray, c in zip(cone, coords) if c > 0)
-                relations.append(PrimitiveRelation(pc, target))
-                break
-        else:
-            raise InteriorCoverFailure(
-                f"sum of primitive collection {pc} lies in no maximal cone; fan is not complete"
-            )
+        sums = coordinates[:, :, pc].sum(axis=2)   # cones x n
+        stop = (sums >= 0).all(axis=1) | ~unimodular
+        if not stop.any():
+            raise InteriorCoverFailure(f"sum of primitive collection {pc} lies in no maximal cone; fan is not complete")
+        k = int(stop.argmax())
+        if not unimodular[k]:
+            raise NotUnimodular(f"determinant is {dets[k]}, not +-1")
+        relations.append(PrimitiveRelation(pc, tuple((ray, c) for ray, c in zip(cones[k], sums[k].tolist()) if c > 0)))
     return tuple(relations)
 
 

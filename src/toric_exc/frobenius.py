@@ -49,7 +49,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import NotStabilized, RayNotCovered, TooManyResidues
-from .fan import _FAN_CACHE_SIZE, Fan, cone_inverse, ray_minors
+from .fan import _FAN_CACHE_SIZE, Fan, cone_inverse, ray_coordinates, ray_minors
 from .lattice import _INT64_SAFE
 from .picard import ClassVector, PicContext, _check_length, to_class
 
@@ -85,26 +85,21 @@ def _line_frame(fan: Fan) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
     own ray k adds the 1).  The frame is the (sigma, k) with the fewest,
     ties going to the fewest sloped rays (c_j[k] != 0, j not in sigma),
     then to the earliest cone, then to its last axis, so that the first
-    cone's last axis wins a full tie.  Every c_j on every maximal cone
-    comes from one ray_minors request with cofactors and one product with
-    the rays: for det +-1 the cofactor rows are the columns of B_sigma.  A
-    ray in no maximal cone raises RayNotCovered.  A first maximal cone
-    that is not a lattice basis raises its NotUnimodular from
-    cone_inverse; any other such cone, or one that is not n valid ray
-    indices, is no candidate.
+    cone's last axis wins a full tie.  Every c_j is read from the fan's
+    table, fan.ray_coordinates, with no request of its own.  A ray in no
+    maximal cone raises RayNotCovered.  A first maximal cone that is not a
+    lattice basis raises its NotUnimodular from cone_inverse; any other
+    such cone, or one that is not n valid ray indices, is no candidate.
     """
     n, m, cones = fan.dim, fan.n_rays, fan.max_cones
     uncovered = set(range(m)).difference(*cones)
     if uncovered:
         raise RayNotCovered(f"ray {min(uncovered)} lies in no maximal cone")
-    shaped = [cone for cone in cones if len(cone) == n and 0 <= min(cone) and max(cone) < m]
-    if not shaped or shaped[0] != cones[0]:
-        cone_inverse(fan, cones[0])   # raises, or fails on a bad index as the lookup always has
-    dets, rows = ray_minors(fan, shaped, cofactors=True)
-    if abs(dets[0]) != 1:
-        cone_inverse(fan, cones[0])   # raises NotUnimodular
+    shaped, dets, coordinates = ray_coordinates(fan)
+    if not shaped or shaped[0] != cones[0] or abs(dets[0]) != 1:
+        cone_inverse(fan, cones[0])   # raises NotUnimodular, or fails on a bad index
     unimodular = np.flatnonzero(abs(dets) == 1)
-    coordinates = rows[unimodular] @ np.array(fan.rays, dtype=rows.dtype).T   # cones x n x m: c_j[i] = <row i, v_j>
+    coordinates = coordinates[unimodular]   # cones x n x m: c_j[i] = coordinates[:, i, j]
     # per (cone, axis): the segments of a line (the cone's own ray adds the 1), then the sloped rays; each |c_j[k]|
     # is capped at _RESIDUE_LIMIT >= p, past which every x starts a segment anyway, so that no int64 sum wraps
     segments = np.minimum(abs(coordinates), _RESIDUE_LIMIT).sum(axis=2)[:, ::-1].ravel()
@@ -172,7 +167,7 @@ def decompose(
         raise TooManyResidues(f"{p}^{n} residues; decompose enumerates at most 2^32")
     cone, coordinates = _line_frame(fan)
     divisor = tuple(int(a) for a in divisor)
-    base = [divisor[i] for i in cone]
+    base = [divisor[i] for i in cone]   # a smaller key space: span 1 on the base cone (w_j = a_j: 2 unless p | a_j)
 
     rows = []   # (c_j, q_j, r_j, lo_j, span_j)
     for c, a in zip(coordinates, divisor):

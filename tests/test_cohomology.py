@@ -663,7 +663,7 @@ class TestPatternRankCertificates:
             if module_name.startswith("toric_exc") and getattr(module, "_eliminate", None) is real_eliminate:
                 monkeypatch.setattr(module, "_eliminate", eliminate)
         for memo in (_patterns, _vertex_frames, _point_list, fan_module._completeness_problems,
-                     fan_module._cone_inverses):
+                     fan_module.ray_coordinates):
             memo.cache_clear()
         assert not hasattr(forbidden_sets, "cache_info")
         assert cli_main(["--format", "json", "prove-main-theorem"]) == 0
@@ -697,6 +697,27 @@ class TestBatchedBoxes:
         # the small divisors answer as the single queries do; the others, whose boxes no limit
         # would pass, answer from witnesses that plain_mask re-checks
         assert assert_collection_answers(ctx, small + near_2_40 + huge) == Counter(single=12, witness=8)
+
+    def test_huge_divisors_leave_the_others_on_int64(self, contexts, monkeypatch):
+        # the int64-safe divisors go through the vertex pass apart from the others, in chunks of 40, and
+        # come back in input order: the split call answers as one unsplit call on Python integers does
+        ctx = contexts["D1"]
+        rng = random.Random(32)
+        divisors = [tuple(rng.randint(-3, 3) for _ in range(6)) for _ in range(100)]
+        for j in (0, 41, 99):
+            divisors.insert(j, (2 ** 63 - 1, 0, 0, 0, rng.randint(-3, 3), 0))
+        dtypes = []
+        real = cohomology._vertex_masks
+        monkeypatch.setattr(cohomology, "_vertex_masks", lambda frames, a: dtypes.append((len(a), a.dtype)) or
+                            real(frames, a))
+        monkeypatch.setattr(cohomology, "_PASS_ELEMENTS", 40 * _vertex_frames(ctx.fan).thresholds.size)
+        split = _verdict_witnesses(ctx.fan, divisors), vanishing_verdicts(ctx, divisors)
+        assert dtypes[:4] == [(40, np.int64), (40, np.int64), (20, np.int64), (3, object)]
+        monkeypatch.setattr(cohomology, "_PASS_ELEMENTS", 1 << 40)
+        monkeypatch.setattr(cohomology, "_int64_reach", lambda frames: -1)   # every divisor on Python integers
+        dtypes.clear()
+        assert (_verdict_witnesses(ctx.fan, divisors), vanishing_verdicts(ctx, divisors)) == split
+        assert dtypes[0] == (103, object)
 
     def test_the_fallback_enumerates_each_box_once_or_refuses_first(self, records, contexts, monkeypatch):
         # on the forced fallback every divisor with a contributing candidate is enumerated from its box
@@ -922,13 +943,13 @@ class TestGapTables:
             huge = [tuple(rng.randint(-6, 6) + rng.choice((0, 2**60 + rng.randrange(2**40), -(2**62)))
                           for _ in range(m))]
             for batch in (small, small + huge):
-                a = _divisor_array(frames, batch, max(abs(x) for d in batch for x in d))
+                a = _divisor_array(frames, batch)
                 paths.add(a.dtype)
                 gaps = _base_gaps(frames, a)[:, None] - frames.thresholds[..., None]   # K x 2^n x m x D
                 assert gaps.shape == (len(frames.subsets), 2 ** fan.dim, m, len(batch))
                 masks = _vertex_masks(frames, a)
                 for d, divisor in enumerate(batch):
-                    alone = _divisor_array(frames, [divisor], max(map(abs, divisor)))
+                    alone = _divisor_array(frames, [divisor])
                     assert alone.shape == (1, m)
                     assert ((_base_gaps(frames, alone)[:, None] - frames.thresholds[..., None]).tolist()
                             == gaps[..., d:d + 1].tolist())
@@ -970,7 +991,7 @@ class TestFanCaches:
             assert all((cone_matrix(fan, cone) @ inverse).is_identity()
                        for cone, inverse in zip(fan.max_cones, inverses(fan)))
         memos = (cohomology._patterns, _vertex_frames, fan_module._completeness_problems, fan_module.face_masks,
-                 fan_module.primitive_collections, fan_module.primitive_relations, fan_module._cone_inverses,
+                 fan_module.primitive_collections, fan_module.primitive_relations, fan_module.ray_coordinates,
                  frobenius._line_frame)
         assert all(memo.cache_info().currsize <= size for memo in memos)
         assert not hasattr(is_fano, "cache_info") and not hasattr(forbidden_sets, "cache_info")

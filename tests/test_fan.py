@@ -12,9 +12,9 @@ from toric_exc import fan as fan_module, lattice
 from toric_exc.catalog import format_fan_file, parse_fan_file
 from toric_exc.cohomology import _patterns, _vertex_frames
 from toric_exc.errors import InteriorCoverFailure, NotUnimodular, UnboundedRegion
-from toric_exc.fan import (Fan, _completeness_problems, _cone_inverses, cone_inverse, cone_matrix, face_masks,
-                           is_complete, is_face, is_fano, primitive_collections, primitive_relations,
-                           ray_minors, validate_fan)
+from toric_exc.fan import (Fan, _completeness_problems, cone_inverse, cone_matrix, face_masks, is_complete, is_face,
+                           is_fano, primitive_collections, primitive_relations, ray_coordinates, ray_minors,
+                           validate_fan)
 from toric_exc.frobenius import _line_frame, _minor_lcm
 from toric_exc.lattice import IntMatrix, determinant, smith_normal_form
 from toric_exc.picard import build_pic_context
@@ -230,7 +230,7 @@ class TestOneSourceOfMinors:
             if module_name.startswith("toric_exc") and getattr(module, "ray_minors", None) is real_minors:
                 monkeypatch.setattr(module, "ray_minors", request)
         monkeypatch.setattr(fan_module, "_cross_products", lambda rows, top: computed.append(len(rows)) or real_kernel(rows, top))
-        for table in (_completeness_problems, _cone_inverses, _vertex_frames):
+        for table in (_completeness_problems, ray_coordinates, _vertex_frames):
             table.cache_clear()
         fans = [rec.fan for rec in records.values()] + seeded_blowups(records, (9, 13), seed=5)
         for fan in fans:
@@ -246,6 +246,51 @@ class TestOneSourceOfMinors:
         assert not eliminations
         assert len(requests) > len(fans) and set(requests) == {1}
         assert len(computed) - len(requests) == _completeness_problems.cache_info().misses == len(fans)
+
+
+class TestRayCoordinates:
+    def test_smoothness_relations_and_the_frame_make_one_request(self, records, monkeypatch):
+        # validate_fan, is_fano and the Thomsen line frame of a cold fan read one table: one ray_minors
+        # request over its maximal cones, and no other (cone_inverse makes one too)
+        requests = []
+
+        def request(fan, subsets, cofactors=False):
+            requests.append(len(subsets))
+            return ray_minors(fan, subsets, cofactors)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("toric_exc") and getattr(module, "ray_minors", None) is ray_minors:
+                monkeypatch.setattr(module, "ray_minors", request)
+        for fan in [rec.fan for rec in records.values()] + seeded_blowups(records, (9, 12, 15), seed=32):
+            for table in (ray_coordinates, _completeness_problems, primitive_collections, primitive_relations,
+                          _line_frame):
+                table.cache_clear()
+            requests.clear()
+            assert validate_fan(fan).ok and is_fano(fan) in (True, False) and _line_frame(fan)
+            assert requests == [len(fan.max_cones)]
+
+    def test_relations_do_not_depend_on_ray_labels_or_cone_order(self, records):
+        # a relation's target is the least cone holding the ray sum, whichever maximal cone the table
+        # lists first: relabelled rays, and shuffled cones with their rays shuffled (as Fan() keeps
+        # them), give the same relations and the same Fano verdict
+        rng = random.Random(32)
+        for fan in [rec.fan for rec in records.values()] + seeded_blowups(records, range(9, 16), seed=32):
+            m = fan.n_rays
+            label = rng.sample(range(m), m)   # ray i is ray label[i] of the relabelled fan
+            rays = [fan.rays[label.index(i)] for i in range(m)]
+            relabelled = Fan.make(fan.dim, rays, [[label[i] for i in cone] for cone in fan.max_cones])
+            cones = [tuple(rng.sample(cone, len(cone))) for cone in fan.max_cones]
+            reordered = Fan(fan.dim, fan.rays, tuple(rng.sample(cones, len(cones))))
+            want = relation_set(fan, range(m))
+            assert relation_set(relabelled, [label.index(i) for i in range(m)]) == want
+            assert relation_set(reordered, range(m)) == want
+            assert is_fano(relabelled) == is_fano(reordered) == is_fano(fan)
+
+
+def relation_set(fan, names):
+    """The primitive relations as sets, ray i named names[i]."""
+    return {(frozenset(names[i] for i in rel.collection), frozenset((names[t], c) for t, c in rel.target))
+            for rel in primitive_relations(fan)}
 
 
 class TestRayMinors:
@@ -284,7 +329,7 @@ class TestOneHashPerFan:
             a, b = parse_fan_file(text), parse_fan_file(text)
             assert a is not b and a == b
             assert hash(a) == hash(b) == hash((a.dim, a.rays, a.max_cones))
-            for table in (_cone_inverses, _completeness_problems, face_masks,
+            for table in (ray_coordinates, _completeness_problems, face_masks,
                           primitive_collections, primitive_relations, _patterns, _vertex_frames, _line_frame):
                 assert table(a) is table(b), (rec.name, table.__name__)
 
@@ -378,7 +423,7 @@ class TestDimension:
         # every cross product comes from the batched kernel, polynomial in n; a cofactor expansion took over a
         # minute on P^9 alone
         _completeness_problems.cache_clear()
-        _cone_inverses.cache_clear()
+        ray_coordinates.cache_clear()
         start = time.perf_counter()
         for n in range(1, 12):
             fan = projective_space(n)

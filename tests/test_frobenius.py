@@ -10,7 +10,7 @@ import pytest
 from conftest import zvec
 import toric_exc.frobenius as frob
 from toric_exc.errors import NotStabilized, NotUnimodular, RayNotCovered, TooManyResidues
-from toric_exc.fan import Fan, cone_coordinates, ray_minors
+from toric_exc.fan import Fan, cone_inverse, ray_minors
 from toric_exc.frobenius import bondal_summands, decompose, first_chern_sum, stable_summands
 from toric_exc.lattice import IntMatrix
 from toric_exc.picard import anticanonical_divisor, build_pic_context, to_class
@@ -42,7 +42,7 @@ def every_line_frame(fan):
     for cone in fan.max_cones:
         if abs(ray_minors(fan, [cone])[0]) != 1:
             continue
-        coordinates = [cone_coordinates(fan, cone, ray) for ray in fan.rays]
+        coordinates = [cone_inverse(fan, cone).transpose().mul_vec(ray) for ray in fan.rays]
         for k in reversed(range(fan.dim)):
             order = [i for i in range(fan.dim) if i != k] + [k]
             yield tuple(cone[i] for i in order), tuple(tuple(c[i] for i in order) for c in coordinates)

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from toric_exc import cohomology, fan as fan_module, frobenius, lattice
 from toric_exc.catalog import format_fan_file
 from toric_exc.cli import main as cli_main
 from toric_exc.fan import cone_inverse
@@ -60,11 +61,15 @@ GOLDEN = [
 
 @pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(argv) for argv, _ in GOLDEN])
 def test_stdout_is_byte_identical(argv, digest):
+    assert stdout_digest(argv) == (0, digest)
+
+
+def stdout_digest(argv):
+    """Exit code and SHA-256 of the stdout of one CLI command."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli_main(list(argv))
-    assert code == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 # SHA-256 of json.dumps(results, sort_keys=True) for a fan file: the Smith-form
@@ -93,11 +98,41 @@ FAN_FILE_GOLDEN = [
 @pytest.mark.parametrize("name, argv, digest", FAN_FILE_GOLDEN,
                          ids=[f"{name} {' '.join(argv)}" for name, argv, _ in FAN_FILE_GOLDEN])
 def test_fan_file_results_are_identical(records, tmp_path, name, argv, digest):
-    fans = {"P1": projective_space(1), "P2": projective_space(2), "P4": projective_space(4),
+    assert fan_file_digest(tmp_path, golden_fans(records)[name], argv) == (0, digest)
+
+
+def golden_fans(records):
+    return {"P1": projective_space(1), "P2": projective_space(2), "P4": projective_space(4),
             "blowup": seeded_blowups(records, (10,), seed=7)[0]}
-    code, results = fan_file_results(tmp_path, fans[name], [argv[0], *argv[1:]])
-    assert code == 0
-    assert hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest() == digest
+
+
+def fan_file_digest(tmp_path, fan, argv):
+    """Exit code and SHA-256 of the sorted JSON `results` of one command on a fan file."""
+    code, results = fan_file_results(tmp_path, fan, argv)
+    return code, hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+
+
+def test_every_digest_holds_on_python_integers(records, tmp_path, monkeypatch):
+    # every exact path forced past its int64 bound, and every per-fan table built again on Python
+    # integers (and cleared again, so that no later test reads one): the same bytes
+    tables = (fan_module.ray_coordinates, fan_module._completeness_problems, fan_module.face_masks,
+              fan_module.primitive_collections, fan_module.primitive_relations, cohomology._patterns,
+              cohomology._vertex_frames, cohomology._point_list, frobenius._line_frame)
+    for module in (lattice, cohomology, frobenius):
+        monkeypatch.setattr(module, "_INT64_SAFE", 0)
+    fans = golden_fans(records)
+    try:
+        for table in tables:
+            table.cache_clear()
+        for argv, digest in GOLDEN:
+            assert stdout_digest(argv) == (0, digest), argv
+        for name, argv, digest in FAN_FILE_GOLDEN:
+            assert fan_file_digest(tmp_path, fans[name], argv) == (0, digest), (name, argv)
+        blowup = fans["blowup"]   # its tables were built by the commands above
+        assert fan_module.ray_coordinates(blowup)[2].dtype == cohomology._vertex_frames(blowup).cofactors.dtype == object
+    finally:
+        for table in tables:
+            table.cache_clear()
 
 
 def fan_file_results(tmp_path, fan, argv, collection=None):

@@ -11,7 +11,7 @@ from conftest import zvec
 from test_fan import seeded_blowups
 from toric_exc import lattice
 from toric_exc.errors import NotABasis
-from toric_exc.fan import Fan, _cone_inverses, cone_inverse
+from toric_exc.fan import Fan, cone_inverse
 from toric_exc.picard import (anticanonical_divisor, build_pic_context, class_label,
                               class_to_divisor, divisor_label, pairing_matrix, to_class)
 
@@ -199,7 +199,6 @@ class TestOneSmithForm:
         for name, module in list(sys.modules.items()):
             if name.startswith("toric_exc") and getattr(module, "smith_normal_form", None) is real:
                 monkeypatch.setattr(module, "smith_normal_form", counted)
-        _cone_inverses.cache_clear()
         for rec in records.values():
             calls.clear()
             build_pic_context(rec.fan)
