@@ -289,7 +289,7 @@ def _vertex_frames(fan: Fan) -> _VertexFrames:
         raise BoxTooLarge(f"the vertex pass of one divisor would hold {entries} gap entries "
                           f"({m} rays in dimension {n}), past the limit {_VERTEX_PASS_LIMIT}")
     every = np.array(list(combinations(range(m), n)), dtype=np.int64).reshape(-1, n)
-    dets, cofactors = ray_minors(fan, every, cofactors=True)
+    dets, cofactors = ray_minors(fan, every)
     nonsingular = np.flatnonzero(dets)
     subsets, cofactors, dets = every[nonsingular], cofactors[nonsingular], np.abs(dets[nonsingular])
     largest = int(max(np.abs(cofactors).max(), dets.max()))

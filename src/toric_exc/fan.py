@@ -18,15 +18,15 @@ cones' ray sets) is a triangulated (n-1)-sphere, which the cohomology
 module's pattern certificates rely on.
 
 ray_minors answers a request with arrays: the n x n ray minors of a
-batch of n-subsets and, when asked, their signed cofactors, all from one
-batch of lattice._cross_products, the one exact kernel for them.  One
-request over the maximal cones, times the rays, is the fan's table of
-every ray's coordinates on each (ray_coordinates): validate_fan's
-smoothness check, the primitive relations and the Frobenius line frame
-read it.  The others are cone_inverse (one subset, not cached: a stored
+batch of n-subsets and their signed cofactors, all from one batch of
+lattice._cross_products, the one exact kernel for them; no other code
+calls the kernel.  One request over the maximal cones, times the rays,
+is the fan's table of every ray's coordinates on each (ray_coordinates):
+validate_fan's smoothness check, the completeness certificate's facet
+sides, the primitive relations and the Frobenius line frame read it.
+The other requests are cone_inverse (one subset, not cached: a stored
 Pic basis's complement), the cohomology module's vertex frames and the
-Frobenius minor lcm.  The facet sides of the completeness certificate
-are one more batch of the kernel.
+Frobenius minor lcm, which reads only the dets.
 Every per-fan table, here and in the cohomology module, is kept for the
 last _FAN_CACHE_SIZE fans, so a process that checks many fans holds the
 tables of a bounded number of them.
@@ -84,34 +84,23 @@ def cone_matrix(fan: Fan, cone: Sequence[int]) -> IntMatrix:
     return IntMatrix.from_rows([fan.rays[i] for i in cone])
 
 
-def _ray_array(fan: Fan) -> tuple[np.ndarray, int]:
-    """The m x n ray array in the dtype _minor_dtype allows, which holds every n x n ray minor and each of its
-    partial sums, and top, the largest |ray entry| (at least 1): the bound _cross_products is given."""
-    top = max(1, max(map(abs, chain.from_iterable(fan.rays)), default=0))
-    return np.array(fan.rays, dtype=_minor_dtype(fan.dim, top)).reshape(-1, fan.dim), top
+def ray_minors(fan: Fan, subsets: Sequence[Sequence[int]] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """det A_S and its signed cofactor rows for the K ray n-subsets S of one request, A_S the rays of S as rows.
 
-
-def ray_minors(fan: Fan, subsets: Sequence[Sequence[int]] | np.ndarray,
-               cofactors: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """det A_S for the K ray n-subsets S of one request, A_S the rays of S as rows in S's order.
-
-    subsets is a K x n index array, or anything np.array makes one of.
-    det A_S = <v_S0, normal of S minus S0>, the normal of a ridge R being
-    the cross product of its rays in R's order, so the dets (a K array)
-    need only the ridges S minus S0.  With cofactors, the request also
-    returns the K x n x n rows sign(det A_S) (-1)^i normal of S minus S_i,
-    so that A_S @ rows^T = |det A_S| I; a zero det has zero rows.  Every
-    normal of the request comes from one _cross_products call.  The arrays
-    are int64, or Python integers on a fan past _minor_dtype's bound.
+    subsets is a K x n index array, or anything np.array makes one of, and
+    A_S lists the rays in S's order.  The normal of a ridge R is the cross
+    product of its rays in R's order.  The dets (a K array) are
+    det A_S = <v_S0, normal of S minus S0>, and the K x n x n rows are
+    sign(det A_S) (-1)^i normal of S minus S_i, so that
+    A_S @ rows^T = |det A_S| I; a zero det has zero rows.  Every normal of
+    the request comes from one _cross_products call.  The arrays are int64,
+    or Python integers on a fan past _minor_dtype's bound.
     """
-    n, (rays, top) = fan.dim, _ray_array(fan)
+    n, top = fan.dim, max(1, max(map(abs, chain.from_iterable(fan.rays)), default=0))   # top >= 1 bounds each entry
+    rays = np.array(fan.rays, dtype=_minor_dtype(n, top)).reshape(-1, n)
     S = np.array(subsets, dtype=np.intp).reshape(-1, n)
-    ridges = S[:, _omitting(n)] if cofactors else S[:, None, 1:]   # K x r x (n-1), r = n or 1
-    K, r = ridges.shape[:2]
-    normals = _cross_products(rays[ridges.reshape(K * r, n - 1)], top).reshape(K, r, n)
+    normals = _cross_products(rays[S[:, _omitting(n)].reshape(len(S) * n, n - 1)], top).reshape(len(S), n, n)
     dets = (rays[S[:, :1]] @ normals[:, 0, :, None])[:, 0, 0]
-    if not cofactors:
-        return dets
     return dets, (np.sign(dets)[:, None] * _alternating(n))[:, :, None] * normals
 
 
@@ -125,7 +114,7 @@ def cone_inverse(fan: Fan, cone: tuple[int, ...]) -> IntMatrix:
     """
     if len(cone) != fan.dim:
         raise NotUnimodular(f"matrix is {len(cone)}x{fan.dim}, not square")
-    dets, rows = ray_minors(fan, [cone], cofactors=True)
+    dets, rows = ray_minors(fan, [cone])
     det, columns = int(dets[0]), rows[0].tolist()
     if abs(det) != 1:
         raise NotUnimodular(f"determinant is {det}, not +-1")
@@ -140,13 +129,16 @@ def ray_coordinates(fan: Fan) -> tuple[tuple[tuple[int, ...], ...], np.ndarray, 
     The maximal cones of n valid ray indices in fan.max_cones order, their
     dets d, and the read-only K x n x m cofactor rows times the rays: entry
     [k, i, j] is |d_k| times the coefficient of ray j on ray i of cone k,
-    exact on a unimodular cone and 0 on a singular one.
+    exact on a unimodular cone and 0 on a singular one.  An entry is a ray
+    n-minor, at most n^(n/2) top^n (Hadamard), and (n + 1) n^(n/2) <= 8 n!:
+    so on an int64 table (n! top^n < 2^60) any n + 1 columns sum below 2^63,
+    as the primitive relations and the completeness certificate need.
     """
     n, m = fan.dim, fan.n_rays
-    cones = tuple(cone for cone in fan.max_cones if len(set(cone)) == n and all(0 <= i < m for i in cone))
+    cones = tuple(cone for cone in fan.max_cones if len(cone) == len(set(cone)) == n and all(0 <= i < m for i in cone))
     if not cones:   # no request, which a 0-dimensional fan could not make
         return cones, np.zeros(0, dtype=np.int64), np.zeros((0, n, m), dtype=np.int64)
-    dets, rows = ray_minors(fan, cones, cofactors=True)
+    dets, rows = ray_minors(fan, cones)
     coordinates = rows @ np.array(fan.rays, dtype=rows.dtype).reshape(-1, n).T
     dets.flags.writeable = coordinates.flags.writeable = False
     return cones, dets, coordinates
@@ -233,38 +225,41 @@ def _completeness_problems(fan: Fan) -> tuple[str, ...]:
     - Degree one: the ray sum of the first maximal cone, an interior point
       of it, lies in no other maximal cone.
 
-    Both checks are exact integer sign tests on the facet normals, which
-    come from one _cross_products call.
+    Both checks are exact integer sign tests read from ray_coordinates:
+    row i of cone k pairs the inward normal of facet i (the facet without
+    ray i) with every ray, so entry [k, i, j] is negative exactly when ray
+    j lies strictly beyond that facet, and 0 on a singular cone.
     """
-    n, m, rays, cones = fan.dim, fan.n_rays, fan.rays, fan.max_cones
-    if (not cones or any(len(ray) != n for ray in rays)
-            or any(len(set(cone)) != n or not all(0 <= i < m for i in cone) for cone in cones)):
+    n = fan.dim
+    if any(len(ray) != n for ray in fan.rays):   # before the table, which needs n entries a ray
         return (f"the maximal cones are not sets of {n} valid ray indices",)
-    ray_array, top = _ray_array(fan)
-    apexes = np.array([sorted(cone) for cone in cones], dtype=np.intp)   # C x n
-    facets = apexes[:, _omitting(n)]                                      # C x n x (n-1): facet i omits apex i
-    normals = _cross_products(ray_array[facets.reshape(len(cones) * n, n - 1)], top).reshape(len(cones), n, n)
-    sides = (normals[..., None, :] @ ray_array[apexes][..., None])[..., 0, 0].tolist()   # C x n: each apex's side
-    pairs: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-    for cone, cone_facets, cone_sides in zip(cones, facets.tolist(), sides):
-        for facet, side in zip(cone_facets, cone_sides):
-            pairs.setdefault(tuple(facet), []).append((cone, side))
+    cones, _, coordinates = ray_coordinates(fan)
+    if not cones or len(cones) != len(fan.max_cones):
+        return (f"the maximal cones are not sets of {n} valid ray indices",)
+    pairs: dict[tuple[int, ...], list[tuple[int, int]]] = {}   # facet: (cone k, position i of its apex) per cone
+    for k, cone in enumerate(cones):
+        for i in range(n):
+            pairs.setdefault(tuple(sorted(cone[:i] + cone[i + 1:])), []).append((k, i))
     problems = []
     for facet, pair in sorted(pairs.items()):
         if len(pair) != 2:
             problems.append(f"facet {facet} lies in {len(pair)} maximal cones, expected 2")
-        elif pair[0][1] * pair[1][1] >= 0:
-            problems.append(f"facet {facet}: maximal cones {pair[0][0]} and {pair[1][0]} "
+            continue
+        (k, i), (other, j) = pair
+        # One side suffices: the entry is sign(d_k) det(cone k with ray i replaced by the other apex), 0 when either
+        # cone is singular (`other` is exactly when its apex lies in the facet's span; cone k has zero rows), and
+        # else negative exactly when the two apexes lie strictly on opposite sides, as read from either cone.
+        if coordinates[k, i, cones[other][j]] >= 0:
+            problems.append(f"facet {facet}: maximal cones {cones[k]} and {cones[other]} "
                             f"do not lie on opposite sides of it")
     if problems:
         return tuple(problems)
     first = cones[0]
-    point = tuple(map(sum, zip(*(rays[i] for i in first))))
-    dtype = _minor_dtype(n, n * top)   # <normal, point> = det(point, facet rays), entries at most n top
-    reach = (normals.astype(dtype, copy=False) @ np.array(point, dtype=dtype)).tolist()
-    for cone, cone_sides, cone_reach in zip(cones[1:], sides[1:], reach[1:]):
-        if all(side * at >= 0 for side, at in zip(cone_sides, cone_reach)):
-            return (f"the ray sum {point} of maximal cone {first} also lies in maximal cone {cone}",)
+    inside = (coordinates[1:, :, list(first)].sum(axis=2) >= 0).all(axis=1)   # the ray sum's coordinates
+    if inside.any():
+        point = tuple(map(sum, zip(*(fan.rays[i] for i in first))))
+        cone = cones[1 + int(inside.argmax())]
+        return (f"the ray sum {point} of maximal cone {first} also lies in maximal cone {cone}",)
     return ()
 
 

@@ -288,7 +288,7 @@ def stable_summands(
 
 def _minor_lcm(fan: Fan) -> int:
     """L, the lcm of the nonzero n x n ray minors (fan.ray_minors)."""
-    return math.lcm(*filter(None, ray_minors(fan, list(combinations(range(fan.n_rays), fan.dim))).tolist()))
+    return math.lcm(*filter(None, ray_minors(fan, list(combinations(range(fan.n_rays), fan.dim)))[0].tolist()))
 
 
 def bondal_summands(ctx: PicContext) -> Optional[tuple[ClassVector, ...]]:

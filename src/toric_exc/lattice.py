@@ -9,10 +9,10 @@ determinism and auditability.
 One fraction-free (Bareiss) elimination, _eliminate, gives every rank and
 determinant in polynomial time.  One batched kernel, _cross_products,
 gives the cross products of n - 1 rows for a whole batch of row sets in
-one vectorised, division-free pass (Samuelson-Berkowitz); every ray
-minor and cofactor of the fan module is read from one such pass per
-request (fan.ray_minors).  The only inverse built from them
-is fan.cone_inverse: det times the transposed cofactor matrix of n rays.
+one vectorised, division-free pass (Samuelson-Berkowitz); its one caller,
+fan.ray_minors, reads every ray minor and cofactor from one such pass per
+request.  The only inverse built from them is fan.cone_inverse: det
+times the transposed cofactor matrix of n rays.
 The Smith normal form, which pivots on the smallest-magnitude entry with
 ties broken by position, only chooses the quotient basis of Pic; it
 carries U^-1 beside U, so that basis needs no inverse of its own.

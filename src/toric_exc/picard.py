@@ -6,10 +6,10 @@ u -> (<u, v_rho>)_rho, and the Picard group is the (free, rank m-n)
 cokernel.  A PicContext fixes a basis of that quotient, either a preferred
 list of ray divisors whose classes form a basis, or the Smith-normal-form
 quotient basis, and exposes class computation as an exact linear map.
-A stored basis reads its class map from the fan's inverse table
-(fan.cone_inverse of the n rays outside the basis); the Smith basis reads
-it from U and the U^-1 that the Smith normal form carries.  Neither
-inverts an m x m matrix.
+A stored basis reads its class map from fan.cone_inverse of the n rays
+outside the basis (one ray_minors request, not cached); the Smith basis
+reads it from U and the U^-1 that the Smith normal form carries.
+Neither inverts an m x m matrix.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ import random
 import re
 import sys
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -60,6 +60,15 @@ def seeded_blowups(records, sizes, seed):
     return [seeded_blowup(records[rng.choice(sorted(records))].fan, m, rng.randrange(10 ** 6)) for m in sizes]
 
 
+def holds(fan, cone, point):
+    """Whether a nonsingular cone holds the point: every coefficient, det(rays with one replaced by the point) / det,
+    is >= 0."""
+    rows = [list(fan.rays[i]) for i in cone]
+    det = determinant(IntMatrix.from_rows(rows))
+    return all(determinant(IntMatrix.from_rows(rows[:i] + [list(point)] + rows[i + 1:])) * det >= 0
+               for i in range(len(rows)))
+
+
 def folded_suspension():
     """Cones over three triangles around the z-axis, one of which folds back over another.
 
@@ -68,6 +77,23 @@ def folded_suspension():
     """
     rays = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (0, 0, -1)]
     return Fan.make(3, rays, [(i, j, t) for i, j in ((0, 1), (1, 2), (0, 2)) for t in (3, 4)])
+
+
+# cone (0, 2) is flat: its apexes lie on the lines of its facets
+FLAT_2_FAN = Fan.make(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2), (0, 2)])
+DOUBLED_P3 = Fan.make(3, P3.rays, P3.max_cones + ((0, 1, 2),))
+P3_WITHOUT_A_CONE = Fan.make(3, P3.rays, [(0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
+
+def double_cover(rays):
+    """The 2-D cones over consecutive rays of a list that winds twice around the origin."""
+    return Fan.make(2, rays, [(i, (i + 1) % len(rays)) for i in range(len(rays))])
+
+
+# every ray is the wall between two cones on opposite sides, but (1, 1) lies in two cones
+DOUBLE_COVER = double_cover([(1, 0), (0, 1), (-1, 0), (0, -1), (2, -1), (1, 2), (-2, 1), (-1, -2)])
+# the same winding with the diagonals as rays: (1, 1) is then a ray of cone (3, 4), on its boundary
+DOUBLE_COVER_THROUGH_A_RAY = double_cover([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1), (-1, -1), (1, -1)])
 
 
 class TestValidateFan:
@@ -117,16 +143,14 @@ class TestValidateFan:
         assert not report.complete
 
     def test_p3_without_a_cone_names_the_open_facets(self):
-        p3_without = Fan.make(3, P3.rays, [(0, 1, 3), (0, 2, 3), (1, 2, 3)])
-        report = validate_fan(p3_without)
+        report = validate_fan(P3_WITHOUT_A_CONE)
         assert not report.ok and not report.complete and report.smooth
         assert report.problems == tuple(f"facet {f} lies in 1 maximal cones, expected 2"
                                         for f in ((0, 1), (0, 2), (1, 2)))
-        assert not is_complete(p3_without)
+        assert not is_complete(P3_WITHOUT_A_CONE)
 
     def test_duplicated_cone_is_rejected(self):
-        doubled = Fan.make(3, P3.rays, P3.max_cones + ((0, 1, 2),))
-        report = validate_fan(doubled)
+        report = validate_fan(DOUBLED_P3)
         assert not report.ok and not report.complete
         assert "facet (0, 1) lies in 3 maximal cones, expected 2" in report.problems
 
@@ -138,36 +162,59 @@ class TestValidateFan:
             in report.problems
 
     def test_an_apex_on_its_facet_is_on_neither_side(self):
-        # cone (0, 2) is flat: its apexes lie on the lines of its facets, so those facets have a side of 0, which
-        # the pairing test must refuse (a test that only refused equal signs would pass it on to the degree test)
-        flat = Fan.make(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2), (0, 2)])
-        assert _completeness_problems(flat) == (
+        # the flat cone's facets have a side of 0, which the pairing test must refuse (a test that only refused
+        # equal signs would pass it on to the degree test)
+        assert _completeness_problems(FLAT_2_FAN) == (
             "facet (0,): maximal cones (0, 1) and (0, 2) do not lie on opposite sides of it",
             "facet (2,): maximal cones (0, 2) and (1, 2) do not lie on opposite sides of it")
-        assert not is_complete(flat)
+        assert not is_complete(FLAT_2_FAN)
 
     def test_a_double_cover_fails_the_degree_check(self):
-        # eight 2-D cones that wind twice around the origin: every ray is the
-        # wall between two cones on opposite sides, but (1, 1) lies in two cones
-        rays = [(1, 0), (0, 1), (-1, 0), (0, -1), (2, -1), (1, 2), (-2, 1), (-1, -2)]
-        twice = Fan.make(2, rays, [(i, (i + 1) % 8) for i in range(8)])
-        assert _completeness_problems(twice) == (
+        assert _completeness_problems(DOUBLE_COVER) == (
             "the ray sum (1, 1) of maximal cone (0, 1) also lies in maximal cone (4, 5)",)
-        assert not is_complete(twice)
+        assert not is_complete(DOUBLE_COVER)
 
     def test_a_double_cover_through_a_ray_fails_the_degree_check(self):
-        # the same winding with the diagonals as rays: the point (1, 1) is
-        # then a ray of cone (3, 4), on its boundary, and only a degree test
-        # that counts the boundary sees the second cover.  validate_fan
-        # stops at the three cones of determinant 2, so the checks are
-        # called directly.
-        rays = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1), (-1, -1), (1, -1)]
-        twice = Fan.make(2, rays, [(i, (i + 1) % 8) for i in range(8)])
+        # only a degree test that counts the boundary sees the second cover.  validate_fan stops at the three
+        # cones of determinant 2, so the checks are called directly.
         problem = "the ray sum (1, 1) of maximal cone (0, 1) also lies in maximal cone (3, 4)"
-        assert _completeness_problems(twice) == (problem,)
-        assert not is_complete(twice)
+        assert _completeness_problems(DOUBLE_COVER_THROUGH_A_RAY) == (problem,)
+        assert not is_complete(DOUBLE_COVER_THROUGH_A_RAY)
         with pytest.raises(UnboundedRegion, match=re.escape(problem)):
-            _vertex_frames(twice)
+            _vertex_frames(DOUBLE_COVER_THROUGH_A_RAY)
+
+    def test_the_degree_check_reads_every_cone(self):
+        # each cone first, and the others in each rotation, so that every cone is once in every later place: each
+        # order names the first later cone that holds the first cone's ray sum, found here by Cramer's rule
+        for fan in (DOUBLE_COVER, DOUBLE_COVER_THROUGH_A_RAY):
+            for first, s in product(fan.max_cones, range(len(fan.max_cones) - 1)):
+                others = [cone for cone in fan.max_cones if cone != first]
+                cones = (first, *others[s:], *others[:s])
+                point = tuple(map(sum, zip(*(fan.rays[i] for i in first))))
+                holder = next(cone for cone in cones[1:] if holds(fan, cone, point))
+                assert _completeness_problems(Fan(fan.dim, fan.rays, cones)) == (
+                    f"the ray sum {point} of maximal cone {first} also lies in maximal cone {holder}",)
+
+    def test_problems_do_not_depend_on_the_order_of_a_cones_rays(self):
+        # Fan() keeps each cone's rays in the order given, so every facet side read from the table rests on
+        # sign(det) of that order: shuffled, the broken fans fail the certificate on the same problems, each
+        # cone named as stored
+        rng = random.Random(33)
+        for fan in (folded_suspension(), FLAT_2_FAN, DOUBLED_P3, P3_WITHOUT_A_CONE, DOUBLE_COVER,
+                    DOUBLE_COVER_THROUGH_A_RAY):
+            for _ in range(4):
+                cones = tuple(tuple(rng.sample(cone, len(cone))) for cone in fan.max_cones)
+                shuffled = Fan(fan.dim, fan.rays, cones)
+                names = dict(zip(map(str, fan.max_cones), map(str, cones)))
+                want = tuple(re.sub(r"\([\d, ]*\)", lambda m: names.get(m.group(), m.group()), problem)
+                             for problem in _completeness_problems(fan))
+                assert want and _completeness_problems(shuffled) == want, (fan, cones)
+
+    def test_a_cone_with_a_repeated_ray_is_not_a_set_of_n_rays(self):
+        # n distinct rays with one repeated: reported like any other malformed cone, not raised
+        fan = Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 0, 1), (1, 2), (0, 2)))
+        assert validate_fan(fan).problems == ("cone (0, 0, 1) is not a set of 2 valid ray indices",)
+        assert _completeness_problems(fan) == ("the maximal cones are not sets of 2 valid ray indices",)
 
     def test_malformed_cones_are_not_complete(self):
         assert not is_complete(Fan(3, P3.rays, ((0, 1), (0, 2, 3))))
@@ -212,8 +259,8 @@ class TestConeInverse:
 class TestOneSourceOfMinors:
     def test_no_minor_is_computed_by_elimination(self, records, monkeypatch):
         # validate_fan, cone_inverse, the vertex frames, the minor lcm and a Pic context on a stored basis read
-        # every minor and cofactor from ray_minors: no elimination runs, each ray_minors request makes exactly
-        # one call of the batched kernel, and so does each miss of the completeness certificate
+        # every minor and cofactor from ray_minors: no elimination runs, and every call of the batched kernel is
+        # one ray_minors request (the completeness certificate reads the table of the maximal cones)
         eliminations, computed, requests = [], [], []
         real_eliminate, real_kernel, real_minors = lattice._eliminate, fan_module._cross_products, ray_minors
 
@@ -245,7 +292,7 @@ class TestOneSourceOfMinors:
                 build_pic_context(rec.fan, rec.pic_basis)
         assert not eliminations
         assert len(requests) > len(fans) and set(requests) == {1}
-        assert len(computed) - len(requests) == _completeness_problems.cache_info().misses == len(fans)
+        assert len(computed) == len(requests)
 
 
 class TestRayCoordinates:
@@ -254,9 +301,9 @@ class TestRayCoordinates:
         # request over its maximal cones, and no other (cone_inverse makes one too)
         requests = []
 
-        def request(fan, subsets, cofactors=False):
+        def request(fan, subsets):
             requests.append(len(subsets))
-            return ray_minors(fan, subsets, cofactors)
+            return ray_minors(fan, subsets)
 
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("toric_exc") and getattr(module, "ray_minors", None) is ray_minors:
@@ -272,7 +319,7 @@ class TestRayCoordinates:
     def test_relations_do_not_depend_on_ray_labels_or_cone_order(self, records):
         # a relation's target is the least cone holding the ray sum, whichever maximal cone the table
         # lists first: relabelled rays, and shuffled cones with their rays shuffled (as Fan() keeps
-        # them), give the same relations and the same Fano verdict
+        # them), give the same relations, the same Fano verdict and the same completeness certificate
         rng = random.Random(32)
         for fan in [rec.fan for rec in records.values()] + seeded_blowups(records, range(9, 16), seed=32):
             m = fan.n_rays
@@ -285,6 +332,7 @@ class TestRayCoordinates:
             assert relation_set(relabelled, [label.index(i) for i in range(m)]) == want
             assert relation_set(reordered, range(m)) == want
             assert is_fano(relabelled) == is_fano(reordered) == is_fano(fan)
+            assert is_complete(relabelled) and is_complete(reordered) and is_complete(fan)
 
 
 def relation_set(fan, names):
@@ -300,8 +348,7 @@ class TestRayMinors:
         for fan in [rec.fan for rec in records.values()] + seeded_blowups(records, (9, 11, 13), seed=28) + [sheared]:
             subsets = list(combinations(range(fan.n_rays), 3))
             subsets += [tuple(rng.sample(S, 3)) for S in subsets[::3]]   # rows in the subset's own order
-            dets, cofactors = ray_minors(fan, subsets, cofactors=True)
-            assert dets.tolist() == ray_minors(fan, subsets).tolist()
+            dets, cofactors = ray_minors(fan, subsets)
             assert (dets.dtype == object) == (fan is sheared)
             for S, det, rows in zip(subsets, dets.tolist(), cofactors.tolist()):
                 A = cone_matrix(fan, S)
@@ -319,7 +366,7 @@ class TestRayMinors:
         subsets = list(combinations(range(7), 3))
         expected = [leibniz_determinant(cone_matrix(fan, S).entries) for S in subsets]
         assert max(map(abs, expected)) >= 2 ** 63
-        dets = ray_minors(fan, subsets)
+        dets = ray_minors(fan, subsets)[0]
         assert dets.dtype == object and dets.tolist() == expected
 
 class TestOneHashPerFan:

@@ -40,7 +40,7 @@ def every_line_frame(fan):
     """Every line frame decompose may walk: a unimodular maximal cone's rays with one axis moved last, and every
     ray's coordinates on them in that order; the cones in order, each from its last axis to its first."""
     for cone in fan.max_cones:
-        if abs(ray_minors(fan, [cone])[0]) != 1:
+        if abs(ray_minors(fan, [cone])[0][0]) != 1:
             continue
         coordinates = [cone_inverse(fan, cone).transpose().mul_vec(ray) for ray in fan.rays]
         for k in reversed(range(fan.dim)):

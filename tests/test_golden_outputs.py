@@ -8,7 +8,8 @@ lattice._cross; the Pic-context digest was recorded while Pic inverses
 still went through a second Smith normal form.  A change that alters any
 byte of these reports (a verdict, a class, a multiplicity, a key order, a
 label, a class map) fails here; a change that keeps them passes without
-touching this file.
+touching this file.  The fan-validation digest was recorded while the
+completeness certificate still computed its own facet normals.
 """
 
 import contextlib
@@ -16,6 +17,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -25,7 +27,7 @@ import pytest
 from toric_exc import cohomology, fan as fan_module, frobenius, lattice
 from toric_exc.catalog import format_fan_file
 from toric_exc.cli import main as cli_main
-from toric_exc.fan import cone_inverse
+from toric_exc.fan import Fan, _completeness_problems, cone_inverse, validate_fan
 from toric_exc.frobenius import decompose
 from toric_exc.picard import anticanonical_divisor, build_pic_context
 from test_fan import projective_space, seeded_blowup, seeded_blowups
@@ -296,3 +298,33 @@ def test_pic_contexts_and_cone_inverses_are_identical(records):
         pinned.append((ctx.class_map.entries, ctx.rep_map.entries,
                        tuple(cone_inverse(fan, cone).entries for cone in fan.max_cones)))
     assert hashlib.sha256(repr(pinned).encode()).hexdigest() == PIC_CONTEXTS
+
+
+# SHA-256 of repr() of (validate_fan(fan).problems, _completeness_problems(fan)) for 115 fans: five broken or
+# reshuffled copies of each catalog fan and of five seeded blow-ups with 9 to 13 rays (87 of them fail)
+FAN_VALIDATION = "d076fd7596be83c77dedfcfe3f55e58b18b61cdb8d6fa22b092a7e5f79aab60d"
+
+
+def test_fan_validation_messages_are_identical(records):
+    pinned = [(validate_fan(fan).problems, _completeness_problems(fan)) for fan in broken_fans(records)]
+    assert hashlib.sha256(repr(pinned).encode()).hexdigest() == FAN_VALIDATION
+
+
+def broken_fans(records):
+    """Each fan with one cone dropped, one cone doubled, one apex swapped for a random ray, one ray negated, and
+    its cones and their rays shuffled (Fan() keeps both orders)."""
+    rng = random.Random(33)
+    fans = []
+    for fan in [rec.fan for rec in records.values()] + seeded_blowups(records, range(9, 14), seed=33):
+        rays, cones = list(fan.rays), list(fan.max_cones)
+        k = rng.randrange(len(cones))
+        fans.append(Fan(fan.dim, fan.rays, tuple(cones[:k] + cones[k + 1:])))
+        fans.append(Fan(fan.dim, fan.rays, tuple(cones + [cones[rng.randrange(len(cones))]])))
+        k, i = rng.randrange(len(cones)), rng.randrange(fan.dim)
+        swapped = cones[k][:i] + (rng.randrange(fan.n_rays),) + cones[k][i + 1:]
+        fans.append(Fan.make(fan.dim, rays, cones[:k] + [swapped] + cones[k + 1:]))
+        j = rng.randrange(fan.n_rays)
+        fans.append(Fan(fan.dim, tuple(rays[:j] + [tuple(-x for x in rays[j])] + rays[j + 1:]), fan.max_cones))
+        shuffled = [tuple(rng.sample(cone, len(cone))) for cone in cones]
+        fans.append(Fan(fan.dim, fan.rays, tuple(rng.sample(shuffled, len(shuffled)))))
+    return fans
