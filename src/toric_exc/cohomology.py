@@ -100,7 +100,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, product
+from itertools import chain, product
 from math import comb, prod
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -108,8 +108,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import BoxTooLarge, BoxUnstable, TooManyRays, UnboundedRegion
-from .fan import (_FAN_CACHE_SIZE, Fan, _completeness_problems, _mask_of, face_masks, is_complete,
-                  ray_minors)
+from .fan import _FAN_CACHE_SIZE, Fan, _completeness_problems, _mask_of, face_masks, is_complete, subset_minors
 from .lattice import _INT64_SAFE, _eliminate
 from .picard import ClassVector, PicContext, _check_length, to_class
 
@@ -276,8 +275,9 @@ def _vertex_frames(fan: Fan) -> _VertexFrames:
     BoxTooLarge when one divisor's vertex pass, C(m, n) 2^n candidates
     against m rays, would hold more than _VERTEX_PASS_LIMIT gap entries;
     thresholds, the largest table, holds that many.  Only then are the
-    dets and cofactors of every ray n-subset read, in one fan.ray_minors
-    request.
+    nonsingular subsets, their dets and cofactors read, from the fan's
+    table fan.subset_minors, whose arrays the frames hold without a copy
+    where the dtype allows.
     """
     problems = _completeness_problems(fan)
     if problems:
@@ -288,17 +288,14 @@ def _vertex_frames(fan: Fan) -> _VertexFrames:
     if entries > _VERTEX_PASS_LIMIT:
         raise BoxTooLarge(f"the vertex pass of one divisor would hold {entries} gap entries "
                           f"({m} rays in dimension {n}), past the limit {_VERTEX_PASS_LIMIT}")
-    every = np.array(list(combinations(range(m), n)), dtype=np.int64).reshape(-1, n)
-    dets, cofactors = ray_minors(fan, every)
-    nonsingular = np.flatnonzero(dets)
-    subsets, cofactors, dets = every[nonsingular], cofactors[nonsingular], np.abs(dets[nonsingular])
+    subsets, dets, cofactors = subset_minors(fan)
     largest = int(max(np.abs(cofactors).max(), dets.max()))
     ray_max = max(abs(x) for ray in rays for x in ray)
     dtype = np.int64 if max(largest, ray_max) < _INT64_SAFE else object
     gap_dtype = np.int64 if n * n * largest * ray_max < _INT64_SAFE else object   # bounds every threshold
-    cofactors, rays_t = cofactors.astype(dtype), np.array(rays, dtype=dtype).T
-    pairings = -(rays_t.T.astype(gap_dtype) @ cofactors.astype(gap_dtype).transpose(0, 2, 1))
-    return _VertexFrames(subsets, cofactors, dets.astype(dtype), np.flatnonzero(dets > 1), pairings,
+    cofactors, rays_t = cofactors.astype(dtype, copy=False), np.array(rays, dtype=dtype).T
+    pairings = -(rays_t.T.astype(gap_dtype) @ cofactors.astype(gap_dtype, copy=False).transpose(0, 2, 1))
+    return _VertexFrames(subsets, cofactors, dets.astype(dtype, copy=False), np.flatnonzero(dets > 1), pairings,
                          -(_corner_offsets(n).astype(gap_dtype) @ pairings.transpose(0, 2, 1)),
                          largest, rays_t, ray_max,
                          np.array([1 << i for i in range(m)], dtype=np.int64 if m < 63 else object))

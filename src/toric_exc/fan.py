@@ -24,9 +24,11 @@ calls the kernel.  One request over the maximal cones, times the rays,
 is the fan's table of every ray's coordinates on each (ray_coordinates):
 validate_fan's smoothness check, the completeness certificate's facet
 sides, the primitive relations and the Frobenius line frame read it.
-The other requests are cone_inverse (one subset, not cached: a stored
-Pic basis's complement), the cohomology module's vertex frames and the
-Frobenius minor lcm, which reads only the dets.
+One request over every ray n-subset is the fan's table of their minors
+(subset_minors): the cohomology module's vertex frames read its subsets,
+dets and cofactors, and the exact Bondal-Thomsen set reads the lcm of its
+dets.  The other request is cone_inverse (one subset, not cached: a
+stored Pic basis's complement).
 Every per-fan table, here and in the cohomology module, is kept for the
 last _FAN_CACHE_SIZE fans, so a process that checks many fans holds the
 tables of a bounded number of them.
@@ -142,6 +144,25 @@ def ray_coordinates(fan: Fan) -> tuple[tuple[tuple[int, ...], ...], np.ndarray, 
     coordinates = rows @ np.array(fan.rays, dtype=rows.dtype).reshape(-1, n).T
     dets.flags.writeable = coordinates.flags.writeable = False
     return cones, dets, coordinates
+
+
+@lru_cache(maxsize=_FAN_CACHE_SIZE)
+def subset_minors(fan: Fan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fan's table of every nonsingular ray n-subset's minors, from one ray_minors request.
+
+    The subsets S in lexicographic order (a K x n index array), |det A_S|
+    and the signed cofactor rows of ray_minors, so that
+    A_S @ rows^T = |det A_S| I; all three are read-only.  The table has no
+    limit of its own: each reader checks its own before it reads it.
+    """
+    n, m = fan.dim, fan.n_rays
+    every = np.array(list(combinations(range(m), n)), dtype=np.intp).reshape(-1, n)
+    dets, rows = ray_minors(fan, every)
+    nonsingular = np.flatnonzero(dets)
+    table = every[nonsingular], abs(dets[nonsingular]), rows[nonsingular]
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -318,21 +339,27 @@ def primitive_collections(fan: Fan) -> tuple[tuple[int, ...], ...]:
 def primitive_relations(fan: Fan) -> tuple[PrimitiveRelation, ...]:
     """One relation per primitive collection, with exact coefficients, read from ray_coordinates.
 
-    The target is the first cone on which the sum of the collection's
-    columns is >= 0; a singular cone met before it raises NotUnimodular.
+    Every collection's column sum on every cone is one product of the table
+    with the collections' m x P 0/1 incidence matrix.  The target is the
+    first cone on which that sum is >= 0; a cone that is not unimodular
+    met before it raises NotUnimodular.
     """
     cones, dets, coordinates = ray_coordinates(fan)
-    unimodular = abs(dets) == 1
+    collections = primitive_collections(fan)
+    incidence = np.zeros((fan.n_rays, len(collections)), dtype=coordinates.dtype)
+    for t, pc in enumerate(collections):
+        incidence[list(pc), t] = 1
+    sums = coordinates @ incidence   # cones x n x collections
+    stop = (sums >= 0).all(axis=1) | (abs(dets) != 1)[:, None]
+    first = np.vstack((stop, np.ones(len(collections), dtype=bool))).argmax(axis=0)   # len(cones): no cone stops
     relations = []
-    for pc in primitive_collections(fan):
-        sums = coordinates[:, :, pc].sum(axis=2)   # cones x n
-        stop = (sums >= 0).all(axis=1) | ~unimodular
-        if not stop.any():
+    for t, (pc, k) in enumerate(zip(collections, first.tolist())):
+        if k == len(cones):
             raise InteriorCoverFailure(f"sum of primitive collection {pc} lies in no maximal cone; fan is not complete")
-        k = int(stop.argmax())
-        if not unimodular[k]:
+        if abs(dets[k]) != 1:
             raise NotUnimodular(f"determinant is {dets[k]}, not +-1")
-        relations.append(PrimitiveRelation(pc, tuple((ray, c) for ray, c in zip(cones[k], sums[k].tolist()) if c > 0)))
+        target = zip(cones[k], sums[k, :, t].tolist())
+        relations.append(PrimitiveRelation(pc, tuple((ray, c) for ray, c in target if c > 0)))
     return tuple(relations)
 
 

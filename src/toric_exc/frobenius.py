@@ -29,9 +29,9 @@ with p^n.  The digits of every distinct key are decoded into classes in
 one product with the class map.  decompose refuses more than
 _RESIDUE_LIMIT residues with TooManyResidues before enumerating any.
 For p large enough the set of distinct summand classes stops depending on
-p; stable_summands demands agreement across at least two primes, by
-default DEFAULT_PRIMES.  That agreement is no proof: bondal_summands
-computes the distinct classes exactly, from the one grid
+p; stable_summands demands agreement across at least two distinct
+primes, by default DEFAULT_PRIMES.  That agreement is no proof:
+bondal_summands computes the distinct classes exactly, from the one grid
 (1/((n + 1)L))Z^n, which meets every cell of the arrangement they are
 read from, and the thomsen report warns when two primes agree on fewer.
 """
@@ -42,14 +42,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, repeat
+from itertools import chain, repeat
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import NotStabilized, RayNotCovered, TooManyResidues
-from .fan import _FAN_CACHE_SIZE, Fan, cone_inverse, ray_coordinates, ray_minors
+from .fan import _FAN_CACHE_SIZE, Fan, cone_inverse, ray_coordinates, subset_minors
 from .lattice import _INT64_SAFE
 from .picard import ClassVector, PicContext, _check_length, to_class
 
@@ -271,12 +271,14 @@ def stable_summands(
 ) -> tuple[ClassVector, ...]:
     """Distinct summand class set, required to agree across all given primes.
 
-    Raises NotStabilized (with the per-prime sets) when they differ, which
-    signals that the primes are too small for this fan.
+    Fewer than two distinct primes raise ValueError: a repeated prime
+    agrees with itself.  Raises NotStabilized (with the per-prime sets)
+    when they differ, which signals that the primes are too small for this
+    fan.
     """
     primes = tuple(primes)
-    if len(primes) < 2:
-        raise ValueError("need at least two primes to certify stabilization")
+    if len(set(primes)) < 2:
+        raise ValueError("need at least two distinct primes to certify stabilization")
     sets: dict[int, frozenset[ClassVector]] = {}
     for p in primes:
         sets[p] = decompose(fan, ctx, divisor, p).classes
@@ -286,17 +288,13 @@ def stable_summands(
     return tuple(sorted(next(iter(distinct))))
 
 
-def _minor_lcm(fan: Fan) -> int:
-    """L, the lcm of the nonzero n x n ray minors (fan.ray_minors)."""
-    return math.lcm(*filter(None, ray_minors(fan, list(combinations(range(fan.n_rays), fan.dim)))[0].tolist()))
-
-
 def bondal_summands(ctx: PicContext) -> Optional[tuple[ClassVector, ...]]:
     """The Bondal-Thomsen classes {[-floor(<theta, v_rho>)]_rho : theta in R^n}, exactly, or None.
 
     Every summand class of (pi_p)_* O is one of them (theta = t/p), and
     they generate D^b(X) (Bondal, Oberwolfach report, 2006; Hanlon-Hicks-
-    Lazarev, 2023).  With L = _minor_lcm(fan) and N = (n + 1)L, they are
+    Lazarev, 2023).  With L the lcm of the nonzero n x n ray minors, the
+    dets of the fan's table fan.subset_minors, and N = (n + 1)L, they are
     the classes over the one grid theta in (1/N)Z^n cap [0,1)^n, (n + 1)^n
     L^n points (64 L^3 in dimension 3).  Proof:
 
@@ -315,13 +313,16 @@ def bondal_summands(ctx: PicContext) -> Optional[tuple[ClassVector, ...]]:
 
     Every cell thus meets the grid.  The pairings <j, v_rho>, j in
     [0, N)^n, are int64 while N n max|ray entry| is below _INT64_SAFE,
-    else Python integers.  A fan with more than _GRID_LIMIT ray n-subsets,
-    or a grid of more than _GRID_LIMIT points, returns None before
-    anything is enumerated.
+    else Python integers.  A fan with more than _GRID_LIMIT ray n-subsets
+    returns None before the table is read, and a grid of more than
+    _GRID_LIMIT points before anything is enumerated.
     """
     fan = ctx.fan
     n = fan.dim
-    if math.comb(fan.n_rays, n) > _GRID_LIMIT or (N := (n + 1) * _minor_lcm(fan)) ** n > _GRID_LIMIT:
+    if math.comb(fan.n_rays, n) > _GRID_LIMIT:
+        return None
+    N = (n + 1) * math.lcm(*subset_minors(fan)[1].tolist())
+    if N ** n > _GRID_LIMIT:
         return None
     ray_max = max(abs(x) for ray in fan.rays for x in ray)
     dtype = np.int64 if N * n * ray_max < _INT64_SAFE else object

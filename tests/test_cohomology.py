@@ -983,6 +983,11 @@ class TestFanCaches:
         def inverses(fan):
             return [cone_inverse(fan, cone) for cone in fan.max_cones]
 
+        memos = (cohomology._patterns, _vertex_frames, fan_module._completeness_problems, fan_module.face_masks,
+                 fan_module.primitive_collections, fan_module.primitive_relations, fan_module.ray_coordinates,
+                 fan_module.subset_minors, frobenius._line_frame)
+        for memo in memos:   # every table starts cold: a fan an earlier test cached would skip a table it feeds
+            memo.cache_clear()
         fans = [sheared_p2(k) for k in range(-(size // 2), size // 2 + 1)]   # the boxes reach |k| + 1
         first, first_inverses = answers(fans[0]), inverses(fans[0])
         assert first[-2] == [(1, 0, 0), (0, 0, 1), (0, 0, 0)] and first[1].ok and first[3]
@@ -990,9 +995,6 @@ class TestFanCaches:
             assert answers(fan) == first
             assert all((cone_matrix(fan, cone) @ inverse).is_identity()
                        for cone, inverse in zip(fan.max_cones, inverses(fan)))
-        memos = (cohomology._patterns, _vertex_frames, fan_module._completeness_problems, fan_module.face_masks,
-                 fan_module.primitive_collections, fan_module.primitive_relations, fan_module.ray_coordinates,
-                 frobenius._line_frame)
         assert all(memo.cache_info().currsize <= size for memo in memos)
         assert not hasattr(is_fano, "cache_info") and not hasattr(forbidden_sets, "cache_info")
         misses = [memo.cache_info().misses for memo in memos]

@@ -10,7 +10,7 @@ from toric_exc.exceptional import (KoszulCertified, NotCertified, OrderedCollect
                                    SummandSetMatchesK0Rank, fullness_certificate,
                                    koszul_reduction_certificate, verify_strongly_exceptional)
 from toric_exc.fan import Fan
-from toric_exc.frobenius import bondal_summands
+from toric_exc.frobenius import bondal_summands, decompose
 from toric_exc.picard import build_pic_context, class_to_divisor, to_class
 
 D1_CLASSES = ((0, 0, 0), (1, 1, 0), (2, 2, 0), (0, 0, 1),
@@ -121,6 +121,34 @@ class TestChangeOfBasis:
             got = verify_strongly_exceptional(moved, want.collection)
             assert (got.acyclic, got.sections_backward) == (want.acyclic, want.sections_backward), m
             assert got.strongly_exceptional
+
+    @pytest.mark.parametrize("name", ["D1", "D2", "E1", "E2", "E4"])
+    def test_ray_labels_and_cone_order_change_nothing(self, records, contexts, name):
+        # the rays relabelled, with the Pic basis and the stored divisors moved with them, and the cones
+        # listed in either order with their rays in the relabelled order (as Fan() keeps them): the same
+        # classes, so the same verdicts, Bondal set, certificate kind and splittings at p = 7
+        record, ctx = records[name], contexts[name]
+        fan, m = record.fan, record.fan.n_rays
+        collection = OrderedCollection(tuple(to_class(ctx, d) for d in record.collection))
+        want = verify_strongly_exceptional(ctx, collection)
+        summands = bondal_summands(ctx)
+        kind = type(fullness_certificate(ctx, collection, summands))
+        splittings = [decompose(fan, ctx, d, 7).summands for d in record.collection]
+        rng = random.Random(2034)
+        for _ in range(3):
+            label = rng.sample(range(m), m)   # ray i is ray label[i] of the relabelled fan
+            rays = tuple(fan.rays[label.index(j)] for j in range(m))
+            cones = tuple(tuple(label[i] for i in cone) for cone in fan.max_cones)
+            divisors = [[d[label.index(j)] for j in range(m)] for d in record.collection]
+            for listed in (cones, cones[::-1]):
+                moved = Fan(fan.dim, rays, listed)
+                moved_ctx = build_pic_context(moved, tuple(label[i] for i in record.pic_basis))
+                assert [to_class(moved_ctx, d) for d in divisors] == list(collection.classes), label
+                got = verify_strongly_exceptional(moved_ctx, collection)
+                assert (got.acyclic, got.sections_backward) == (want.acyclic, want.sections_backward), label
+                assert bondal_summands(moved_ctx) == summands, label
+                assert type(fullness_certificate(moved_ctx, collection, summands)) is kind, label
+                assert [decompose(moved, moved_ctx, d, 7).summands for d in divisors] == splittings, label
 
 
 class TestKoszulReduction:

@@ -1,5 +1,7 @@
 """Fan combinatorics: validation, primitive collections/relations, Fano test."""
 
+import contextlib
+import io
 import random
 import re
 import sys
@@ -10,12 +12,13 @@ import pytest
 
 from toric_exc import fan as fan_module, lattice
 from toric_exc.catalog import format_fan_file, parse_fan_file
+from toric_exc.cli import main
 from toric_exc.cohomology import _patterns, _vertex_frames
 from toric_exc.errors import InteriorCoverFailure, NotUnimodular, UnboundedRegion
 from toric_exc.fan import (Fan, _completeness_problems, cone_inverse, cone_matrix, face_masks, is_complete, is_face,
                            is_fano, primitive_collections, primitive_relations, ray_coordinates, ray_minors,
-                           validate_fan)
-from toric_exc.frobenius import _line_frame, _minor_lcm
+                           subset_minors, validate_fan)
+from toric_exc.frobenius import _line_frame, bondal_summands
 from toric_exc.lattice import IntMatrix, determinant, smith_normal_form
 from toric_exc.picard import build_pic_context
 from test_lattice import leibniz_determinant, sheared_p3_rays
@@ -258,7 +261,7 @@ class TestConeInverse:
 
 class TestOneSourceOfMinors:
     def test_no_minor_is_computed_by_elimination(self, records, monkeypatch):
-        # validate_fan, cone_inverse, the vertex frames, the minor lcm and a Pic context on a stored basis read
+        # validate_fan, cone_inverse, the vertex frames, the Bondal set and a Pic context on a stored basis read
         # every minor and cofactor from ray_minors: no elimination runs, and every call of the batched kernel is
         # one ray_minors request (the completeness certificate reads the table of the maximal cones)
         eliminations, computed, requests = [], [], []
@@ -277,22 +280,68 @@ class TestOneSourceOfMinors:
             if module_name.startswith("toric_exc") and getattr(module, "ray_minors", None) is real_minors:
                 monkeypatch.setattr(module, "ray_minors", request)
         monkeypatch.setattr(fan_module, "_cross_products", lambda rows, top: computed.append(len(rows)) or real_kernel(rows, top))
-        for table in (_completeness_problems, ray_coordinates, _vertex_frames):
+        for table in (_completeness_problems, ray_coordinates, subset_minors, _vertex_frames):
             table.cache_clear()
         fans = [rec.fan for rec in records.values()] + seeded_blowups(records, (9, 13), seed=5)
         for fan in fans:
             assert validate_fan(fan).ok
             for cone in fan.max_cones:
                 cone_inverse(fan, cone)
-                build_pic_context(fan, tuple(i for i in range(fan.n_rays) if i not in cone))
+                ctx = build_pic_context(fan, tuple(i for i in range(fan.n_rays) if i not in cone))
             _vertex_frames(fan)
-            _minor_lcm(fan)
+            bondal_summands(ctx)
         for rec in records.values():
             if rec.pic_basis is not None:
                 build_pic_context(rec.fan, rec.pic_basis)
         assert not eliminations
         assert len(requests) > len(fans) and set(requests) == {1}
         assert len(computed) == len(requests)
+
+    def test_the_vertex_frames_and_the_bondal_set_read_one_request_over_every_subset(self, records, monkeypatch):
+        # a cold vertex pass and Bondal set on each fan: one ray_minors request over all C(m, n) ray n-subsets,
+        # in lexicographic order, whichever of the two reads the table first
+        every = []
+
+        def request(fan, subsets):
+            if len(subsets) == len(list(combinations(range(fan.n_rays), fan.dim))):
+                every.append([tuple(map(int, S)) for S in subsets])
+            return ray_minors(fan, subsets)
+
+        monkeypatch.setattr(fan_module, "ray_minors", request)
+        fans = [rec.fan for rec in records.values()] + seeded_blowups(records, (9, 13), seed=34)
+        for first_vertices in (True, False):
+            for fan in fans:
+                ctx = build_pic_context(fan)
+                _completeness_problems(fan)   # the maximal cones' table, which on P3 is every triple too
+                subset_minors.cache_clear()
+                _vertex_frames.cache_clear()
+                every.clear()
+                readers = [lambda: _vertex_frames(fan), lambda: bondal_summands(ctx)]
+                for reader in readers if first_vertices else readers[::-1]:
+                    reader()
+                assert every == [list(combinations(range(fan.n_rays), fan.dim))], fan
+
+    def test_a_cold_theorem_makes_one_all_subset_request_a_fan(self, monkeypatch):
+        # per variety: the stored basis's cone, the maximal cones' table and every ray triple, 15 in all
+        requests = []
+
+        def request(fan, subsets):
+            requests.append((fan, len(subsets)))
+            return ray_minors(fan, subsets)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("toric_exc") and getattr(module, "ray_minors", None) is ray_minors:
+                monkeypatch.setattr(module, "ray_minors", request)
+            for value in vars(module).values() if module_name.startswith("toric_exc") else ():
+                if hasattr(value, "cache_clear") and getattr(value, "__module__", None) == module_name:
+                    value.cache_clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["prove-main-theorem"]) == 0
+        fans = list(dict.fromkeys(fan for fan, _ in requests))
+        assert len(fans) == 5 and len(requests) == 15
+        for fan in fans:
+            sizes = sorted(size for asked, size in requests if asked == fan)
+            assert sizes == [1, len(fan.max_cones), len(list(combinations(range(fan.n_rays), 3)))], fan
 
 
 class TestRayCoordinates:
@@ -376,7 +425,7 @@ class TestOneHashPerFan:
             a, b = parse_fan_file(text), parse_fan_file(text)
             assert a is not b and a == b
             assert hash(a) == hash(b) == hash((a.dim, a.rays, a.max_cones))
-            for table in (ray_coordinates, _completeness_problems, face_masks,
+            for table in (ray_coordinates, subset_minors, _completeness_problems, face_masks,
                           primitive_collections, primitive_relations, _patterns, _vertex_frames, _line_frame):
                 assert table(a) is table(b), (rec.name, table.__name__)
 
@@ -440,6 +489,32 @@ class TestPrimitiveRelations:
                 rhs = [sum(c * fan.rays[t][j] for t, c in rel.target) for j in range(fan.dim)]
                 assert lhs == rhs
                 assert all(c > 0 for _, c in rel.target)
+
+    def test_the_target_is_read_from_the_first_cone_holding_the_sum(self, records):
+        # with each cone's rays shuffled (Fan() keeps them), a target shared by two cones lists its rays in the
+        # order of the first cone, in stored order, that holds the collection's sum (Cramer's rule)
+        rng = random.Random(34)
+        for fan in [rec.fan for rec in records.values()] + seeded_blowups(records, range(9, 14), seed=34):
+            cones = [tuple(rng.sample(cone, len(cone))) for cone in fan.max_cones]
+            shuffled = Fan(fan.dim, fan.rays, tuple(rng.sample(cones, len(cones))))
+            for rel in primitive_relations(shuffled):
+                point = [sum(fan.rays[i][j] for i in rel.collection) for j in range(fan.dim)]
+                cone = next(c for c in shuffled.max_cones if holds(shuffled, c, point))
+                rows = [list(fan.rays[i]) for i in cone]
+                det = determinant(IntMatrix.from_rows(rows))
+                coefficients = [determinant(IntMatrix.from_rows(rows[:i] + [point] + rows[i + 1:])) // det
+                                for i in range(len(rows))]
+                assert rel.target == tuple((ray, c) for ray, c in zip(cone, coefficients) if c > 0), (fan, rel)
+
+    def test_a_cone_that_is_not_unimodular_before_the_target_raises(self):
+        # the sum (0, -2, 0) of the collection {3, 4} lies in the unimodular cone (0, 2, 4), not in the cone
+        # (0, 2, 3) of determinant 3 listed before it: the relation is refused all the same
+        fan = Fan.make(3, [(1, 0, 0), (0, 1, 0), (-1, -1, 2), (0, -2, 1), (0, 0, -1)],
+                       [(0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 4), (1, 2, 3), (1, 2, 4)])
+        assert primitive_collections(fan)[0] == (3, 4)
+        assert not holds(fan, (0, 2, 3), (0, -2, 0)) and holds(fan, (0, 2, 4), (0, -2, 0))
+        with pytest.raises(NotUnimodular, match=r"^determinant is 3, not \+-1$"):
+            primitive_relations(fan)
 
     def test_incomplete_fan_raises(self):
         # P^2 fan with one maximal cone removed: {v1, v3} spans no cone and

@@ -433,8 +433,11 @@ class TestStableSummands:
         assert set(got) == E24_SUMMANDS
 
     def test_repeated_prime_degenerate_call(self, d1, d1_ctx):
-        got = stable_summands(d1.fan, d1_ctx, (0,) * 6, (2, 2))
-        assert set(got) <= D1_SUMMANDS
+        # one prime named twice agrees with itself, which certifies nothing
+        for primes in ((2, 2), (31, 31), (37, 37, 37)):
+            with pytest.raises(ValueError, match="two distinct primes"):
+                stable_summands(d1.fan, d1_ctx, (0,) * 6, primes)
+        assert set(stable_summands(d1.fan, d1_ctx, (0,) * 6, (31, 31, 37))) == D1_SUMMANDS
 
     def test_single_prime_rejected(self, d1, d1_ctx):
         with pytest.raises(ValueError):
@@ -521,13 +524,13 @@ class TestBondalSummands:
         assert bondal_summands(ctx) == ((0,), (1,), (2,), (3,))
 
     def test_too_many_ray_subsets_are_declined_before_any_minor(self, monkeypatch):
-        # C(75, 3) = 67,525 ray triples, past the limit: no minor is computed
+        # C(75, 3) = 67,525 ray triples, past the limit: the table of minors is not read
         from toric_exc import frobenius
 
         def refuse(fan):
             raise AssertionError("minors enumerated")
 
-        monkeypatch.setattr(frobenius, "_minor_lcm", refuse)
+        monkeypatch.setattr(frobenius, "subset_minors", refuse)
         assert bondal_summands(build_pic_context(star_subdivided_p3(75))) is None
 
     def test_rays_past_int64(self):

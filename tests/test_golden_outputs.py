@@ -117,9 +117,9 @@ def fan_file_digest(tmp_path, fan, argv):
 def test_every_digest_holds_on_python_integers(records, tmp_path, monkeypatch):
     # every exact path forced past its int64 bound, and every per-fan table built again on Python
     # integers (and cleared again, so that no later test reads one): the same bytes
-    tables = (fan_module.ray_coordinates, fan_module._completeness_problems, fan_module.face_masks,
-              fan_module.primitive_collections, fan_module.primitive_relations, cohomology._patterns,
-              cohomology._vertex_frames, cohomology._point_list, frobenius._line_frame)
+    tables = (fan_module.ray_coordinates, fan_module.subset_minors, fan_module._completeness_problems,
+              fan_module.face_masks, fan_module.primitive_collections, fan_module.primitive_relations,
+              cohomology._patterns, cohomology._vertex_frames, cohomology._point_list, frobenius._line_frame)
     for module in (lattice, cohomology, frobenius):
         monkeypatch.setattr(module, "_INT64_SAFE", 0)
     fans = golden_fans(records)
