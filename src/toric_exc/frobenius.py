@@ -23,11 +23,12 @@ segments of one key each, weighted by their lengths, and a line with
 more steps than residues takes every residue instead.  The base cone and
 line axis are the per-fan frame (_line_frame) with the fewest segments a
 line: two on every catalog fan, against up to five on the first maximal
-cone's last axis.  The lines are
-walked in slabs of about _SLAB floors, so that the memory does not grow
-with p^n.  The digits of every distinct key are decoded into classes in
-one product with the class map.  decompose refuses more than
-_RESIDUE_LIMIT residues with TooManyResidues before enumerating any.
+cone's last axis.  The frame, with its per-ray sums, and the step
+positions per prime and slope (_step_rows) are kept between calls.
+The lines are walked in slabs of about _SLAB floors, so that the memory
+does not grow with p^n.  The digits of every distinct key are decoded
+into classes in one product with the class map.  decompose refuses more
+than _RESIDUE_LIMIT residues with TooManyResidues before enumerating any.
 For p large enough the set of distinct summand classes stops depending on
 p; stable_summands demands agreement across at least two distinct
 primes, by default DEFAULT_PRIMES.  That agreement is no proof:
@@ -41,7 +42,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, repeat
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -56,7 +57,10 @@ from .picard import ClassVector, PicContext, _check_length, to_class
 DEFAULT_PRIMES = (31, 37)
 _SLAB = 1 << 15  # segments per slab of the counting loop: a slab's arrays stay small next to the residues
 _RESIDUE_LIMIT = 1 << 32  # the most residues decompose enumerates
+_STEP_CACHE_SIZE = 64  # the (p, slope) step tables decompose keeps
 _GRID_LIMIT = 1 << 16  # the most points (and ray n-subsets) bondal_summands takes: L <= 10 in dimension 3
+
+Frame = tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], int, int], ...], int]
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,7 @@ class FrobeniusDecomposition:
 
 
 @lru_cache(maxsize=_FAN_CACHE_SIZE)
-def _line_frame(fan: Fan) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+def _line_frame(fan: Fan) -> Frame:
     """The base cone of decompose, its rays ordered so that the line axis is last, and every ray's c_j on them.
 
     On a unimodular maximal cone sigma, c_j = v_j B_sigma, and a line along
@@ -90,6 +94,7 @@ def _line_frame(fan: Fan) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
     maximal cone raises RayNotCovered.  A first maximal cone that is not a
     lattice basis raises its NotUnimodular from cone_inverse; any other
     such cone, or one that is not n valid ray indices, is no candidate.
+    The frame comes with the per-ray sums decompose reads (_frame).
     """
     n, m, cones = fan.dim, fan.n_rays, fan.max_cones
     uncovered = set(range(m)).difference(*cones)
@@ -98,17 +103,46 @@ def _line_frame(fan: Fan) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
     shaped, dets, coordinates = ray_coordinates(fan)
     if not shaped or shaped[0] != cones[0] or abs(dets[0]) != 1:
         cone_inverse(fan, cones[0])   # raises NotUnimodular, or fails on a bad index
-    unimodular = np.flatnonzero(abs(dets) == 1)
-    coordinates = coordinates[unimodular]   # cones x n x m: c_j[i] = coordinates[:, i, j]
-    # per (cone, axis): the segments of a line (the cone's own ray adds the 1), then the sloped rays; each |c_j[k]|
-    # is capped at _RESIDUE_LIMIT >= p, past which every x starts a segment anyway, so that no int64 sum wraps
-    segments = np.minimum(abs(coordinates), _RESIDUE_LIMIT).sum(axis=2)[:, ::-1].ravel()
-    sloped = (coordinates != 0).sum(axis=2)[:, ::-1].ravel()
-    choice, k = divmod(int(np.lexsort((sloped, segments))[0]), n)   # a stable sort: the first cone, then its last axis
+    size = abs(coordinates[:, ::-1])   # cones x n x m, the axes last to first: |c_j[k]| = size[:, n - 1 - k, j]
+    # per (cone, axis): a lattice basis first; the segments of a line (the cone's own ray adds the 1), then the sloped
+    # rays; each |c_j[k]| is capped at _RESIDUE_LIMIT >= p, past which every x starts a segment anyway, so that no
+    # int64 sum wraps
+    singular = (abs(dets) != 1).repeat(n)
+    segments = np.minimum(size, _RESIDUE_LIMIT).sum(axis=2).ravel()
+    sloped = (size != 0).sum(axis=2).ravel()
+    # a stable sort: the first cone, then its last axis
+    choice, k = divmod(int(np.lexsort((sloped, segments, singular))[0]), n)
     axis = n - 1 - k
     order = [i for i in range(n) if i != axis] + [axis]
-    cone = shaped[unimodular[choice]]
-    return tuple(cone[i] for i in order), tuple(zip(*coordinates[choice][order].tolist()))
+    cone = shaped[choice]
+    return _frame(tuple(cone[i] for i in order), tuple(zip(*coordinates[choice][order].tolist())))
+
+
+def _frame(cone: tuple[int, ...], coordinates: Sequence[tuple[int, ...]]) -> Frame:
+    """A line frame as decompose reads it on every call, whatever the divisor and p.
+
+    The base cone; per ray, c_j with the sums of its negative and of its
+    positive entries; and the largest |entry| of any c_j.
+    """
+    terms = tuple((c, sum(filter((0).__gt__, c)), sum(filter((0).__lt__, c))) for c in coordinates)
+    return cone, terms, max(map(abs, chain.from_iterable(coordinates)))
+
+
+@lru_cache(maxsize=_STEP_CACHE_SIZE)
+def _step_rows(p: int, s: int) -> np.ndarray:
+    """decompose's steps along a line for a ray of slope s != 0: a read-only |s| x p table over m in [0, p).
+
+    Row k holds x - 1 at the ray's k-th step, clipped to p - 1: at x =
+    ceil(((k + 1) p - m) / s) when s > 0, and at x = floor((m + k p) / |s|)
+    + 1 when s < 0, counted from the ray's floor at x = 0.  decompose asks
+    only while 1 + sum |s| < p, so a table holds fewer than p^2 entries,
+    and O(p) for any one fan.
+    """
+    m = np.arange(p)
+    rows = np.array([np.minimum(-((m - (k + 1) * p) // s) if s > 0 else (m + k * p) // -s + 1, p) - 1
+                     for k in range(abs(s))], dtype=np.int32)
+    rows.flags.writeable = False
+    return rows
 
 
 def decompose(
@@ -136,27 +170,34 @@ def decompose(
     which steps at |s_j| points in closed form: x = ceil((k p - t_j) /
     s_j), k = F_j + 1 ... F_j + s_j, when s_j > 0, and x = floor((t_j - k
     p) / |s_j|) + 1, k = F_j ... F_j + s_j + 1, when s_j < 0, clipped to
-    p.  Both depend on m_j alone, so they are tabulated once per call.
+    p.  Both depend on m_j alone, so they are tabulated once per (p, s_j)
+    and kept (_step_rows), and a slab reads them with one take per step.
     Rays of span 1, such as the base cone's own, have digit 0 and are left
     out, and a ray with s_j = 0 adds one floor per line.  So the segment
-    starts of a line are 0 and the sorted steps, each segment's length is
-    the next start minus its own, and its key is evaluated at min(start,
-    p - 1), so that a zero-length segment clipped to p stays inside the
-    key space.  When 1 + sum_j |s_j| >= p, every x starts a segment and
-    nothing is sorted.  A slab holds at most _SLAB floors (segments times
-    the rays left in), at least one line, so the peak memory is O(_SLAB)
-    plus the counts of the key space.  The floors are int32 when their
-    arguments stay below 2^31, int64 below _INT64_SAFE and Python integers
-    past it; the keys take their own type from the key space in the same
-    way.  The histogram is summed by bincount, weighted by the segment
+    ends of a line are the sorted steps and p, each segment's length is
+    its end minus the one before (0 for the first), and its key is
+    evaluated at its last x, end - 1, which lies in [0, p) even for a
+    zero-length segment clipped to p.  When 1 + sum_j |s_j| >= p, every x
+    starts a segment and nothing is sorted.  A slab holds at most _SLAB
+    floors (segments times the rays left in), at least one line: whole
+    blocks of lines over the last fixed axes, as many axes as fit, so that
+    t_j on a slab is one table per call (r_j - lo_j p plus the block's
+    share) plus the slab's share on the other fixed axes.  So the peak
+    memory is O(_SLAB) plus the counts of the key space.  The floors are
+    int32 when their arguments stay below 2^31, int64 below _INT64_SAFE
+    and Python integers past it; the keys take their own type from the
+    key space in the same way, and each is a weighted sum of a segment's
+    floors, one np.einsum (np.matmul on Python integers) per slab and
+    term.  The histogram is summed by bincount, weighted by the segment
     lengths, into one running count per key over all slabs when the key
     space is no larger than the p^n residues, else by np.unique per slab,
     or, for Python-integer keys, by one pass over each slab's keys.
 
     D_v is linear in the key's digits, so every distinct key is decoded in
-    one product: class(D_v) = class(-(q + lo)) - digits class_map^T, int64
-    when every entry is below _INT64_SAFE, else Python integers.  More
-    than _RESIDUE_LIMIT residues raise TooManyResidues before anything is
+    one product, read straight from the running count on the bincount
+    path: class(D_v) = class(-(q + lo)) - digits class_map^T, int64 when
+    every entry is below _INT64_SAFE, else Python integers.  More than
+    _RESIDUE_LIMIT residues raise TooManyResidues before anything is
     enumerated.
     """
     _check_length(fan, divisor)
@@ -165,101 +206,111 @@ def decompose(
     n = fan.dim
     if p ** n > _RESIDUE_LIMIT:
         raise TooManyResidues(f"{p}^{n} residues; decompose enumerates at most 2^32")
-    cone, coordinates = _line_frame(fan)
+    cone, terms, top = _line_frame(fan)
     divisor = tuple(int(a) for a in divisor)
     base = [divisor[i] for i in cone]   # a smaller key space: span 1 on the base cone (w_j = a_j: 2 unless p | a_j)
 
-    rows = []   # (c_j, q_j, r_j, lo_j, span_j)
-    for c, a in zip(coordinates, divisor):
-        below = sum(x for x in c if x < 0)
+    # ray 0 is the lowest digit; the rays of span 1 are left out of the
+    # count, and the rays with a slope s_j come first
+    spans, weights, shift, used = [], [], [], []   # used: (c_j, r_j - lo_j p, weight_j)
+    key_space = 1
+    for (c, below, above), a in zip(terms, divisor):
         q, r = divmod(a - sum(map(mul, c, base)), p)
         lo = ((p - 1) * below + r) // p
-        hi = ((p - 1) * (sum(c) - below) + r) // p
-        rows.append((c, q, r, lo, hi - lo + 1))
-
-    # ray 0 is the lowest digit; the rays of span 1 are left out, and the
-    # rays with a slope s_j come first
-    spans = [span for *_, span in rows]
-    weights = [math.prod(spans[:j]) for j in range(len(spans))]
-    key_space = math.prod(spans)
-    used = sorted(((c[:-1], c[-1], r - lo * p, weight) for (c, _, r, lo, span), weight in zip(rows, weights)
-                   if span > 1), key=lambda ray: ray[1] == 0)
-    top = max(map(abs, chain.from_iterable(c for c, *_ in rows)))
+        span = ((p - 1) * above + r) // p - lo + 1
+        if span > 1:
+            used.append((c, r - lo * p, key_space))
+        spans.append(span)
+        weights.append(key_space)
+        shift.append(-(q + lo))
+        key_space *= span
+    used.sort(key=lambda ray: ray[0][-1] == 0)
 
     def dtype_for(bound):
         return object if bound >= _INT64_SAFE else np.int32 if bound < 2 ** 31 else np.int64
 
     floor_dtype, key_dtype = dtype_for(3 * n * p * (top + 1)), dtype_for(key_space)
     dense = key_dtype is not object and key_space <= p ** n   # count by bincount, else np.unique
+    # the weighted sums of floors that make the keys; np.einsum is faster on int, but takes object arrays only
+    # from NumPy 1.25 on
+    dot = np.matmul if object in (floor_dtype, key_dtype) else partial(np.einsum, "j,...jl->...l")
 
-    # every step of every sloped ray, one row each, tabulated over m in [0, p)
-    owner = [j for j, (_, s, *_) in enumerate(used) for _ in range(abs(s))]
-    every_x = 1 + len(owner) >= p
-    width = p if every_x else 1 + len(owner)   # segments per line
-    if not every_x:
-        every_m = np.arange(p)
-        table = np.array([np.minimum(-((every_m - (i + 1) * p) // s) if s > 0 else (every_m + i * p) // -s + 1, p)
-                          for _, s, *_ in used for i in range(abs(s))], dtype=floor_dtype).reshape(-1, p)
-        offsets = np.arange(len(owner))[:, None] * p   # where each row starts in the flat table
-    C = np.array([c for c, *_ in used], dtype=floor_dtype).reshape(len(used), n - 1).T
-    R = np.array([r for *_, r, _ in used], dtype=floor_dtype)[:, None]
-    S = np.array([s for _, s, *_ in used if s], dtype=floor_dtype)[:, None]
-    sloped = len(S)
+    slopes = tuple(c[-1] for c, *_ in used if c[-1])
+    sloped, width = len(slopes), min(p, 1 + sum(map(abs, slopes)))   # segments per line
+    every_x = width == p
+    rays = np.array([c + (r,) for c, r, _ in used], dtype=floor_dtype).reshape(len(used), n + 1)
+    C, S, R = rays[:, :n - 1].T, rays[:sloped, n - 1:n], rays[:, n:]
     W = np.array([weight for *_, weight in used], dtype=key_dtype)
-    lines, per_slab = p ** (n - 1), max(1, _SLAB // (width * max(1, len(used))))
+    every_p = np.arange(p, dtype=floor_dtype)
+    # a slab is whole blocks of p^trailing lines, a block running over the last `trailing` fixed axes, as many as
+    # fit in one slab: each t_j is R_j plus its share on those axes, tabulated once per call (block), plus its share
+    # on the lead axes, computed per slab
+    per_slab, trailing = max(1, _SLAB // (width * max(1, len(used)))), 0
+    while trailing < n - 1 and p ** (trailing + 1) <= per_slab:
+        trailing += 1
+    lead, block = n - 1 - trailing, R
+    for share in C[lead:, :, None] * every_p:
+        block = (block[:, :, None] + share[:, None, :]).reshape(len(used), block.shape[1] * p)
+    heads, rows = p ** lead, per_slab // p ** trailing   # the lead axes' rows of blocks, and how many a slab takes
+    if not every_x:   # per line, each segment's last x: the sorted steps of the rays, between -1 and p - 1
+        steps = [(row, j) for j, s in enumerate(slopes) for row in _step_rows(p, s)]
+        ends = np.empty((width + 1, min(rows, heads) * block.shape[1]), dtype=np.int32)
+        ends[0], ends[-1] = -1, p - 1
     total = None   # the dense path's running count per key, summed over the slabs
     tally: Counter[int] = Counter()
-    for first in range(0, lines, per_slab):
-        # one column per line, so that every row is long
-        rest = np.arange(first, min(first + per_slab, lines), dtype=floor_dtype)
-        t = R + np.zeros(rest.size, dtype=floor_dtype)
-        for row in C[::-1]:   # from the coordinate of axis n - 2 down
-            quotient = rest // p
-            t += row[:, None] * (rest - quotient * p)
-            rest = quotient
+    for first in range(0, heads, rows):
+        t = block   # one column per line
+        if lead:   # the slab's lines' coordinates on the lead axes, one row each
+            v = np.unravel_index(np.arange(first, min(first + rows, heads)), (p,) * lead)
+            head = C[:lead].T @ np.array(v, dtype=floor_dtype)
+            t = (head[:, :, None] + block[:, None, :]).reshape(len(used), head.shape[1] * block.shape[1])
         F = t // p
-        m = t - F * p
+        m = t[:sloped] - F[:sloped] * p
         if every_x:
-            x, lengths = np.arange(p, dtype=floor_dtype)[:, None, None], None
+            x, lengths = every_p[:, None, None], None
         else:
-            steps = np.sort(table.take((m[owner] + offsets).astype(np.intp, copy=False)), axis=0)
-            ends = np.full((1, rest.size), p, dtype=floor_dtype)
-            starts = np.concatenate((ends - p, steps))
-            lengths = (np.concatenate((steps, ends)) - starts).ravel().astype(np.int64, copy=False)
-            x = np.minimum(starts, p - 1)[:, None]
-        rises = (m[:sloped] + S * x) // p   # segments x sloped rays x lines
-        key = W[:sloped] @ rises.astype(key_dtype, copy=False) + W @ F.astype(key_dtype, copy=False)
+            slab, residues = ends[:, :t.shape[1]], m.astype(np.intp, copy=False)
+            for i, (row, j) in enumerate(steps, 1):
+                row.take(residues[j], out=slab[i], mode="clip")
+            slab[1:-1].sort(axis=0)
+            lengths = (slab[1:] - slab[:-1]).ravel()
+            x = slab[1:, None]   # a segment's key is its key at any of its x
+        rises = (m + S * x) // p   # segments x sloped rays x lines
+        key = (dot(W[:sloped], rises) + dot(W, F)).ravel()
         if dense:
-            counts = np.bincount(key.ravel(), lengths, key_space)
+            counts = np.bincount(key, lengths, key_space)
             if total is None:
                 total = counts
             else:
                 total += counts
         elif key_dtype is object:   # np.unique sorts Python integers by comparison; on int64 it wins on large slabs
-            for k, length in zip(key.ravel().tolist(), repeat(1) if lengths is None else lengths.tolist()):
+            for k, length in zip(key.tolist(), repeat(1) if lengths is None else lengths.tolist()):
                 if length:   # a segment clipped to p has length 0
                     tally[k] += length
         else:
-            keys, index = np.unique(key.ravel(), return_inverse=True)
+            keys, index = np.unique(key, return_inverse=True)
             counts = np.bincount(index, lengths)
             kept = np.flatnonzero(counts)   # a segment clipped to p has length 0, so its key may count 0
             tally.update(dict(zip(keys[kept].tolist(), counts[kept].astype(np.int64).tolist())))
     if dense:
-        kept = np.flatnonzero(total)
-        tally.update(dict(zip(kept.tolist(), total[kept].astype(np.int64).tolist())))
-    assert sum(tally.values()) == p ** n
+        packed = total.nonzero()[0]
+        counts = total[packed].astype(np.int64).tolist()
+    else:
+        packed = np.array(list(tally), dtype=np.int64 if key_space < _INT64_SAFE else object)
+        counts = list(tally.values())
+    assert sum(counts) == p ** n
 
     # D_v = -(q + lo + digits): every key's digits in one table, one product
-    packed = np.array(list(tally), dtype=np.int64 if key_space < _INT64_SAFE else object)
-    digits = packed[:, None] // np.array(weights, dtype=packed.dtype) % np.array(spans, dtype=packed.dtype)
+    radix = np.array([weights, spans], dtype=packed.dtype)
+    digits = packed[:, None] // radix[0] % radix[1]
     M = ctx.class_map.entries
-    shift = to_class(ctx, [-(q + lo) for _, q, _, lo, _ in rows])
+    shift = to_class(ctx, shift)
     reach = max(map(abs, shift)) + max(map(abs, chain.from_iterable(M))) * sum(spans)
     exact = np.int64 if reach < _INT64_SAFE else object
-    classes = np.array(shift, dtype=exact) - digits.astype(exact) @ np.array(M, dtype=exact).T
-    totals: Counter[ClassVector] = Counter()
-    for cls, mult in zip(map(tuple, classes.tolist()), tally.values()):
-        totals[cls] += mult
+    classes = np.array(shift, dtype=exact) - digits.astype(exact, copy=False) @ np.array(M, dtype=exact).T
+    totals: dict[ClassVector, int] = {}
+    for cls, mult in zip(map(tuple, classes.tolist()), counts):
+        totals[cls] = totals.get(cls, 0) + mult
     return FrobeniusDecomposition(p, to_class(ctx, divisor), tuple(sorted(totals.items())))
 
 

@@ -38,20 +38,21 @@ def base_frame(fan, base_cone_rays):
 
 def every_line_frame(fan):
     """Every line frame decompose may walk: a unimodular maximal cone's rays with one axis moved last, and every
-    ray's coordinates on them in that order; the cones in order, each from its last axis to its first."""
+    ray's coordinates on them in that order, with their sums (frob._frame); the cones in order, each from its last
+    axis to its first."""
     for cone in fan.max_cones:
         if abs(ray_minors(fan, [cone])[0][0]) != 1:
             continue
         coordinates = [cone_inverse(fan, cone).transpose().mul_vec(ray) for ray in fan.rays]
         for k in reversed(range(fan.dim)):
             order = [i for i in range(fan.dim) if i != k] + [k]
-            yield tuple(cone[i] for i in order), tuple(tuple(c[i] for i in order) for c in coordinates)
+            yield frob._frame(tuple(cone[i] for i in order), tuple(tuple(c[i] for i in order) for c in coordinates))
 
 
 def line_cost(frame):
     """The segments of a line, 1 + sum |c_j[-1]| over the rays j outside the cone, and the sloped rays among them."""
-    cone, coordinates = frame
-    slopes = [c[-1] for j, c in enumerate(coordinates) if j not in cone]
+    cone, terms, _ = frame
+    slopes = [c[-1] for j, (c, *_) in enumerate(terms) if j not in cone]
     return 1 + sum(map(abs, slopes)), sum(map(bool, slopes))
 
 
@@ -345,7 +346,7 @@ class TestDecompose:
         for name, rec in records.items():
             fan, ctx = rec.fan, contexts[name]
             frame = cone_frame(fan)
-            reach = [any(c[k] for k in axes) for c in frob._line_frame(fan)[1]]   # axis 2 is the line axis
+            reach = [any(c[k] for k in axes) for c, *_ in frob._line_frame(fan)[1]]   # axis 2 is the line axis
             twisted = tuple(a + (rng.choice((-1, 1)) * rng.randint(10 ** 19, 10 ** 20) if far else 0)
                             for a, far in zip(anticanonical_divisor(fan), reach))
             assert any(abs(a) >= 2 ** 63 for a in twisted)
@@ -357,6 +358,22 @@ class TestDecompose:
                         for v in itertools.product(range(p), repeat=3)
                     )
                     assert decompose(fan, ctx, D, p).summands == tuple(sorted(direct.items())), (name, D, p)
+
+    def test_floors_past_int64_under_int64_keys(self):
+        # the Hirzebruch surface F_a, a = 2^55 and 2^56: a ray's coordinate a puts the floors past _INT64_SAFE at
+        # p = 7 (Python integers), while its key space, about a, keeps int64 keys (np.unique, past p^2)
+        import collections
+        p = 7
+        for a in (2 ** 55, 2 ** 56):
+            fan = Fan.make(2, [(1, 0), (0, 1), (-1, a), (0, -1)], [(0, 1), (1, 2), (2, 3), (0, 3)])
+            ctx = build_pic_context(fan)
+            assert 3 * fan.dim * p * (frob._line_frame(fan)[2] + 1) >= frob._INT64_SAFE > a * p
+            frame = cone_frame(fan)
+            for D in ((0,) * 4, anticanonical_divisor(fan), (3, -2, 1, 5)):
+                shifts = cartier_shifts(frame, D)
+                direct = collections.Counter(to_class(ctx, summand_divisor(frame, v, p, shifts))
+                                             for v in itertools.product(range(p), repeat=2))
+                assert decompose(fan, ctx, D, p).summands == tuple(sorted(direct.items())), (a, D)
 
     def test_too_many_residues_are_refused(self, d1, d1_ctx, monkeypatch):
         # 1625^3 < 2^32 < 1626^3; the refusal comes before any enumeration
@@ -391,10 +408,11 @@ class TestLineFrame:
         # write every ray on its cone's rays
         for name, rec in records.items():
             fan = rec.fan
-            cone, coordinates = frob._line_frame(fan)
+            frame = frob._line_frame(fan)
+            cone, terms, _ = frame
             assert sorted(cone) in map(list, fan.max_cones), name
-            assert line_cost((cone, coordinates)) == (2, 1), name
-            for ray, c in zip(fan.rays, coordinates):
+            assert line_cost(frame) == (2, 1), name
+            for ray, (c, *_) in zip(fan.rays, terms):
                 assert tuple(sum(x * fan.rays[i][k] for x, i in zip(c, cone)) for k in range(fan.dim)) == ray, name
 
     def test_the_frame_is_the_first_with_the_fewest_segments_then_sloped_rays(self, records):
@@ -422,6 +440,58 @@ class TestLineFrame:
         assert sorted(frob._line_frame(later)[0]) != [0, 1, 4]
         with pytest.raises(RayNotCovered, match="ray 4"):
             decompose(Fan(3, rays, P3.max_cones), ctx, (0,) * 5, 5)
+
+
+class TestKeptTables:
+    # what decompose keeps between calls: the per-fan frame with its sums and the step rows per (p, slope)
+    KEPT = (frob._line_frame, frob._step_rows)
+
+    def test_the_kept_tables_are_bounded_and_read_only(self, records, contexts):
+        # finite caches; the frames are tuples, and each step table is one read-only row of p per unit of
+        # |slope|, O(p) and never a line grid of p^(n-1)
+        assert all(memo.cache_info().maxsize for memo in self.KEPT)
+        for memo in self.KEPT:
+            memo.cache_clear()
+        for name, rec in records.items():
+            for p in (31, 53, 101):
+                decompose(rec.fan, contexts[name], anticanonical_divisor(rec.fan), p)
+        assert all(memo.cache_info().currsize <= memo.cache_info().maxsize for memo in self.KEPT)
+        for rec in records.values():
+            cone, terms, top = frob._line_frame(rec.fan)
+            assert all(type(x) is int for x in itertools.chain(cone, [top], *((*c, lo, hi) for c, lo, hi in terms)))
+            last = (0,) * (rec.fan.dim - 1) + (1,)   # the base cone's ray on the line axis: span 1, never counted
+            for p in (31, 53, 101):
+                for s in {c[-1] for c, *_ in terms if c[-1] and c != last}:   # every slope -K counted above
+                    hits = frob._step_rows.cache_info().hits
+                    rows = frob._step_rows(p, s)
+                    assert frob._step_rows.cache_info().hits == hits + 1, (rec.name, p, s)
+                    assert rows.shape == (abs(s), p) and not rows.flags.writeable
+                    with pytest.raises(ValueError):
+                        rows[0, 0] = 0
+
+    @pytest.mark.parametrize("patch", [("_INT64_SAFE", 1), ("_SLAB", 64)], ids=["object", "small-slabs"])
+    def test_the_results_do_not_depend_on_the_kept_tables(self, records, contexts, monkeypatch, patch):
+        # tables kept by unpatched calls in one order, then the patch, against a cold run with the same patch:
+        # a table whose key left out the floor type or the slab would serve the patched run a wrong one
+        import random
+        rng = random.Random(7)
+        cases = []
+        for name in ("D1", "F2"):
+            fan = records[name].fan
+            twist = tuple(rng.randint(-3, 3) for _ in range(fan.n_rays))
+            cases += [(name, D, p) for D in ((0,) * fan.n_rays, anticanonical_divisor(fan), twist) for p in (31, 53)]
+
+        def run(order):
+            return {(name, D, p): decompose(records[name].fan, contexts[name], D, p).summands for name, D, p in order}
+
+        for memo in self.KEPT:
+            memo.cache_clear()
+        plain = run(cases)
+        monkeypatch.setattr(frob, *patch)
+        warm = run(cases[::-1])
+        for memo in self.KEPT:
+            memo.cache_clear()
+        assert run(cases) == warm == plain
 
 
 class TestStableSummands:
